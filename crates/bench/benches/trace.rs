@@ -4,10 +4,9 @@
 //! (each additional policy evaluated against a corpus costs `replay`, not
 //! `resim`).
 //!
-//! The closed-loop lines cover both replay paths: per-policy divergence
-//! repair (`closed_loop_cross`) and shared-checkpoint cross-policy
-//! evaluation (`closed_loop_cross_shared`, `closed_loop_multi` — one forced
-//! pass per shot serving four candidate suffixes).
+//! The single-policy lines time `evaluate_cell`; `closed_loop_multi` times
+//! a four-candidate set through `evaluate_cell_set` — one forced pass per
+//! shot serving four candidate suffixes.
 //!
 //! A snapshot of the replay-vs-resim numbers (produced by `repro snapshot`)
 //! lives in `crates/bench/BENCH_trace_baseline.json` and gates CI.
@@ -19,9 +18,8 @@ use std::time::Duration;
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use qec_experiments::engine::BatchEngine;
 use qec_experiments::replay::{
-    calibration_for, evaluate_cell_set, record_cell, replay_cell, replay_cell_closed_loop,
-    trace_snapshot_multi_cell, trace_snapshot_scenario, LoadedCell, ReplayMode,
-    MULTI_SNAPSHOT_POLICIES,
+    calibration_for, evaluate_cell, evaluate_cell_set, record_cell, trace_snapshot_multi_cell,
+    trace_snapshot_scenario, LoadedCell, ReplayMode, MULTI_SNAPSHOT_POLICIES,
 };
 use qec_trace::{TraceReader, TraceWriter};
 
@@ -69,7 +67,9 @@ fn bench_trace(c: &mut Criterion) {
         });
     });
     group.bench_function("replay_16_shots", |b| {
-        b.iter(|| replay_cell(&cell, &factory, policy, None).expect("replay"));
+        b.iter(|| {
+            evaluate_cell(&cell, &factory, policy, None, ReplayMode::OpenLoop).expect("replay")
+        });
     });
     group.bench_function("resim_16_shots", |b| {
         b.iter(|| engine.run());
@@ -77,30 +77,17 @@ fn bench_trace(c: &mut Criterion) {
     // Closed-loop replay of the recording policy: zero divergence, so this is
     // the pure-replay fast path of exact counterfactual evaluation.
     group.bench_function("closed_loop_16_shots", |b| {
-        b.iter(|| replay_cell_closed_loop(&cell, &factory, policy, None).expect("closed-loop"));
+        b.iter(|| {
+            evaluate_cell(&cell, &factory, policy, None, ReplayMode::ClosedLoop)
+                .expect("closed-loop")
+        });
     });
     // Closed-loop replay of a different policy: pays divergence repair
     // (forced prefix + live suffix) on every divergent shot.
     group.bench_function("closed_loop_cross_16_shots", |b| {
         b.iter(|| {
-            replay_cell_closed_loop(&cell, &factory, PolicyKind::EraserM, None)
+            evaluate_cell(&cell, &factory, PolicyKind::EraserM, None, ReplayMode::ClosedLoop)
                 .expect("closed-loop cross")
-        });
-    });
-    // Same cross-policy workload through the shared-checkpoint path. With a
-    // single candidate there is nothing to share, so this measures the
-    // overhead of checkpoint planning relative to the per-policy path above.
-    group.bench_function("closed_loop_cross_shared_16_shots", |b| {
-        b.iter(|| {
-            evaluate_cell_set(
-                &cell,
-                &factory,
-                &[PolicyKind::EraserM],
-                &[None],
-                ReplayMode::ClosedLoop,
-                true,
-            )
-            .expect("closed-loop cross shared")
         });
     });
     // Four candidate policies against one organically-leaking recorded cell:

@@ -77,8 +77,7 @@ commands:
             repro sweep [--spec FILE.json | --grid KEY=V[,V...] ...]
             [--scale smoke|quick|paper] [--shots N] [--rounds-per-distance N]
             [--seed N] [--no-decode] [--decoder uf,lookup] [--no-timing]
-            [--out FILE] [--corpus DIR [--record-policy LABEL] [--closed-loop
-            [--no-shared-checkpoints]]]
+            [--out FILE] [--corpus DIR [--record-policy LABEL] [--closed-loop]]
             [--adaptive --target-ci R --checkpoint DIR [--confidence C]
             [--initial-batch N] [--max-shots N] [--stop-after-rounds N]]
             or resume a checkpointed adaptive sweep:
@@ -94,8 +93,6 @@ commands:
             --closed-loop re-simulates each shot from its first schedule
             divergence, making every cell an exact counterfactual; each cell's
             policy group shares one forced prefix pass per divergent shot
-            unless --no-shared-checkpoints (reports are byte-identical
-            either way)
             --adaptive allocates shots per cell in deterministic rounds until
             the Wilson interval on the cell's failure rate reaches --target-ci
             relative half-width at --confidence (default 0.95), or the cell
@@ -115,19 +112,17 @@ commands:
             [--record-policy LABEL] --corpus DIR
   replay    replay policies against a recorded corpus without re-simulating:
             repro replay --corpus DIR [--policy L1,L2,...] [--decode]
-            [--decoder uf,lookup] [--closed-loop [--no-shared-checkpoints]]
-            [--verify-live] [--out FILE]
+            [--decoder uf,lookup] [--closed-loop] [--verify-live] [--out FILE]
             --decoder replays each cell once per listed backend (implies
             --decode) and adds a decoder column to the summary and a
             `decoder` field to each report row
             --closed-loop repairs divergences by re-simulating from the first
             divergent round (exact counterfactual metrics + divergence
             profiles); the policy set shares one forced prefix pass per
-            divergent shot unless --no-shared-checkpoints (reports are
-            byte-identical either way; the summary's resim column shows the
-            cell's forced passes `Nf` and served suffixes `Ns`); with
-            --verify-live every policy is checked bit-for-bit against a fresh
-            live simulation (exit 1 on any mismatch)
+            divergent shot (the summary's resim column shows the cell's forced
+            passes `Nf` and served suffixes `Ns`); with --verify-live every
+            policy is checked bit-for-bit against a fresh live simulation
+            (exit 1 on any mismatch)
   corpus    inspect a corpus manifest: repro corpus DIR [--verify]
             (--verify re-reads every trace, checking CRCs and code identity)
             or shard one for cluster serving:
@@ -433,7 +428,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     let mut corpus_dir: Option<PathBuf> = None;
     let mut record_policy: Option<PolicyKind> = None;
     let mut mode = ReplayMode::OpenLoop;
-    let mut shared_checkpoints = true;
     let mut decoders: Vec<DecoderKind> = Vec::new();
     let mut adaptive = false;
     let mut target_ci: Option<f64> = None;
@@ -458,7 +452,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
                 record_policy = Some(parse_policy_label(iter.value("--record-policy")?)?);
             }
             "--closed-loop" => mode = ReplayMode::ClosedLoop,
-            "--no-shared-checkpoints" => shared_checkpoints = false,
             "--decoder" => {
                 for label in iter.value("--decoder")?.split(',') {
                     decoders.push(parse_decoder_label(label)?);
@@ -510,7 +503,7 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
         return finish_adaptive(outcome, &dir, out, corpus_dir, record_policy);
     }
     if adaptive {
-        if mode == ReplayMode::ClosedLoop || !shared_checkpoints {
+        if mode == ReplayMode::ClosedLoop {
             return Err(UsageError::new("--adaptive runs live; it cannot combine --closed-loop"));
         }
         let checkpoint = checkpoint_dir
@@ -545,9 +538,6 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     if mode == ReplayMode::ClosedLoop && corpus_dir.is_none() {
         return Err(UsageError::new("--closed-loop requires --corpus"));
     }
-    if !shared_checkpoints && mode != ReplayMode::ClosedLoop {
-        return Err(UsageError::new("--no-shared-checkpoints requires --closed-loop"));
-    }
     let mut spec = flags.build()?;
     if !decoders.is_empty() {
         spec.decoders = Some(decoders);
@@ -556,10 +546,8 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     // usage errors (exit 2) rather than mid-sweep failures.
     spec.expand().map_err(UsageError::new)?;
     let report = match &corpus_dir {
-        Some(dir) => {
-            run_sweep_with_corpus(&spec, dir, record_policy, timing, mode, shared_checkpoints)
-                .map_err(UsageError::new)?
-        }
+        Some(dir) => run_sweep_with_corpus(&spec, dir, record_policy, timing, mode)
+            .map_err(UsageError::new)?,
         None => run_sweep(&spec, timing).map_err(UsageError::new)?,
     };
     let json = to_json(&report);
@@ -852,7 +840,6 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
                 }
             }
             "--closed-loop" => options.mode = ReplayMode::ClosedLoop,
-            "--no-shared-checkpoints" => options.shared_checkpoints = false,
             "--verify-live" => options.verify_live = true,
             "--out" => out = Some(PathBuf::from(iter.value("--out")?)),
             other => {
@@ -861,9 +848,6 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
         }
     }
     let corpus_dir = corpus_dir.ok_or_else(|| UsageError::new("replay requires --corpus DIR"))?;
-    if !options.shared_checkpoints && options.mode != ReplayMode::ClosedLoop {
-        return Err(UsageError::new("--no-shared-checkpoints requires --closed-loop"));
-    }
     // Selecting a decoder is asking for decoded metrics.
     if !options.decoders.is_empty() {
         options.decode = true;

@@ -303,7 +303,8 @@ fn batch_eval_returns_results_in_request_order_and_is_all_or_nothing() {
 /// Same-cell closed-loop batch members are evaluated as ONE shared-checkpoint
 /// candidate set. That grouping must be invisible in the results — each row
 /// equals the solo eval of the same pairing — while the additive `stats`
-/// counters record that the shared path ran.
+/// counters record that the shared path ran. Solo evals run through the same
+/// set evaluator as sets of one and must leave those counters untouched.
 #[test]
 fn grouped_closed_loop_batches_match_solo_evals_and_advance_counters() {
     let dir = tmp_dir("batch-shared");
@@ -329,6 +330,9 @@ fn grouped_closed_loop_batches_match_solo_evals_and_advance_counters() {
         panic!("batch");
     };
     assert_eq!(results.len(), evals.len());
+    let ResponseKind::Stats(after_batch) = client.request(RequestKind::Stats).unwrap() else {
+        panic!("stats");
+    };
     for (result, spec) in results.iter().zip(&evals) {
         assert_eq!(result.result.key, spec.key, "results must follow request order");
         assert_eq!(result.result.policy, spec.policy);
@@ -343,10 +347,17 @@ fn grouped_closed_loop_batches_match_solo_evals_and_advance_counters() {
     };
     // always-lrc diverges against an eraser+m recording, so the group forced
     // at least one prefix pass and served one suffix per divergent member.
-    // The solo re-evals above run outside the batch path and add nothing.
-    assert!(after.shared_passes > 0, "grouped batch must run the shared path");
-    assert!(after.suffixes_served >= after.shared_passes);
-    assert!(after.peak_checkpoints >= 1);
+    assert!(after_batch.shared_passes > 0, "grouped batch must run the shared path");
+    assert!(after_batch.suffixes_served >= after_batch.shared_passes);
+    assert!(after_batch.peak_checkpoints >= 1);
+    // The solo re-evals above are sets of one: they share nothing and must
+    // not move the sharing counters.
+    assert_eq!(after.shared_passes, after_batch.shared_passes, "solo evals add no shared passes");
+    assert_eq!(after.suffixes_served, after_batch.suffixes_served, "solo evals add no suffixes");
+    assert_eq!(
+        after.peak_checkpoints, after_batch.peak_checkpoints,
+        "solo evals add no checkpoints"
+    );
     assert_eq!(after.evals, before.evals + 8, "4 batch members + 4 solo evals");
     shutdown(&addr);
     handle.join().unwrap();

@@ -29,16 +29,18 @@
 //!   and returns a schema-versioned [`sweep::SweepReport`]; [`sweep::snapshot`] is the
 //!   pinned perf snapshot behind the CI regression gate.
 //! * [`replay`] — corpus-backed evaluation over `qec-trace`: record each policy-free
-//!   scenario cell once ([`replay::record_into_corpus`]), replay any policy against
-//!   the recorded observables ([`replay::replay_cell`], [`replay::replay_corpus`])
-//!   with bit-for-bit fidelity for the recording policy — or **closed-loop**
-//!   ([`replay::replay_cell_closed_loop`], [`replay::ReplayMode::ClosedLoop`]),
-//!   which repairs each shot's first schedule divergence by re-simulating from
-//!   that round under the recorded seed contract and makes *every* policy's
-//!   metrics (DLP and LER included) bit-for-bit a from-scratch live run, with
-//!   per-round divergence profiles; [`sweep::run_sweep_with_corpus`] for whole
-//!   grids in either mode; [`replay::trace_snapshot`] is the trace perf
-//!   snapshot (record/encode/decode/replay-vs-resim/closed-loop).
+//!   scenario cell once ([`replay::record_into_corpus`]), then evaluate candidate
+//!   policy sets against it through one evaluator ([`replay::evaluate_cell_set`],
+//!   with [`replay::evaluate_cell`] its set of one, and [`replay::replay_corpus`]
+//!   over a whole corpus): open-loop against the recorded observables, with
+//!   bit-for-bit fidelity for the recording policy — or **closed-loop**
+//!   ([`replay::ReplayMode::ClosedLoop`]), which repairs each shot's first
+//!   schedule divergence by re-simulating from that round under the recorded seed
+//!   contract and makes *every* policy's metrics (DLP and LER included)
+//!   bit-for-bit a from-scratch live run, with per-round divergence profiles;
+//!   [`sweep::run_sweep_with_corpus`] for whole grids in either mode;
+//!   [`replay::trace_snapshot`] is the trace perf snapshot
+//!   (record/encode/decode/replay-vs-resim/closed-loop).
 //! * [`report`] — table formatting, JSON export, and the line-per-benchmark snapshot
 //!   format ([`report::BenchLine`]) shared with `crates/bench/BENCH_baseline.json`,
 //!   including the baseline comparison the CI perf gate runs.
@@ -77,9 +79,9 @@ pub use engine::BatchEngine;
 pub use harness::{run_policy_experiment, ExperimentSpec, PolicyExperimentResult};
 pub use metrics::{AggregateMetrics, MetricsAccumulator, RunMetrics};
 pub use replay::{
-    evaluate_cell, evaluate_cell_set, evaluation_row, replay_cell_closed_loop_shared,
-    replay_corpus, replay_corpus_with_stats, CellCheckpointStats, CellReplay, CheckpointStats,
-    LoadedCell, ReplayCellResult, ReplayMode, ReplayOptions, ReplayReport,
+    evaluate_cell, evaluate_cell_set, evaluation_row, replay_corpus, replay_corpus_with_stats,
+    CellCheckpointStats, CellReplay, CheckpointStats, LoadedCell, ReplayCellResult, ReplayMode,
+    ReplayOptions, ReplayReport,
 };
 pub use scenario::{CodeFamily, Scenario};
 pub use sweep::{

@@ -18,17 +18,24 @@
 //! but every round after the first schedule divergence is counterfactual, so
 //! cross-policy DLP/LER describe the recorded execution, not the candidate's.
 //!
-//! [`ReplayMode::ClosedLoop`] repairs that: each shot replays until its first
-//! divergence, then exact simulator state is reconstructed from the trace and
-//! the recorded `seed + shot` contract and the suffix is re-simulated live
-//! under the candidate ([`qec_trace::ReplayContext::replay_shot_closed_loop`]).
-//! Closed-loop metrics — including DLP and the decoded LER, for *every*
-//! candidate policy — are **bit-for-bit** a from-scratch live simulation of
-//! that policy on the same cell and seeds (the exact-counterfactual contract,
-//! pinned by `crates/experiments/tests/closed_loop.rs`), while non-divergent
-//! shots never touch the simulator and divergent shots skip all prefix policy
-//! evaluation. Per-round [`DivergenceProfile`]s report where shots diverged
-//! and how much re-simulation the repairs cost.
+//! [`ReplayMode::ClosedLoop`] repairs that: each shot replays until each
+//! candidate's first divergence, then exact simulator state is reconstructed
+//! from the trace and the recorded `seed + shot` contract — one forced prefix
+//! pass per shot, checkpointed for the whole candidate set — and each
+//! divergent candidate's suffix is re-simulated live
+//! ([`qec_trace::ReplayContext::replay_shot_closed_loop`]). Closed-loop
+//! metrics — including DLP and the decoded LER, for *every* candidate policy
+//! — are **bit-for-bit** a from-scratch live simulation of that policy on the
+//! same cell and seeds (the exact-counterfactual contract, pinned by
+//! `crates/experiments/tests/closed_loop.rs`), while non-divergent shots never
+//! touch the simulator and divergent shots skip all prefix policy evaluation.
+//! Per-round [`DivergenceProfile`]s report where shots diverged and how much
+//! re-simulation the repairs cost.
+//!
+//! Both modes run through one evaluator, [`evaluate_cell_set`]: a candidate
+//! set against one cell in one parallel pass, with [`evaluate_cell`] as its
+//! set of one. `repro replay`, corpus-backed sweeps and the `qec-serve` daemon
+//! all evaluate through it.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -39,6 +46,7 @@ use serde::{Deserialize, Serialize};
 
 use gladiator::GladiatorConfig;
 use leakage_speculation::{PolicyFactory, PolicyKind};
+use leaky_sim::{LeakagePolicy, LrcRequest, RunRecord};
 use qec_codes::Code;
 use qec_decoder::{logical_failure, DecoderBackend, DecoderKind, MemoryBasis};
 use qec_trace::{
@@ -424,126 +432,24 @@ pub struct CellReplay {
     pub profile: Option<DivergenceProfile>,
 }
 
-/// Replays `policy` against every shot of `cell`, in parallel, aggregating in
-/// shot order. `factory` must be calibrated for the cell
-/// ([`calibration_for`]); pass a `decoder` to also decode each reconstructed
-/// run (meaningful when `policy` is the recording policy — the resulting LER
-/// is exactly the live engine's).
-///
-/// # Errors
-/// Returns a message when the cell's code and header disagree.
-pub fn replay_cell(
-    cell: &LoadedCell,
-    factory: &Arc<PolicyFactory>,
-    policy: PolicyKind,
-    decoder: Option<&dyn DecoderBackend>,
-) -> Result<CellReplay, String> {
-    let ctx = ReplayContext::new(&cell.code, &cell.header).map_err(|e| e.to_string())?;
-    let per_shot: Vec<(RunMetrics, bool)> = (0..cell.shots.len())
-        .into_par_iter()
-        .map_init(
-            || factory.build(policy),
-            |instance, shot| {
-                let trace = &cell.shots[shot];
-                instance.reset();
-                let replay = ctx.replay_shot(trace, instance.as_mut());
-                let mut metrics = RunMetrics::score_replay(
-                    &replay.run,
-                    &replay.planned,
-                    &cell.header.noise,
-                    cell.header.cnot_layers,
-                );
-                if let Some(decoder) = decoder {
-                    let correction = decoder.decode_run(&replay.run);
-                    metrics.logical_error =
-                        Some(logical_failure(&cell.code, &replay.run, &correction, MemoryBasis::Z));
-                }
-                (metrics, replay.is_exact())
-            },
-        )
-        .collect();
-    let divergent_shots = per_shot.iter().filter(|(_, exact)| !exact).count();
-    let runs: Vec<RunMetrics> = per_shot.into_iter().map(|(metrics, _)| metrics).collect();
-    Ok(CellReplay { metrics: AggregateMetrics::from_runs(&runs), divergent_shots, profile: None })
-}
-
-/// Closed-loop-replays `policy` against every shot of `cell`, in parallel,
-/// aggregating in shot order: each shot replays until its first schedule
-/// divergence, then re-simulates from that round under the recorded seed
-/// contract, so the aggregated metrics are **bit-for-bit** what
-/// [`BatchEngine::run`] reports for a live run of `policy` on the cell's spec
-/// — for every candidate policy, not just the recording one. Pass a `decoder`
-/// to decode every counterfactual run and report its (exact) LER.
-///
-/// # Errors
-/// Returns a message when the cell's code and header disagree, or when the
-/// trace fails to reproduce under this build's simulator (stale corpus).
-pub fn replay_cell_closed_loop(
-    cell: &LoadedCell,
-    factory: &Arc<PolicyFactory>,
-    policy: PolicyKind,
-    decoder: Option<&dyn DecoderBackend>,
-) -> Result<CellReplay, String> {
-    /// Per-shot outcome: scored metrics, divergence round, re-simulated
-    /// (suffix) rounds, restored (forced-prefix) rounds.
-    type ShotOutcome = Result<(RunMetrics, Option<usize>, usize, usize), String>;
-    let ctx = ReplayContext::new(&cell.code, &cell.header).map_err(|e| e.to_string())?;
-    let per_shot: Vec<ShotOutcome> = (0..cell.shots.len())
-        .into_par_iter()
-        .map_init(
-            || (factory.build(policy), ctx.make_simulator()),
-            |(instance, sim), shot| {
-                let trace = &cell.shots[shot];
-                instance.reset();
-                let replay = ctx
-                    .replay_shot_closed_loop(trace, instance.as_mut(), sim)
-                    .map_err(|e| e.to_string())?;
-                // Identical scoring path to the live engine (`BatchEngine::score`):
-                // same counting loops, same f64 accumulation order.
-                let mut metrics = RunMetrics::score(&replay.run, cell.header.noise.lrc_time_ns);
-                if let Some(decoder) = decoder {
-                    let correction = decoder.decode_run(&replay.run);
-                    metrics.logical_error =
-                        Some(logical_failure(&cell.code, &replay.run, &correction, MemoryBasis::Z));
-                }
-                Ok((metrics, replay.divergence, replay.resimulated_rounds, replay.restored_rounds))
-            },
-        )
-        .collect();
-    let mut runs = Vec::with_capacity(per_shot.len());
-    let mut profile = DivergenceProfile::new(cell.header.rounds);
-    for outcome in per_shot {
-        let (metrics, divergence, resimulated_rounds, restored_rounds) = outcome?;
-        profile.add(divergence, resimulated_rounds, restored_rounds);
-        runs.push(metrics);
-    }
-    Ok(CellReplay {
-        metrics: AggregateMetrics::from_runs(&runs),
-        divergent_shots: profile.divergent_shots,
-        profile: Some(profile),
-    })
-}
-
 /// Checkpoint-sharing economics of evaluating one cell's policy set — the
 /// out-of-band cost accounting of closed-loop replay. Deliberately **not**
-/// part of [`ReplayCellResult`]/[`ReplayReport`]: reports must stay
-/// byte-identical whether sharing is on or off (CI `cmp`s them), so these
-/// stats travel to the CLI summary and the serve `stats` counters instead.
+/// part of [`ReplayCellResult`]/[`ReplayReport`]: how a candidate set is
+/// batched must never change a report byte, so these stats travel to the CLI
+/// summary and the serve `stats` counters instead. All zero in open-loop
+/// mode, which never touches the simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
-    /// Forced re-executions of a recorded prefix: with sharing, one per shot
-    /// that had at least one divergent candidate; on the legacy per-policy
-    /// path, one per divergent `(shot, policy)` pair.
+    /// Forced re-executions of a recorded prefix: one per shot that had at
+    /// least one divergent candidate.
     pub forced_passes: u64,
-    /// Total rounds executed by forced passes (with sharing, each shot pays
-    /// only up to its deepest divergence round, once).
+    /// Total rounds executed by forced passes (each shot pays only up to its
+    /// deepest divergence round, once).
     pub forced_rounds: u64,
-    /// Candidate suffixes resumed live — divergent `(shot, policy)` pairs,
-    /// identical under both paths.
+    /// Candidate suffixes resumed live — divergent `(shot, policy)` pairs.
     pub suffixes: u64,
     /// Simulator checkpoints held at any shot's high-water mark (= distinct
-    /// divergence rounds of the candidate set); `0` on the legacy path, which
-    /// never stores one.
+    /// divergence rounds of the candidate set).
     pub peak_checkpoints: u64,
 }
 
@@ -567,28 +473,75 @@ pub struct CellCheckpointStats {
     pub stats: CheckpointStats,
 }
 
-/// Closed-loop-replays a whole candidate **set** against every shot of `cell`
-/// from shared checkpoints ([`ReplayContext::replay_shot_closed_loop_shared`]):
-/// per shot, one forced pass to the deepest divergence round plus one resumed
-/// suffix per divergent candidate, instead of one full forced prefix per
-/// divergent `(shot, policy)` pair. `decoders` is index-aligned with
-/// `policies` (pass `None` to skip decoding that candidate).
+/// Whether evaluating `policy` against `cell` in `mode` yields the
+/// candidate's own execution: true of every closed-loop pairing (exact
+/// counterfactuals) and, open-loop, of the recording policy only. Only such
+/// runs are decoded — [`evaluate_cell_set`] ignores the decoder of any other
+/// pairing — and only their metrics can be checked against a live run.
+#[must_use]
+pub fn reproduces_live(cell: &LoadedCell, policy: PolicyKind, mode: ReplayMode) -> bool {
+    mode == ReplayMode::ClosedLoop || cell.header.policy == policy.label()
+}
+
+/// Scores one replayed run and, given a `decoder`, decodes it and records
+/// the logical outcome — the one scoring path of both modes. `planned` is an
+/// open-loop candidate's own schedule, judged against the recorded run with
+/// [`RunMetrics::score_replay`]; `None` means `run` is the candidate's own
+/// execution, scored exactly as the live engine scores it (same counting
+/// loops, same f64 accumulation order).
+fn score_run(
+    cell: &LoadedCell,
+    run: &RunRecord,
+    planned: Option<&[LrcRequest]>,
+    decoder: Option<&dyn DecoderBackend>,
+) -> RunMetrics {
+    let noise = &cell.header.noise;
+    let mut metrics = match planned {
+        Some(planned) => RunMetrics::score_replay(run, planned, noise, cell.header.cnot_layers),
+        None => RunMetrics::score(run, noise.lrc_time_ns),
+    };
+    if let Some(decoder) = decoder {
+        let correction = decoder.decode_run(run);
+        metrics.logical_error = Some(logical_failure(&cell.code, run, &correction, MemoryBasis::Z));
+    }
+    metrics
+}
+
+/// Replay-evaluates a `(cell, policy set)` in `mode` — the one replay
+/// evaluator behind `repro replay`, corpus-backed sweeps and the `qec-serve`
+/// daemon. `decoders` is index-aligned with `policies` (`None` skips
+/// decoding that candidate); a decoder is used only where
+/// [`reproduces_live`] holds.
 ///
-/// Every returned [`CellReplay`] — metrics, divergent-shot count and
-/// divergence profile — is **bit-identical** to what
-/// [`replay_cell_closed_loop`] returns for that candidate alone: the per-shot
-/// results are bit-identical (see the sharing bit-identity argument on the
-/// trace-level entry point) and both paths aggregate in shot order.
+/// One parallel pass over the cell's shots, aggregated in shot order:
+///
+/// * [`ReplayMode::OpenLoop`] drives every candidate against the recorded
+///   observables ([`ReplayContext::replay_shot`]) and scores its planned
+///   schedule with [`RunMetrics::score_replay`]. The recording policy
+///   reproduces the live engine's metrics bit-for-bit.
+/// * [`ReplayMode::ClosedLoop`] serves the whole set per shot from one
+///   forced prefix pass and shared checkpoints
+///   ([`ReplayContext::replay_shot_closed_loop`]), so every candidate's
+///   metrics — divergence profile and decoded LER included — are bit-for-bit
+///   what [`BatchEngine::run`] reports for a live run of that policy.
+///
+/// `shared_checkpoints = true` evaluates the set together; every caller
+/// outside the tests passes it. `false` evaluates each candidate as its own
+/// set of one through the same code — the reference the sharing proptest
+/// compares against. Results are bit-identical either way; only the returned
+/// [`CheckpointStats`] (and the wall-clock) differ.
 ///
 /// # Errors
-/// Returns a message when the cell's code and header disagree, when
-/// `policies` and `decoders` lengths differ, or when the trace fails to
+/// Returns a message when `policies` and `decoders` lengths differ, when the
+/// cell's code and header disagree, or (closed loop) when the trace fails to
 /// reproduce under this build's simulator (stale corpus).
-pub fn replay_cell_closed_loop_shared(
+pub fn evaluate_cell_set(
     cell: &LoadedCell,
     factory: &Arc<PolicyFactory>,
     policies: &[PolicyKind],
     decoders: &[Option<&dyn DecoderBackend>],
+    mode: ReplayMode,
+    shared_checkpoints: bool,
 ) -> Result<(Vec<CellReplay>, CheckpointStats), String> {
     if policies.len() != decoders.len() {
         return Err(format!(
@@ -597,6 +550,28 @@ pub fn replay_cell_closed_loop_shared(
             decoders.len()
         ));
     }
+    if !shared_checkpoints {
+        let mut replays = Vec::with_capacity(policies.len());
+        let mut stats = CheckpointStats::default();
+        for (policy, decoder) in policies.iter().zip(decoders) {
+            let (one, one_stats) = evaluate_cell_set(
+                cell,
+                factory,
+                std::slice::from_ref(policy),
+                std::slice::from_ref(decoder),
+                mode,
+                true,
+            )?;
+            replays.extend(one);
+            stats.absorb(&one_stats);
+        }
+        return Ok((replays, stats));
+    }
+    let decoders: Vec<Option<&dyn DecoderBackend>> = policies
+        .iter()
+        .zip(decoders)
+        .map(|(&policy, &decoder)| decoder.filter(|_| reproduces_live(cell, policy, mode)))
+        .collect();
     /// Per-shot outcome: per-candidate scored results (metrics, divergence
     /// round, suffix rounds, forced-prefix depth) plus the shot's sharing
     /// stats (forced rounds, suffixes, peak checkpoints).
@@ -608,36 +583,38 @@ pub fn replay_cell_closed_loop_shared(
         .map_init(
             || {
                 let instances: Vec<_> = policies.iter().map(|&p| factory.build(p)).collect();
-                (instances, ctx.make_simulator())
+                let sim = (mode == ReplayMode::ClosedLoop).then(|| ctx.make_simulator());
+                (instances, sim)
             },
             |(instances, sim), shot| {
                 let trace = &cell.shots[shot];
                 for instance in instances.iter_mut() {
                     instance.reset();
                 }
-                let mut refs: Vec<&mut dyn leaky_sim::LeakagePolicy> =
+                let Some(sim) = sim else {
+                    let scored = instances
+                        .iter_mut()
+                        .zip(&decoders)
+                        .map(|(instance, &decoder)| {
+                            let replay = ctx.replay_shot(trace, instance.as_mut());
+                            let metrics =
+                                score_run(cell, &replay.run, Some(&replay.planned), decoder);
+                            (metrics, replay.divergence, 0, 0)
+                        })
+                        .collect();
+                    return Ok((scored, 0, 0, 0));
+                };
+                let mut refs: Vec<&mut dyn LeakagePolicy> =
                     instances.iter_mut().map(|p| p.as_mut() as _).collect();
                 let shared = ctx
-                    .replay_shot_closed_loop_shared(trace, &mut refs, sim)
+                    .replay_shot_closed_loop(trace, &mut refs, sim)
                     .map_err(|e| e.to_string())?;
-                // Identical scoring path to the live engine and the per-policy
-                // closed-loop evaluator: same counting loops, same decoder.
                 let scored = shared
                     .replays
                     .iter()
-                    .zip(decoders)
-                    .map(|(replay, decoder)| {
-                        let mut metrics =
-                            RunMetrics::score(&replay.run, cell.header.noise.lrc_time_ns);
-                        if let Some(decoder) = decoder {
-                            let correction = decoder.decode_run(&replay.run);
-                            metrics.logical_error = Some(logical_failure(
-                                &cell.code,
-                                &replay.run,
-                                &correction,
-                                MemoryBasis::Z,
-                            ));
-                        }
+                    .zip(&decoders)
+                    .map(|(replay, &decoder)| {
+                        let metrics = score_run(cell, &replay.run, None, decoder);
                         (
                             metrics,
                             replay.divergence,
@@ -674,66 +651,15 @@ pub fn replay_cell_closed_loop_shared(
         .map(|(runs, profile)| CellReplay {
             metrics: AggregateMetrics::from_runs(runs),
             divergent_shots: profile.divergent_shots,
-            profile: Some(profile),
+            profile: (mode == ReplayMode::ClosedLoop).then_some(profile),
         })
         .collect();
     Ok((replays, stats))
 }
 
-/// Replay-evaluates a whole `(cell, policy set)` in `mode` — the set-level
-/// sibling of [`evaluate_cell`], index-aligned with `policies`/`decoders`.
-/// Closed-loop sets with `shared_checkpoints` route through
-/// [`replay_cell_closed_loop_shared`] (1 forced pass + N suffixes per shot);
-/// everything else runs the legacy one-policy-at-a-time passes via
-/// [`evaluate_cell`]. Results are bit-identical either way; only the returned
-/// [`CheckpointStats`] (and the wall-clock) differ.
-///
-/// # Errors
-/// Returns a message on any per-policy evaluation failure or a
-/// `policies`/`decoders` length mismatch.
-pub fn evaluate_cell_set(
-    cell: &LoadedCell,
-    factory: &Arc<PolicyFactory>,
-    policies: &[PolicyKind],
-    decoders: &[Option<&dyn DecoderBackend>],
-    mode: ReplayMode,
-    shared_checkpoints: bool,
-) -> Result<(Vec<CellReplay>, CheckpointStats), String> {
-    if mode == ReplayMode::ClosedLoop && shared_checkpoints {
-        return replay_cell_closed_loop_shared(cell, factory, policies, decoders);
-    }
-    if policies.len() != decoders.len() {
-        return Err(format!(
-            "policy set of {} needs one decoder slot per candidate, got {}",
-            policies.len(),
-            decoders.len()
-        ));
-    }
-    let mut replays = Vec::with_capacity(policies.len());
-    let mut stats = CheckpointStats::default();
-    for (&policy, &decoder) in policies.iter().zip(decoders) {
-        let replay = evaluate_cell(cell, factory, policy, decoder, mode)?;
-        if let Some(profile) = &replay.profile {
-            // Legacy accounting: every divergent (shot, policy) pair pays its
-            // own full forced prefix, and nothing is ever checkpointed.
-            stats.forced_passes += profile.divergent_shots as u64;
-            stats.forced_rounds += profile.restored_rounds;
-            stats.suffixes += profile.divergent_shots as u64;
-        }
-        replays.push(replay);
-    }
-    Ok((replays, stats))
-}
-
-/// Replay-evaluates one `(cell, policy)` pairing in `mode` — the single
-/// evaluation entry point shared by `repro replay`, corpus-backed sweeps and
-/// the `qec-serve` daemon, which is what makes a served `eval` answer
+/// Replay-evaluates one `(cell, policy)` pairing in `mode`: a set of one
+/// through [`evaluate_cell_set`], which is what makes a served `eval` answer
 /// bit-identical to the CLI's replay row for the same pairing.
-///
-/// Open-loop decoding is only meaningful for exact (recording-policy)
-/// pairings, so in that mode a `decoder` is used only when `policy` recorded
-/// the cell; closed-loop runs are exact counterfactuals, so the decoder serves
-/// every pairing.
 ///
 /// # Errors
 /// Returns a message when the cell's code and header disagree, or (closed
@@ -745,13 +671,8 @@ pub fn evaluate_cell(
     decoder: Option<&dyn DecoderBackend>,
     mode: ReplayMode,
 ) -> Result<CellReplay, String> {
-    match mode {
-        ReplayMode::ClosedLoop => replay_cell_closed_loop(cell, factory, policy, decoder),
-        ReplayMode::OpenLoop => {
-            let exact = cell.header.policy == policy.label();
-            replay_cell(cell, factory, policy, decoder.filter(|_| exact))
-        }
-    }
+    let (mut replays, _) = evaluate_cell_set(cell, factory, &[policy], &[decoder], mode, true)?;
+    Ok(replays.pop().expect("one candidate, one replay"))
 }
 
 /// Builds the report row for one evaluated pairing. Shared by
@@ -884,7 +805,7 @@ pub struct ReplayReport {
 }
 
 /// Options of [`replay_corpus`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
     /// Policies to replay against every cell; empty ⇒ each cell's recording
     /// policy (the bit-for-bit validation mode).
@@ -906,24 +827,6 @@ pub struct ReplayOptions {
     pub verify_live: bool,
     /// Evaluation mode (see [`ReplayMode`]).
     pub mode: ReplayMode,
-    /// Closed-loop only: serve each cell's whole policy set from shared
-    /// checkpoints (1 forced pass + N suffixes per shot) instead of one full
-    /// forced prefix per divergent pairing. On by default; reports are
-    /// byte-identical either way — only cost and [`CheckpointStats`] differ.
-    pub shared_checkpoints: bool,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions {
-            policies: Vec::new(),
-            decode: false,
-            decoders: Vec::new(),
-            verify_live: false,
-            mode: ReplayMode::default(),
-            shared_checkpoints: true,
-        }
-    }
 }
 
 /// Replays policies against every cell of the corpus at `dir`, in the mode
@@ -937,8 +840,7 @@ pub fn replay_corpus(dir: &Path, options: &ReplayOptions) -> Result<ReplayReport
 }
 
 /// [`replay_corpus`] plus each cell's out-of-band [`CheckpointStats`] (for
-/// CLI summaries — never part of the report, which must stay byte-identical
-/// with sharing on or off).
+/// CLI summaries — never part of the report).
 ///
 /// # Errors
 /// Same failure modes as [`replay_corpus`].
@@ -953,7 +855,6 @@ pub fn replay_corpus_with_stats(
             dir.display()
         ));
     }
-    let closed_loop = options.mode == ReplayMode::ClosedLoop;
     // The decoder axis: empty ⇒ the single unlabeled legacy slot (union-find).
     // Duplicate selections collapse, preserving first-mention order.
     let kinds: Vec<Option<DecoderKind>> = if options.decoders.is_empty() {
@@ -988,33 +889,25 @@ pub fn replay_corpus_with_stats(
         let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
         let mut stats = CheckpointStats::default();
         for &kind in &kinds {
-            // Open-loop decoding is only meaningful for exact (recording-policy)
-            // pairings; closed-loop runs are exact counterfactuals, so the decoder
-            // serves every pairing. Skip the decoder build when unused.
-            let decoder = (options.decode && (closed_loop || policies.contains(&recorded)))
+            // Skip the decoder build when no pairing will decode.
+            let decodes =
+                policies.iter().any(|&policy| reproduces_live(&cell, policy, options.mode));
+            let decoder = (options.decode && decodes)
                 .then(|| build_backend(kind, &cell.code, cell.header.rounds))
                 .transpose()
                 .map_err(|e| format!("{}: {e}", entry.key))?;
-            let decoders: Vec<Option<&dyn DecoderBackend>> =
-                policies.iter().map(|_| decoder.as_deref()).collect();
-            let (replays, kind_stats) = evaluate_cell_set(
-                &cell,
-                &factory,
-                &policies,
-                &decoders,
-                options.mode,
-                options.shared_checkpoints,
-            )
-            .map_err(|e| format!("{}: {e}", entry.key))?;
+            let decoders = vec![decoder.as_deref(); policies.len()];
+            let (replays, kind_stats) =
+                evaluate_cell_set(&cell, &factory, &policies, &decoders, options.mode, true)
+                    .map_err(|e| format!("{}: {e}", entry.key))?;
             stats.absorb(&kind_stats);
             for (&policy, replay) in policies.iter().zip(replays) {
-                let exact = policy == recorded;
                 let mut row = evaluation_row(&entry.key, &cell, policy, kind, &replay);
-                // Closed-loop metrics claim bit-for-bit equality with a live run
-                // for every candidate, so live verification covers every pairing;
-                // open-loop only makes that claim for the recording policy. The
-                // live engine decodes with the *same* backend as the replay.
-                row.live_match = (options.verify_live && (closed_loop || exact)).then(|| {
+                // Live verification covers every pairing whose replay claims
+                // bit-for-bit equality with a live run. The live engine
+                // decodes with the *same* backend as the replay.
+                let verify = options.verify_live && reproduces_live(&cell, policy, options.mode);
+                row.live_match = verify.then(|| {
                     let spec = spec_from_header(&cell.header, policy, options.decode);
                     let live =
                         BatchEngine::with_shared(&spec, Arc::clone(&factory), decoder.clone())
@@ -1129,16 +1022,13 @@ pub fn trace_snapshot_multi_cell() -> (LoadedCell, Arc<PolicyFactory>) {
 ///
 /// `trace/replay-lookup/<id>` prices the lookup-table decode hot path:
 /// recording-policy replay of the pinned scenario shrunk to d=3, decoded by
-/// the exact table backend ([`DecoderKind::Lookup`]) on every shot.
+/// the exact table backend ([`DecoderKind::Lookup`]) on every shot. These
+/// single-policy lines all time [`evaluate_cell`].
 ///
-/// Two lines price the shared-checkpoint path:
-/// `trace/closed-loop-cross-shared/<id>` re-runs the cross-policy repair
-/// through [`evaluate_cell_set`] with sharing on (a single candidate, so it
-/// guards "sharing never regresses the degenerate case"), and
 /// `trace/closed-loop-multi/<id>` evaluates the [`MULTI_SNAPSHOT_POLICIES`]
-/// set against the organic-leakage cell of [`trace_snapshot_multi_cell`] —
-/// the number that matters for serve-side batch-eval latency, and the one the
-/// perf gate holds below N× resim.
+/// set against the organic-leakage cell of [`trace_snapshot_multi_cell`]
+/// through [`evaluate_cell_set`] — the number that matters for serve-side
+/// batch-eval latency, and the one the perf gate holds below N× resim.
 #[must_use]
 pub fn trace_snapshot() -> Vec<BenchLine> {
     let scenario = trace_snapshot_scenario();
@@ -1178,19 +1068,20 @@ pub fn trace_snapshot() -> Vec<BenchLine> {
     let lookup_factory =
         Arc::new(PolicyFactory::new(&lookup_code, &calibration_for(&lookup_header)));
     let lookup_cell = LoadedCell { header: lookup_header, shots: lookup_traces, code: lookup_code };
+    let open = ReplayMode::OpenLoop;
+    let closed = ReplayMode::ClosedLoop;
     // Warm every path once before timing.
     let _ = engine.run();
-    let _ = replay_cell(&cell, &factory, policy, None).expect("replay warmup");
-    let _ =
-        replay_cell_closed_loop(&cell, &factory, cross_policy, None).expect("closed-loop warmup");
-    let _ = replay_cell(&lookup_cell, &lookup_factory, policy, Some(&*lookup_backend))
+    let _ = evaluate_cell(&cell, &factory, policy, None, open).expect("replay warmup");
+    let _ = evaluate_cell(&cell, &factory, cross_policy, None, closed).expect("closed-loop warmup");
+    let _ = evaluate_cell(&lookup_cell, &lookup_factory, policy, Some(&*lookup_backend), open)
         .expect("lookup warmup");
     let _ = evaluate_cell_set(
         &multi_cell,
         &multi_factory,
         &MULTI_SNAPSHOT_POLICIES,
         &no_decoders,
-        ReplayMode::ClosedLoop,
+        closed,
         true,
     )
     .expect("multi warmup");
@@ -1246,7 +1137,7 @@ pub fn trace_snapshot() -> Vec<BenchLine> {
         named(
             format!("trace/replay/{}", scenario.id()),
             sample(Box::new(|| {
-                let _ = replay_cell(&cell, &factory, policy, None).expect("replay");
+                let _ = evaluate_cell(&cell, &factory, policy, None, open).expect("replay");
             })),
         ),
         named(
@@ -1258,36 +1149,27 @@ pub fn trace_snapshot() -> Vec<BenchLine> {
         named(
             format!("trace/closed-loop/{}", scenario.id()),
             sample(Box::new(|| {
-                let _ =
-                    replay_cell_closed_loop(&cell, &factory, policy, None).expect("closed-loop");
+                let _ = evaluate_cell(&cell, &factory, policy, None, closed).expect("closed-loop");
             })),
         ),
         named(
             format!("trace/closed-loop-cross/{}", scenario.id()),
             sample(Box::new(|| {
-                let _ = replay_cell_closed_loop(&cell, &factory, cross_policy, None)
+                let _ = evaluate_cell(&cell, &factory, cross_policy, None, closed)
                     .expect("closed-loop cross");
-            })),
-        ),
-        named(
-            format!("trace/closed-loop-cross-shared/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell_set(
-                    &cell,
-                    &factory,
-                    &[cross_policy],
-                    &[None],
-                    ReplayMode::ClosedLoop,
-                    true,
-                )
-                .expect("closed-loop cross shared");
             })),
         ),
         named(
             format!("trace/replay-lookup/{}", lookup_scenario.id()),
             sample(Box::new(|| {
-                let _ = replay_cell(&lookup_cell, &lookup_factory, policy, Some(&*lookup_backend))
-                    .expect("lookup replay");
+                let _ = evaluate_cell(
+                    &lookup_cell,
+                    &lookup_factory,
+                    policy,
+                    Some(&*lookup_backend),
+                    open,
+                )
+                .expect("lookup replay");
             })),
         ),
         named(
@@ -1298,7 +1180,7 @@ pub fn trace_snapshot() -> Vec<BenchLine> {
                     &multi_factory,
                     &MULTI_SNAPSHOT_POLICIES,
                     &no_decoders,
-                    ReplayMode::ClosedLoop,
+                    closed,
                     true,
                 )
                 .expect("closed-loop multi");

@@ -381,13 +381,11 @@ pub fn run_sweep(spec: &SweepSpec, timing: bool) -> Result<SweepReport, String> 
 ///   [`qec_trace::DivergenceProfile`]s.
 ///
 /// Each recorded cell's whole policy group is evaluated as one candidate set
-/// ([`crate::replay::evaluate_cell_set`]); with `shared_checkpoints` (and
-/// closed-loop mode) divergent shots re-execute their forced prefix **once
-/// per shot** and serve every candidate from shared simulator checkpoints
-/// instead of once per `(shot, policy)`. Reports are byte-identical with
-/// sharing on or off; with `timing`, cells in a policy group report an equal
-/// share of the group's wall time (the shared path evaluates the group
-/// jointly, so per-policy time is not separable).
+/// ([`crate::replay::evaluate_cell_set`]); in closed-loop mode divergent
+/// shots re-execute their forced prefix **once per shot** and serve every
+/// candidate from shared simulator checkpoints. With `timing`, cells in a
+/// policy group report an equal share of the group's wall time (the group is
+/// evaluated jointly, so per-policy time is not separable).
 ///
 /// With `timing = false` the report is byte-identical across worker-thread
 /// counts, exactly like [`run_sweep`].
@@ -401,13 +399,12 @@ pub fn run_sweep_with_corpus(
     record_policy: Option<PolicyKind>,
     timing: bool,
     mode: ReplayMode,
-    shared_checkpoints: bool,
 ) -> Result<SweepReport, String> {
     use crate::replay::{
         calibration_for, cell_key, evaluate_cell_set, load_entry, record_into_corpus,
+        reproduces_live,
     };
 
-    let closed_loop = mode == ReplayMode::ClosedLoop;
     let scenarios = spec.expand()?;
     let mut corpus = qec_trace::Corpus::open(corpus_dir).map_err(|e| e.to_string())?;
     let recording_kind = record_policy
@@ -481,11 +478,8 @@ pub fn run_sweep_with_corpus(
         let mut shot_decoders: Vec<Option<Arc<dyn DecoderBackend>>> =
             Vec::with_capacity(group.len());
         for scenario in group {
-            let exact = scenario.policy.label() == cell.header.policy;
-            // Open-loop decoding is only meaningful for the recording
-            // policy; closed-loop cells are exact counterfactuals, so
-            // every policy decodes when the scenario asks for it.
-            let want_decode = scenario.decode && (closed_loop || exact);
+            // Skip the decoder build for a pairing that will not decode.
+            let want_decode = scenario.decode && reproduces_live(&cell, scenario.policy, mode);
             let decoder = if want_decode {
                 let slot = (scenario.rounds, scenario.decoder);
                 let backend = match decoders.get(&slot) {
@@ -507,7 +501,7 @@ pub fn run_sweep_with_corpus(
             shot_decoders.iter().map(std::option::Option::as_deref).collect();
         let kinds: Vec<PolicyKind> = group.iter().map(|s| s.policy).collect();
         let (replays, _stats) =
-            evaluate_cell_set(&cell, &factory, &kinds, &decoder_refs, mode, shared_checkpoints)
+            evaluate_cell_set(&cell, &factory, &kinds, &decoder_refs, mode, true)
                 .map_err(|e| format!("cell {key}: {e}"))?;
         let wall_time_ms = if timing {
             group_start.elapsed().as_secs_f64() * 1e3 / group.len() as f64

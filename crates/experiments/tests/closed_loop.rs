@@ -12,16 +12,14 @@
 //! `(d, rounds, p, lr, seed)` grid, and under randomized cell parameters.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use proptest::prelude::*;
 use qec_decoder::DecoderBackend;
 use qec_experiments::engine::build_decoder;
 use qec_experiments::replay::{
-    calibration_for, evaluate_cell_set, record_cell, record_into_corpus, replay_cell_closed_loop,
-    replay_corpus, replay_corpus_with_stats, spec_from_header, CellReplay, LoadedCell, ReplayMode,
-    ReplayOptions,
+    calibration_for, evaluate_cell, evaluate_cell_set, record_cell, record_into_corpus,
+    replay_corpus, spec_from_header, CellReplay, LoadedCell, ReplayMode, ReplayOptions,
 };
 use qec_experiments::report::to_json;
 use qec_experiments::sweep::{run_sweep, run_sweep_with_corpus, SweepSpec};
@@ -68,7 +66,8 @@ fn assert_exact_counterfactual(
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
     let decoder = decode.then(|| build_decoder(&cell.code, cell.header.rounds));
     let decoder_ref = decoder.as_deref().map(|d| d as &dyn DecoderBackend);
-    let replay = replay_cell_closed_loop(cell, &factory, candidate, decoder_ref).unwrap();
+    let replay =
+        evaluate_cell(cell, &factory, candidate, decoder_ref, ReplayMode::ClosedLoop).unwrap();
     let spec = spec_from_header(&cell.header, candidate, decode);
     let live = BatchEngine::new(&cell.code, &spec).run();
     assert_eq!(
@@ -164,7 +163,8 @@ fn divergence_profiles_are_consistent_on_real_replays() {
     let cell = record_loaded(&scenario);
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
     for candidate in [PolicyKind::GladiatorM, PolicyKind::AlwaysLrc, PolicyKind::EraserM] {
-        let replay = replay_cell_closed_loop(&cell, &factory, candidate, None).unwrap();
+        let replay =
+            evaluate_cell(&cell, &factory, candidate, None, ReplayMode::ClosedLoop).unwrap();
         let profile = replay.profile.expect("closed-loop replay always profiles");
         assert_eq!(profile.shots, scenario.shots, "{candidate:?}");
         assert_eq!(profile.rounds, scenario.rounds, "{candidate:?}");
@@ -209,7 +209,9 @@ fn divergence_profiles_are_consistent_on_real_replays() {
     }
     // Always-LRC against a speculative recording diverges in round 0 of every
     // shot: the profile concentrates there and everything is re-simulated.
-    let always = replay_cell_closed_loop(&cell, &factory, PolicyKind::AlwaysLrc, None).unwrap();
+    let always =
+        evaluate_cell(&cell, &factory, PolicyKind::AlwaysLrc, None, ReplayMode::ClosedLoop)
+            .unwrap();
     let profile = always.profile.unwrap();
     assert_eq!(profile.first_divergence[0], scenario.shots);
     assert_eq!(profile.resimulated_rounds, (scenario.shots * scenario.rounds) as u64);
@@ -238,8 +240,7 @@ fn closed_loop_corpus_sweep_matches_a_fully_simulated_sweep_for_every_policy() {
         decoders: None,
         adaptive: None,
     };
-    let report =
-        run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::ClosedLoop, true).unwrap();
+    let report = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::ClosedLoop).unwrap();
     assert_eq!(report.replay_mode.as_deref(), Some("closed-loop"));
     assert_eq!(report.recorded_policy.as_deref(), Some("eraser+m"));
     let live = run_sweep(&spec, false).unwrap();
@@ -259,8 +260,7 @@ fn closed_loop_corpus_sweep_matches_a_fully_simulated_sweep_for_every_policy() {
         assert!(live_cell.divergence_profile.is_none(), "simulated cells carry no profile");
     }
     // Deterministic: a rerun from the populated corpus is identical.
-    let rerun =
-        run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::ClosedLoop, true).unwrap();
+    let rerun = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::ClosedLoop).unwrap();
     assert_eq!(rerun, report);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -281,7 +281,6 @@ fn closed_loop_replay_corpus_live_verifies_every_policy() {
         decoders: Vec::new(),
         verify_live: true,
         mode: ReplayMode::ClosedLoop,
-        shared_checkpoints: true,
     };
     let report = replay_corpus(&dir, &options).unwrap();
     assert_eq!(report.replay_mode, "closed-loop");
@@ -317,8 +316,8 @@ fn replaying_an_empty_corpus_is_an_error() {
 
 /// The shared-checkpoint oracle: evaluating ALL 11 policy kinds as one
 /// candidate set (1 forced pass + N suffixes per divergent shot) must be
-/// bit-identical, DLP series and decoded LER included, to (a) the per-policy
-/// closed-loop path it replaces and (b) a from-scratch live simulation of
+/// bit-identical, DLP series and decoded LER included, to (a) each candidate
+/// evaluated alone as a set of one and (b) a from-scratch live simulation of
 /// each candidate.
 #[test]
 fn shared_checkpoint_evaluation_matches_per_policy_and_live_for_all_11_policies() {
@@ -339,12 +338,9 @@ fn shared_checkpoint_evaluation_matches_per_policy_and_live_for_all_11_policies(
     .unwrap();
     assert_eq!(shared.len(), PolicyKind::ALL.len());
     for (candidate, replay) in PolicyKind::ALL.into_iter().zip(&shared) {
-        let per_policy =
-            replay_cell_closed_loop(&cell, &factory, candidate, Some(&*decoder)).unwrap();
-        assert_eq!(replay, &per_policy, "{candidate:?}: shared must equal per-policy replay");
-        let live = assert_exact_counterfactual(&cell, candidate, true);
-        assert_eq!(replay.metrics, live.metrics, "{candidate:?}: shared must equal live");
-        assert!(replay.metrics.logical_error_rate.is_some(), "{candidate:?} must decode");
+        // The candidate alone, itself checked against its live run.
+        let alone = assert_exact_counterfactual(&cell, candidate, true);
+        assert_eq!(replay, &alone, "{candidate:?}: shared must equal its set of one");
     }
     // The candidate set includes the recording policy plus divergent
     // candidates, so the shared pass actually ran and served suffixes.
@@ -356,10 +352,13 @@ fn shared_checkpoint_evaluation_matches_per_policy_and_live_for_all_11_policies(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized candidate sets over randomized cells: the replay rows must
-    /// be identical with checkpoint sharing on and off — sharing is a cost
-    /// optimization, never an observable one. Serialized JSON is compared so
-    /// the guarantee is byte-level, matching the CI `cmp` gate.
+    /// Randomized candidate sets over randomized cells, in both modes: the
+    /// replay rows must be identical whether the set is evaluated together
+    /// or as sets of one — sharing is a cost optimization, never an
+    /// observable one. Serialized JSON is compared so the guarantee is
+    /// byte-level. Sharing only ever removes forced work: one forced pass per
+    /// divergent shot for the whole set, never more rounds than the sets of
+    /// one force, and the same live suffixes.
     #[test]
     fn randomized_candidate_sets_report_identically_with_and_without_sharing(
         rounds in 2usize..10,
@@ -381,63 +380,32 @@ proptest! {
         let cell = record_loaded(&scenario);
         let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
         let decoders = vec![None; candidates.len()];
-        let (with_sharing, _) = evaluate_cell_set(
-            &cell, &factory, &candidates, &decoders, ReplayMode::ClosedLoop, true,
-        ).unwrap();
-        let (without_sharing, _) = evaluate_cell_set(
-            &cell, &factory, &candidates, &decoders, ReplayMode::ClosedLoop, false,
-        ).unwrap();
-        prop_assert_eq!(to_json(&with_sharing.iter().map(|r| &r.metrics).collect::<Vec<_>>()),
-            to_json(&without_sharing.iter().map(|r| &r.metrics).collect::<Vec<_>>()));
-        prop_assert_eq!(with_sharing, without_sharing);
+        for mode in [ReplayMode::OpenLoop, ReplayMode::ClosedLoop] {
+            let (with_sharing, shared) = evaluate_cell_set(
+                &cell, &factory, &candidates, &decoders, mode, true,
+            ).unwrap();
+            let (without_sharing, unshared) = evaluate_cell_set(
+                &cell, &factory, &candidates, &decoders, mode, false,
+            ).unwrap();
+            prop_assert_eq!(
+                to_json(&with_sharing.iter().map(|r| &r.metrics).collect::<Vec<_>>()),
+                to_json(&without_sharing.iter().map(|r| &r.metrics).collect::<Vec<_>>())
+            );
+            prop_assert_eq!(with_sharing, without_sharing);
+            prop_assert!(shared.forced_passes <= unshared.forced_passes);
+            prop_assert!(shared.forced_rounds <= unshared.forced_rounds);
+            prop_assert_eq!(shared.suffixes, unshared.suffixes);
+        }
     }
 }
 
-/// Whole-report determinism, CLI-shaped: `replay_corpus` over a corpus must
-/// serialize to the exact same JSON document with sharing on and off (the CI
-/// smoke job `cmp`s these files), while the out-of-band checkpoint stats
-/// record that the shared run actually consolidated its forced passes.
-#[test]
-fn corpus_replay_reports_are_byte_identical_with_and_without_sharing() {
-    let dir = std::env::temp_dir().join(format!("qtr-shared-corpus-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let scenario = cell_scenario(3, 8, 2e-3, 0.2, 71, PolicyKind::GladiatorM);
-    let mut corpus = Corpus::open(&dir).unwrap();
-    record_into_corpus(&mut corpus, &scenario, PolicyKind::GladiatorM, "closed-loop test").unwrap();
-    corpus.save().unwrap();
-    let mut options = ReplayOptions {
-        policies: vec![
-            PolicyKind::GladiatorM,
-            PolicyKind::AlwaysLrc,
-            PolicyKind::EraserM,
-            PolicyKind::MlrOnly,
-        ],
-        decode: true,
-        decoders: Vec::new(),
-        verify_live: false,
-        mode: ReplayMode::ClosedLoop,
-        shared_checkpoints: true,
-    };
-    let (shared_report, shared_stats) = replay_corpus_with_stats(&dir, &options).unwrap();
-    options.shared_checkpoints = false;
-    let (unshared_report, unshared_stats) = replay_corpus_with_stats(&dir, &options).unwrap();
-    assert_eq!(to_json(&shared_report), to_json(&unshared_report));
-    // AlwaysLrc diverges on every shot, so both runs paid forced work — but
-    // the shared run paid one forced pass per divergent shot for the whole
-    // candidate set, never more than the per-policy run's total.
-    let shared_total: u64 = shared_stats.iter().map(|cell| cell.stats.forced_passes).sum();
-    let unshared_total: u64 = unshared_stats.iter().map(|cell| cell.stats.forced_passes).sum();
-    assert!(shared_total > 0);
-    assert!(shared_total <= unshared_total, "{shared_total} vs {unshared_total}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The cost claim of the acceptance criteria: evaluating a multi-policy set
-/// against a recorded cell closed-loop costs measurably less wall-time than
-/// fully re-simulating every policy, because non-divergent shots never touch
-/// the simulator and the recording policy's whole evaluation is pure replay.
-/// (The perf gate pins absolute numbers via `trace/closed-loop*` snapshot
-/// lines against `crates/bench/BENCH_trace_baseline.json`.)
+/// The cost claim of the acceptance criteria, counted in simulator rounds
+/// rather than wall time: evaluating a multi-policy set against a recorded
+/// cell closed-loop runs fewer rounds on the simulator than fully
+/// re-simulating every policy, because non-divergent shots never touch the
+/// simulator (the recording policy's whole evaluation is pure replay) and
+/// divergent shots share one forced prefix per shot. The benchmark reports
+/// the wall-time ratio as `replay.closed.vs_resim`.
 #[test]
 fn closed_loop_multi_policy_evaluation_beats_full_resimulation() {
     let scenario = Scenario {
@@ -455,42 +423,22 @@ fn closed_loop_multi_policy_evaluation_beats_full_resimulation() {
     let cell = record_loaded(&scenario);
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
     let policies = [PolicyKind::GladiatorM, PolicyKind::EraserM];
-    let engines: Vec<BatchEngine> = policies
-        .iter()
-        .map(|&kind| {
-            let spec = spec_from_header(&cell.header, kind, false);
-            BatchEngine::with_shared(&spec, Arc::clone(&factory), None)
-        })
-        .collect();
-    // Warm both paths, then compare best-of-N totals so scheduler noise
-    // cannot flake the assertion.
-    let closed_loop_sweep = || {
-        for &kind in &policies {
-            let _ = replay_cell_closed_loop(&cell, &factory, kind, None).unwrap();
-        }
-    };
-    let resim_sweep = || {
-        for engine in &engines {
-            let _ = engine.run();
-        }
-    };
-    closed_loop_sweep();
-    resim_sweep();
-    let best_of = |body: &dyn Fn()| {
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                body();
-                start.elapsed()
-            })
-            .min()
-            .expect("five samples")
-    };
-    let closed = best_of(&closed_loop_sweep);
-    let resim = best_of(&resim_sweep);
+    let (replays, stats) =
+        evaluate_cell_set(&cell, &factory, &policies, &[None, None], ReplayMode::ClosedLoop, true)
+            .unwrap();
+    let profiles: Vec<_> =
+        replays.iter().map(|r| r.profile.as_ref().expect("closed-loop profiles")).collect();
+    let resimulated: u64 = profiles.iter().map(|profile| profile.resimulated_rounds).sum();
+    let restored: u64 = profiles.iter().map(|profile| profile.restored_rounds).sum();
+    // Live re-simulation runs every round of every shot for every policy.
+    let live_rounds = (policies.len() * scenario.shots * scenario.rounds) as u64;
+    let closed_rounds = stats.forced_rounds + resimulated;
     assert!(
-        closed < resim,
-        "closed-loop multi-policy evaluation ({closed:?}) must beat full re-simulation \
-         ({resim:?}) on a sweep that includes the recording policy"
+        closed_rounds < live_rounds,
+        "closed-loop evaluation simulated {closed_rounds} rounds, full re-simulation runs \
+         {live_rounds}"
     );
+    // One shared forced pass never runs more rounds than each candidate's
+    // own state reconstruction would.
+    assert!(stats.forced_rounds <= restored, "{} vs {restored}", stats.forced_rounds);
 }

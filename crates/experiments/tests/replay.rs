@@ -12,7 +12,7 @@ use std::sync::Arc;
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use qec_experiments::engine::build_decoder;
 use qec_experiments::replay::{
-    calibration_for, cell_key, load_entry, record_cell, record_into_corpus, replay_cell,
+    calibration_for, cell_key, evaluate_cell, load_entry, record_cell, record_into_corpus,
     replay_corpus, spec_from_header, LoadedCell, ReplayMode, ReplayOptions,
 };
 use qec_experiments::sweep::{run_sweep, run_sweep_with_corpus, SweepSpec};
@@ -57,7 +57,8 @@ fn replayed_metrics_match_the_live_engine_bit_for_bit_for_every_policy_kind() {
         let cell = LoadedCell { header, shots, code: code.clone() };
         let factory = Arc::new(PolicyFactory::new(&code, &calibration_for(&cell.header)));
         let decoder = build_decoder(&code, scenario.rounds);
-        let replay = replay_cell(&cell, &factory, kind, Some(&*decoder)).unwrap();
+        let replay =
+            evaluate_cell(&cell, &factory, kind, Some(&*decoder), ReplayMode::OpenLoop).unwrap();
 
         assert_eq!(replay.divergent_shots, 0, "{kind:?} must replay its own schedule exactly");
         assert_eq!(replay.metrics, live.metrics, "{kind:?} replayed metrics must be bit-for-bit");
@@ -85,7 +86,14 @@ fn corpus_round_trip_preserves_bit_for_bit_replay() {
     let cell = load_entry(&reopened, reopened.lookup(&entry.key).unwrap()).unwrap();
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
     let decoder = build_decoder(&cell.code, scenario.rounds);
-    let replay = replay_cell(&cell, &factory, PolicyKind::GladiatorM, Some(&*decoder)).unwrap();
+    let replay = evaluate_cell(
+        &cell,
+        &factory,
+        PolicyKind::GladiatorM,
+        Some(&*decoder),
+        ReplayMode::OpenLoop,
+    )
+    .unwrap();
 
     let live = BatchEngine::new(&cell.code, &scenario.to_spec()).run();
     assert_eq!(replay.metrics, live.metrics);
@@ -118,7 +126,6 @@ fn replay_corpus_verifies_live_and_scores_cross_policy_speculation() {
         decoders: Vec::new(),
         verify_live: true,
         mode: ReplayMode::OpenLoop,
-        shared_checkpoints: true,
     };
     let report = replay_corpus(&dir, &options).unwrap();
     assert_eq!(report.results.len(), 3);
@@ -164,8 +171,7 @@ fn corpus_sweep_spec() -> SweepSpec {
 fn corpus_sweep_records_each_cell_once_and_pins_the_recording_policy_cells() {
     let dir = tmp_dir("sweep");
     let spec = corpus_sweep_spec();
-    let report =
-        run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop, true).unwrap();
+    let report = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop).unwrap();
     assert_eq!(report.recorded_policy.as_deref(), Some("eraser+m"));
     assert_eq!(report.cells.len(), 6, "2 error rates x 3 policies");
 
@@ -184,8 +190,7 @@ fn corpus_sweep_records_each_cell_once_and_pins_the_recording_policy_cells() {
 
     // Re-running against the populated corpus replays from disk and reproduces
     // the report byte-for-byte (timing disabled).
-    let rerun =
-        run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop, true).unwrap();
+    let rerun = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop).unwrap();
     assert_eq!(rerun, report);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -195,15 +200,9 @@ fn corpus_sweep_records_each_cell_once_and_pins_the_recording_policy_cells() {
 fn corpus_sweep_honors_an_explicit_recording_policy() {
     let dir = tmp_dir("recpol");
     let spec = corpus_sweep_spec();
-    let report = run_sweep_with_corpus(
-        &spec,
-        &dir,
-        Some(PolicyKind::Ideal),
-        false,
-        ReplayMode::OpenLoop,
-        true,
-    )
-    .unwrap();
+    let report =
+        run_sweep_with_corpus(&spec, &dir, Some(PolicyKind::Ideal), false, ReplayMode::OpenLoop)
+            .unwrap();
     assert_eq!(report.recorded_policy.as_deref(), Some("ideal"));
     let corpus = Corpus::open(&dir).unwrap();
     assert!(corpus.entries().iter().all(|e| e.policy == "ideal"));
@@ -216,7 +215,7 @@ fn corpus_sweep_honors_an_explicit_recording_policy() {
 fn corpus_sweep_rejects_stale_cells_with_different_shot_counts() {
     let dir = tmp_dir("stale");
     let spec = corpus_sweep_spec();
-    let _ = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop, true).unwrap();
+    let _ = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop).unwrap();
     // Same key components except shots: the key changes, so this records new
     // cells — but a manually altered manifest key must be caught.
     let mut corpus = Corpus::open(&dir).unwrap();
@@ -226,18 +225,18 @@ fn corpus_sweep_rejects_stale_cells_with_different_shot_counts() {
     corpus.insert(entry);
     corpus.save().unwrap();
     let bigger = SweepSpec { shots: 5, ..spec };
-    let err =
-        run_sweep_with_corpus(&bigger, &dir, None, false, ReplayMode::OpenLoop, true).unwrap_err();
+    let err = run_sweep_with_corpus(&bigger, &dir, None, false, ReplayMode::OpenLoop).unwrap_err();
     assert!(err.contains("recorded with"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The corpus value proposition, machine-checked: the trace snapshot's
-/// replay-vs-resim benchmark pair shows replay beating re-simulation per
-/// additional policy. The committed baseline documents ~4x; this gate asserts
-/// a conservative 2x so shared-runner noise cannot flake it.
+/// The trace snapshot times every stage of the record-once/replay-many
+/// pipeline. Its timing ratios are not asserted here (tier-1 carries no
+/// wall-clock assertion): the committed baseline gates them, and the
+/// benchmark reports the closed-loop replay/resim ratio as
+/// `replay.closed.vs_resim`.
 #[test]
-fn trace_snapshot_shows_replay_beating_resimulation() {
+fn trace_snapshot_times_every_pipeline_stage() {
     let lines = qec_experiments::replay::trace_snapshot();
     let min_of = |prefix: &str| {
         lines
@@ -251,15 +250,6 @@ fn trace_snapshot_shows_replay_beating_resimulation() {
     {
         assert!(min_of(prefix) > 0, "{prefix} must time something");
     }
-    let (replay, resim) = (min_of("trace/replay/"), min_of("trace/resim/"));
-    assert!(
-        resim >= 2 * replay,
-        "replay must be at least 2x faster than re-simulation per policy \
-         (replay {replay} ns/shot vs resim {resim} ns/shot)"
-    );
-    // Encoding and decoding are cheap relative to simulation: the corpus pays
-    // for itself within its first replayed policy.
-    assert!(min_of("trace/encode/") + min_of("trace/decode/") < resim);
 }
 
 /// A cache hit recorded under a different policy than the sweep's recording
@@ -270,29 +260,16 @@ fn corpus_sweep_rejects_cells_recorded_under_a_different_policy() {
     let spec = corpus_sweep_spec();
     // Populate the corpus under `ideal`, then sweep with the default
     // recording policy (the grid's first: eraser+m).
-    let _ = run_sweep_with_corpus(
-        &spec,
-        &dir,
-        Some(PolicyKind::Ideal),
-        false,
-        ReplayMode::OpenLoop,
-        true,
-    )
-    .unwrap();
-    let err =
-        run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop, true).unwrap_err();
+    let _ =
+        run_sweep_with_corpus(&spec, &dir, Some(PolicyKind::Ideal), false, ReplayMode::OpenLoop)
+            .unwrap();
+    let err = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop).unwrap_err();
     assert!(err.contains("recorded with policy `ideal`"), "{err}");
     assert!(err.contains("--record-policy"), "{err}");
     // Passing the matching recording policy replays the cached cells fine.
-    let ok = run_sweep_with_corpus(
-        &spec,
-        &dir,
-        Some(PolicyKind::Ideal),
-        false,
-        ReplayMode::OpenLoop,
-        true,
-    )
-    .unwrap();
+    let ok =
+        run_sweep_with_corpus(&spec, &dir, Some(PolicyKind::Ideal), false, ReplayMode::OpenLoop)
+            .unwrap();
     assert_eq!(ok.recorded_policy.as_deref(), Some("ideal"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -330,7 +307,6 @@ fn cross_decoder_closed_loop_rows_match_from_scratch_live_runs_for_every_policy(
         decoders: vec![DecoderKind::UnionFind, DecoderKind::Lookup],
         verify_live: true,
         mode: ReplayMode::ClosedLoop,
-        shared_checkpoints: true,
     };
     let (report, _) = replay_corpus_with_stats(&dir, &options).unwrap();
     assert_eq!(report.results.len(), 2 * PolicyKind::ALL.len(), "decoder-major × policies");

@@ -32,7 +32,7 @@
 //!   tests, including the typed per-item [`Client::batch_eval`] API.
 //!
 //! Served evaluations go through the *same* entry points as `repro replay`
-//! (`qec_experiments::replay::{evaluate_cell, evaluation_row}`), so a served
+//! (`qec_experiments::replay::{evaluate_cell_set, evaluation_row}`), so a served
 //! `eval` row is byte-identical to the CLI's replay-report row for the same
 //! `corpus × cell × policy × mode × decode` — the e2e tests in
 //! `crates/cluster/tests/server.rs` pin exactly that, and the CI `serve-smoke`

@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use leakage_speculation::PolicyKind;
 use qec_decoder::{DecoderBackend, DecoderKind};
 use qec_experiments::replay::{
-    evaluate_cell, evaluate_cell_set, evaluation_row, load_entry, CheckpointStats,
+    evaluate_cell_set, evaluation_row, load_entry, reproduces_live, CheckpointStats,
     REPLAY_SCHEMA_VERSION,
 };
 use qec_experiments::sweep::git_describe;
@@ -622,8 +622,9 @@ fn handle_request(state: &ServerState, request: RequestKind) -> ResponseKind {
             let outcome = match prepare_eval(&snapshot, &spec) {
                 Ok(prepared) => state
                     .pool
-                    .execute_ordered(vec![move || compute_eval(prepared)])
+                    .execute_ordered(vec![move || compute_evals(&[prepared]).0])
                     .pop()
+                    .and_then(|mut outcomes| outcomes.pop())
                     .expect("one job, one result"),
                 Err(error) => Err(error),
             };
@@ -775,49 +776,30 @@ fn prepare_eval(snapshot: &CorpusSnapshot, spec: &EvalSpec) -> Result<PreparedEv
     })
 }
 
-/// Runs one prepared evaluation. This calls the exact entry points
-/// (`evaluate_cell` + `evaluation_row`) that `repro replay` reports go
-/// through, so a served result is byte-identical to the CLI row for the same
-/// `corpus × cell × policy × mode × decode`.
-fn compute_eval(prepared: PreparedEval) -> Result<EvalResult, WireError> {
-    let cell = &prepared.cached.cell;
-    // Mirrors `replay_corpus`: open-loop decoding only for the recording
-    // policy, closed-loop decoding for every (exact counterfactual) pairing.
-    let decoder = (prepared.decode
-        && (prepared.mode == ReplayMode::ClosedLoop
-            || prepared.policy == prepared.cached.recorded))
-        .then(|| prepared.cached.backend(prepared.decoder))
-        .transpose()
-        .map_err(|e| WireError::new(ErrorCode::BadRequest, e))?;
-    let replay = evaluate_cell(
-        cell,
-        &prepared.cached.factory,
-        prepared.policy,
-        decoder.as_deref(),
-        prepared.mode,
-    )
-    .map_err(|e| WireError::new(ErrorCode::CorruptCorpus, format!("{}: {e}", prepared.key)))?;
-    let result = evaluation_row(&prepared.key, cell, prepared.policy, prepared.decoder, &replay);
-    Ok(EvalResult { cached: prepared.hit, result })
-}
-
-/// Runs a same-cell closed-loop candidate set through the shared-checkpoint
-/// path. One forced prefix pass per divergent shot serves every candidate;
-/// results are bit-identical to [`compute_eval`] per member (the exact-
-/// counterfactual contract), so batching never changes a served row. A
-/// cell-level failure is reported against every member (the failure — e.g. a
-/// stale corpus — belongs to the cell, not one candidate).
-fn compute_eval_group(
+/// Runs prepared evaluations of one cell as one candidate set, through the
+/// exact entry points (`evaluate_cell_set` + `evaluation_row`) that `repro
+/// replay` reports go through, so a served result is byte-identical to the
+/// CLI row for the same `corpus × cell × policy × mode × decode`. A solo
+/// eval is a set of one; a batch's same-cell closed-loop members form one
+/// set, sharing one forced prefix pass per divergent shot (the returned
+/// [`CheckpointStats`]). A cell-level failure is reported against every
+/// member (the failure — e.g. a stale corpus — belongs to the cell, not one
+/// candidate).
+fn compute_evals(
     members: &[PreparedEval],
 ) -> (Vec<Result<EvalResult, WireError>>, CheckpointStats) {
     let first = &members[0];
     let cell = &first.cached.cell;
     let kinds: Vec<PolicyKind> = members.iter().map(|p| p.policy).collect();
-    // Closed-loop rows are exact counterfactuals, so every member decodes
-    // when its spec asks for it (mirrors `compute_eval`'s gating).
+    // Build a member's decoder only when its spec asks for decoding and its
+    // pairing decodes at all.
     let decoders: Vec<Option<Arc<dyn DecoderBackend>>> = match members
         .iter()
-        .map(|p| p.decode.then(|| p.cached.backend(p.decoder)).transpose())
+        .map(|p| {
+            (p.decode && reproduces_live(cell, p.policy, p.mode))
+                .then(|| p.cached.backend(p.decoder))
+                .transpose()
+        })
         .collect::<Result<_, _>>()
     {
         Ok(decoders) => decoders,
@@ -834,14 +816,7 @@ fn compute_eval_group(
     };
     let decoder_refs: Vec<Option<&dyn DecoderBackend>> =
         decoders.iter().map(std::option::Option::as_deref).collect();
-    match evaluate_cell_set(
-        cell,
-        &first.cached.factory,
-        &kinds,
-        &decoder_refs,
-        ReplayMode::ClosedLoop,
-        true,
-    ) {
+    match evaluate_cell_set(cell, &first.cached.factory, &kinds, &decoder_refs, first.mode, true) {
         Ok((replays, stats)) => {
             let results = members
                 .iter()
@@ -864,10 +839,10 @@ fn compute_eval_group(
 
 /// `batch-eval`: resolve every pairing sequentially (deterministic cache
 /// traffic), group closed-loop pairings that target the same cell into one
-/// candidate set (served through the shared-checkpoint path — one forced
-/// prefix pass per divergent shot instead of one per candidate), then fan the
-/// solo evaluations and the groups out on the persistent pool. Results come
-/// back in request order and are byte-identical to ungrouped evaluation.
+/// candidate set (one forced prefix pass per divergent shot instead of one
+/// per candidate), then fan the groups — every other pairing a group of one —
+/// out on the persistent pool. Results come back in request order and are
+/// byte-identical to ungrouped evaluation.
 ///
 /// Two answer shapes, chosen by the request's `per_item` flag:
 ///
@@ -911,8 +886,6 @@ fn batch_eval(
     // Partition into same-cell closed-loop candidate sets and solo members.
     // Only closed-loop pairings are groupable (`Some(key)`); open-loop
     // pairings stay solo (`None`) even when they target the same cell.
-    // Singleton "sets" also evaluate as solos: the shared path would serve
-    // the same bytes, but sharing one candidate dedups nothing.
     type EvalGroup = (Option<String>, Vec<(usize, PreparedEval)>);
     let mut groups: Vec<EvalGroup> = Vec::new();
     for (index, outcome) in prepared {
@@ -932,28 +905,22 @@ fn batch_eval(
             None => groups.push((group_key, vec![(index, p)])),
         }
     }
-    type JobOut = (Vec<(usize, Result<EvalResult, WireError>)>, CheckpointStats);
-    let jobs: Vec<Box<dyn FnOnce() -> JobOut + Send>> = groups
+    let jobs: Vec<_> = groups
         .into_iter()
-        .map(|(_, members)| -> Box<dyn FnOnce() -> JobOut + Send> {
-            if members.len() == 1 {
-                Box::new(move || {
-                    let (index, p) = members.into_iter().next().expect("singleton group");
-                    let outcome = compute_eval(p).map_err(indexed(index));
-                    (vec![(index, outcome)], CheckpointStats::default())
-                })
-            } else {
-                Box::new(move || {
-                    let (indices, members): (Vec<usize>, Vec<PreparedEval>) =
-                        members.into_iter().unzip();
-                    let (outcomes, stats) = compute_eval_group(&members);
-                    let indexed_outcomes = indices
-                        .into_iter()
-                        .zip(outcomes)
-                        .map(|(index, outcome)| (index, outcome.map_err(indexed(index))))
-                        .collect();
-                    (indexed_outcomes, stats)
-                })
+        .map(|(_, members)| {
+            move || {
+                let (indices, members): (Vec<usize>, Vec<PreparedEval>) =
+                    members.into_iter().unzip();
+                let (outcomes, stats) = compute_evals(&members);
+                // A set of one shares nothing: only groups of two or more
+                // advance the sharing counters.
+                let stats = if members.len() > 1 { stats } else { CheckpointStats::default() };
+                let indexed_outcomes: Vec<(usize, Result<EvalResult, WireError>)> = indices
+                    .into_iter()
+                    .zip(outcomes)
+                    .map(|(index, outcome)| (index, outcome.map_err(indexed(index))))
+                    .collect();
+                (indexed_outcomes, stats)
             }
         })
         .collect();
@@ -988,7 +955,7 @@ mod tests {
 
     use leakage_speculation::PolicyFactory;
     use qec_experiments::engine::build_backend;
-    use qec_experiments::replay::{calibration_for, record_into_corpus};
+    use qec_experiments::replay::{calibration_for, evaluate_cell, record_into_corpus};
     use qec_experiments::{CodeFamily, Scenario};
 
     use crate::client::Client;

@@ -19,10 +19,11 @@
 //! * [`replay`] — drives any [`LeakagePolicy`](leaky_sim::LeakagePolicy)
 //!   against the recorded observables, with per-round divergence detection
 //!   against the recorded schedule. Open-loop replay never re-simulates;
-//!   closed-loop replay repairs the first divergence by reconstructing exact
-//!   simulator state (recorded seed contract + forced prefix re-execution) and
-//!   re-simulating the suffix, yielding the candidate policy's run bit-for-bit
-//!   as a from-scratch live simulation would. Same-policy replay reproduces
+//!   closed-loop replay repairs each candidate's first divergence by
+//!   reconstructing exact simulator state (recorded seed contract + one forced
+//!   prefix pass per shot, shared by the candidate set) and re-simulating the
+//!   suffix, yielding every candidate's run bit-for-bit as a from-scratch live
+//!   simulation would. Same-policy replay reproduces
 //!   the live engine's decisions (and hence metrics) bit-for-bit either way.
 //! * [`corpus`] — a sharded corpus directory (`shards/<hh>/<hash>.qtr`) with a
 //!   JSON manifest keyed by policy-free cell keys, so sweeps simulate each

@@ -16,19 +16,23 @@
 //! execution, not the candidate's.
 //!
 //! **Closed-loop** ([`ReplayContext::replay_shot_closed_loop`]) repairs that
-//! divergence: the shot replays open-loop until the first round where the
-//! candidate's planned schedule differs from the recorded one, then the
-//! simulator state at that round is reconstructed exactly — reseed through the
+//! divergence for a whole candidate set at once. Each candidate is driven
+//! through the same per-round loop as open-loop replay until the first round
+//! where its planned schedule differs from the recorded one. Then one forced
+//! pass per shot reconstructs exact simulator state — reseed through the
 //! recorded `seed + shot` contract ([`Simulator::reseed_for_shot`]), force-run
-//! the recorded LRC schedule up to the divergence round (verifying each
-//! re-executed round against the trace bit-for-bit), and resume the shot live
-//! under the candidate policy ([`Simulator::resume_with_policy`]). The result
-//! is bit-for-bit the run a from-scratch simulation of the candidate policy on
-//! the same cell and seed would produce — exact counterfactual LER/DLP/LRC
-//! metrics — while shots that never diverge cost one replay and divergent
-//! shots skip all prefix policy evaluation.
+//! the recorded LRC schedule up to the deepest divergence round (verifying
+//! each re-executed round against the trace bit-for-bit), snapshotting
+//! ([`Simulator::checkpoint`]) at every distinct divergence round — and each
+//! divergent candidate resumes live from its checkpoint
+//! ([`Simulator::resume_with_policy`]). Every candidate's run is bit-for-bit
+//! the run a from-scratch simulation of that policy on the same cell and seed
+//! would produce — exact counterfactual LER/DLP/LRC metrics — while shots that
+//! never diverge cost one replay, divergent shots skip all prefix policy
+//! evaluation, and N candidates pay one forced prefix per shot, not N.
 //!
 //! [`Simulator::reseed_for_shot`]: leaky_sim::Simulator::reseed_for_shot
+//! [`Simulator::checkpoint`]: leaky_sim::Simulator::checkpoint
 //! [`Simulator::resume_with_policy`]: leaky_sim::Simulator::resume_with_policy
 
 use std::collections::BTreeMap;
@@ -63,8 +67,8 @@ impl ShotReplay {
     }
 }
 
-/// The outcome of closed-loop replaying one shot against one policy: the exact
-/// counterfactual run the candidate policy would have produced live.
+/// The outcome of closed-loop replaying one shot against one candidate: the
+/// exact counterfactual run the candidate policy would have produced live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosedLoopReplay {
     /// The candidate policy's run, **bit-for-bit** what a from-scratch live
@@ -275,10 +279,9 @@ impl CheckpointPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedShotReplay {
     /// Per-candidate closed-loop outcomes, index-aligned with the `policies`
-    /// argument of [`ReplayContext::replay_shot_closed_loop_shared`]. Every
-    /// field of every entry is bit-identical to what
-    /// [`ReplayContext::replay_shot_closed_loop`] returns for that candidate
-    /// alone ([`ClosedLoopReplay::restored_rounds`] still reports the
+    /// argument of [`ReplayContext::replay_shot_closed_loop`]. Every field of
+    /// every entry is bit-identical to what that candidate alone, as a set of
+    /// one, would get ([`ClosedLoopReplay::restored_rounds`] still reports the
     /// candidate's state-reconstruction depth, even though the shared pass
     /// amortized the actual execution cost across the set).
     pub replays: Vec<ClosedLoopReplay>,
@@ -362,29 +365,7 @@ impl ReplayContext {
     #[must_use]
     pub fn replay_shot(&self, trace: &ShotTrace, policy: &mut dyn LeakagePolicy) -> ShotReplay {
         let run = trace.to_run(&self.header.noise, self.header.cnot_layers);
-        let mut planned = Vec::with_capacity(run.rounds.len());
-        let mut divergence = None;
-        for (round, record) in run.rounds.iter().enumerate() {
-            let ancilla_leaked = if round == 0 {
-                &trace.initial_ancilla_leak
-            } else {
-                &run.rounds[round - 1].ancilla_leak_after
-            };
-            let ctx = PolicyContext {
-                round,
-                code: &self.code,
-                adjacency: &self.adjacency,
-                history: &run.rounds[..round],
-                ground_truth: GroundTruth { data_leaked: &record.data_leak_before, ancilla_leaked },
-            };
-            let plan = policy.plan_lrcs(&ctx);
-            if divergence.is_none()
-                && (plan.data != record.data_lrcs || plan.ancilla != record.ancilla_lrcs)
-            {
-                divergence = Some(round);
-            }
-            planned.push(plan);
-        }
+        let (planned, divergence) = self.plan_rounds(trace, &run, policy, false);
         ShotReplay { run, planned, divergence }
     }
 
@@ -397,102 +378,40 @@ impl ReplayContext {
         Simulator::new(&self.code, self.header.noise, self.header.seed)
     }
 
-    /// Replays one recorded shot against `policy` **closed-loop**: open-loop
-    /// until the candidate's planned schedule first leaves the recorded one,
-    /// then repair the divergence by reconstructing exact simulator state (the
-    /// recorded seed contract + forced re-execution of the recorded prefix)
-    /// and re-simulating the rest of the shot live under the candidate.
+    /// Replays one recorded shot against a candidate **set** closed-loop:
+    /// each candidate runs open-loop until its planned schedule first leaves
+    /// the recorded one, then the shot pays **one** forced pass of the
+    /// recorded prefix to the deepest divergence round, snapshotting simulator
+    /// state ([`Simulator::checkpoint`]) at each distinct divergence round the
+    /// [`CheckpointPlan`] demands, and every divergent candidate resumes live
+    /// from its checkpoint. A set of one is the single-candidate case.
     ///
-    /// The returned run is bit-for-bit what `Simulator::new(code, noise,
-    /// seed + shot)` driven by `policy` from scratch would produce — the exact
-    /// counterfactual, not an open-loop approximation. As with
-    /// [`ReplayContext::replay_shot`], the caller owns the policy lifecycle
-    /// (call [`LeakagePolicy::reset`] before each shot). `sim` must come from
-    /// [`ReplayContext::make_simulator`] (or be equivalent); its per-run state
-    /// is overwritten, so one simulator serves arbitrarily many shots.
+    /// Every returned run is bit-for-bit what `Simulator::new(code, noise,
+    /// seed + shot)` driven by that candidate from scratch would produce — the
+    /// exact counterfactual, not an open-loop approximation. Reseeding through
+    /// the recorded contract and force-running the recorded schedule consumes
+    /// the identical RNG stream a live candidate run would have (its prefix
+    /// schedule IS the recorded one), so the snapshot taken at the start of
+    /// round *r* is exactly the state the candidate's live run reaches there,
+    /// and [`Simulator::restore`] reproduces it for each candidate resuming
+    /// from *r*. Sharing the pass across the set therefore cannot change any
+    /// candidate's run.
+    ///
+    /// Candidates are served in argument order. As with
+    /// [`ReplayContext::replay_shot`], the caller owns each policy's
+    /// lifecycle (call [`LeakagePolicy::reset`] before each shot). `sim` must
+    /// come from [`ReplayContext::make_simulator`] (or be equivalent); its
+    /// per-run state is overwritten, so one simulator serves arbitrarily many
+    /// shots.
     ///
     /// # Errors
     /// Fails when `sim` disagrees with the trace header (wrong code shape or
-    /// noise model), or when a forced prefix round fails to reproduce the
-    /// recorded round — the recorded execution does not replay under this
-    /// build's simulator, so exact counterfactuals are impossible (a stale
-    /// corpus or a behavioral simulator change; re-record the corpus).
+    /// noise model), or when reseeding or a forced prefix round fails to
+    /// reproduce the recorded shot — the recorded execution does not replay
+    /// under this build's simulator, so exact counterfactuals are impossible
+    /// (a stale corpus or a behavioral simulator change; re-record the
+    /// corpus).
     pub fn replay_shot_closed_loop(
-        &self,
-        trace: &ShotTrace,
-        policy: &mut dyn LeakagePolicy,
-        sim: &mut Simulator,
-    ) -> Result<ClosedLoopReplay, TraceError> {
-        self.check_simulator(sim)?;
-        let recorded = trace.to_run(&self.header.noise, self.header.cnot_layers);
-        let total_rounds = recorded.rounds.len();
-
-        // Open-loop phase: feed the policy the recorded history until its plan
-        // leaves the recorded schedule.
-        let Some((div_round, div_plan)) = self.detect_divergence(trace, &recorded, policy) else {
-            // The candidate reproduces the recorded schedule at every round, so
-            // by induction its live run is the recorded execution itself.
-            return Ok(ClosedLoopReplay {
-                run: recorded,
-                divergence: None,
-                resimulated_rounds: 0,
-                restored_rounds: 0,
-            });
-        };
-
-        // Divergence repair: rebuild the exact simulator state at the start of
-        // the divergence round. Reseeding through the recorded contract and
-        // force-running the recorded schedule consumes the identical RNG stream
-        // a live candidate run would have (its prefix schedule IS the recorded
-        // one), so frames, leak flags, measurement history and RNG position all
-        // land exactly where the candidate's live run would stand.
-        self.reseed_checked(trace, sim)?;
-        let mut history = Vec::with_capacity(total_rounds);
-        for record in &recorded.rounds[..div_round] {
-            history.push(self.force_round(trace, record, sim)?);
-        }
-
-        // The divergence round executes the plan the policy already made (its
-        // internal state has advanced past planning this round), then the
-        // remaining rounds run fully closed-loop.
-        let resimulated_rounds = total_rounds - div_round;
-        history.push(sim.run_round(&div_plan));
-        let run = sim.resume_with_policy(policy, history, total_rounds);
-        Ok(ClosedLoopReplay {
-            run,
-            divergence: Some(div_round),
-            resimulated_rounds,
-            restored_rounds: div_round,
-        })
-    }
-
-    /// Replays one recorded shot against a whole candidate **set** closed-loop
-    /// from shared checkpoints: instead of one forced prefix re-execution per
-    /// divergent candidate, the shot pays **one** forced pass to the deepest
-    /// divergence round, snapshotting simulator state
-    /// ([`Simulator::checkpoint`]) at each distinct divergence round the
-    /// [`CheckpointPlan`] demands, then resumes every divergent candidate live
-    /// from its shared checkpoint.
-    ///
-    /// Bit-identity argument: the forced pass consumes exactly the RNG stream
-    /// the per-candidate repair consumes (the recorded schedule is the only
-    /// schedule executed before any divergence round), so the snapshot taken
-    /// at the start of round *r* is bit-for-bit the state the per-candidate
-    /// path reaches by force-running rounds `0..r` — and
-    /// [`Simulator::restore`] reproduces it exactly for each candidate. Every
-    /// entry of [`SharedShotReplay::replays`] therefore equals what
-    /// [`ReplayContext::replay_shot_closed_loop`] returns for that candidate,
-    /// which is itself bit-identical to a from-scratch live run.
-    ///
-    /// Candidates are served in argument order, and each policy's lifecycle is
-    /// the caller's (reset before each shot), exactly as in the per-candidate
-    /// entry points.
-    ///
-    /// # Errors
-    /// Same failure modes as [`ReplayContext::replay_shot_closed_loop`]:
-    /// mismatched simulator, a seeding contract violation, or a forced round
-    /// that does not reproduce the trace.
-    pub fn replay_shot_closed_loop_shared(
         &self,
         trace: &ShotTrace,
         policies: &mut [&mut dyn LeakagePolicy],
@@ -503,83 +422,86 @@ impl ReplayContext {
         let total_rounds = recorded.rounds.len();
 
         // Open-loop detection for every candidate against the recorded
-        // observables (pure replay, no simulation).
+        // observables (pure replay, no simulation). A divergent drive ends on
+        // the divergent plan; the policy's state has advanced past it.
         let divergences: Vec<Option<(usize, LrcRequest)>> = policies
             .iter_mut()
-            .map(|policy| self.detect_divergence(trace, &recorded, *policy))
+            .map(|policy| {
+                let (mut plans, divergence) = self.plan_rounds(trace, &recorded, *policy, true);
+                divergence.map(|round| (round, plans.pop().expect("a divergent drive ends on it")))
+            })
             .collect();
         let mut plan = CheckpointPlan::new(
             &divergences.iter().map(|d| d.as_ref().map(|(round, _)| *round)).collect::<Vec<_>>(),
         );
         let peak_checkpoints = plan.distinct_rounds();
         let suffixes = divergences.iter().flatten().count();
-
-        let Some(max_round) = plan.max_round() else {
-            // Every candidate reproduces the recorded schedule: the whole set
-            // is served from the trace, no simulation at all.
-            let replays = divergences
-                .iter()
-                .map(|_| ClosedLoopReplay {
-                    run: recorded.clone(),
-                    divergence: None,
-                    resimulated_rounds: 0,
-                    restored_rounds: 0,
-                })
-                .collect();
-            return Ok(SharedShotReplay {
-                replays,
-                forced_rounds: 0,
-                suffixes: 0,
-                peak_checkpoints: 0,
-            });
-        };
+        let forced_rounds = plan.max_round().unwrap_or(0);
 
         // The one shared forced pass: re-execute the recorded schedule up to
         // the deepest divergence round, snapshotting at the start of each
-        // round some candidate resumes from.
-        self.reseed_checked(trace, sim)?;
+        // round some candidate resumes from. No candidate diverged ⇒ no pass:
+        // the whole set is served from the trace.
         let mut store: BTreeMap<usize, SimulatorCheckpoint> = BTreeMap::new();
-        for (round, record) in recorded.rounds[..max_round].iter().enumerate() {
-            if plan.needs(round) {
-                store.insert(round, sim.checkpoint());
+        if let Some(max_round) = plan.max_round() {
+            self.reseed_checked(trace, sim)?;
+            for (round, record) in recorded.rounds[..max_round].iter().enumerate() {
+                if plan.needs(round) {
+                    store.insert(round, sim.checkpoint());
+                }
+                self.force_round(trace, record, sim)?;
             }
-            self.force_round(trace, record, sim)?;
+            store.insert(max_round, sim.checkpoint());
         }
-        store.insert(max_round, sim.checkpoint());
 
-        // Serve every candidate in argument order. Forced rounds reproduced
-        // the trace bit-for-bit (verified above), so each candidate's resume
-        // history is the recorded prefix itself.
-        let replays = policies
+        // Serve the divergent candidates in argument order. Forced rounds
+        // reproduced the trace bit-for-bit (verified above), so each
+        // candidate's resume history is the recorded prefix itself.
+        let served: Vec<Option<ClosedLoopReplay>> = policies
             .iter_mut()
             .zip(divergences)
             .map(|(policy, divergence)| {
-                let Some((div_round, div_plan)) = divergence else {
-                    return ClosedLoopReplay {
-                        run: recorded.clone(),
-                        divergence: None,
-                        resimulated_rounds: 0,
-                        restored_rounds: 0,
-                    };
-                };
+                let (div_round, div_plan) = divergence?;
                 let checkpoint = store.get(&div_round).expect("planned checkpoint must exist");
                 sim.restore(checkpoint);
                 if plan.serve(div_round) {
                     store.remove(&div_round);
                 }
+                // The divergence round executes the plan the policy already
+                // made, then the remaining rounds run fully closed-loop.
                 let mut history = Vec::with_capacity(total_rounds);
                 history.extend_from_slice(&recorded.rounds[..div_round]);
                 history.push(sim.run_round(&div_plan));
                 let run = sim.resume_with_policy(*policy, history, total_rounds);
-                ClosedLoopReplay {
+                Some(ClosedLoopReplay {
                     run,
                     divergence: Some(div_round),
                     resimulated_rounds: total_rounds - div_round,
                     restored_rounds: div_round,
-                }
+                })
             })
             .collect();
-        Ok(SharedShotReplay { replays, forced_rounds: max_round, suffixes, peak_checkpoints })
+        // A candidate that reproduces the recorded schedule at every round
+        // has, by induction, the recorded execution as its live run; the last
+        // such candidate takes it without a copy.
+        let mut exact_left = served.iter().filter(|replay| replay.is_none()).count();
+        let mut recorded = Some(recorded);
+        let replays = served
+            .into_iter()
+            .map(|replay| {
+                replay.unwrap_or_else(|| {
+                    exact_left -= 1;
+                    let run = if exact_left == 0 { recorded.take() } else { recorded.clone() };
+                    ClosedLoopReplay {
+                        run: run.expect("the recorded run outlives every exact candidate"),
+                        divergence: None,
+                        resimulated_rounds: 0,
+                        restored_rounds: 0,
+                    }
+                })
+            })
+            .collect();
+        Ok(SharedShotReplay { replays, forced_rounds, suffixes, peak_checkpoints })
     }
 
     /// The closed-loop precondition: `sim` must be shaped and parameterized
@@ -597,17 +519,20 @@ impl ReplayContext {
         Ok(())
     }
 
-    /// Open-loop divergence detection: feeds `policy` the recorded history
-    /// round by round and returns the first round whose plan leaves the
-    /// recorded schedule, together with that plan (the policy's internal state
-    /// has already advanced past planning it). `None` = the candidate
-    /// reproduces the recorded schedule exactly.
-    fn detect_divergence(
+    /// The per-round drive both replay modes share: hands `policy` the
+    /// [`PolicyContext`] it would have seen live at each recorded round and
+    /// collects its plans, noting the first round whose plan leaves the
+    /// recorded schedule. With `stop_at_divergence` the drive ends on that
+    /// round, so the divergent plan is the last one returned.
+    fn plan_rounds(
         &self,
         trace: &ShotTrace,
         recorded: &RunRecord,
         policy: &mut dyn LeakagePolicy,
-    ) -> Option<(usize, LrcRequest)> {
+        stop_at_divergence: bool,
+    ) -> (Vec<LrcRequest>, Option<usize>) {
+        let mut planned = Vec::with_capacity(recorded.rounds.len());
+        let mut divergence = None;
         for (round, record) in recorded.rounds.iter().enumerate() {
             let ancilla_leaked = if round == 0 {
                 &trace.initial_ancilla_leak
@@ -622,11 +547,17 @@ impl ReplayContext {
                 ground_truth: GroundTruth { data_leaked: &record.data_leak_before, ancilla_leaked },
             };
             let plan = policy.plan_lrcs(&ctx);
-            if plan.data != record.data_lrcs || plan.ancilla != record.ancilla_lrcs {
-                return Some((round, plan));
+            let first_divergence = divergence.is_none()
+                && (plan.data != record.data_lrcs || plan.ancilla != record.ancilla_lrcs);
+            planned.push(plan);
+            if first_divergence {
+                divergence = Some(round);
+                if stop_at_divergence {
+                    break;
+                }
             }
         }
-        None
+        (planned, divergence)
     }
 
     /// Reseeds `sim` through the recorded `seed + shot` contract and verifies
@@ -741,6 +672,17 @@ mod tests {
         sim.run_with_policy(policy.as_mut(), header.rounds)
     }
 
+    /// Closed-loop replays `policy` as a set of one.
+    fn replay_one(
+        ctx: &ReplayContext,
+        trace: &ShotTrace,
+        policy: &mut dyn LeakagePolicy,
+        sim: &mut Simulator,
+    ) -> Result<ClosedLoopReplay, TraceError> {
+        let mut set = ctx.replay_shot_closed_loop(trace, &mut [policy], sim)?;
+        Ok(set.replays.pop().expect("one candidate, one replay"))
+    }
+
     #[test]
     fn closed_loop_replay_is_bit_identical_to_a_live_run_for_every_candidate() {
         let code = Code::rotated_surface(3);
@@ -749,7 +691,7 @@ mod tests {
         let mut sim = ctx.make_simulator();
         for kind in PolicyKind::ALL {
             let mut policy = build_policy(kind, &code, &GladiatorConfig::default());
-            let replay = ctx.replay_shot_closed_loop(&trace, policy.as_mut(), &mut sim).unwrap();
+            let replay = replay_one(&ctx, &trace, policy.as_mut(), &mut sim).unwrap();
             let live = live_run(&code, kind, &header, trace.shot);
             assert_eq!(replay.run, live, "{kind:?} counterfactual must be exact");
             if kind == PolicyKind::GladiatorM {
@@ -773,7 +715,7 @@ mod tests {
         let mut open = build_policy(PolicyKind::AlwaysLrc, &code, &GladiatorConfig::default());
         let open_loop = ctx.replay_shot(&trace, open.as_mut());
         let mut closed = build_policy(PolicyKind::AlwaysLrc, &code, &GladiatorConfig::default());
-        let replay = ctx.replay_shot_closed_loop(&trace, closed.as_mut(), &mut sim).unwrap();
+        let replay = replay_one(&ctx, &trace, closed.as_mut(), &mut sim).unwrap();
         assert_eq!(replay.divergence, open_loop.divergence);
         assert_eq!(replay.divergence, Some(0));
         // Always-LRC diverges immediately: no prefix to restore, the whole
@@ -795,7 +737,7 @@ mod tests {
         // Wrong noise model: the RNG stream would not reproduce the recording.
         let mut sim =
             Simulator::new(&code, NoiseParams::builder().physical_error_rate(0.5).build(), 0);
-        let err = ctx.replay_shot_closed_loop(&trace, policy.as_mut(), &mut sim).unwrap_err();
+        let err = replay_one(&ctx, &trace, policy.as_mut(), &mut sim).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
     }
 
@@ -828,9 +770,7 @@ mod tests {
         trace.rounds[1].measurements[0] = !trace.rounds[1].measurements[0];
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
-        let err = ctx
-            .replay_shot_closed_loop(&trace, &mut DivergeAt { fire_round: 3 }, &mut sim)
-            .unwrap_err();
+        let err = replay_one(&ctx, &trace, &mut DivergeAt { fire_round: 3 }, &mut sim).unwrap_err();
         assert!(err.to_string().contains("does not reproduce"), "{err}");
     }
 
@@ -843,25 +783,23 @@ mod tests {
         trace.initial_data_leak[0] = !trace.initial_data_leak[0];
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
-        let err = ctx
-            .replay_shot_closed_loop(&trace, &mut DivergeAt { fire_round: 2 }, &mut sim)
-            .unwrap_err();
+        let err = replay_one(&ctx, &trace, &mut DivergeAt { fire_round: 2 }, &mut sim).unwrap_err();
         assert!(err.to_string().contains("seeding contract"), "{err}");
     }
 
     #[test]
-    fn shared_replay_matches_the_per_policy_path_for_every_kind() {
+    fn shared_replay_matches_sets_of_one_for_every_kind() {
         let code = Code::rotated_surface(3);
         let (header, trace) = record(&code, PolicyKind::GladiatorM, 23, 12);
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
 
-        // Per-policy oracle results, one fresh policy per kind.
+        // Sets-of-one oracle results, one fresh policy per kind.
         let solo: Vec<ClosedLoopReplay> = PolicyKind::ALL
             .iter()
             .map(|&kind| {
                 let mut policy = build_policy(kind, &code, &GladiatorConfig::default());
-                ctx.replay_shot_closed_loop(&trace, policy.as_mut(), &mut sim).unwrap()
+                replay_one(&ctx, &trace, policy.as_mut(), &mut sim).unwrap()
             })
             .collect();
 
@@ -872,11 +810,11 @@ mod tests {
             .collect();
         let mut refs: Vec<&mut dyn LeakagePolicy> =
             candidates.iter_mut().map(|p| p.as_mut() as &mut dyn LeakagePolicy).collect();
-        let shared = ctx.replay_shot_closed_loop_shared(&trace, &mut refs, &mut sim).unwrap();
+        let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
 
         assert_eq!(shared.replays.len(), solo.len());
         for ((replay, oracle), kind) in shared.replays.iter().zip(&solo).zip(PolicyKind::ALL) {
-            assert_eq!(replay, oracle, "{kind:?} must be bit-identical to the per-policy path");
+            assert_eq!(replay, oracle, "{kind:?} must be bit-identical to its set of one");
         }
         // Sharing economics: one pass to the deepest divergence round, one
         // suffix per divergent candidate, one checkpoint per distinct round.
@@ -899,7 +837,7 @@ mod tests {
         let mut a = build_policy(PolicyKind::NoLrc, &code, &GladiatorConfig::default());
         let mut b = build_policy(PolicyKind::NoLrc, &code, &GladiatorConfig::default());
         let mut refs: Vec<&mut dyn LeakagePolicy> = vec![a.as_mut(), b.as_mut()];
-        let shared = ctx.replay_shot_closed_loop_shared(&trace, &mut refs, &mut sim).unwrap();
+        let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
         assert!(!shared.forced_pass());
         assert_eq!(shared.forced_rounds, 0);
         assert_eq!(shared.peak_checkpoints, 0);
@@ -922,7 +860,7 @@ mod tests {
         let mut exact = build_policy(PolicyKind::NoLrc, &code, &GladiatorConfig::default());
         let mut refs: Vec<&mut dyn LeakagePolicy> =
             vec![&mut p0, &mut p1, &mut p2, &mut p3, exact.as_mut()];
-        let shared = ctx.replay_shot_closed_loop_shared(&trace, &mut refs, &mut sim).unwrap();
+        let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
         assert_eq!(shared.suffixes, 4);
         assert_eq!(shared.forced_rounds, 6);
         assert_eq!(shared.peak_checkpoints, 3);
@@ -930,9 +868,7 @@ mod tests {
         assert_eq!(divergences, vec![Some(3), Some(3), Some(6), Some(0), None]);
         // Same-round candidates must be bit-identical to their solo replays.
         for (index, fire_round) in [(0usize, 3usize), (1, 3), (2, 6), (3, 0)] {
-            let solo = ctx
-                .replay_shot_closed_loop(&trace, &mut DivergeAt { fire_round }, &mut sim)
-                .unwrap();
+            let solo = replay_one(&ctx, &trace, &mut DivergeAt { fire_round }, &mut sim).unwrap();
             assert_eq!(shared.replays[index], solo, "candidate {index}");
         }
     }
@@ -951,19 +887,6 @@ mod tests {
         assert!(plan.serve(0));
         assert_eq!(plan.distinct_rounds(), 0);
         assert_eq!(CheckpointPlan::new(&[None, None]).max_round(), None);
-    }
-
-    #[test]
-    fn shared_replay_propagates_corruption_errors() {
-        let code = Code::rotated_surface(3);
-        let (header, mut trace) = record(&code, PolicyKind::NoLrc, 31, 8);
-        trace.rounds[1].measurements[0] = !trace.rounds[1].measurements[0];
-        let ctx = ReplayContext::new(&code, &header).unwrap();
-        let mut sim = ctx.make_simulator();
-        let mut diverge = DivergeAt { fire_round: 3 };
-        let mut refs: Vec<&mut dyn LeakagePolicy> = vec![&mut diverge];
-        let err = ctx.replay_shot_closed_loop_shared(&trace, &mut refs, &mut sim).unwrap_err();
-        assert!(err.to_string().contains("does not reproduce"), "{err}");
     }
 
     #[test]
