@@ -61,8 +61,10 @@ use crate::scenario::Scenario;
 use crate::sweep::{git_describe, SweepCell, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION};
 
 /// Version of the adaptive checkpoint schema (`adaptive.json` **and** the
-/// binary `state.qad` blocks); bump when either shape changes.
-pub const ADAPTIVE_SCHEMA_VERSION: u32 = 1;
+/// binary `state.qad` blocks); bump when either shape changes, or when the
+/// simulator maps its RNG stream to noise events differently (a resumed tally
+/// must never mix two streams).
+pub const ADAPTIVE_SCHEMA_VERSION: u32 = 2;
 
 /// File name of the immutable run descriptor inside a checkpoint directory.
 pub const ADAPTIVE_FILE: &str = "adaptive.json";

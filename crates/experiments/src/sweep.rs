@@ -784,11 +784,10 @@ mod tests {
         for cell in &report.cells {
             assert!(cell.metrics.logical_error_rate.is_some(), "{:?}", cell.scenario);
         }
-        // Identical runs, decoded by an exact table vs union-find: the exact
-        // table can only do better or equal on the same shots.
-        let uf = report.cells[0].metrics.logical_error_rate.unwrap();
-        let lookup = report.cells[1].metrics.logical_error_rate.unwrap();
-        assert!(lookup <= uf, "lookup LER {lookup} > union-find LER {uf}");
+        // Decoder-major rows. Which decoder wins on two shots is a seed
+        // lottery; dominance is pinned on 200 shots in qec-decoder's lookup tests.
+        assert_eq!(report.cells[0].scenario.decoder, Some(DecoderKind::UnionFind));
+        assert_eq!(report.cells[1].scenario.decoder, Some(DecoderKind::Lookup));
     }
 
     #[test]

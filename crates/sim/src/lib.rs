@@ -20,6 +20,13 @@
 //! LRCs applied at the start of the next round, exactly like the leakage speculation
 //! block of Figure 2(c) in the paper.
 //!
+//! Fixed-probability noise is drawn per *event*, not per opportunity: each round
+//! starts one geometric-gap stream per distinct probability (`p`, `p_leak`,
+//! `mlr_false_flag`), and each stream draws one `u64` per event from a survival
+//! table built without libm (see [`rounds`]). Identical seeds give identical
+//! bytes on every platform; the mapping from RNG stream to noise events is part
+//! of the `.qtr` trace schema.
+//!
 //! # Example
 //!
 //! ```

@@ -1,13 +1,150 @@
 //! Execution of a single noisy QEC round (the circuit-level noise model of Section 6).
+//!
+//! # Sampling noise per event
+//!
+//! Every fixed-probability noise channel of a round is a sequence of independent
+//! Bernoulli(q) trials, and almost all of them fail (≈0.3 of a d=5 round's ≈300
+//! trials fire at `p = 10⁻³`). Instead of drawing once per trial, the round
+//! executor starts one `GapStream` per distinct probability at the top of each
+//! round — `p`, `p_leak` and `mlr_false_flag` — and each stream draws one `u64`
+//! per *event*: the number of failing trials before the next success. Channels
+//! that share a probability share a stream, which is exact because every call is
+//! an independent Bernoulli(q) trial. A gate or readout whose operand is leaked
+//! does not ask its stream at all; skipping trials of a memoryless stream is exact
+//! thinning. Event-driven randomness (which Pauli, the gate-leak operand coin,
+//! leaked-gate mobility, leaked-ancilla readout, LRC gadgets, run finalization)
+//! keeps its direct draws.
+//!
+//! Gaps are drawn by searching a `SurvivalTable` `t[k] = (1-q)^k` built by
+//! repeated multiplication, never with `ln`/`log1p`: platform libms do not promise
+//! bit-identical logarithms, and the `seed + shot` contract promises identical
+//! bytes on every build.
 
-use rand::Rng;
+use std::sync::Arc;
 
-use qec_codes::{Check, CheckBasis, CheckId, DataQubitId};
+use rand::{Rng, RngCore};
 
+use qec_codes::{Check, CheckBasis, CheckId, Code, DataQubitId};
+
+use crate::noise::NoiseParams;
 use crate::pauli::{random_two_qubit_error, Pauli};
 use crate::policy::LrcRequest;
 use crate::record::RoundRecord;
 use crate::simulator::Simulator;
+
+/// Survival function `t[k] = (1-q)^k`, `k = 0..=n`, of a Bernoulli(q) trial
+/// stream that asks at most `n` trials per round.
+#[derive(Debug)]
+struct SurvivalTable {
+    survival: Vec<f64>,
+}
+
+impl SurvivalTable {
+    /// Table for probability `q` and at most `trials` trials per round, built by
+    /// repeated multiplication (bit-identical under IEEE-754 everywhere).
+    fn new(q: f64, trials: usize) -> Self {
+        let keep = 1.0 - q;
+        let mut survival = Vec::with_capacity(trials + 1);
+        let mut s = 1.0;
+        for _ in 0..=trials {
+            survival.push(s);
+            s *= keep;
+        }
+        SurvivalTable { survival }
+    }
+
+    /// Draws the number of failing trials before the next success,
+    /// `G = max{k : t[k] > u}`, or [`NO_EVENT`] when `G` reaches the end of the
+    /// table (none of the round's remaining trials fires). A `q = 0` table
+    /// never fires and draws nothing.
+    fn draw_gap<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
+        let last = self.survival[self.survival.len() - 1];
+        if last >= 1.0 {
+            return NO_EVENT;
+        }
+        // The same 53-bit unit `gen_bool` compares against.
+        let u = (rng.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
+        if u < last {
+            return NO_EVENT;
+        }
+        self.survival.partition_point(|&s| s > u) - 1
+    }
+}
+
+/// Gap value meaning "no further event this round".
+const NO_EVENT: usize = usize::MAX;
+
+/// One round's Bernoulli(q) trial stream: one `u64` per event, not per trial.
+struct GapStream<'t> {
+    table: &'t SurvivalTable,
+    /// Trials that fail before the next one fires.
+    gap: usize,
+}
+
+impl<'t> GapStream<'t> {
+    /// Starts a stream at the top of a round (draws the first gap).
+    fn start<R: RngCore + ?Sized>(table: &'t SurvivalTable, rng: &mut R) -> Self {
+        GapStream { table, gap: table.draw_gap(rng) }
+    }
+
+    /// One Bernoulli(q) trial: `true` when it fires.
+    #[inline]
+    fn fires<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> bool {
+        if self.gap > 0 {
+            // `NO_EVENT` counts down too, but never reaches zero within a round.
+            self.gap -= 1;
+            false
+        } else {
+            self.gap = self.table.draw_gap(rng);
+            true
+        }
+    }
+}
+
+/// The survival tables of a simulator's three round streams, sized from the
+/// code by the number of trials each stream can be asked per round.
+#[derive(Debug)]
+pub(crate) struct RoundTables {
+    /// `p`: data depolarization, ancilla preparation, CNOT depolarization and
+    /// readout flips.
+    p: SurvivalTable,
+    /// `p_leak`: data, ancilla-preparation and gate-induced leakage.
+    leak: SurvivalTable,
+    /// `mlr_false_flag` on healthy ancillas (`q = 0` without MLR).
+    false_flag: SurvivalTable,
+}
+
+impl RoundTables {
+    pub(crate) fn new(code: &Code, noise: &NoiseParams) -> Self {
+        let (data, checks) = (code.num_data(), code.num_checks());
+        let cnots: usize = code.checks().iter().map(Check::weight).sum();
+        let false_flag = if noise.mlr_enabled { noise.mlr_false_flag } else { 0.0 };
+        RoundTables {
+            p: SurvivalTable::new(noise.p, data + 2 * checks + cnots),
+            leak: SurvivalTable::new(noise.p_leak(), data + checks + cnots),
+            false_flag: SurvivalTable::new(false_flag, checks),
+        }
+    }
+}
+
+/// The gap streams of one round. Like [`AncillaFrames`], this state never
+/// outlives `execute_round`, so checkpoints need not capture it.
+struct RoundStreams<'t> {
+    p: GapStream<'t>,
+    leak: GapStream<'t>,
+    false_flag: GapStream<'t>,
+}
+
+impl<'t> RoundStreams<'t> {
+    /// Starts the streams in field order (struct fields evaluate as written).
+    fn start<R: RngCore + ?Sized>(tables: &'t RoundTables, rng: &mut R) -> Self {
+        RoundStreams {
+            p: GapStream::start(&tables.p, rng),
+            leak: GapStream::start(&tables.leak, rng),
+            false_flag: GapStream::start(&tables.false_flag, rng),
+        }
+    }
+}
 
 /// Within-round Pauli frame of the ancilla (parity) qubits. Ancillas are measured and
 /// reset every round, so this state never outlives `execute_round`.
@@ -42,6 +179,8 @@ impl Simulator {
         let round = self.current_round_index();
 
         let data_leak_before = self.frames.data_leak_flags();
+        let tables = Arc::clone(&self.round_tables);
+        let mut streams = RoundStreams::start(&tables, &mut self.rng);
 
         // --- 1. Leakage-reduction circuits requested by the policy --------------------
         for &q in &request.data {
@@ -53,11 +192,11 @@ impl Simulator {
 
         // --- 2. Start-of-round data noise ---------------------------------------------
         for q in 0..num_data {
-            if noise.p > 0.0 && self.rng.gen_bool(noise.p) {
+            if streams.p.fires(&mut self.rng) {
                 let err = Pauli::random_error(&mut self.rng);
                 self.frames.apply_data_pauli(q, err);
             }
-            if noise.p_leak() > 0.0 && self.rng.gen_bool(noise.p_leak()) {
+            if streams.leak.fires(&mut self.rng) {
                 self.frames.set_data_leaked(q, true);
             }
         }
@@ -66,14 +205,14 @@ impl Simulator {
         let mut ancilla = AncillaFrames::new(num_checks);
         let checks = self.shared_checks();
         for check in checks.iter() {
-            if noise.p > 0.0 && self.rng.gen_bool(noise.p) {
+            if streams.p.fires(&mut self.rng) {
                 // A faulty reset flips the observable the check measures.
                 match check.basis {
                     CheckBasis::Z => ancilla.apply(check.id, Pauli::X),
                     CheckBasis::X => ancilla.apply(check.id, Pauli::Z),
                 }
             }
-            if noise.p_leak() > 0.0 && self.rng.gen_bool(noise.p_leak()) {
+            if streams.leak.fires(&mut self.rng) {
                 self.frames.set_ancilla_leaked(check.id, true);
             }
         }
@@ -83,7 +222,7 @@ impl Simulator {
         for t in 0..layers {
             for check in checks.iter() {
                 if let Some(&q) = check.support.get(t) {
-                    self.apply_syndrome_cnot(check, q, &mut ancilla);
+                    self.apply_syndrome_cnot(check, q, &mut ancilla, &mut streams);
                 }
             }
         }
@@ -105,12 +244,8 @@ impl Simulator {
                     CheckBasis::Z => ancilla.x[c],
                     CheckBasis::X => ancilla.z[c],
                 };
-                let flip = noise.p > 0.0 && self.rng.gen_bool(noise.p);
-                measurements[c] = ideal ^ flip;
-                if noise.mlr_enabled
-                    && noise.mlr_false_flag > 0.0
-                    && self.rng.gen_bool(noise.mlr_false_flag)
-                {
+                measurements[c] = ideal ^ streams.p.fires(&mut self.rng);
+                if streams.false_flag.fires(&mut self.rng) {
                     mlr_leak_flags[c] = true;
                 }
             }
@@ -143,8 +278,15 @@ impl Simulator {
     }
 
     /// One CNOT of the syndrome-extraction circuit between `check`'s ancilla and data
-    /// qubit `q`, including all noise channels.
-    fn apply_syndrome_cnot(&mut self, check: &Check, q: DataQubitId, ancilla: &mut AncillaFrames) {
+    /// qubit `q`, including all noise channels. A gate with a leaked operand asks
+    /// no stream for its depolarizing or leakage trial.
+    fn apply_syndrome_cnot(
+        &mut self,
+        check: &Check,
+        q: DataQubitId,
+        ancilla: &mut AncillaFrames,
+        streams: &mut RoundStreams<'_>,
+    ) {
         let noise = self.noise_params();
         let data_leaked = self.frames.data_leaked(q);
         let anc_leaked = self.frames.ancilla_leaked(check.id);
@@ -195,14 +337,14 @@ impl Simulator {
         }
 
         // Two-qubit depolarizing noise.
-        if noise.p > 0.0 && self.rng.gen_bool(noise.p) {
+        if streams.p.fires(&mut self.rng) {
             let (pd, pa) = random_two_qubit_error(&mut self.rng);
             self.frames.apply_data_pauli(q, pd);
             ancilla.apply(check.id, pa);
         }
 
         // Gate-induced leakage: the two-qubit gate may leak one of its operands.
-        if noise.p_leak() > 0.0 && self.rng.gen_bool(noise.p_leak()) {
+        if streams.leak.fires(&mut self.rng) {
             if self.rng.gen_bool(0.5) {
                 self.frames.set_data_leaked(q, true);
             } else {
@@ -255,6 +397,7 @@ mod tests {
     use crate::policy::{LrcRequest, NeverLrc};
     use crate::simulator::Simulator;
     use qec_codes::Code;
+    use rand::SeedableRng;
 
     fn clean_noise() -> NoiseParams {
         NoiseParams::builder()
@@ -359,5 +502,116 @@ mod tests {
             run.rounds.iter().map(|r| r.detectors.iter().filter(|&&d| d).count()).sum()
         };
         assert!(count_detections(high) > 10 * count_detections(low).max(1));
+    }
+
+    /// Replays a fixed list of words, then panics: pins exactly which draws a
+    /// stream makes.
+    struct Words(Vec<u64>);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            assert!(!self.0.is_empty(), "stream drew more words than expected");
+            self.0.remove(0)
+        }
+    }
+
+    /// The word whose 53-bit unit is `u`.
+    fn word(u: f64) -> u64 {
+        ((u * 9_007_199_254_740_992.0) as u64) << 11
+    }
+
+    /// Fires of `calls` trials, restarting the stream every `per_round` calls.
+    fn hits(q: f64, per_round: usize, calls: usize, seed: u64) -> usize {
+        let table = SurvivalTable::new(q, per_round);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut hits = 0;
+        for round in 0..calls.div_ceil(per_round) {
+            let mut stream = GapStream::start(&table, &mut rng);
+            let trials = per_round.min(calls - round * per_round);
+            hits += (0..trials).filter(|_| stream.fires(&mut rng)).count();
+        }
+        hits
+    }
+
+    #[test]
+    fn gap_stream_with_q_zero_never_fires_and_draws_nothing() {
+        let table = SurvivalTable::new(0.0, 100);
+        let mut rng = Words(Vec::new());
+        let mut stream = GapStream::start(&table, &mut rng);
+        assert!((0..1000).all(|_| !stream.fires(&mut rng)));
+    }
+
+    #[test]
+    fn gap_stream_with_q_one_fires_on_every_call() {
+        assert_eq!(hits(1.0, 50, 10_000, 1), 10_000);
+    }
+
+    #[test]
+    fn gap_stream_hit_counts_are_binomial() {
+        let n = 1_000_000;
+        for (i, q) in [1e-4, 1e-3, 0.1, 0.5].into_iter().enumerate() {
+            let hits = hits(q, 153, n, 40 + i as u64) as f64;
+            let (mean, sigma) = (n as f64 * q, (n as f64 * q * (1.0 - q)).sqrt());
+            assert!((hits - mean).abs() <= 5.0 * sigma, "q={q}: {hits} hits, expected {mean}");
+        }
+    }
+
+    #[test]
+    fn gap_stream_end_of_table_means_no_more_events_this_round() {
+        // t = [1, 0.5, 0.25]: u < 0.25 ends the round's events; [0.25, 0.5)
+        // is a gap of 1; [0.5, 1) fires at once.
+        let table = SurvivalTable::new(0.5, 2);
+        let mut rng = Words(vec![word(0.1)]);
+        let mut stream = GapStream::start(&table, &mut rng);
+        assert!((0..10).all(|_| !stream.fires(&mut rng)), "past the table: no events");
+
+        let mut rng = Words(vec![word(0.3), word(0.7), word(0.2)]);
+        let mut stream = GapStream::start(&table, &mut rng);
+        let fired: Vec<bool> = (0..6).map(|_| stream.fires(&mut rng)).collect();
+        assert_eq!(fired, [false, true, true, false, false, false]);
+        assert!(rng.0.is_empty(), "one draw per event, plus the start");
+    }
+
+    #[test]
+    fn mlr_false_flags_over_rounds_are_binomial() {
+        let code = Code::rotated_surface(5);
+        let noise = NoiseParams::builder()
+            .physical_error_rate(0.0)
+            .mlr_enabled(true)
+            .mlr_false_flag(0.01)
+            .build();
+        let mut sim = Simulator::new(&code, noise, 12);
+        let rounds = 4000;
+        let flagged: usize = (0..rounds)
+            .map(|_| sim.run_round(&LrcRequest::none()))
+            .map(|r| r.mlr_leak_flags.iter().filter(|&&f| f).count())
+            .sum();
+        let trials = (rounds * code.num_checks()) as f64;
+        let (mean, sigma) = (trials * 0.01, (trials * 0.01 * 0.99).sqrt());
+        assert!((flagged as f64 - mean).abs() <= 5.0 * sigma, "{flagged} flags, expected {mean}");
+    }
+
+    /// Mean `u64` draws per round of a d=5, 30-round no-LRC shot at the default
+    /// noise, over 200 shots of the `seed + shot` ritual (seeding excluded).
+    fn mean_draws_per_round(leakage_sampling: bool) -> f64 {
+        let code = Code::rotated_surface(5);
+        let mut sim = Simulator::new(&code, NoiseParams::default(), 0);
+        let (shots, rounds) = (200u64, 30);
+        let mut words = 0;
+        for shot in 0..shots {
+            sim.reseed_for_shot(1000, shot, leakage_sampling);
+            let start = sim.rng.get_word_pos();
+            let _ = sim.run_with_policy(&mut NeverLrc, rounds);
+            words += sim.rng.get_word_pos() - start;
+        }
+        words as f64 / 2.0 / (shots as f64 * rounds as f64)
+    }
+
+    #[test]
+    fn rounds_draw_per_noise_event_not_per_opportunity() {
+        let clean = mean_draws_per_round(false);
+        assert!(clean <= 30.0, "{clean} draws per leak-free round");
+        let sampled = mean_draws_per_round(true);
+        assert!(sampled <= 80.0, "{sampled} draws per leak-sampled round");
     }
 }

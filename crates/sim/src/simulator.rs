@@ -1,5 +1,7 @@
 //! The closed-loop leakage-aware simulator.
 
+use std::sync::Arc;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -9,6 +11,7 @@ use crate::frame::QubitFrames;
 use crate::noise::NoiseParams;
 use crate::policy::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
 use crate::record::{RoundRecord, RunRecord};
+use crate::rounds::RoundTables;
 use crate::sink::TraceSink;
 
 /// Leakage-aware Pauli-frame simulator for one logical qubit of a CSS code.
@@ -26,6 +29,9 @@ pub struct Simulator {
     prev_measurements: Vec<bool>,
     round_index: usize,
     cnot_layers: usize,
+    /// Survival tables of the round executor's gap streams (immutable, shared by
+    /// clones).
+    pub(crate) round_tables: Arc<RoundTables>,
 }
 
 /// A snapshot of every piece of [`Simulator`] state that varies within a run:
@@ -71,6 +77,7 @@ impl Simulator {
             prev_measurements: vec![false; code.num_checks()],
             round_index: 0,
             cnot_layers,
+            round_tables: Arc::new(RoundTables::new(code, &noise)),
         }
     }
 
@@ -286,21 +293,16 @@ impl Simulator {
             "resume checkpoint must describe exactly the rounds already executed"
         );
         for round in history.len()..total_rounds {
-            let request = {
-                let data_leaked = self.frames.data_leak_flags();
-                let ancilla_leaked = self.frames.ancilla_leak_flags();
-                let ctx = PolicyContext {
-                    round,
-                    code: &self.code,
-                    adjacency: &self.adjacency,
-                    history: &history,
-                    ground_truth: GroundTruth {
-                        data_leaked: &data_leaked,
-                        ancilla_leaked: &ancilla_leaked,
-                    },
-                };
-                policy.plan_lrcs(&ctx)
-            };
+            let request = policy.plan_lrcs(&PolicyContext {
+                round,
+                code: &self.code,
+                adjacency: &self.adjacency,
+                history: &history,
+                ground_truth: GroundTruth {
+                    data_leaked: self.frames.data_leaks(),
+                    ancilla_leaked: self.frames.ancilla_leaks(),
+                },
+            });
             let record = self.run_round(&request);
             sink.record_round(&record);
             history.push(record);

@@ -19,8 +19,10 @@ use qec_codes::{CheckBasis, Code};
 
 use crate::wire::{Decoder, Encoder, TraceError};
 
-/// Version of the `.qtr` schema; bump on any change to the byte layout.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+/// Version of the `.qtr` schema; bump on any change to the byte layout, and on
+/// any change to how the simulator maps its RNG stream to noise events (a
+/// trace is only re-simulable by a build with the same mapping).
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Leading magic of every `.qtr` file.
 pub const TRACE_MAGIC: [u8; 4] = *b"QTRC";

@@ -32,9 +32,9 @@ const GOLDEN_LEN: usize = 254;
 /// Pinned structural fingerprint of the d=3 rotated surface code.
 const GOLDEN_FINGERPRINT: u64 = 0x3F32_FD54_31CA_9582;
 /// Pinned CRC-32 of the header block payload.
-const GOLDEN_HEADER_CRC: u32 = 0xFDF3_08CC;
+const GOLDEN_HEADER_CRC: u32 = 0x6A85_A562;
 /// Pinned CRC-32s of the two shot block payloads, in shot order.
-const GOLDEN_SHOT_CRCS: [u32; 2] = [0xE626_B76D, 0x5C24_16EF];
+const GOLDEN_SHOT_CRCS: [u32; 2] = [0x115D_F157, 0x0CDF_8C31];
 /// Pinned CRC-32 of the end block payload (varint shot count 2).
 const GOLDEN_END_CRC: u32 = 0x3C0C_8EA1;
 
@@ -134,7 +134,7 @@ fn fixture_layout_matches_the_documented_format() {
     assert_eq!(tag, 0x01, "first block is the header");
     assert_eq!(crc32(&payload), GOLDEN_HEADER_CRC, "header block CRC is pinned");
     let header = TraceHeader::decode(&payload).unwrap();
-    assert_eq!(header.schema_version, 1, "docs promise schema version 1");
+    assert_eq!(header.schema_version, 2, "docs promise schema version 2");
     assert_eq!(header.generator, "qec-trace format-freeze fixture");
     assert_eq!(header.git_describe, "fixture");
     assert_eq!(header.code_name, "surface-d3");
