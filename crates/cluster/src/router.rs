@@ -36,20 +36,22 @@
 //! a replica that stays unreachable yields typed `unavailable` errors — per
 //! item for split batches (sibling replicas' items are unaffected), as the
 //! whole response for solo requests.
+//!
+//! Client-facing, the router runs the daemon's connection front end
+//! ([`qec_serve::front`]) with `route_request` as its handler: connection
+//! limit, framing and shutdown drain are the daemon's code, not a copy.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use qec_serve::client::{Client, ClientConfig};
+use qec_serve::front::{Answer, Front};
 use qec_serve::protocol::{
-    parse_request, parse_response, request_line, response_line, BatchItem, ErrorCode, EvalSpec,
-    Request, RequestKind, Response, ResponseKind, ServerStats, VersionInfo, WireError,
-    PROTOCOL_VERSION,
+    parse_response, request_line, BatchItem, ErrorCode, EvalSpec, Request, RequestKind,
+    ResponseKind, ServerStats, VersionInfo, WireError, PROTOCOL_VERSION,
 };
 use qec_trace::cluster::ClusterMap;
 use qec_trace::{Corpus, CorpusEntry};
@@ -159,87 +161,24 @@ impl ReplicaSlot {
     }
 }
 
-/// Admitted-but-not-yet-served connections (same bounded hand-off as the
-/// daemon's).
-struct ConnQueue {
-    inner: Mutex<ConnQueueState>,
-    ready: Condvar,
-}
-
-struct ConnQueueState {
-    pending: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new() -> Self {
-        ConnQueue {
-            inner: Mutex::new(ConnQueueState { pending: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, stream: TcpStream) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return;
-        }
-        inner.pending.push_back(stream);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(stream) = inner.pending.pop_front() {
-                return Some(stream);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.closed = true;
-        inner.pending.clear();
-        self.ready.notify_all();
-    }
-}
-
-/// Shared router state.
-struct RouterState {
-    map: ClusterMap,
-    replicas: Vec<Arc<ReplicaSlot>>,
-    pool: rayon::ThreadPool,
-    addr: SocketAddr,
-    max_connections: usize,
-    conn_queue: ConnQueue,
-    requests: AtomicU64,
-    routed_requests: AtomicU64,
-    fanout_hwm: AtomicU64,
-    active_connections: AtomicU64,
-    shed_connections: AtomicU64,
-    shutdown: AtomicBool,
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-}
-
 /// A bound, not-yet-running router. [`Router::run`] blocks until a `shutdown`
 /// request arrives. Shutting the router down does **not** shut its replicas
 /// down — they are independent daemons; stop them with their own `shutdown`.
 pub struct Router {
-    listener: TcpListener,
-    state: RouterState,
+    front: Front,
+    map: ClusterMap,
+    replicas: Vec<Arc<ReplicaSlot>>,
+    pool: rayon::ThreadPool,
+    routed_requests: AtomicU64,
+    fanout_hwm: AtomicU64,
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("addr", &self.state.addr)
-            .field("replicas", &self.state.replicas.len())
-            .field("cells", &self.state.map.cells())
+            .field("addr", &self.local_addr())
+            .field("replicas", &self.replicas.len())
+            .field("cells", &self.map.cells())
             .finish()
     }
 }
@@ -277,9 +216,7 @@ impl Router {
                 missing.index
             ));
         }
-        let listener =
-            TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?;
+        let front = Front::bind(&config.addr, config.max_connections)?;
         let replicas: Vec<Arc<ReplicaSlot>> = map
             .replicas
             .iter()
@@ -299,206 +236,51 @@ impl Router {
         // at once, and per-replica calls serialize on the slot anyway.
         let pool = rayon::ThreadPool::new(replicas.len().max(1));
         Ok(Router {
-            listener,
-            state: RouterState {
-                map,
-                replicas,
-                pool,
-                addr,
-                max_connections: config.max_connections.max(1),
-                conn_queue: ConnQueue::new(),
-                requests: AtomicU64::new(0),
-                routed_requests: AtomicU64::new(0),
-                fanout_hwm: AtomicU64::new(0),
-                active_connections: AtomicU64::new(0),
-                shed_connections: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-                connections: Mutex::new(Vec::new()),
-            },
+            front,
+            map,
+            replicas,
+            pool,
+            routed_requests: AtomicU64::new(0),
+            fanout_hwm: AtomicU64::new(0),
         })
     }
 
     /// The bound address (resolves an ephemeral port request).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.front.local_addr()
     }
 
     /// Replicas in the shard map.
     #[must_use]
     pub fn replica_count(&self) -> usize {
-        self.state.replicas.len()
+        self.replicas.len()
     }
 
     /// Total cells across the shard map.
     #[must_use]
     pub fn cluster_cells(&self) -> usize {
-        self.state.map.cells()
+        self.map.cells()
     }
 
     /// Accepts and routes connections until a `shutdown` request is handled
-    /// (the daemon's bounded accept/worker model, minus the evaluation queue —
-    /// the router does no evaluation of its own).
+    /// (the daemon's front end, minus the evaluation queue — the router does
+    /// no evaluation of its own).
     pub fn run(self) {
-        let Router { listener, state } = self;
-        let state = &state;
-        let next_id = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..state.max_connections {
-                scope.spawn(|| connection_worker(state, &next_id));
-            }
-            for stream in listener.incoming() {
-                if state.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let _ = stream.set_nodelay(true);
-                let admitted = state.active_connections.fetch_add(1, Ordering::AcqRel);
-                if admitted >= state.max_connections as u64 {
-                    state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                    state.shed_connections.fetch_add(1, Ordering::Relaxed);
-                    shed_connection(state, stream);
-                    continue;
-                }
-                state.conn_queue.push(stream);
-            }
-            state.conn_queue.close();
-            for (_, conn) in state.connections.lock().unwrap_or_else(PoisonError::into_inner).iter()
-            {
-                let _ = conn.shutdown(std::net::Shutdown::Read);
-            }
-        });
+        self.front.run(|id, request| route_request(&self, id, request));
     }
-}
-
-fn connection_worker(state: &RouterState, next_id: &AtomicU64) {
-    while let Some(stream) = state.conn_queue.pop() {
-        let id = next_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            state.connections.lock().unwrap_or_else(PoisonError::into_inner).push((id, clone));
-        }
-        handle_connection(state, stream);
-        state
-            .connections
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|(conn_id, _)| *conn_id != id);
-        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Same refusal bytes as the daemon's connection shed.
-fn shed_connection(state: &RouterState, mut stream: TcpStream) {
-    let error = WireError::new(
-        ErrorCode::Overloaded,
-        format!(
-            "connection limit reached ({} active); connection refused — retry later",
-            state.max_connections
-        ),
-    );
-    let response = Response { id: None, v: PROTOCOL_VERSION, response: ResponseKind::Error(error) };
-    let _ = writeln!(stream, "{}", response_line(&response));
-    let _ = stream.flush();
-}
-
-/// Serves one client connection: reads LF-terminated request lines, answers
-/// each in order. Raw pass-through answers are written verbatim; everything
-/// else is serialized by the router from typed values.
-fn handle_connection(state: &RouterState, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let reader = BufReader::new(read_half);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        // Panic containment, mirroring the daemon: a panic while routing one
-        // request answers with a typed `internal` error and closes this
-        // connection only — the worker and every other connection keep
-        // serving (poisoned guards recover via `PoisonError::into_inner`).
-        let (answer, panicked) = match parse_request(&line) {
-            Ok(request) => {
-                let id = request.id;
-                let kind = request.request;
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    route_request(state, id, kind)
-                })) {
-                    Ok(answer) => (answer, false),
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(ToString::to_string)
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        let error = WireError::new(
-                            ErrorCode::Internal,
-                            format!("request panicked router-side: {message}; connection closed"),
-                        );
-                        (local_line(id, ResponseKind::Error(error)), true)
-                    }
-                }
-            }
-            Err(error) => (local_line(None, ResponseKind::Error(error)), false),
-        };
-        let stop = answer.stop;
-        if writeln!(writer, "{}", answer.line).is_err() {
-            break;
-        }
-        let _ = writer.flush();
-        if panicked {
-            break;
-        }
-        if stop {
-            state.shutdown.store(true, Ordering::Release);
-            let mut poke = state.addr;
-            if poke.ip().is_unspecified() {
-                poke.set_ip(match poke {
-                    std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                    std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-                });
-            }
-            let _ = TcpStream::connect(poke);
-            break;
-        }
-    }
-}
-
-/// One answered request: the exact wire line to write, and whether it was a
-/// shutdown (which stops the router after the line is delivered).
-struct Answer {
-    line: String,
-    stop: bool,
-}
-
-/// A line the router serializes itself (local answers and reassembled
-/// fan-outs).
-fn local_line(id: Option<u64>, response: ResponseKind) -> Answer {
-    let stop = matches!(response, ResponseKind::ShuttingDown);
-    Answer { line: response_line(&Response { id, v: PROTOCOL_VERSION, response }), stop }
 }
 
 /// Routes one parsed request. Never hangs on a dead replica: every replica
 /// call is deadline-bounded, and exhaustion yields a typed `unavailable`.
-fn route_request(state: &RouterState, id: Option<u64>, request: RequestKind) -> Answer {
+fn route_request(state: &Router, id: Option<u64>, request: RequestKind) -> Answer {
     match request {
         // Local kinds: liveness and identity belong to the router itself.
-        RequestKind::Ping => local_line(id, ResponseKind::Pong),
-        RequestKind::Shutdown => local_line(id, ResponseKind::ShuttingDown),
-        RequestKind::Version => local_line(
-            id,
-            ResponseKind::Version(VersionInfo {
-                server: format!("qec-cluster {}", env!("CARGO_PKG_VERSION")),
-                git_describe: qec_experiments::sweep::git_describe(),
-                protocol: PROTOCOL_VERSION,
-                trace_schema: qec_trace::TRACE_SCHEMA_VERSION,
-                manifest_schema: qec_trace::MANIFEST_SCHEMA_VERSION,
-                replay_schema: qec_experiments::replay::REPLAY_SCHEMA_VERSION,
-            }),
-        ),
-        RequestKind::Stats => local_line(id, aggregate_stats(state)),
-        RequestKind::ListCells => local_line(id, merge_list_cells(state)),
+        RequestKind::Ping => ResponseKind::Pong.into(),
+        RequestKind::Shutdown => ResponseKind::ShuttingDown.into(),
+        RequestKind::Version => ResponseKind::Version(VersionInfo::new("qec-cluster")).into(),
+        RequestKind::Stats => aggregate_stats(state).into(),
+        RequestKind::ListCells => merge_list_cells(state).into(),
         // Cell-addressed solo requests: raw pass-through to the owner.
         RequestKind::StatCell { ref key } | RequestKind::VerifyCell { ref key } => {
             let key = key.clone();
@@ -515,12 +297,12 @@ fn route_request(state: &RouterState, id: Option<u64>, request: RequestKind) -> 
 /// The owning replica of a cell key: the shard-map assignment rule applied
 /// directly. Keys outside the corpus route to their *would-be* owner, which
 /// answers `unknown-cell` with exactly the monolithic daemon's bytes.
-fn owner_of<'a>(state: &'a RouterState, key: &str) -> &'a Arc<ReplicaSlot> {
+fn owner_of<'a>(state: &'a Router, key: &str) -> &'a Arc<ReplicaSlot> {
     let index = ClusterMap::assign(Corpus::cell_hash(key), state.replicas.len());
     &state.replicas[index]
 }
 
-fn note_fanout(state: &RouterState, replicas_touched: u64) {
+fn note_fanout(state: &Router, replicas_touched: u64) {
     state.routed_requests.fetch_add(1, Ordering::Relaxed);
     state.fanout_hwm.fetch_max(replicas_touched, Ordering::Relaxed);
 }
@@ -534,13 +316,13 @@ fn unavailable(message: String) -> WireError {
 /// Routes a single-cell request raw: the replica sees the client's own
 /// correlation id and its response line is returned verbatim, so routed
 /// bytes are daemon bytes by construction.
-fn route_solo(state: &RouterState, id: Option<u64>, request: RequestKind, key: &str) -> Answer {
+fn route_solo(state: &Router, id: Option<u64>, request: RequestKind, key: &str) -> Answer {
     note_fanout(state, 1);
     let owner = owner_of(state, key);
     let line = request_line(&Request { id, request });
     match owner.call_raw(&line) {
-        Ok(raw) => Answer { line: raw, stop: false },
-        Err(message) => local_line(id, ResponseKind::Error(unavailable(message))),
+        Ok(raw) => Answer::Raw(raw),
+        Err(message) => ResponseKind::Error(unavailable(message)).into(),
     }
 }
 
@@ -548,7 +330,7 @@ fn route_solo(state: &RouterState, id: Option<u64>, request: RequestKind, key: &
 /// replicas that answered, plus the router's own counters. A replica that
 /// cannot be reached is simply absent from the aggregate — visible as
 /// `replicas_up < N` and a bumped `replica_errors`, never an error response.
-fn aggregate_stats(state: &RouterState) -> ResponseKind {
+fn aggregate_stats(state: &Router) -> ResponseKind {
     note_fanout(state, state.replicas.len() as u64);
     let jobs: Vec<_> = state
         .replicas
@@ -558,33 +340,7 @@ fn aggregate_stats(state: &RouterState) -> ResponseKind {
             move || slot.call(RequestKind::Stats)
         })
         .collect();
-    let mut total = ServerStats {
-        requests: 0,
-        evals: 0,
-        batch_evals: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-        cached_cells: 0,
-        cache_capacity: 0,
-        corpus_cells: 0,
-        shared_passes: 0,
-        suffixes_served: 0,
-        peak_checkpoints: 0,
-        active_connections: 0,
-        max_connections: 0,
-        queue_depth_hwm: 0,
-        queue_limit: 0,
-        shed_requests: 0,
-        shed_connections: 0,
-        corpus_reloads: 0,
-        routed_requests: 0,
-        fanout_hwm: 0,
-        replica_errors: 0,
-        replicas_up: 0,
-        adaptive_rounds: 0,
-        shots_allocated: 0,
-    };
+    let mut total = ServerStats::default();
     for outcome in state.pool.execute_ordered(jobs) {
         let Ok(ResponseKind::Stats(stats)) = outcome else { continue };
         total.requests += stats.requests;
@@ -624,7 +380,7 @@ fn aggregate_stats(state: &RouterState) -> ResponseKind {
 /// source-manifest order via the shard map's assignment list — byte-identical
 /// to the unsharded daemon's listing. A complete listing needs every replica,
 /// so any unreachable one fails the whole request with a typed `unavailable`.
-fn merge_list_cells(state: &RouterState) -> ResponseKind {
+fn merge_list_cells(state: &Router) -> ResponseKind {
     note_fanout(state, state.replicas.len() as u64);
     let jobs: Vec<_> = state
         .replicas
@@ -680,7 +436,7 @@ fn merge_list_cells(state: &RouterState) -> ResponseKind {
 /// per-item toward the replicas, reassembled into whichever answer shape the
 /// client asked for.
 fn route_batch(
-    state: &RouterState,
+    state: &Router,
     id: Option<u64>,
     evals: Vec<EvalSpec>,
     per_item: Option<bool>,
@@ -704,8 +460,8 @@ fn route_batch(
         let line =
             request_line(&Request { id, request: RequestKind::BatchEval { evals, per_item } });
         return match owner.call_raw(&line) {
-            Ok(raw) => Answer { line: raw, stop: false },
-            Err(message) => local_line(id, ResponseKind::Error(unavailable(message))),
+            Ok(raw) => Answer::Raw(raw),
+            Err(message) => ResponseKind::Error(unavailable(message)).into(),
         };
     }
     note_fanout(state, distinct.len() as u64);
@@ -781,23 +537,23 @@ fn route_batch(
     let items: Vec<BatchItem> =
         items.into_iter().map(|item| item.expect("every index answered")).collect();
     if per_item == Some(true) {
-        return local_line(id, ResponseKind::BatchItems(items));
+        return ResponseKind::BatchItems(items).into();
     }
     // Legacy all-or-nothing reassembly: a whole-sub-batch refusal (shed or
     // unreachable replica) refuses the whole batch, as the daemon's admission
     // would; otherwise the first failing item (in request order) carries its
     // indexed error, matching the daemon's fail-fast/collect semantics.
     if let Some(error) = whole_errors.into_iter().next() {
-        return local_line(id, ResponseKind::Error(error));
+        return ResponseKind::Error(error).into();
     }
     let mut results = Vec::with_capacity(items.len());
     for item in items {
         match item.into_result() {
             Ok(result) => results.push(result),
-            Err(error) => return local_line(id, ResponseKind::Error(error)),
+            Err(error) => return ResponseKind::Error(error).into(),
         }
     }
-    local_line(id, ResponseKind::Batch(results))
+    ResponseKind::Batch(results).into()
 }
 
 /// Rewrites a per-item error message's `evals[j]: ` prefix (the daemon indexes
@@ -817,12 +573,11 @@ fn reindex_message(message: &str, sub_index: usize, original_index: usize) -> St
 mod tests {
     use super::*;
 
-    /// The router-side half of the poisoned-lock regression (PR 9 pinned the
-    /// daemon's `server.rs` recovery only): a panic that dies holding live
-    /// router locks — the connection registry and a replica slot's client
-    /// lock, the two mutexes on the routing path — must not stop the router
-    /// from admitting connections, routing evals through the poisoned slot,
-    /// aggregating stats, or shutting down cleanly.
+    /// The router-side half of the poisoned-lock regression (the front end's
+    /// connection registry has its own test in `qec_serve::front`): a panic
+    /// that dies holding a replica slot's client lock must not stop the
+    /// router from routing evals through the poisoned slot, aggregating
+    /// stats, or shutting down cleanly.
     #[test]
     fn a_poisoned_router_lock_keeps_the_router_routing() {
         use leakage_speculation::PolicyKind;
@@ -877,27 +632,24 @@ mod tests {
                 .unwrap();
         let router_addr = router.local_addr().to_string();
 
-        // Poison the live locks exactly as a mid-request panic would: a
-        // thread dies while holding both guards.
+        // Poison the slot lock exactly as a mid-request panic would: a
+        // thread dies while holding the guard.
         {
             let prior = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
             let _ = std::thread::scope(|scope| {
                 scope
                     .spawn(|| {
-                        let _connections =
-                            router.state.connections.lock().unwrap_or_else(PoisonError::into_inner);
-                        let _slot = router.state.replicas[0]
+                        let _slot = router.replicas[0]
                             .client
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner);
-                        panic!("poison the router locks");
+                        panic!("poison the replica slot lock");
                     })
                     .join()
             });
             std::panic::set_hook(prior);
-            assert!(router.state.connections.is_poisoned(), "connection registry must poison");
-            assert!(router.state.replicas[0].client.is_poisoned(), "replica slot must poison");
+            assert!(router.replicas[0].client.is_poisoned(), "replica slot must poison");
         }
 
         let handle = std::thread::spawn(move || router.run());
@@ -926,7 +678,6 @@ mod tests {
         };
         assert_eq!(stats.replicas_up, 2, "both replicas must stay reachable");
         assert!(stats.routed_requests >= 1, "the eval was routed: {stats:?}");
-        // Clean shutdown walks the poisoned connection registry.
         assert_eq!(client.request(RequestKind::Shutdown).unwrap(), ResponseKind::ShuttingDown);
         handle.join().unwrap();
         for (addr, replica_handle) in replicas {

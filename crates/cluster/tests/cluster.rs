@@ -4,6 +4,8 @@
 //! and a dead replica yields typed `unavailable` errors within the client's
 //! deadline, never a hang and never a torn batch.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -65,8 +67,8 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn start(dir: &Path) -> Daemon {
-        let server = Server::bind(dir, &ServeConfig::default()).unwrap();
+    fn start(dir: &Path, config: &ServeConfig) -> Daemon {
+        let server = Server::bind(dir, config).unwrap();
         let addr = server.local_addr().to_string();
         Daemon { addr, handle: std::thread::spawn(move || server.run()) }
     }
@@ -93,11 +95,18 @@ fn start_cluster(name: &str, config: &RouterConfig) -> Cluster {
     let keys = record_split_corpus(&corpus_dir);
     let out_dir = tmp_dir(&format!("{name}-sharded"));
     let map = shard_corpus(&corpus_dir, &out_dir, 2, &ShardOptions::default()).unwrap();
-    let replicas: Vec<Daemon> =
-        map.replicas.iter().map(|replica| Daemon::start(&out_dir.join(&replica.dir))).collect();
+    let replicas: Vec<Daemon> = map
+        .replicas
+        .iter()
+        .map(|replica| Daemon::start(&out_dir.join(&replica.dir), &ServeConfig::default()))
+        .collect();
     let overrides: Vec<(usize, String)> =
         replicas.iter().enumerate().map(|(index, daemon)| (index, daemon.addr.clone())).collect();
-    let monolithic = Daemon::start(&corpus_dir);
+    // The comparison daemon shares the router's connection limit, so
+    // connection-level answers compare byte for byte too.
+    let mono_config =
+        ServeConfig { max_connections: config.max_connections, ..ServeConfig::default() };
+    let monolithic = Daemon::start(&corpus_dir, &mono_config);
     let router = Router::bind(&out_dir.join(CLUSTER_FILE), &overrides, config).unwrap();
     let router_addr = router.local_addr().to_string();
     let router_handle = std::thread::spawn(move || router.run());
@@ -131,6 +140,42 @@ fn eval_spec(key: &str, policy: &str) -> EvalSpec {
         decode: None,
         decoder: None,
     }
+}
+
+/// Writes each raw line in turn on one fresh connection and reads its one
+/// answer line; a connection closed instead of answering fails the test.
+fn raw_session(addr: &str, lines: &[Vec<u8>]) -> Vec<String> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut answers = Vec::new();
+    for line in lines {
+        writer.write_all(line).unwrap();
+        let mut answer = String::new();
+        let read = reader.read_line(&mut answer).unwrap();
+        assert!(
+            read > 0,
+            "{addr} closed the connection instead of answering line {}",
+            answers.len()
+        );
+        answers.push(answer);
+    }
+    answers
+}
+
+/// Connects until admitted: a dropped client's slot frees only when its worker
+/// sees EOF, so a connect right after the drop may still be shed.
+fn admitted_client(addr: &str) -> Client {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        if let Ok(mut client) = Client::connect(addr) {
+            if client.request(RequestKind::Ping) == Ok(ResponseKind::Pong) {
+                return client;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("{addr} never admitted a new connection");
 }
 
 /// Sends the same raw request lines to the router and the monolithic daemon,
@@ -292,9 +337,77 @@ fn merged_list_cells_is_byte_identical_to_monolithic() {
     cluster.shutdown();
 }
 
+/// Malformed input is answered by the shared front end, so its bytes match
+/// too: an invalid-UTF-8 line and a newline-free line of twice the 1 MiB cap
+/// each get a `bad-request`, and the same connection then answers `ping`.
+#[test]
+fn malformed_lines_get_bad_request_on_a_surviving_connection_routed_and_monolithic() {
+    let cluster = start_cluster("malformed", &RouterConfig::default());
+    let mut over_long = vec![b'x'; 2 << 20];
+    over_long.push(b'\n');
+    let session =
+        [b"\xff\xfe\n".to_vec(), over_long, b"{\"id\":1,\"request\":\"ping\"}\n".to_vec()];
+    let routed = raw_session(&cluster.router_addr, &session);
+    let mono = raw_session(&cluster.monolithic.addr, &session);
+    for answers in [&routed, &mono] {
+        let kinds: Vec<ResponseKind> =
+            answers.iter().map(|line| parse_response(line.trim_end()).unwrap().response).collect();
+        for kind in &kinds[..2] {
+            let ResponseKind::Error(error) = kind else { panic!("expected bad-request: {kind:?}") };
+            assert_eq!(error.code, ErrorCode::BadRequest, "{error}");
+        }
+        assert_eq!(kinds[2], ResponseKind::Pong);
+    }
+    assert_eq!(routed, mono, "routed malformed-line answers must be the daemon's bytes");
+    cluster.shutdown();
+}
+
 // ---------------------------------------------------------------------------------
 // router-local semantics
 // ---------------------------------------------------------------------------------
+
+/// The router enforces `max_connections` with the daemon's exact greeting,
+/// leaves the admitted connection serving, and frees the slot on disconnect.
+#[test]
+fn router_connection_limit_sheds_with_the_daemons_greeting_and_frees_the_slot() {
+    let config = RouterConfig { max_connections: 1, ..RouterConfig::default() };
+    let cluster = start_cluster("conn-limit", &config);
+    // A ping round trip proves each connection was admitted, so the next
+    // connection to either side is deterministically over the limit.
+    let mut routed = Client::connect(&cluster.router_addr).unwrap();
+    let mut mono = Client::connect(&cluster.monolithic.addr).unwrap();
+    assert_eq!(routed.request(RequestKind::Ping).unwrap(), ResponseKind::Pong);
+    assert_eq!(mono.request(RequestKind::Ping).unwrap(), ResponseKind::Pong);
+    let shed_greeting = |addr: &str| {
+        let mut reader = BufReader::new(TcpStream::connect(addr).unwrap());
+        let (mut greeting, mut rest) = (String::new(), String::new());
+        reader.read_line(&mut greeting).unwrap();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "a shed connection must be closed");
+        greeting
+    };
+    let greeting = shed_greeting(&cluster.router_addr);
+    assert_eq!(greeting, shed_greeting(&cluster.monolithic.addr), "the daemon's greeting bytes");
+    let response = parse_response(greeting.trim_end()).unwrap();
+    assert_eq!(response.id, None, "no request to correlate with");
+    let ResponseKind::Error(error) = response.response else { panic!("{greeting}") };
+    assert_eq!(error.code, ErrorCode::Overloaded);
+    // The admitted connection never noticed, and its slot frees on drop.
+    assert_eq!(routed.request(RequestKind::Ping).unwrap(), ResponseKind::Pong);
+    drop(routed);
+    let mut retry = admitted_client(&cluster.router_addr);
+    let eval = RequestKind::Eval(eval_spec(&cluster.keys[0], "ideal"));
+    let ResponseKind::Eval(_) = retry.request(eval).unwrap() else {
+        panic!("the new client routes")
+    };
+    // Shut down over the admitted connections: a fresh one could be shed.
+    assert_eq!(retry.request(RequestKind::Shutdown).unwrap(), ResponseKind::ShuttingDown);
+    cluster.router_handle.join().unwrap();
+    assert_eq!(mono.request(RequestKind::Shutdown).unwrap(), ResponseKind::ShuttingDown);
+    cluster.monolithic.handle.join().unwrap();
+    for replica in cluster.replicas {
+        replica.shutdown();
+    }
+}
 
 #[test]
 fn version_identifies_the_router_and_stats_aggregate_with_router_counters() {
@@ -488,7 +601,7 @@ fn hung_replica_yields_unavailable_within_the_io_deadline() {
     let out_dir = tmp_dir("hung-sharded");
     let map = shard_corpus(&corpus_dir, &out_dir, 2, &ShardOptions::default()).unwrap();
     // Replica 0 is real; replica 1 is the black hole.
-    let real = Daemon::start(&out_dir.join(&map.replicas[0].dir));
+    let real = Daemon::start(&out_dir.join(&map.replicas[0].dir), &ServeConfig::default());
     let overrides = vec![(0, real.addr.clone()), (1, hung_addr)];
     let config = RouterConfig {
         replica_timeout: Some(Duration::from_millis(300)),

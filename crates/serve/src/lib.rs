@@ -10,19 +10,23 @@
 //! policies against one recorded execution" loop that ERASER-style adaptive
 //! suppression needs at scale:
 //!
-//! * [`server`] — a daemon over `std::net::TcpListener` speaking a
-//!   newline-delimited JSON protocol, with a **bounded** connection model: an
-//!   acceptor thread feeding a fixed pool of connection workers (hard
-//!   connection limit), evaluation work fanned out on a persistent
-//!   `rayon::ThreadPool` behind a bounded admission queue (explicit
-//!   `overloaded` backpressure instead of stalling), and a hot-swappable
-//!   corpus snapshot (the daemon watches `manifest.json` and atomically
-//!   swaps the cell index without dropping connections). It holds an
-//!   LRU-bounded in-memory cache of corpus cells ([`cache`]) with their
-//!   shared evaluation artifacts (calibrated `PolicyFactory`, lazily built
-//!   union-find decoder) and answers `cell × policy → metrics` queries
-//!   without reloading anything, streaming shard bytes shot-at-a-time on a
-//!   cache miss.
+//! * [`server`] — a daemon speaking a newline-delimited JSON protocol, with
+//!   evaluation work fanned out on a persistent `rayon::ThreadPool` behind a
+//!   bounded admission queue (explicit `overloaded` backpressure instead of
+//!   stalling), and a hot-swappable corpus snapshot (the daemon watches
+//!   `manifest.json` and atomically swaps the cell index without dropping
+//!   connections). It holds an LRU-bounded in-memory cache of corpus cells
+//!   ([`cache`]) with their shared evaluation artifacts (calibrated
+//!   `PolicyFactory`, lazily built union-find decoder) and answers
+//!   `cell × policy → metrics` queries without reloading anything, streaming
+//!   shard bytes shot-at-a-time on a cache miss.
+//! * [`front`] — the **bounded** connection front end the daemon and the
+//!   `qec-cluster` router both run: an acceptor thread feeding a fixed pool
+//!   of connection workers (hard connection limit, `overloaded` greeting
+//!   beyond it), a capped line reader that answers unreadable or over-long
+//!   lines with `bad-request` on a surviving connection, panic containment,
+//!   and the shutdown drain. It drives a request handler; the daemon's
+//!   evaluates, the router's forwards.
 //! * [`protocol`] — the wire types: `ping`/`version`/`stats`,
 //!   `list-cells`/`stat-cell`/`verify-cell`, `eval`/`batch-eval` (all-or-
 //!   nothing or per-item result-or-error entries), `shutdown`, plus typed
@@ -48,6 +52,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod protocol;
 pub mod server;
 

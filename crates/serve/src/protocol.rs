@@ -212,8 +212,25 @@ pub struct VersionInfo {
     pub replay_schema: u32,
 }
 
+impl VersionInfo {
+    /// This build's versions and provenance for the server named `name`
+    /// (`qec-serve` or `qec-cluster`); every workspace crate shares one
+    /// version number.
+    #[must_use]
+    pub fn new(name: &str) -> VersionInfo {
+        VersionInfo {
+            server: format!("{name} {}", env!("CARGO_PKG_VERSION")),
+            git_describe: qec_experiments::sweep::git_describe(),
+            protocol: PROTOCOL_VERSION,
+            trace_schema: qec_trace::TRACE_SCHEMA_VERSION,
+            manifest_schema: qec_trace::MANIFEST_SCHEMA_VERSION,
+            replay_schema: qec_experiments::replay::REPLAY_SCHEMA_VERSION,
+        }
+    }
+}
+
 /// Counters since server start. All counters are totals, never reset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Requests handled (all kinds, malformed lines included).
     pub requests: u64,

@@ -1,20 +1,13 @@
-//! The daemon: an acceptor thread, a fixed pool of connection workers, and
-//! the dispatch from protocol requests to corpus-backed evaluations.
+//! The daemon: the dispatch from protocol requests to corpus-backed
+//! evaluations, served through the shared connection front end
+//! ([`crate::front`]).
 //!
-//! The connection model is bounded end to end. The thread calling
-//! [`Server::run`] accepts sockets and hands them to a **fixed** pool of
-//! connection-worker threads (one per admissible connection — threads are
-//! allocated once, at startup, never per connection); a connection beyond
-//! `max_connections` is answered with one typed `overloaded` error line and
-//! closed instead of growing the pool. On each live connection, requests are
-//! answered strictly in arrival order, every failure mapped to a typed
-//! [`WireError`] response — malformed input never crashes the server or
-//! closes the connection. Evaluation work (solo `eval`, `batch-eval` groups,
-//! `verify-cell` re-reads) runs on a persistent [`rayon::ThreadPool`] shared
-//! by all connections, behind a bounded admission queue: when the in-flight
-//! evaluation weight would exceed `queue_limit`, the request is refused with
-//! an `overloaded` error on its own (surviving) connection rather than
-//! stalling everyone — explicit backpressure instead of collapse.
+//! Evaluation work (solo `eval`, `batch-eval` groups, `verify-cell` re-reads)
+//! runs on a persistent [`rayon::ThreadPool`] shared by all connections,
+//! behind a bounded admission queue: when the in-flight evaluation weight
+//! would exceed `queue_limit`, the request is refused with an `overloaded`
+//! error on its own (surviving) connection rather than stalling everyone —
+//! explicit backpressure instead of collapse.
 //!
 //! The served corpus is a hot-swappable snapshot: the daemon stamps
 //! `manifest.json` (mtime + length) between requests and, when the stamp
@@ -24,28 +17,24 @@
 //! started on — a reload never drops a connection and never yields a
 //! mixed-snapshot row.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use leakage_speculation::PolicyKind;
 use qec_decoder::{DecoderBackend, DecoderKind};
 use qec_experiments::replay::{
     evaluate_cell_set, evaluation_row, load_entry, reproduces_live, CheckpointStats,
-    REPLAY_SCHEMA_VERSION,
 };
-use qec_experiments::sweep::git_describe;
 use qec_experiments::ReplayMode;
 use qec_trace::{manifest_stamp, read_trace_header, Corpus, CorpusEntry, ManifestStamp};
 
 use crate::cache::{CachedCell, CellCache};
+use crate::front::Front;
 use crate::protocol::{
-    parse_request, response_line, BatchItem, CellStat, ErrorCode, EvalResult, EvalSpec,
-    RequestKind, Response, ResponseKind, ServerStats, VerifiedCell, VersionInfo, WireError,
-    PROTOCOL_VERSION,
+    BatchItem, CellStat, ErrorCode, EvalResult, EvalSpec, RequestKind, ResponseKind, ServerStats,
+    VerifiedCell, VersionInfo, WireError,
 };
 
 /// Server construction options.
@@ -91,62 +80,12 @@ struct CorpusSnapshot {
     cache: CellCache,
 }
 
-/// Admitted-but-not-yet-served connections, handed from the acceptor to the
-/// connection workers. `close` drops whatever is still pending (shutdown
-/// refuses no one an in-flight answer, but queued sockets that never reached
-/// a worker are simply closed) and wakes every idle worker so the pool can
-/// join deterministically.
-struct ConnQueue {
-    inner: Mutex<ConnQueueState>,
-    ready: Condvar,
-}
-
-struct ConnQueueState {
-    pending: VecDeque<TcpStream>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    fn new() -> Self {
-        ConnQueue {
-            inner: Mutex::new(ConnQueueState { pending: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn push(&self, stream: TcpStream) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.closed {
-            return; // dropped: the daemon is shutting down
-        }
-        inner.pending.push_back(stream);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(stream) = inner.pending.pop_front() {
-                return Some(stream);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.closed = true;
-        inner.pending.clear();
-        self.ready.notify_all();
-    }
-}
-
-/// Shared server state: the corpus snapshot, the persistent pool, the
-/// admission gauges and the traffic counters behind the `stats` response.
-struct ServerState {
+/// A bound, not-yet-running daemon: the connection front end, the corpus
+/// snapshot, the persistent pool, the admission gauges and the traffic
+/// counters behind the `stats` response. [`Server::run`] blocks until a
+/// `shutdown` request arrives.
+pub struct Server {
+    front: Front,
     /// The current corpus snapshot; replaced wholesale on a hot reload.
     snapshot: RwLock<Arc<CorpusSnapshot>>,
     /// Last `manifest.json` stamp acted on. Also serializes reload checks:
@@ -155,11 +94,7 @@ struct ServerState {
     corpus_dir: PathBuf,
     cache_cells: usize,
     pool: rayon::ThreadPool,
-    addr: SocketAddr,
-    max_connections: usize,
     queue_limit: usize,
-    conn_queue: ConnQueue,
-    requests: AtomicU64,
     evals: AtomicU64,
     batch_evals: AtomicU64,
     /// Shot-level forced prefix re-executions performed by the
@@ -170,34 +105,18 @@ struct ServerState {
     suffixes_served: AtomicU64,
     /// Most simulator checkpoints held at once by any shared evaluation.
     peak_checkpoints: AtomicU64,
-    /// Connections admitted and not yet finished (the connection-limit gauge:
-    /// only the acceptor increments, so the limit is never exceeded).
-    active_connections: AtomicU64,
     /// Evaluation units currently in flight (admission gauge for
     /// `queue_limit`).
     queue_depth: AtomicU64,
     queue_depth_hwm: AtomicU64,
     shed_requests: AtomicU64,
-    shed_connections: AtomicU64,
     corpus_reloads: AtomicU64,
-    shutdown: AtomicBool,
-    /// Read-half clones of open connections, so shutdown can unblock handler
-    /// threads parked in `read_line` (an idle client must not keep the daemon
-    /// alive forever).
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-}
-
-/// A bound, not-yet-running daemon. [`Server::run`] blocks until a `shutdown`
-/// request arrives.
-pub struct Server {
-    listener: TcpListener,
-    state: ServerState,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.state.addr)
+            .field("addr", &self.local_addr())
             .field("cells", &self.corpus_cells())
             .finish()
     }
@@ -218,9 +137,7 @@ impl Server {
                 corpus_dir.display()
             ));
         }
-        let listener =
-            TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?;
+        let front = Front::bind(&config.addr, config.max_connections)?;
         let pool = if config.pool_threads == 0 {
             rayon::ThreadPool::with_default_threads()
         } else {
@@ -229,214 +146,51 @@ impl Server {
         let stamp = manifest_stamp(corpus_dir);
         let cache_cells = config.cache_cells;
         Ok(Server {
-            listener,
-            state: ServerState {
-                snapshot: RwLock::new(Arc::new(CorpusSnapshot {
-                    corpus,
-                    cache: CellCache::new(cache_cells),
-                })),
-                reload: Mutex::new(stamp),
-                corpus_dir: corpus_dir.to_path_buf(),
-                cache_cells,
-                pool,
-                addr,
-                max_connections: config.max_connections.max(1),
-                queue_limit: config.queue_limit.max(1),
-                conn_queue: ConnQueue::new(),
-                requests: AtomicU64::new(0),
-                evals: AtomicU64::new(0),
-                batch_evals: AtomicU64::new(0),
-                shared_passes: AtomicU64::new(0),
-                suffixes_served: AtomicU64::new(0),
-                peak_checkpoints: AtomicU64::new(0),
-                active_connections: AtomicU64::new(0),
-                queue_depth: AtomicU64::new(0),
-                queue_depth_hwm: AtomicU64::new(0),
-                shed_requests: AtomicU64::new(0),
-                shed_connections: AtomicU64::new(0),
-                corpus_reloads: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-                connections: Mutex::new(Vec::new()),
-            },
+            front,
+            snapshot: RwLock::new(Arc::new(CorpusSnapshot {
+                corpus,
+                cache: CellCache::new(cache_cells),
+            })),
+            reload: Mutex::new(stamp),
+            corpus_dir: corpus_dir.to_path_buf(),
+            cache_cells,
+            pool,
+            queue_limit: config.queue_limit.max(1),
+            evals: AtomicU64::new(0),
+            batch_evals: AtomicU64::new(0),
+            shared_passes: AtomicU64::new(0),
+            suffixes_served: AtomicU64::new(0),
+            peak_checkpoints: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            queue_depth_hwm: AtomicU64::new(0),
+            shed_requests: AtomicU64::new(0),
+            corpus_reloads: AtomicU64::new(0),
         })
     }
 
     /// The bound address (resolves an ephemeral port request).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.front.local_addr()
     }
 
     /// Number of cells in the served corpus manifest (the current snapshot).
     #[must_use]
     pub fn corpus_cells(&self) -> usize {
-        current_snapshot(&self.state).corpus.entries().len()
+        current_snapshot(self).corpus.entries().len()
     }
 
     /// Accepts and serves connections until a `shutdown` request is handled,
-    /// then drains the worker pool deterministically and returns: the
-    /// connection queue is closed (idle workers wake and exit, queued-but-
-    /// unserved sockets are dropped), open connections' read halves are shut
-    /// so parked handlers finish their in-flight response and see EOF, and
-    /// the scope joins every thread.
+    /// then drains the connection workers and returns ([`Front::run`]).
     pub fn run(self) {
-        let Server { listener, state } = self;
-        let state = &state;
-        let next_id = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..state.max_connections {
-                scope.spawn(|| connection_worker(state, &next_id));
-            }
-            for stream in listener.incoming() {
-                if state.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // Request/response lines are tiny; Nagle + delayed ACK would
-                // add ~40ms stalls per round trip on small writes.
-                let _ = stream.set_nodelay(true);
-                // Hard connection limit. Only this thread increments the
-                // gauge, so admitted connections never exceed the worker
-                // count and every admitted socket gets a worker promptly.
-                let admitted = state.active_connections.fetch_add(1, Ordering::AcqRel);
-                if admitted >= state.max_connections as u64 {
-                    state.active_connections.fetch_sub(1, Ordering::AcqRel);
-                    state.shed_connections.fetch_add(1, Ordering::Relaxed);
-                    shed_connection(state, stream);
-                    continue;
-                }
-                state.conn_queue.push(stream);
-            }
-            // Shutdown: wake idle workers (and drop never-served sockets)...
-            state.conn_queue.close();
-            // ...then close the *read* side of every remaining connection so
-            // parked handlers cannot keep the join alive. Writes stay open,
-            // so a handler mid-request still delivers its in-flight response
-            // before seeing EOF — the protocol doc's "force-closed after
-            // their in-flight request".
-            for (_, conn) in state.connections.lock().unwrap_or_else(PoisonError::into_inner).iter()
-            {
-                let _ = conn.shutdown(std::net::Shutdown::Read);
-            }
-        });
+        self.front.run(|_, request| handle_request(&self, request).into());
     }
-}
-
-/// One connection-worker thread: serves admitted connections, one at a time,
-/// until the queue is closed. Registers each connection's read half so
-/// shutdown can unblock a parked `read_line`.
-fn connection_worker(state: &ServerState, next_id: &AtomicU64) {
-    while let Some(stream) = state.conn_queue.pop() {
-        let id = next_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            state.connections.lock().unwrap_or_else(PoisonError::into_inner).push((id, clone));
-        }
-        handle_connection(state, stream);
-        state
-            .connections
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|(conn_id, _)| *conn_id != id);
-        state.active_connections.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Answers an over-limit connection with a single typed `overloaded` error
-/// line (`id` null — there is no request to correlate with) and closes it.
-/// Established connections are unaffected; the client may reconnect later.
-fn shed_connection(state: &ServerState, mut stream: TcpStream) {
-    let error = WireError::new(
-        ErrorCode::Overloaded,
-        format!(
-            "connection limit reached ({} active); connection refused — retry later",
-            state.max_connections
-        ),
-    );
-    let response = Response { id: None, v: PROTOCOL_VERSION, response: ResponseKind::Error(error) };
-    let _ = writeln!(stream, "{}", response_line(&response));
-    let _ = stream.flush();
-}
-
-/// Serves one connection: reads LF-terminated request lines, answers each in
-/// order. Empty lines are ignored; EOF or a write failure ends the
-/// connection; a `shutdown` request ends the whole server.
-fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let reader = BufReader::new(read_half);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        let (id, contained) = match parse_request(&line) {
-            Ok(request) => (request.id, contain_panic(|| handle_request(state, request.request))),
-            Err(error) => (None, Ok(ResponseKind::Error(error))),
-        };
-        // A contained panic answers with a typed `internal` error and then
-        // closes *this* connection only — the worker thread survives to serve
-        // the next socket, and every other connection is untouched.
-        let (outcome, panicked) = match contained {
-            Ok(outcome) => (outcome, false),
-            Err(error) => (ResponseKind::Error(error), true),
-        };
-        let stop = matches!(outcome, ResponseKind::ShuttingDown);
-        let response = Response { id, v: PROTOCOL_VERSION, response: outcome };
-        if writeln!(writer, "{}", response_line(&response)).is_err() {
-            break;
-        }
-        let _ = writer.flush();
-        if panicked {
-            break;
-        }
-        if stop {
-            state.shutdown.store(true, Ordering::Release);
-            // Unblock the accept loop so it observes the flag. A wildcard
-            // bind (0.0.0.0 / ::) is not connectable everywhere, so the poke
-            // targets loopback on the bound port.
-            let mut poke = state.addr;
-            if poke.ip().is_unspecified() {
-                poke.set_ip(match poke {
-                    std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                    std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-                });
-            }
-            let _ = TcpStream::connect(poke);
-            break;
-        }
-    }
-}
-
-/// Runs one request dispatch with panic containment: a panic anywhere in the
-/// dispatch path is caught and mapped to a typed `internal` [`WireError`]
-/// instead of unwinding through the connection worker. The caller answers
-/// with that error and closes the offending connection; the worker thread —
-/// and every other connection — keeps serving. Locks the panicking dispatch
-/// held are recovered by the `PoisonError::into_inner` guards at every lock
-/// site, so one poisoned request cannot cascade into poisoned-lock panics on
-/// later requests.
-fn contain_panic(dispatch: impl FnOnce() -> ResponseKind) -> Result<ResponseKind, WireError> {
-    // AssertUnwindSafe: the shared state behind the closure is lock-guarded,
-    // and every guard recovers from poisoning, so observing post-panic state
-    // is sound.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(dispatch)).map_err(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        WireError::new(
-            ErrorCode::Internal,
-            format!("request panicked server-side: {message}; connection closed"),
-        )
-    })
 }
 
 /// The current corpus snapshot. Cloning the `Arc` under the read lock is the
 /// whole synchronization story: whatever a request resolves after this call
 /// — manifest entries, cache cells, shard paths — comes from one generation.
-fn current_snapshot(state: &ServerState) -> Arc<CorpusSnapshot> {
+fn current_snapshot(state: &Server) -> Arc<CorpusSnapshot> {
     Arc::clone(&state.snapshot.read().unwrap_or_else(PoisonError::into_inner))
 }
 
@@ -468,7 +222,7 @@ fn adaptive_progress(corpus_dir: &Path) -> (u64, u64) {
 /// way. Content-identical rewrites advance the stamp without swapping, so
 /// cache residency (and the exactness of cache-counter tests) survives a
 /// `touch`.
-fn maybe_reload(state: &ServerState) {
+fn maybe_reload(state: &Server) {
     // Another thread mid-check will pick up whatever we would have seen.
     let Ok(mut last) = state.reload.try_lock() else { return };
     let stamp = manifest_stamp(&state.corpus_dir);
@@ -493,7 +247,7 @@ fn maybe_reload(state: &ServerState) {
 
 /// A held slot of the bounded evaluation queue; releases its weight on drop.
 struct QueueSlot<'s> {
-    state: &'s ServerState,
+    state: &'s Server,
     weight: u64,
 }
 
@@ -507,7 +261,7 @@ impl Drop for QueueSlot<'_> {
 /// is admitted only when its **whole** weight fits under `queue_limit` — so
 /// whether a given request sheds is a deterministic function of what is in
 /// flight, never of how far over the limit it would land.
-fn try_enqueue(state: &ServerState, weight: u64) -> Option<QueueSlot<'_>> {
+fn try_enqueue(state: &Server, weight: u64) -> Option<QueueSlot<'_>> {
     let limit = state.queue_limit as u64;
     let mut depth = state.queue_depth.load(Ordering::Relaxed);
     loop {
@@ -530,7 +284,7 @@ fn try_enqueue(state: &ServerState, weight: u64) -> Option<QueueSlot<'_>> {
 
 /// The typed refusal a shed request is answered with. Nothing was evaluated;
 /// the connection survives and the client may retry the identical request.
-fn overloaded(state: &ServerState, weight: u64) -> ResponseKind {
+fn overloaded(state: &Server, weight: u64) -> ResponseKind {
     state.shed_requests.fetch_add(1, Ordering::Relaxed);
     ResponseKind::Error(WireError::new(
         ErrorCode::Overloaded,
@@ -544,22 +298,13 @@ fn overloaded(state: &ServerState, weight: u64) -> ResponseKind {
 
 /// Dispatches one parsed request. Never panics on user input: every failure
 /// becomes a typed error response.
-fn handle_request(state: &ServerState, request: RequestKind) -> ResponseKind {
+fn handle_request(state: &Server, request: RequestKind) -> ResponseKind {
     // Corpus-free kinds first: pure liveness and identity, never shed, and
     // deliberately untouched by reload checks.
     match request {
         RequestKind::Ping => return ResponseKind::Pong,
         RequestKind::Shutdown => return ResponseKind::ShuttingDown,
-        RequestKind::Version => {
-            return ResponseKind::Version(VersionInfo {
-                server: format!("qec-serve {}", env!("CARGO_PKG_VERSION")),
-                git_describe: git_describe(),
-                protocol: PROTOCOL_VERSION,
-                trace_schema: qec_trace::TRACE_SCHEMA_VERSION,
-                manifest_schema: qec_trace::MANIFEST_SCHEMA_VERSION,
-                replay_schema: REPLAY_SCHEMA_VERSION,
-            })
-        }
+        RequestKind::Version => return ResponseKind::Version(VersionInfo::new("qec-serve")),
         _ => {}
     }
     // Everything below reads the corpus: check for a hot manifest swap, then
@@ -574,7 +319,6 @@ fn handle_request(state: &ServerState, request: RequestKind) -> ResponseKind {
             let cache = snapshot.cache.stats();
             let (adaptive_rounds, shots_allocated) = adaptive_progress(&state.corpus_dir);
             ResponseKind::Stats(ServerStats {
-                requests: state.requests.load(Ordering::Relaxed),
                 evals: state.evals.load(Ordering::Relaxed),
                 batch_evals: state.batch_evals.load(Ordering::Relaxed),
                 cache_hits: cache.hits,
@@ -586,21 +330,15 @@ fn handle_request(state: &ServerState, request: RequestKind) -> ResponseKind {
                 shared_passes: state.shared_passes.load(Ordering::Relaxed),
                 suffixes_served: state.suffixes_served.load(Ordering::Relaxed),
                 peak_checkpoints: state.peak_checkpoints.load(Ordering::Relaxed),
-                active_connections: state.active_connections.load(Ordering::Relaxed),
-                max_connections: state.max_connections,
                 queue_depth_hwm: state.queue_depth_hwm.load(Ordering::Relaxed),
                 queue_limit: state.queue_limit,
                 shed_requests: state.shed_requests.load(Ordering::Relaxed),
-                shed_connections: state.shed_connections.load(Ordering::Relaxed),
                 corpus_reloads: state.corpus_reloads.load(Ordering::Relaxed),
-                // Router counters: a plain daemon routes nothing and is not a
-                // replica of itself; only the qec-cluster router fills these.
-                routed_requests: 0,
-                fanout_hwm: 0,
-                replica_errors: 0,
-                replicas_up: 0,
                 adaptive_rounds,
                 shots_allocated,
+                // The connection gauges; the router counters stay 0 (a plain
+                // daemon routes nothing and is not a replica of itself).
+                ..state.front.stats()
             })
         }
         RequestKind::ListCells => ResponseKind::Cells(snapshot.corpus.entries().to_vec()),
@@ -682,7 +420,7 @@ fn stat_cell(snapshot: &CorpusSnapshot, key: &str) -> Result<CellStat, WireError
 /// bypassing the cache (a cached cell proves nothing about today's bytes).
 /// The re-read runs on the evaluation pool like any other heavy work.
 fn verify_cell(
-    state: &ServerState,
+    state: &Server,
     snapshot: &Arc<CorpusSnapshot>,
     key: &str,
 ) -> Result<VerifiedCell, WireError> {
@@ -855,7 +593,7 @@ fn compute_evals(
 ///   independently; the answer carries one result-or-typed-error entry per
 ///   pairing, in request order — one bad pairing no longer poisons the batch.
 fn batch_eval(
-    state: &ServerState,
+    state: &Server,
     snapshot: &CorpusSnapshot,
     evals: &[EvalSpec],
     per_item: bool,
@@ -1005,7 +743,7 @@ mod tests {
         {
             let prior = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let lock = &server.state.snapshot;
+            let lock = &server.snapshot;
             let _ = std::thread::scope(|scope| {
                 scope
                     .spawn(|| {
@@ -1015,7 +753,7 @@ mod tests {
                     .join()
             });
             std::panic::set_hook(prior);
-            assert!(server.state.snapshot.is_poisoned(), "the panic must poison the lock");
+            assert!(server.snapshot.is_poisoned(), "the panic must poison the lock");
         }
 
         let handle = std::thread::spawn(move || server.run());
@@ -1097,47 +835,5 @@ mod tests {
         let _ = client.request(RequestKind::Shutdown);
         handle.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn contain_panic_passes_a_clean_dispatch_through() {
-        let outcome = contain_panic(|| ResponseKind::Pong);
-        assert_eq!(outcome, Ok(ResponseKind::Pong));
-    }
-
-    #[test]
-    fn contain_panic_maps_a_panicking_dispatch_to_a_typed_internal_error() {
-        let prior = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // keep the test log clean
-        let str_panic = contain_panic(|| panic!("decoder exploded"));
-        let string_panic = contain_panic(|| panic!("shot {}", 7));
-        std::panic::set_hook(prior);
-        let error = str_panic.unwrap_err();
-        assert_eq!(error.code, ErrorCode::Internal);
-        assert!(error.message.contains("decoder exploded"), "{}", error.message);
-        assert!(error.message.contains("connection closed"), "{}", error.message);
-        let error = string_panic.unwrap_err();
-        assert_eq!(error.code, ErrorCode::Internal);
-        assert!(error.message.contains("shot 7"), "{}", error.message);
-    }
-
-    /// A thread that panics while holding the connection-queue lock poisons
-    /// it; the queue must keep operating (recovered guards), not cascade the
-    /// panic into every later `lock()`.
-    #[test]
-    fn conn_queue_survives_a_poisoned_lock() {
-        let queue = Arc::new(ConnQueue::new());
-        let poisoner = Arc::clone(&queue);
-        let prior = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().unwrap();
-            panic!("poison the queue");
-        })
-        .join();
-        std::panic::set_hook(prior);
-        assert!(queue.inner.is_poisoned(), "the panic above must have poisoned the lock");
-        queue.close(); // recovers the guard; would panic under `.expect(...)`
-        assert!(queue.pop().is_none(), "a closed queue reports end-of-connections");
     }
 }
