@@ -94,7 +94,7 @@ impl DecoderBackend for LookupDecoder {
 /// serve requests and CLI flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DecoderKind {
-    /// Weighted-growth union–find on the space–time matching graph.
+    /// Union–find (uniform half-edge growth) on the space–time matching graph.
     UnionFind,
     /// Exact maximum-likelihood lookup table (d=3 surface/color only).
     Lookup,

@@ -1,12 +1,15 @@
 //! Union–find cluster bookkeeping used by the decoder.
 
-/// Disjoint-set forest tracking, per cluster root: defect parity, whether the cluster
-/// has absorbed the boundary node, and the cluster's member list (needed for growth and
-//  peeling).
+/// Disjoint-set forest tracking, per cluster root: defect parity and whether the
+/// cluster has absorbed the boundary node; plus, for every cluster, its member list as a
+/// circular ring, so growth can visit a cluster's nodes without scanning the graph.
 #[derive(Debug, Clone)]
 pub struct ClusterSet {
     parent: Vec<usize>,
     rank: Vec<u32>,
+    /// Next member of the same cluster; following it from any member visits the whole
+    /// cluster once and returns to the start.
+    next: Vec<usize>,
     /// Number of defects in the cluster rooted here (valid at roots only).
     defects: Vec<usize>,
     /// Whether the cluster touches the virtual boundary (valid at roots only).
@@ -23,6 +26,7 @@ impl ClusterSet {
         ClusterSet {
             parent: (0..n).collect(),
             rank: vec![0; n],
+            next: (0..n).collect(),
             defects: defect.iter().map(|&d| usize::from(d)).collect(),
             touches_boundary: boundary.to_vec(),
         }
@@ -64,12 +68,21 @@ impl ClusterSet {
         }
         let (big, small) = if self.rank[ra] >= self.rank[rb] { (ra, rb) } else { (rb, ra) };
         self.parent[small] = big;
+        // Swapping one successor of each ring splices the two rings into one.
+        self.next.swap(big, small);
         if self.rank[big] == self.rank[small] {
             self.rank[big] += 1;
         }
         self.defects[big] += self.defects[small];
         self.touches_boundary[big] = self.touches_boundary[big] || self.touches_boundary[small];
         big
+    }
+
+    /// The member after `v` in its cluster's ring: repeated from any member, it visits
+    /// every member of the cluster exactly once before returning to the start.
+    #[must_use]
+    pub(crate) fn next_member(&self, v: usize) -> usize {
+        self.next[v]
     }
 
     /// Number of defects in the cluster containing `v`.
@@ -133,6 +146,32 @@ mod tests {
         let mut set = ClusterSet::new(&[true, false], &[false, true]);
         set.union(0, 1);
         assert!(!set.is_active(0));
+    }
+
+    fn ring_of(set: &ClusterSet, start: usize) -> Vec<usize> {
+        let mut members = vec![start];
+        let mut v = set.next_member(start);
+        while v != start {
+            members.push(v);
+            v = set.next_member(v);
+        }
+        members.sort_unstable();
+        members
+    }
+
+    #[test]
+    fn member_rings_follow_unions() {
+        let mut set = ClusterSet::new(&[false; 6], &[false; 6]);
+        assert_eq!(ring_of(&set, 3), vec![3]);
+        set.union(0, 1);
+        set.union(4, 5);
+        set.union(1, 5);
+        set.union(0, 4); // already joined: the ring must not split
+        for v in [0, 1, 4, 5] {
+            assert_eq!(ring_of(&set, v), vec![0, 1, 4, 5]);
+        }
+        assert_eq!(ring_of(&set, 2), vec![2]);
+        assert_eq!(ring_of(&set, 3), vec![3]);
     }
 
     #[test]

@@ -1,11 +1,25 @@
-//! Weighted-growth union–find decoder (Delfosse–Nickerson style) over a
-//! [`MatchingGraph`].
-
-use std::collections::VecDeque;
+//! Union–find decoder (Delfosse–Nickerson, arXiv:1709.06218) over a [`MatchingGraph`].
+//!
+//! Growth is uniform and by half-edges: every half-step, each *active* cluster (odd
+//! defect count, boundary not absorbed) adds one unit of growth to every incident edge
+//! that leads out of it; an edge joins the cluster support at two units. Edge weights
+//! ([`qec_codes::matching::MatchingEdge::weight`]) are not read. Only the frontier is
+//! touched: a half-step walks the member rings of the active clusters and their
+//! incident edges, never the whole graph.
+//!
+//! The correction is a pure function of the graph and the events, and two order facts
+//! pin it bit for bit:
+//! * the set of edges grown in a half-step depends only on the current partition into
+//!   clusters, not on the order of unions or on which node is a cluster's root;
+//! * peeling visits edges in [`MatchingGraph::incident_edges`] order and roots its
+//!   spanning trees at the boundary first, then at the defects in ascending order.
 
 use qec_codes::{DataQubitId, MatchingGraph};
 
 use crate::cluster::ClusterSet;
+
+/// Growth units at which an edge joins the cluster support (two half-edges).
+const GROWN: u8 = 2;
 
 /// The decoder's output: which data qubits to flip (Pauli correction) and which
 /// space–time edges were matched.
@@ -68,112 +82,122 @@ impl UnionFindDecoder {
 
         let mut clusters = ClusterSet::new(&defect, &boundary);
         let edges = self.graph.edges();
-        // Integer growth: each edge needs 2 units of growth (one from each side or two
-        // steps from one side) before it is added to the cluster support.
-        let mut growth = vec![0u32; edges.len()];
-        let mut grown = vec![false; edges.len()];
+        // Half-edge units grown per edge; at `GROWN` the edge is in the cluster support
+        // and is never touched again.
+        let mut growth = vec![0u8; edges.len()];
         let defect_nodes: Vec<usize> = (0..n).filter(|&v| defect[v]).collect();
 
-        let mut any_active = defect_nodes.iter().any(|&v| clusters.is_active(v));
+        let mut active_roots: Vec<usize> = Vec::new();
+        let mut newly_grown: Vec<usize> = Vec::new();
         // Each iteration grows every active cluster by half an edge; the number of
         // iterations is bounded by the graph diameter.
         let mut safety = 0usize;
-        while any_active {
+        loop {
+            active_roots.clear();
+            for &v in &defect_nodes {
+                let root = clusters.find(v);
+                if clusters.is_active(root) {
+                    active_roots.push(root);
+                }
+            }
+            if active_roots.is_empty() {
+                break;
+            }
+            active_roots.sort_unstable();
+            active_roots.dedup();
             safety += 1;
             assert!(
                 safety <= 4 * n + 4,
                 "union-find growth failed to terminate (graph disconnected from boundary?)"
             );
-            let mut newly_grown: Vec<usize> = Vec::new();
-            for (idx, edge) in edges.iter().enumerate() {
-                if grown[idx] {
-                    continue;
-                }
-                let root_a = clusters.find(edge.a);
-                let root_b = clusters.find(edge.b);
-                let active_a = clusters.is_active(edge.a);
-                let active_b = clusters.is_active(edge.b);
-                let increment =
-                    if root_a == root_b { 0 } else { u32::from(active_a) + u32::from(active_b) };
-                if increment == 0 {
-                    continue;
-                }
-                growth[idx] += increment;
-                if growth[idx] >= 2 {
-                    grown[idx] = true;
-                    newly_grown.push(idx);
+            // An edge gains one unit for each active cluster it leaves. Unions wait until
+            // the sweep is done, so every cluster grows from the same partition and the
+            // grown set does not depend on the order of the roots.
+            for &root in &active_roots {
+                let mut v = root;
+                loop {
+                    for &eidx in self.graph.incident_edges(v) {
+                        if growth[eidx] == GROWN {
+                            continue;
+                        }
+                        let edge = &edges[eidx];
+                        let other = if edge.a == v { edge.b } else { edge.a };
+                        if clusters.find(other) == root {
+                            continue;
+                        }
+                        growth[eidx] += 1;
+                        if growth[eidx] == GROWN {
+                            newly_grown.push(eidx);
+                        }
+                    }
+                    v = clusters.next_member(v);
+                    if v == root {
+                        break;
+                    }
                 }
             }
-            for idx in newly_grown {
+            for idx in newly_grown.drain(..) {
                 clusters.union(edges[idx].a, edges[idx].b);
             }
-            any_active = defect_nodes.iter().any(|&v| clusters.is_active(v));
         }
 
-        self.peel(&mut clusters, &defect, &grown)
+        self.peel(&defect_nodes, &growth)
     }
 
     /// Peeling phase: inside every cluster, build a spanning forest of the grown edges
     /// and peel leaves so that every defect is paired up (or routed to the boundary).
-    fn peel(&self, clusters: &mut ClusterSet, defect: &[bool], grown: &[bool]) -> Correction {
+    fn peel(&self, defect_nodes: &[usize], growth: &[u8]) -> Correction {
         let n = self.graph.num_nodes();
         let edges = self.graph.edges();
         let boundary = self.graph.boundary();
 
-        // Adjacency restricted to grown edges.
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (idx, edge) in edges.iter().enumerate() {
-            if grown[idx] {
-                adjacency[edge.a].push(idx);
-                adjacency[edge.b].push(idx);
-            }
-        }
-
+        // Each node joins one spanning tree, so one visited/parent state serves all roots.
         let mut visited = vec![false; n];
-        let mut parity: Vec<bool> = defect.to_vec();
+        let mut parent_edge = vec![usize::MAX; n];
+        let mut parity = vec![false; n];
+        for &v in defect_nodes {
+            parity[v] = true;
+        }
         let mut matched_edges = Vec::new();
+        let mut order: Vec<usize> = Vec::new();
 
         // Roots: the boundary first (so boundary-touching clusters are rooted there and
         // can dump an odd defect onto it), then any unvisited defect node.
-        let mut roots: Vec<usize> = vec![boundary];
-        roots.extend((0..n).filter(|&v| defect[v]));
-
-        for &root in &roots {
+        for &root in std::iter::once(&boundary).chain(defect_nodes) {
             if visited[root] {
                 continue;
             }
-            // BFS spanning tree of the cluster containing `root`.
+            // BFS spanning tree of the cluster containing `root`; `order` is its queue.
             visited[root] = true;
-            let mut order: Vec<usize> = vec![root];
-            let mut parent_edge: Vec<Option<usize>> = vec![None; n];
-            let mut parent_node: Vec<usize> = vec![usize::MAX; n];
-            let mut queue = VecDeque::from([root]);
-            while let Some(v) = queue.pop_front() {
-                for &eidx in &adjacency[v] {
+            order.clear();
+            order.push(root);
+            let mut head = 0;
+            while let Some(&v) = order.get(head) {
+                head += 1;
+                for &eidx in self.graph.incident_edges(v) {
+                    if growth[eidx] != GROWN {
+                        continue;
+                    }
                     let edge = &edges[eidx];
                     let other = if edge.a == v { edge.b } else { edge.a };
                     if !visited[other] {
                         visited[other] = true;
-                        parent_edge[other] = Some(eidx);
-                        parent_node[other] = v;
+                        parent_edge[other] = eidx;
                         order.push(other);
-                        queue.push_back(other);
                     }
                 }
             }
             // Peel from the leaves (reverse BFS order): a node carrying a defect sends
             // it to its parent through the tree edge, which becomes part of the
             // correction.
-            for &v in order.iter().rev() {
-                if v == root {
-                    continue;
-                }
+            for &v in order[1..].iter().rev() {
                 if parity[v] {
-                    let eidx = parent_edge[v].expect("non-root nodes have a parent edge");
+                    let eidx = parent_edge[v];
                     matched_edges.push(eidx);
                     parity[v] = false;
-                    let p = parent_node[v];
-                    parity[p] ^= true;
+                    let edge = &edges[eidx];
+                    let parent = if edge.a == v { edge.b } else { edge.a };
+                    parity[parent] ^= true;
                 }
             }
             // Any parity left on the root must be on the boundary (odd clusters always
@@ -183,19 +207,21 @@ impl UnionFindDecoder {
                 "peeling left an unpaired defect inside a cluster"
             );
         }
-        let _ = clusters;
 
         // Project matched space-time edges onto data-qubit flips (temporal edges have
-        // no data qubit and only explain measurement errors).
-        let mut qubit_parity = std::collections::HashMap::new();
-        for &eidx in &matched_edges {
-            if let Some(q) = edges[eidx].data_qubit {
-                *qubit_parity.entry(q).or_insert(0usize) += 1;
+        // no data qubit and only explain measurement errors): a qubit flips when it
+        // appears an odd number of times, i.e. in an odd run of the sorted list.
+        let mut flips: Vec<DataQubitId> =
+            matched_edges.iter().filter_map(|&eidx| edges[eidx].data_qubit).collect();
+        flips.sort_unstable();
+        let mut data_qubits: Vec<DataQubitId> = Vec::new();
+        for q in flips {
+            if data_qubits.last() == Some(&q) {
+                data_qubits.pop();
+            } else {
+                data_qubits.push(q);
             }
         }
-        let mut data_qubits: Vec<DataQubitId> =
-            qubit_parity.into_iter().filter(|&(_, count)| count % 2 == 1).map(|(q, _)| q).collect();
-        data_qubits.sort_unstable();
         matched_edges.sort_unstable();
 
         Correction { data_qubits, matched_edges }
