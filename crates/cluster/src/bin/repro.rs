@@ -18,42 +18,34 @@
 //! repro query    --addr HOST:PORT ACTION [--key KEY] [--policy L1,L2]
 //!                [--closed-loop] [--decode] [--timeout-ms N] [--retries N]
 //! repro list
-//! repro snapshot [--out FILE] [--trace-out FILE] [--cluster-out FILE]
-//!                [--check BASELINE] [--check-trace BASELINE]
-//!                [--check-cluster BASELINE] [--tolerance FRACTION]
 //! repro version | repro --version
 //! ```
 //!
 //! Argument parsing is strict: unknown subcommands, flags or experiment names
-//! print usage to stderr and exit with status 2. `snapshot --check[-trace]`
-//! exits 1 when a benchmark regressed beyond the tolerance; `replay
-//! --verify-live` and `corpus --verify` exit 1 on a mismatch/corruption;
-//! `query` exits 1 on an error response. Everything else exits 0.
+//! print usage to stderr and exit with status 2. `replay --verify-live` and
+//! `corpus --verify` exit 1 on a mismatch/corruption; `query` exits 1 on an
+//! error response. Everything else exits 0.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use leakage_speculation::PolicyKind;
-use qec_cluster::{cluster_snapshot, shard_corpus, Router, RouterConfig, ShardOptions};
+use qec_cluster::{shard_corpus, Router, RouterConfig, ShardOptions};
 use qec_decoder::DecoderKind;
 use qec_experiments::adaptive::{
-    adaptive_snapshot, resume_adaptive, run_adaptive, AdaptiveOutcome, AdaptiveSpec,
-    ADAPTIVE_SCHEMA_VERSION,
+    resume_adaptive, run_adaptive, AdaptiveOutcome, AdaptiveSpec, ADAPTIVE_SCHEMA_VERSION,
 };
 use qec_experiments::replay::{
     cell_key, extend_into_corpus, load_entry, record_into_corpus, replay_corpus_with_stats,
-    trace_snapshot, CellCheckpointStats, ExtendDisposition, ReplayMode, ReplayOptions,
-    ReplayReport, REPLAY_SCHEMA_VERSION,
+    CellCheckpointStats, ExtendDisposition, ReplayMode, ReplayOptions, ReplayReport,
+    REPLAY_SCHEMA_VERSION,
 };
-use qec_experiments::report::{
-    bench_lines_to_string, compare_bench_lines, fmt_float, parse_bench_lines, text_table, to_json,
-};
+use qec_experiments::report::{fmt_float, text_table, to_json};
 use qec_experiments::runners::{self, Scale};
 use qec_experiments::scenario::CodeFamily;
 use qec_experiments::sweep::{
-    git_describe, run_sweep, run_sweep_with_corpus, snapshot, snapshot_spec, SweepReport,
-    SweepSpec, SWEEP_SCHEMA_VERSION,
+    git_describe, run_sweep, run_sweep_with_corpus, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION,
 };
 use qec_serve::client::ClientConfig;
 use qec_serve::{
@@ -178,17 +170,10 @@ commands:
             --retries N (default 0) re-sends a request the server shed with
             a typed `overloaded` error, after a short growing backoff
   list      print known experiments, policies and code families
-  snapshot  run the pinned perf sweeps and write BENCH-format lines:
-            repro snapshot [--out FILE] [--trace-out FILE] [--cluster-out FILE]
-            [--check BASELINE] [--check-trace BASELINE]
-            [--check-cluster BASELINE] [--tolerance FRACTION]
-            (default tolerance 0.25 = +25%; the cluster snapshot round-trips
-            a split batch-eval through a 2-replica router next to the same
-            batch against a monolithic daemon)
   version   print version, git provenance and schema versions (also --version)
 
-exit status: 0 ok; 1 gate failure (snapshot --check*, replay --verify-live,
-corpus --verify); 2 usage error
+exit status: 0 ok; 1 gate failure (replay --verify-live, corpus --verify);
+2 usage error
 ";
 
 /// A usage error: the message is printed to stderr followed by the usage text.
@@ -218,7 +203,6 @@ fn main() -> ExitCode {
         Some("route") => cmd_route(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
         Some(other) => Err(UsageError::new(format!("unknown command `{other}`"))),
     };
     match result {
@@ -1511,117 +1495,6 @@ fn cmd_list(args: &[String]) -> Result<ExitCode, UsageError> {
     println!("policies:    {}", PolicyKind::ALL.map(PolicyKind::label).join(", "));
     println!("codes:       {}", CodeFamily::ALL.map(CodeFamily::label).join(", "));
     Ok(ExitCode::SUCCESS)
-}
-
-// ---------------------------------------------------------------------------------
-// repro snapshot
-// ---------------------------------------------------------------------------------
-
-/// Writes `lines` to `out` and, when a baseline is given, gates them against
-/// it. Returns `false` when the gate failed.
-fn snapshot_gate(
-    lines: &[qec_experiments::report::BenchLine],
-    out: &PathBuf,
-    check: Option<&PathBuf>,
-    tolerance: f64,
-) -> Result<bool, UsageError> {
-    let text = bench_lines_to_string(lines);
-    // The artifact lands on disk before the (interruptible) console echo.
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        fs::create_dir_all(parent).expect("create output directory");
-    }
-    fs::write(out, &text).expect("write snapshot file");
-    emit(text.trim_end());
-    emit(&format!("(saved {})", out.display()));
-    let Some(baseline_path) = check else {
-        return Ok(true);
-    };
-    let baseline_text = fs::read_to_string(baseline_path)
-        .map_err(|e| UsageError::new(format!("--check {}: {e}", baseline_path.display())))?;
-    let baseline = parse_bench_lines(&baseline_text)
-        .map_err(|e| UsageError::new(format!("--check {}: {e}", baseline_path.display())))?;
-    let regressions = compare_bench_lines(lines, &baseline, tolerance);
-    if regressions.is_empty() {
-        emit(&format!(
-            "perf gate OK: no benchmark regressed beyond +{:.0}% of {}",
-            tolerance * 100.0,
-            baseline_path.display()
-        ));
-        return Ok(true);
-    }
-    eprintln!(
-        "perf gate FAILED: {} benchmark(s) regressed beyond +{:.0}%:",
-        regressions.len(),
-        tolerance * 100.0
-    );
-    for regression in &regressions {
-        eprintln!(
-            "  {}: {} ns -> {} ns ({:.2}x)",
-            regression.benchmark, regression.baseline_ns, regression.current_ns, regression.ratio
-        );
-    }
-    Ok(false)
-}
-
-fn cmd_snapshot(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut out = PathBuf::from("BENCH_sweep.json");
-    let mut trace_out = PathBuf::from("BENCH_trace.json");
-    let mut cluster_out = PathBuf::from("BENCH_cluster.json");
-    let mut check: Option<PathBuf> = None;
-    let mut check_trace: Option<PathBuf> = None;
-    let mut check_cluster: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--out" => out = PathBuf::from(iter.value("--out")?),
-            "--trace-out" => trace_out = PathBuf::from(iter.value("--trace-out")?),
-            "--cluster-out" => cluster_out = PathBuf::from(iter.value("--cluster-out")?),
-            "--check" => check = Some(PathBuf::from(iter.value("--check")?)),
-            "--check-trace" => check_trace = Some(PathBuf::from(iter.value("--check-trace")?)),
-            "--check-cluster" => {
-                check_cluster = Some(PathBuf::from(iter.value("--check-cluster")?));
-            }
-            "--tolerance" => {
-                tolerance = parse_number("--tolerance", iter.value("--tolerance")?)?;
-            }
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `snapshot`")));
-            }
-        }
-    }
-    let spec = snapshot_spec();
-    emit(&format!(
-        "running pinned snapshot sweep: {} cells x {} samples ...",
-        spec.cell_count(),
-        qec_experiments::sweep::SNAPSHOT_SAMPLES
-    ));
-    let mut sweep_lines = snapshot();
-    emit(&format!(
-        "running pinned adaptive pause/resume snapshot x {} samples ...",
-        qec_experiments::sweep::SNAPSHOT_SAMPLES
-    ));
-    // The adaptive pause/resume line rides in the sweep baseline file, so the
-    // one `--check` gate covers checkpoint + resume overhead too.
-    sweep_lines.extend(adaptive_snapshot());
-    let sweep_ok = snapshot_gate(&sweep_lines, &out, check.as_ref(), tolerance)?;
-    emit(&format!(
-        "running pinned trace snapshot (record/encode/decode/replay/resim) x {} samples ...",
-        qec_experiments::sweep::SNAPSHOT_SAMPLES
-    ));
-    let trace_ok = snapshot_gate(&trace_snapshot(), &trace_out, check_trace.as_ref(), tolerance)?;
-    emit(&format!(
-        "running pinned cluster snapshot (2-replica routed vs monolithic batch-eval) x {} \
-         samples ...",
-        qec_experiments::sweep::SNAPSHOT_SAMPLES
-    ));
-    let cluster_ok =
-        snapshot_gate(&cluster_snapshot(), &cluster_out, check_cluster.as_ref(), tolerance)?;
-    if sweep_ok && trace_ok && cluster_ok {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
-    }
 }
 
 // ---------------------------------------------------------------------------------

@@ -32,8 +32,6 @@
 
 pub mod router;
 pub mod shard;
-pub mod snapshot;
 
 pub use router::{Router, RouterConfig};
 pub use shard::{shard_corpus, ShardOptions};
-pub use snapshot::cluster_snapshot;

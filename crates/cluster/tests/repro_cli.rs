@@ -43,7 +43,19 @@ fn unknown_inputs_exit_2_with_usage_on_stderr() {
     assert_usage_error(&["sweep", "--shots", "many"]);
     assert_usage_error(&["sweep", "--out", "--no-timing"]); // flag where a value belongs
     assert_usage_error(&["list", "extra"]);
-    assert_usage_error(&["snapshot", "--frobnicate"]);
+}
+
+/// There is no `snapshot` command (perfbench is the benchmark): it exits 2 like
+/// any unknown command, and `--help` does not list it.
+#[test]
+fn snapshot_is_an_unknown_command() {
+    let output = run(&["snapshot"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("unknown command `snapshot`"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+    let help = run(&["--help"]);
+    assert!(!String::from_utf8_lossy(&help.stdout).contains("snapshot"));
 }
 
 #[test]
@@ -199,7 +211,6 @@ fn trace_subcommands_reject_bad_usage() {
     assert_usage_error(&["corpus"]); // missing directory
     assert_usage_error(&["corpus", "a", "b"]);
     assert_usage_error(&["sweep", "--record-policy", "ideal"]); // requires --corpus
-    assert_usage_error(&["snapshot", "--check-trace"]); // missing value
 
     // Decoder selection: unknown labels and unsupported pairings exit 2.
     assert_usage_error(&["sweep", "--decoder", "mwpm"]); // unknown decoder

@@ -41,8 +41,6 @@ pub struct MatchingEdge {
     pub b: usize,
     /// The data qubit whose error this edge represents, if it is a spatial edge.
     pub data_qubit: Option<DataQubitId>,
-    /// Edge weight (uniform by default; kept as a field for calibrated decoding).
-    pub weight: f64,
 }
 
 /// Space–time decoding graph for one check basis of a code over a fixed number of
@@ -103,13 +101,11 @@ impl MatchingGraph {
                         a: node(round, *a),
                         b: node(round, *b),
                         data_qubit: Some(q),
-                        weight: 1.0,
                     }),
                     [a] => edges.push(MatchingEdge {
                         a: node(round, *a),
                         b: boundary,
                         data_qubit: Some(q),
-                        weight: 1.0,
                     }),
                     _ => {}
                 }
@@ -121,7 +117,6 @@ impl MatchingGraph {
                         a: node(round, slot),
                         b: node(round + 1, slot),
                         data_qubit: None,
-                        weight: 1.0,
                     });
                 }
             }

@@ -2,10 +2,9 @@
 //!
 //! Growth is uniform and by half-edges: every half-step, each *active* cluster (odd
 //! defect count, boundary not absorbed) adds one unit of growth to every incident edge
-//! that leads out of it; an edge joins the cluster support at two units. Edge weights
-//! ([`qec_codes::matching::MatchingEdge::weight`]) are not read. Only the frontier is
-//! touched: a half-step walks the member rings of the active clusters and their
-//! incident edges, never the whole graph.
+//! that leads out of it; an edge joins the cluster support at two units. Every edge of
+//! the graph has the same weight. Only the frontier is touched: a half-step walks the
+//! member rings of the active clusters and their incident edges, never the whole graph.
 //!
 //! The correction is a pure function of the graph and the events, and two order facts
 //! pin it bit for bit:

@@ -9,7 +9,7 @@
 //!   [`DecoderKind`] as the serializable selector (`uf`, `lookup`),
 //! * [`UnionFindDecoder`] — the union–find decoder of Delfosse & Nickerson on the
 //!   [`qec_codes::MatchingGraph`] space–time graph: uniform half-edge growth of the
-//!   active clusters' frontiers only (edge weights are not read), then peeling,
+//!   active clusters' frontiers only (every edge weighs the same), then peeling,
 //! * [`LookupDecoder`] — an exact maximum-likelihood lookup table for d=3
 //!   surface/color codes, enumerated offline over every error pattern,
 //! * [`syndrome`] — helpers that turn a simulated [`leaky_sim::RunRecord`] into

@@ -20,7 +20,7 @@
 //! Against union–find this is the exactness reference, with one caveat: the
 //! table is exact ML *given the folded syndrome*, while union–find sees the
 //! full space–time syndrome. Neither strictly dominates on every run, but
-//! wherever union–find's edge weights mis-model the noise (leakage above
+//! wherever union–find's uniform edge weights mis-model the noise (leakage above
 //! all) the fold is the more faithful statistic, and across the pinned
 //! operating points the table's logical error rate sits at or below
 //! union–find's.

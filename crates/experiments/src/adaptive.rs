@@ -44,7 +44,7 @@
 //!   corruption suite against it).
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -56,7 +56,6 @@ use qec_trace::{Corpus, TraceError};
 
 use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::MetricsAccumulator;
-use crate::report::BenchLine;
 use crate::scenario::Scenario;
 use crate::sweep::{git_describe, SweepCell, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION};
 
@@ -839,72 +838,6 @@ fn save_state(
     };
     write_checkpoint_state(dir, &state)
         .map_err(|e| format!("{}: {e}", dir.join(STATE_FILE).display()))
-}
-
-// ---------------------------------------------------------------------------------
-// Perf snapshot
-// ---------------------------------------------------------------------------------
-
-/// The pinned spec behind the `sweep/adaptive-resume` benchmark: one d=3
-/// cell, decode on, ceiling 32, an unreachable interval target so the cell
-/// runs to its ceiling across several rounds.
-#[must_use]
-pub fn adaptive_snapshot_spec() -> SweepSpec {
-    use crate::scenario::CodeFamily;
-    use leakage_speculation::PolicyKind;
-    SweepSpec {
-        code: CodeFamily::Surface,
-        distances: vec![3],
-        error_rates: vec![1e-3],
-        leakage_ratios: vec![0.1],
-        policies: vec![PolicyKind::GladiatorM],
-        shots: 32,
-        rounds_per_distance: 10,
-        seed: 11,
-        decode: true,
-        decoders: None,
-        adaptive: Some(AdaptiveSpec {
-            target_rel_halfwidth: 1e-6,
-            confidence: 0.95,
-            initial_batch: 4,
-        }),
-    }
-}
-
-/// Runs the pinned adaptive spec through a full pause/resume cycle
-/// [`crate::sweep::SNAPSHOT_SAMPLES`] times and reports per-allocated-shot
-/// wall time as the `sweep/adaptive-resume` [`BenchLine`] — the perf-gate
-/// guard on checkpoint + resume overhead.
-#[must_use]
-pub fn adaptive_snapshot() -> Vec<BenchLine> {
-    use crate::sweep::SNAPSHOT_SAMPLES;
-    let spec = adaptive_snapshot_spec();
-    let samples: Vec<u64> = (0..SNAPSHOT_SAMPLES)
-        .map(|sample| {
-            let dir = snapshot_dir(sample);
-            let _ = std::fs::remove_dir_all(&dir);
-            let start = std::time::Instant::now();
-            let paused = run_adaptive(&spec, &dir, Some(1)).expect("pinned adaptive spec runs");
-            assert!(paused.is_none(), "one round cannot finish the pinned spec");
-            let outcome = resume_adaptive(&dir, None)
-                .expect("pinned adaptive spec resumes")
-                .expect("unbounded resume completes");
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let _ = std::fs::remove_dir_all(&dir);
-            elapsed / outcome.shots_allocated.max(1)
-        })
-        .collect();
-    vec![BenchLine {
-        benchmark: "sweep/adaptive-resume".to_string(),
-        samples: samples.len(),
-        mean_ns: samples.iter().sum::<u64>() / samples.len() as u64,
-        min_ns: samples.iter().copied().min().unwrap_or(0),
-        max_ns: samples.iter().copied().max().unwrap_or(0),
-    }]
-}
-
-fn snapshot_dir(sample: usize) -> PathBuf {
-    std::env::temp_dir().join(format!("qec-adaptive-snapshot-{}-{sample}", std::process::id()))
 }
 
 #[cfg(test)]

@@ -26,8 +26,10 @@
 //!   serializable data.
 //! * [`sweep`] — grid orchestration: [`sweep::SweepSpec`] expands a parameter grid to
 //!   scenarios, [`sweep::run_sweep`] executes them with shared artifacts across cells
-//!   and returns a schema-versioned [`sweep::SweepReport`]; [`sweep::snapshot`] is the
-//!   pinned perf snapshot behind the CI regression gate.
+//!   and returns a schema-versioned [`sweep::SweepReport`].
+//! * [`adaptive`] — confidence-targeted shot allocation over a sweep grid
+//!   ([`adaptive::run_adaptive`]), checkpointed at every round boundary so a
+//!   resumed run ([`adaptive::resume_adaptive`]) renders a byte-identical report.
 //! * [`replay`] — corpus-backed evaluation over `qec-trace`: record each policy-free
 //!   scenario cell once ([`replay::record_into_corpus`]), then evaluate candidate
 //!   policy sets against it through one evaluator ([`replay::evaluate_cell_set`],
@@ -38,12 +40,8 @@
 //!   schedule divergence by re-simulating from that round under the recorded seed
 //!   contract and makes *every* policy's metrics (DLP and LER included)
 //!   bit-for-bit a from-scratch live run, with per-round divergence profiles;
-//!   [`sweep::run_sweep_with_corpus`] for whole grids in either mode;
-//!   [`replay::trace_snapshot`] is the trace perf snapshot
-//!   (record/encode/decode/replay-vs-resim/closed-loop).
-//! * [`report`] — table formatting, JSON export, and the line-per-benchmark snapshot
-//!   format ([`report::BenchLine`]) shared with `crates/bench/BENCH_baseline.json`,
-//!   including the baseline comparison the CI perf gate runs.
+//!   [`sweep::run_sweep_with_corpus`] for whole grids in either mode.
+//! * [`report`] — table formatting and JSON export.
 //!
 //! # Example
 //!

@@ -39,7 +39,6 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -57,9 +56,8 @@ use qec_trace::{
 use crate::engine::{build_backend, BatchEngine};
 use crate::harness::ExperimentSpec;
 use crate::metrics::{AggregateMetrics, RunMetrics};
-use crate::report::BenchLine;
 use crate::scenario::{CodeFamily, Scenario};
-use crate::sweep::{git_describe, SNAPSHOT_SAMPLES};
+use crate::sweep::git_describe;
 
 /// Version of the replay-report JSON schema; bump when the shape changes.
 /// (v2: added the `replay_mode` provenance field and per-row closed-loop
@@ -928,263 +926,4 @@ pub fn replay_corpus_with_stats(
         results,
     };
     Ok((report, cell_stats))
-}
-
-/// The pinned cell behind the trace perf snapshot: one mid-size surface-code
-/// workload whose record/encode/decode/replay/re-simulate timings are
-/// meaningful per shot. Changing it invalidates
-/// `crates/bench/BENCH_trace_baseline.json`.
-#[must_use]
-pub fn trace_snapshot_scenario() -> Scenario {
-    Scenario {
-        code: CodeFamily::Surface,
-        distance: 5,
-        rounds: 30,
-        p: 1e-3,
-        leakage_ratio: 0.1,
-        policy: PolicyKind::GladiatorM,
-        shots: 16,
-        seed: 11,
-        decode: false,
-        decoder: None,
-    }
-}
-
-/// The candidate set behind `trace/closed-loop-multi`: the recording policy
-/// (an exact counterfactual), its two speculation-family variants, and the
-/// herald-only baseline — the smallest policy comparison a serve-side
-/// `batch-eval` actually issues.
-pub const MULTI_SNAPSHOT_POLICIES: [PolicyKind; 4] =
-    [PolicyKind::GladiatorM, PolicyKind::Gladiator, PolicyKind::GladiatorDM, PolicyKind::MlrOnly];
-
-/// MLR false-flag rate of the multi-policy snapshot cell (see
-/// [`trace_snapshot_multi_cell`]).
-pub const MULTI_SNAPSHOT_MLR_FALSE_FLAG: f64 = 1e-4;
-
-/// The organic-leakage companion cell behind `trace/closed-loop-multi`: the
-/// pinned snapshot scenario at `p = 3e-4` with `mlr_false_flag = 1e-4` and
-/// **leakage sampling off**, recorded under the same policy. Without the
-/// per-shot seeded leak, leakage and heralds arrive organically and rarely, so
-/// candidate policies agree with the recording for most rounds — the regime
-/// where shared-checkpoint replay's forced-prefix deduplication pays (the
-/// pinned cell seeds a leak at round 0, forcing near-full re-simulation per
-/// divergent candidate no matter how checkpoints are shared). Changing this
-/// cell invalidates `crates/bench/BENCH_trace_baseline.json`.
-#[must_use]
-pub fn trace_snapshot_multi_scenario() -> Scenario {
-    Scenario { p: 3e-4, ..trace_snapshot_scenario() }
-}
-
-/// Records [`trace_snapshot_multi_scenario`]'s cell — leakage sampling **off**
-/// and `mlr_false_flag` lowered to [`MULTI_SNAPSHOT_MLR_FALSE_FLAG`] — and
-/// builds its policy factory. See [`trace_snapshot_multi_scenario`] for why
-/// the multi-policy benchmark uses this cell.
-#[must_use]
-pub fn trace_snapshot_multi_cell() -> (LoadedCell, Arc<PolicyFactory>) {
-    let scenario = trace_snapshot_multi_scenario();
-    let code = scenario.build_code();
-    let mut spec = scenario.to_spec();
-    spec.leakage_sampling = false;
-    spec.noise.mlr_false_flag = MULTI_SNAPSHOT_MLR_FALSE_FLAG;
-    let engine = BatchEngine::new(&code, &spec);
-    let header = TraceHeader {
-        schema_version: TRACE_SCHEMA_VERSION,
-        generator: "repro snapshot".to_string(),
-        git_describe: git_describe(),
-        code_name: code.name().to_string(),
-        code_fingerprint: code_fingerprint(&code),
-        num_data: code.num_data(),
-        num_checks: code.num_checks(),
-        cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
-        rounds: spec.rounds,
-        shots: spec.shots,
-        seed: spec.seed,
-        policy: spec.policy.label().to_string(),
-        leakage_sampling: spec.leakage_sampling,
-        noise: spec.noise,
-    };
-    let shots = engine.trace_records();
-    let factory = Arc::new(PolicyFactory::new(&code, &calibration_for(&header)));
-    (LoadedCell { header, shots, code }, factory)
-}
-
-/// Runs the pinned trace benchmarks [`SNAPSHOT_SAMPLES`] times each and
-/// reports per-shot wall-times as [`BenchLine`]s: `trace/record`,
-/// `trace/encode`, `trace/decode`, `trace/replay/<policy>`,
-/// `trace/resim/<policy>`, `trace/closed-loop/<policy>` (closed-loop replay of
-/// the recording policy — zero divergence, so it prices the pure-replay fast
-/// path of exact counterfactuals) and `trace/closed-loop-cross/<policy>`
-/// (closed-loop replay of a *different* policy, paying divergence repair). The
-/// replay-vs-resim pair is the machine-checkable form of the corpus value
-/// proposition: each *additional* policy evaluated against a recorded cell
-/// costs `replay` (open-loop) or at most `closed-loop-cross` (exact), not
-/// `resim`.
-///
-/// `trace/replay-lookup/<id>` prices the lookup-table decode hot path:
-/// recording-policy replay of the pinned scenario shrunk to d=3, decoded by
-/// the exact table backend ([`DecoderKind::Lookup`]) on every shot. These
-/// single-policy lines all time [`evaluate_cell`].
-///
-/// `trace/closed-loop-multi/<id>` evaluates the [`MULTI_SNAPSHOT_POLICIES`]
-/// set against the organic-leakage cell of [`trace_snapshot_multi_cell`]
-/// through [`evaluate_cell_set`] — the number that matters for serve-side
-/// batch-eval latency, and the one the perf gate holds below N× resim.
-#[must_use]
-pub fn trace_snapshot() -> Vec<BenchLine> {
-    let scenario = trace_snapshot_scenario();
-    let policy = scenario.policy;
-    let cross_policy = PolicyKind::EraserM;
-    let code = scenario.build_code();
-    let spec = scenario.to_spec();
-    let engine = BatchEngine::new(&code, &spec);
-    let shots = spec.shots as u64;
-    let per_shot = |total_ns: u128| (total_ns as u64) / shots;
-
-    let (header, traces) = record_cell(&scenario, policy, "repro snapshot");
-    let mut encoded = Vec::new();
-    {
-        let mut writer =
-            qec_trace::TraceWriter::new(&mut encoded, &header).expect("in-memory write");
-        for trace in &traces {
-            writer.write_shot(trace).expect("in-memory write");
-        }
-        let _ = writer.finish().expect("in-memory write");
-    }
-    let cell = LoadedCell { header: header.clone(), shots: traces.clone(), code: code.clone() };
-    let factory = Arc::new(PolicyFactory::new(&code, &calibration_for(&header)));
-    let (multi_cell, multi_factory) = trace_snapshot_multi_cell();
-    let multi_scenario = trace_snapshot_multi_scenario();
-    let no_decoders: Vec<Option<&dyn DecoderBackend>> = vec![None; MULTI_SNAPSHOT_POLICIES.len()];
-    // The lookup-table hot path is priced on the pinned scenario shrunk to
-    // d=3 (the only distance the table serves): recording-policy replay with
-    // the exact decoder, so the line covers the detection-event fold plus the
-    // table hit for every shot.
-    let lookup_scenario = Scenario { distance: 3, ..scenario };
-    let (lookup_header, lookup_traces) = record_cell(&lookup_scenario, policy, "repro snapshot");
-    let lookup_code = lookup_scenario.build_code();
-    let lookup_backend = DecoderKind::Lookup
-        .build(&lookup_code, lookup_scenario.rounds + 1)
-        .expect("the d=3 surface snapshot cell supports the lookup table");
-    let lookup_factory =
-        Arc::new(PolicyFactory::new(&lookup_code, &calibration_for(&lookup_header)));
-    let lookup_cell = LoadedCell { header: lookup_header, shots: lookup_traces, code: lookup_code };
-    let open = ReplayMode::OpenLoop;
-    let closed = ReplayMode::ClosedLoop;
-    // Warm every path once before timing.
-    let _ = engine.run();
-    let _ = evaluate_cell(&cell, &factory, policy, None, open).expect("replay warmup");
-    let _ = evaluate_cell(&cell, &factory, cross_policy, None, closed).expect("closed-loop warmup");
-    let _ = evaluate_cell(&lookup_cell, &lookup_factory, policy, Some(&*lookup_backend), open)
-        .expect("lookup warmup");
-    let _ = evaluate_cell_set(
-        &multi_cell,
-        &multi_factory,
-        &MULTI_SNAPSHOT_POLICIES,
-        &no_decoders,
-        closed,
-        true,
-    )
-    .expect("multi warmup");
-
-    let sample = |mut body: Box<dyn FnMut() + '_>| -> BenchLine {
-        let samples: Vec<u64> = (0..SNAPSHOT_SAMPLES)
-            .map(|_| {
-                let start = Instant::now();
-                body();
-                per_shot(start.elapsed().as_nanos())
-            })
-            .collect();
-        BenchLine {
-            benchmark: String::new(),
-            samples: SNAPSHOT_SAMPLES,
-            mean_ns: samples.iter().sum::<u64>() / SNAPSHOT_SAMPLES as u64,
-            min_ns: samples.iter().copied().min().unwrap_or(0),
-            max_ns: samples.iter().copied().max().unwrap_or(0),
-        }
-    };
-    let named = |name: String, mut line: BenchLine| {
-        line.benchmark = name;
-        line
-    };
-
-    vec![
-        named(
-            format!("trace/record/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = engine.trace_records();
-            })),
-        ),
-        named(
-            format!("trace/encode/{}", scenario.id()),
-            sample(Box::new(|| {
-                let mut bytes = Vec::new();
-                let mut writer =
-                    qec_trace::TraceWriter::new(&mut bytes, &header).expect("in-memory write");
-                for trace in &traces {
-                    writer.write_shot(trace).expect("in-memory write");
-                }
-                let _ = writer.finish().expect("in-memory write");
-            })),
-        ),
-        named(
-            format!("trace/decode/{}", scenario.id()),
-            sample(Box::new(|| {
-                let mut reader =
-                    qec_trace::TraceReader::new(encoded.as_slice()).expect("in-memory read");
-                let _ = reader.read_all().expect("in-memory read");
-            })),
-        ),
-        named(
-            format!("trace/replay/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell(&cell, &factory, policy, None, open).expect("replay");
-            })),
-        ),
-        named(
-            format!("trace/resim/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = engine.run();
-            })),
-        ),
-        named(
-            format!("trace/closed-loop/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell(&cell, &factory, policy, None, closed).expect("closed-loop");
-            })),
-        ),
-        named(
-            format!("trace/closed-loop-cross/{}", scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell(&cell, &factory, cross_policy, None, closed)
-                    .expect("closed-loop cross");
-            })),
-        ),
-        named(
-            format!("trace/replay-lookup/{}", lookup_scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell(
-                    &lookup_cell,
-                    &lookup_factory,
-                    policy,
-                    Some(&*lookup_backend),
-                    open,
-                )
-                .expect("lookup replay");
-            })),
-        ),
-        named(
-            format!("trace/closed-loop-multi/{}", multi_scenario.id()),
-            sample(Box::new(|| {
-                let _ = evaluate_cell_set(
-                    &multi_cell,
-                    &multi_factory,
-                    &MULTI_SNAPSHOT_POLICIES,
-                    &no_decoders,
-                    closed,
-                    true,
-                )
-                .expect("closed-loop multi");
-            })),
-        ),
-    ]
 }

@@ -1,8 +1,6 @@
-//! Small reporting helpers: aligned text tables, JSON export, and the
-//! line-per-benchmark perf-snapshot format shared with
-//! `crates/bench/BENCH_baseline.json`.
+//! Small reporting helpers: aligned text tables and JSON export.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Renders a simple aligned text table.
@@ -41,103 +39,6 @@ pub fn text_table(header: &[&str], rows: &[Vec<String>]) -> String {
 #[must_use]
 pub fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).expect("experiment results are always serializable")
-}
-
-/// One benchmark measurement in the `BENCH_baseline.json` shape: a single
-/// compact-JSON line per benchmark, as the vendored criterion prints them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BenchLine {
-    /// Benchmark identifier (e.g. `sweep/surface_d5_p1e-3_lr1e-1/eraser+m`).
-    pub benchmark: String,
-    /// Number of timed samples behind the statistics.
-    pub samples: usize,
-    /// Mean wall-time per unit of work, in nanoseconds.
-    pub mean_ns: u64,
-    /// Fastest sample, in nanoseconds.
-    pub min_ns: u64,
-    /// Slowest sample, in nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Renders benchmark lines in the snapshot file format: one compact JSON
-/// object per line, trailing newline.
-#[must_use]
-pub fn bench_lines_to_string(lines: &[BenchLine]) -> String {
-    let mut out = String::new();
-    for line in lines {
-        let _ = writeln!(
-            out,
-            "{}",
-            serde_json::to_string(line).expect("bench lines are always serializable")
-        );
-    }
-    out
-}
-
-/// Parses a snapshot file (one JSON object per line; blank lines ignored).
-///
-/// # Errors
-/// Returns a message naming the first malformed line.
-pub fn parse_bench_lines(text: &str) -> Result<Vec<BenchLine>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(index, line)| {
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", index + 1))
-        })
-        .collect()
-}
-
-/// One benchmark that got slower than the baseline allows.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Regression {
-    /// Benchmark identifier.
-    pub benchmark: String,
-    /// Baseline best-sample time (ns); 0 when the benchmark vanished.
-    pub baseline_ns: u64,
-    /// Current best-sample time (ns); 0 when the benchmark vanished.
-    pub current_ns: u64,
-    /// `current / baseline` slowdown ratio (∞ when the benchmark vanished).
-    pub ratio: f64,
-}
-
-/// Compares a fresh snapshot against a baseline, flagging every benchmark
-/// whose best-sample time regressed by more than `tolerance` (0.25 ⇒ fail
-/// beyond +25 %) and every baseline benchmark missing from the snapshot.
-/// Minimum sample times are compared because they are the most noise-robust
-/// statistic of a small sample set. Benchmarks new in `current` pass silently.
-#[must_use]
-pub fn compare_bench_lines(
-    current: &[BenchLine],
-    baseline: &[BenchLine],
-    tolerance: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for base in baseline {
-        let Some(now) = current.iter().find(|l| l.benchmark == base.benchmark) else {
-            regressions.push(Regression {
-                benchmark: base.benchmark.clone(),
-                baseline_ns: base.min_ns,
-                current_ns: 0,
-                ratio: f64::INFINITY,
-            });
-            continue;
-        };
-        let ratio = if base.min_ns == 0 {
-            1.0 // an empty baseline row can never regress
-        } else {
-            now.min_ns as f64 / base.min_ns as f64
-        };
-        if ratio > 1.0 + tolerance {
-            regressions.push(Regression {
-                benchmark: base.benchmark.clone(),
-                baseline_ns: base.min_ns,
-                current_ns: now.min_ns,
-                ratio,
-            });
-        }
-    }
-    regressions
 }
 
 /// Formats a float with a fixed number of significant-looking decimals for tables.
@@ -187,54 +88,6 @@ mod tests {
         }
         let json = to_json(&vec![Row { name: "x", value: 1.5 }]);
         assert!(json.contains("\"name\": \"x\""));
-    }
-
-    fn line(benchmark: &str, min_ns: u64) -> BenchLine {
-        BenchLine {
-            benchmark: benchmark.to_string(),
-            samples: 5,
-            mean_ns: min_ns + 10,
-            min_ns,
-            max_ns: min_ns + 30,
-        }
-    }
-
-    #[test]
-    fn bench_lines_round_trip_through_the_snapshot_format() {
-        let lines = vec![line("sweep/a", 100), line("sweep/b", 250)];
-        let text = bench_lines_to_string(&lines);
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-        assert_eq!(parse_bench_lines(&text).unwrap(), lines);
-    }
-
-    #[test]
-    fn parse_bench_lines_reads_the_committed_baseline_shape() {
-        let text = r#"{"benchmark":"simulator_rounds/surface_gladiator_m/3","samples":20,"mean_ns":195455,"min_ns":167478,"max_ns":361948}"#;
-        let parsed = parse_bench_lines(text).unwrap();
-        assert_eq!(parsed[0].benchmark, "simulator_rounds/surface_gladiator_m/3");
-        assert_eq!(parsed[0].min_ns, 167478);
-        assert!(parse_bench_lines("not json").is_err());
-    }
-
-    #[test]
-    fn comparison_flags_only_regressions_beyond_tolerance() {
-        let baseline = vec![line("a", 100), line("b", 100), line("c", 100)];
-        let current = vec![line("a", 124), line("b", 126), line("c", 99), line("new", 500)];
-        let regressions = compare_bench_lines(&current, &baseline, 0.25);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].benchmark, "b");
-        assert!((regressions[0].ratio - 1.26).abs() < 1e-9);
-    }
-
-    #[test]
-    fn comparison_flags_missing_benchmarks() {
-        let baseline = vec![line("kept", 100), line("dropped", 100)];
-        let current = vec![line("kept", 100)];
-        let regressions = compare_bench_lines(&current, &baseline, 0.25);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].benchmark, "dropped");
-        assert!(regressions[0].ratio.is_infinite());
     }
 
     #[test]

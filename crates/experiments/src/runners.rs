@@ -1,7 +1,7 @@
 //! One runner per table and figure of the paper's evaluation.
 //!
 //! Every runner accepts a [`Scale`] so the same code path serves three purposes:
-//! unit/integration tests (`Scale::smoke`), the Criterion benchmarks
+//! unit/integration tests (`Scale::smoke`), the default `repro run` scale
 //! (`Scale::quick`), and full paper-scale reproduction runs (`Scale::paper`, hours of
 //! CPU time, matching the artifact's 15–20 h figure). Results are serializable and can
 //! be rendered as text tables via [`crate::report`].
@@ -43,7 +43,7 @@ impl Scale {
         Scale { shots: 4, rounds_factor: 0.02, max_distance: 5, seed: 7 }
     }
 
-    /// Bench scale: small but large enough for trends to be visible (minutes).
+    /// Quick scale: small but large enough for trends to be visible (minutes).
     #[must_use]
     pub fn quick() -> Self {
         Scale { shots: 24, rounds_factor: 0.1, max_distance: 7, seed: 11 }

@@ -219,9 +219,10 @@ impl Scenario {
         .calibrated()
     }
 
-    /// A short stable identifier, used as the benchmark name in perf snapshots.
-    /// Scenarios on the legacy (absent) decoder keep their pre-backend ids;
-    /// an explicit backend is suffixed with `@label`.
+    /// A short stable identifier naming the cell in error messages and in
+    /// adaptive checkpoints, which store it per cell and hash it into the
+    /// batch-size jitter. Scenarios on the legacy (absent) decoder keep their
+    /// pre-backend ids; an explicit backend is suffixed with `@label`.
     #[must_use]
     pub fn id(&self) -> String {
         let mut id = format!(

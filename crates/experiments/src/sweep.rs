@@ -18,10 +18,6 @@
 //! rendering is byte-identical across worker-thread counts (the engine's
 //! `seed + shot` contract); wall-times are the one non-deterministic field
 //! and can be disabled for comparison jobs (`timing = false`).
-//!
-//! [`snapshot`] runs a pinned quick-scale sweep repeatedly and emits
-//! [`crate::report::BenchLine`] rows — the machine-readable perf
-//! snapshot the CI regression gate diffs against the committed baseline.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -36,7 +32,6 @@ use qec_decoder::{DecoderBackend, DecoderKind};
 use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::AggregateMetrics;
 use crate::replay::ReplayMode;
-use crate::report::BenchLine;
 use crate::runners::Scale;
 use crate::scenario::{decoder_from_value, CodeFamily, Scenario};
 
@@ -47,11 +42,6 @@ use crate::scenario::{decoder_from_value, CodeFamily, Scenario};
 /// confidence-targeted shot allocation via [`crate::adaptive`]; per-cell
 /// `scenario.shots` now reports the shots actually allocated.)
 pub const SWEEP_SCHEMA_VERSION: u32 = 4;
-
-/// How often [`snapshot`] re-runs every cell to get min/mean/max timings.
-/// The regression gate compares minima, so more samples mean a tighter,
-/// noise-robust lower envelope.
-pub const SNAPSHOT_SAMPLES: usize = 10;
 
 /// A declarative parameter grid over the batch engine.
 ///
@@ -583,60 +573,6 @@ pub fn run_scenarios(scenarios: &[Scenario], timing: bool) -> Vec<SweepCell> {
     cells
 }
 
-/// The pinned spec behind `repro snapshot`: small enough for CI, large enough
-/// that per-cell throughput is meaningful. Changing it invalidates the
-/// committed baseline (`crates/bench/BENCH_sweep_baseline.json`).
-#[must_use]
-pub fn snapshot_spec() -> SweepSpec {
-    SweepSpec {
-        code: CodeFamily::Surface,
-        distances: vec![3, 5],
-        error_rates: vec![1e-3],
-        leakage_ratios: vec![0.1],
-        policies: vec![PolicyKind::EraserM, PolicyKind::GladiatorM],
-        shots: 16,
-        rounds_per_distance: 10,
-        seed: 11,
-        decode: true,
-        decoders: None,
-        adaptive: None,
-    }
-}
-
-/// Runs the pinned snapshot sweep [`SNAPSHOT_SAMPLES`] times per cell and
-/// reports per-shot wall-time as [`BenchLine`]s (the `BENCH_baseline.json`
-/// shape), one line per grid cell, named `sweep/<scenario id>`.
-#[must_use]
-pub fn snapshot() -> Vec<BenchLine> {
-    let scenarios = snapshot_spec().expand().expect("the pinned snapshot spec is valid");
-    scenarios
-        .iter()
-        .map(|scenario| {
-            let code = scenario.build_code();
-            let spec = scenario.to_spec();
-            // Build once outside the timed region: the snapshot measures
-            // steady-state sweep throughput, not artifact construction. One
-            // untimed warmup shot-batch settles caches and the allocator.
-            let engine = BatchEngine::new(&code, &spec);
-            let _ = engine.run();
-            let samples: Vec<u64> = (0..SNAPSHOT_SAMPLES)
-                .map(|_| {
-                    let start = Instant::now();
-                    let _ = engine.run();
-                    (start.elapsed().as_nanos() as u64) / spec.shots as u64
-                })
-                .collect();
-            BenchLine {
-                benchmark: format!("sweep/{}", scenario.id()),
-                samples: SNAPSHOT_SAMPLES,
-                mean_ns: samples.iter().sum::<u64>() / SNAPSHOT_SAMPLES as u64,
-                min_ns: samples.iter().copied().min().unwrap_or(0),
-                max_ns: samples.iter().copied().max().unwrap_or(0),
-            }
-        })
-        .collect()
-}
-
 /// `git describe --always --dirty` of the current checkout, or `"unknown"`
 /// when git (or the repository) is unavailable.
 #[must_use]
@@ -831,18 +767,5 @@ mod tests {
         let report = run_sweep(&tiny_spec(), true).unwrap();
         assert!(report.timing);
         assert!(report.cells.iter().all(|c| c.wall_time_ms > 0.0));
-    }
-
-    #[test]
-    fn snapshot_covers_the_pinned_grid() {
-        let expected = snapshot_spec().cell_count();
-        let lines = snapshot();
-        assert_eq!(lines.len(), expected);
-        for line in &lines {
-            assert!(line.benchmark.starts_with("sweep/surface_d"));
-            assert_eq!(line.samples, SNAPSHOT_SAMPLES);
-            assert!(line.min_ns <= line.mean_ns && line.mean_ns <= line.max_ns);
-            assert!(line.min_ns > 0);
-        }
     }
 }

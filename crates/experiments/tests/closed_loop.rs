@@ -404,8 +404,8 @@ proptest! {
 /// cell closed-loop runs fewer rounds on the simulator than fully
 /// re-simulating every policy, because non-divergent shots never touch the
 /// simulator (the recording policy's whole evaluation is pure replay) and
-/// divergent shots share one forced prefix per shot. The benchmark reports
-/// the wall-time ratio as `replay.closed.vs_resim`.
+/// divergent shots share one forced prefix per shot. perfbench reports the
+/// wall-time ratio as `replay.closed.vs_resim`.
 #[test]
 fn closed_loop_multi_policy_evaluation_beats_full_resimulation() {
     let scenario = Scenario {

@@ -230,28 +230,6 @@ fn corpus_sweep_rejects_stale_cells_with_different_shot_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The trace snapshot times every stage of the record-once/replay-many
-/// pipeline. Its timing ratios are not asserted here (tier-1 carries no
-/// wall-clock assertion): the committed baseline gates them, and the
-/// benchmark reports the closed-loop replay/resim ratio as
-/// `replay.closed.vs_resim`.
-#[test]
-fn trace_snapshot_times_every_pipeline_stage() {
-    let lines = qec_experiments::replay::trace_snapshot();
-    let min_of = |prefix: &str| {
-        lines
-            .iter()
-            .find(|l| l.benchmark.starts_with(prefix))
-            .unwrap_or_else(|| panic!("missing {prefix} line"))
-            .min_ns
-    };
-    for prefix in
-        ["trace/record/", "trace/encode/", "trace/decode/", "trace/replay/", "trace/resim/"]
-    {
-        assert!(min_of(prefix) > 0, "{prefix} must time something");
-    }
-}
-
 /// A cache hit recorded under a different policy than the sweep's recording
 /// policy must error (it would silently mislabel the report's exact cells).
 #[test]

@@ -10,7 +10,7 @@
 //!
 //! Pulse-level access to those machines was retired in 2024 and is unavailable here, so
 //! this module provides a [`DeviceModel`] that reproduces the *measured behaviour*
-//! directly; the Figure 3 benchmark regenerates the same curves from this model.
+//! directly; the Figure 3 runner regenerates the same curves from this model.
 
 use rand::Rng;
 use rand::SeedableRng;

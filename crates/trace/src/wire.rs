@@ -306,6 +306,11 @@ impl<'a> Decoder<'a> {
 /// damaged length prefix cannot trigger an absurd allocation.
 pub const MAX_BLOCK_LEN: usize = 64 << 20;
 
+/// Capacity reserved for a block payload before any of it is read: a shot
+/// block (a few hundred bytes) fits in one allocation, and a length prefix
+/// that outruns its input cannot reserve more than this.
+const BLOCK_PREALLOC: usize = 64 << 10;
+
 fn write_varint_io<W: Write>(w: &mut W, mut value: u64) -> Result<(), TraceError> {
     loop {
         let byte = (value & 0x7F) as u8;
@@ -359,8 +364,13 @@ pub fn read_block<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), TraceError> {
         .ok()
         .filter(|&len| len <= MAX_BLOCK_LEN)
         .ok_or_else(|| TraceError::corrupt("block length out of range"))?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The payload grows only as bytes arrive, so its allocation is bounded by
+    // the input actually present, not by the declared length.
+    let mut payload = Vec::with_capacity(len.min(BLOCK_PREALLOC));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let mut crc_bytes = [0u8; 4];
     r.read_exact(&mut crc_bytes)?;
     let expected = u32::from_le_bytes(crc_bytes);
@@ -460,5 +470,38 @@ mod tests {
         // Truncate: clean I/O error, not a panic.
         let truncated = &file[..file.len() - 2];
         assert!(read_block(&mut &truncated[..]).is_err());
+    }
+
+    /// A reader over a byte slice that records the largest buffer it is
+    /// asked to fill.
+    struct RecordingReader<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_truncated_block_allocates_only_what_it_holds() {
+        // 16 bytes in all, declaring the largest payload a block may carry.
+        let mut shard = vec![0x02];
+        write_varint_io(&mut shard, MAX_BLOCK_LEN as u64).unwrap();
+        shard.resize(16, 0xAB);
+        let mut reader = RecordingReader { bytes: &shard, largest_request: 0 };
+        let err = read_block(&mut reader).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+        assert!(
+            reader.largest_request <= BLOCK_PREALLOC,
+            "asked to fill {} bytes for a 16-byte input",
+            reader.largest_request
+        );
     }
 }
