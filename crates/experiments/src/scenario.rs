@@ -286,6 +286,45 @@ mod tests {
         }
     }
 
+    /// `sample()` without a decoder, pretty-printed.
+    const PRETTY_NO_DECODER: &str = r#"{
+  "code": "Surface",
+  "distance": 3,
+  "rounds": 8,
+  "p": 0.001,
+  "leakage_ratio": 0.1,
+  "policy": "GladiatorM",
+  "shots": 4,
+  "seed": 7,
+  "decode": true
+}"#;
+    /// `sample()` on `uf`, pretty-printed.
+    const PRETTY_UF: &str = r#"{
+  "code": "Surface",
+  "distance": 3,
+  "rounds": 8,
+  "p": 0.001,
+  "leakage_ratio": 0.1,
+  "policy": "GladiatorM",
+  "shots": 4,
+  "seed": 7,
+  "decode": true,
+  "decoder": "uf"
+}"#;
+    /// `sample()` on `lookup`, pretty-printed.
+    const PRETTY_LOOKUP: &str = r#"{
+  "code": "Surface",
+  "distance": 3,
+  "rounds": 8,
+  "p": 0.001,
+  "leakage_ratio": 0.1,
+  "policy": "GladiatorM",
+  "shots": 4,
+  "seed": 7,
+  "decode": true,
+  "decoder": "lookup"
+}"#;
+
     #[test]
     fn family_labels_round_trip() {
         for family in CodeFamily::ALL {
@@ -340,15 +379,34 @@ mod tests {
 
     #[test]
     fn decoder_field_is_omitted_when_absent_and_round_trips_when_present() {
-        // Legacy scenarios must keep their exact pre-backend bytes.
-        let json = serde_json::to_string(&sample()).unwrap();
-        assert!(!json.contains("decoder"), "unexpected decoder field: {json}");
-        assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), sample());
-        // An explicit backend serializes as its wire label and round-trips.
+        // Legacy scenarios keep their exact pre-backend bytes (no `decoder`
+        // key, not even `null`); an explicit backend appends its wire label.
+        let cases = [
+            (
+                None,
+                r#"{"code":"Surface","distance":3,"rounds":8,"p":0.001,"leakage_ratio":0.1,"policy":"GladiatorM","shots":4,"seed":7,"decode":true}"#,
+                PRETTY_NO_DECODER,
+            ),
+            (
+                Some(DecoderKind::UnionFind),
+                r#"{"code":"Surface","distance":3,"rounds":8,"p":0.001,"leakage_ratio":0.1,"policy":"GladiatorM","shots":4,"seed":7,"decode":true,"decoder":"uf"}"#,
+                PRETTY_UF,
+            ),
+            (
+                Some(DecoderKind::Lookup),
+                r#"{"code":"Surface","distance":3,"rounds":8,"p":0.001,"leakage_ratio":0.1,"policy":"GladiatorM","shots":4,"seed":7,"decode":true,"decoder":"lookup"}"#,
+                PRETTY_LOOKUP,
+            ),
+        ];
+        for (decoder, compact, pretty) in cases {
+            let scenario = Scenario { decoder, ..sample() };
+            assert_eq!(serde_json::to_string(&scenario).unwrap(), compact);
+            assert_eq!(serde_json::to_string_pretty(&scenario).unwrap(), pretty);
+            assert_eq!(serde_json::from_str::<Scenario>(compact).unwrap(), scenario);
+            assert_eq!(serde_json::from_str::<Scenario>(pretty).unwrap(), scenario);
+        }
         let explicit = Scenario { decoder: Some(DecoderKind::Lookup), ..sample() };
         let json = serde_json::to_string(&explicit).unwrap();
-        assert!(json.ends_with(r#""decode":true,"decoder":"lookup"}"#), "{json}");
-        assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), explicit);
         // Unknown decoder labels are typed deserialization errors.
         let bad = json.replace("lookup", "mwpm");
         let err = serde_json::from_str::<Scenario>(&bad).unwrap_err();

@@ -691,19 +691,117 @@ mod tests {
         assert!(err.contains("lookup") && err.contains("distance 3"), "{err}");
     }
 
+    /// `tiny_spec()` pretty-printed: the legacy bytes.
+    const PRETTY_LEGACY: &str = r#"{
+  "code": "Surface",
+  "distances": [
+    3
+  ],
+  "error_rates": [
+    0.001
+  ],
+  "leakage_ratios": [
+    0.1
+  ],
+  "policies": [
+    "EraserM"
+  ],
+  "shots": 2,
+  "rounds_per_distance": 1,
+  "seed": 5,
+  "decode": false
+}"#;
+    /// `tiny_spec()` with every optional block, pretty-printed.
+    const PRETTY_FULL: &str = r#"{
+  "code": "Surface",
+  "distances": [
+    3
+  ],
+  "error_rates": [
+    0.001
+  ],
+  "leakage_ratios": [
+    0.1
+  ],
+  "policies": [
+    "EraserM"
+  ],
+  "shots": 2,
+  "rounds_per_distance": 1,
+  "seed": 5,
+  "decode": false,
+  "decoders": [
+    "lookup",
+    "uf"
+  ],
+  "adaptive": {
+    "target_rel_halfwidth": 0.2,
+    "confidence": 0.9,
+    "initial_batch": 16
+  }
+}"#;
+
     #[test]
     fn spec_serde_omits_the_absent_decoder_axis() {
-        let legacy = tiny_spec();
-        let json = serde_json::to_string(&legacy).unwrap();
-        assert!(!json.contains("decoders"), "{json}");
-        assert_eq!(serde_json::from_str::<SweepSpec>(&json).unwrap(), legacy);
-        let multi = SweepSpec {
-            decoders: Some(vec![DecoderKind::UnionFind, DecoderKind::Lookup]),
+        use crate::adaptive::{spec_fingerprint, AdaptiveSpec};
+        use DecoderKind::{Lookup, UnionFind};
+        // Absent `decoders`/`adaptive` blocks leave no key behind, so legacy
+        // specs, reports and adaptive checkpoint fingerprints (a hash of this
+        // compact JSON) keep their exact bytes.
+        let adaptive =
+            AdaptiveSpec { target_rel_halfwidth: 0.2, confidence: 0.9, initial_batch: 16 };
+        let cases = [
+            (
+                None,
+                None,
+                r#"{"code":"Surface","distances":[3],"error_rates":[0.001],"leakage_ratios":[0.1],"policies":["EraserM"],"shots":2,"rounds_per_distance":1,"seed":5,"decode":false}"#,
+                0xbc3c12cee9c2a566_u64,
+            ),
+            (
+                Some(vec![Lookup, UnionFind]),
+                None,
+                r#"{"code":"Surface","distances":[3],"error_rates":[0.001],"leakage_ratios":[0.1],"policies":["EraserM"],"shots":2,"rounds_per_distance":1,"seed":5,"decode":false,"decoders":["lookup","uf"]}"#,
+                0x2be2eb7a8bbadeb6_u64,
+            ),
+            (
+                Some(vec![]),
+                None,
+                r#"{"code":"Surface","distances":[3],"error_rates":[0.001],"leakage_ratios":[0.1],"policies":["EraserM"],"shots":2,"rounds_per_distance":1,"seed":5,"decode":false,"decoders":[]}"#,
+                0xf98c17ce80cc2877_u64,
+            ),
+            (
+                None,
+                Some(adaptive),
+                r#"{"code":"Surface","distances":[3],"error_rates":[0.001],"leakage_ratios":[0.1],"policies":["EraserM"],"shots":2,"rounds_per_distance":1,"seed":5,"decode":false,"adaptive":{"target_rel_halfwidth":0.2,"confidence":0.9,"initial_batch":16}}"#,
+                0xf6d8880233467f78_u64,
+            ),
+            (
+                Some(vec![Lookup, UnionFind]),
+                Some(adaptive),
+                r#"{"code":"Surface","distances":[3],"error_rates":[0.001],"leakage_ratios":[0.1],"policies":["EraserM"],"shots":2,"rounds_per_distance":1,"seed":5,"decode":false,"decoders":["lookup","uf"],"adaptive":{"target_rel_halfwidth":0.2,"confidence":0.9,"initial_batch":16}}"#,
+                0x971d6dcd5a8a7b08_u64,
+            ),
+        ];
+        for (decoders, adaptive, compact, fingerprint) in cases {
+            let spec = SweepSpec { decoders, adaptive, ..tiny_spec() };
+            assert_eq!(serde_json::to_string(&spec).unwrap(), compact);
+            assert_eq!(spec_fingerprint(&spec), fingerprint, "{compact}");
+            assert_eq!(serde_json::from_str::<SweepSpec>(compact).unwrap(), spec);
+        }
+        let full = SweepSpec {
+            decoders: Some(vec![Lookup, UnionFind]),
+            adaptive: Some(adaptive),
             ..tiny_spec()
         };
-        let json = serde_json::to_string(&multi).unwrap();
-        assert!(json.ends_with(r#""decoders":["uf","lookup"]}"#), "{json}");
-        assert_eq!(serde_json::from_str::<SweepSpec>(&json).unwrap(), multi);
+        for (spec, pretty) in [(tiny_spec(), PRETTY_LEGACY), (full, PRETTY_FULL)] {
+            assert_eq!(serde_json::to_string_pretty(&spec).unwrap(), pretty);
+            assert_eq!(serde_json::from_str::<SweepSpec>(pretty).unwrap(), spec);
+        }
+        let json = serde_json::to_string(&SweepSpec {
+            decoders: Some(vec![UnionFind, Lookup]),
+            ..tiny_spec()
+        })
+        .unwrap();
         let err = serde_json::from_str::<SweepSpec>(&json.replace("lookup", "bp")).unwrap_err();
         assert!(err.to_string().contains("uf, lookup"), "{err}");
     }

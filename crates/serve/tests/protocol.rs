@@ -318,31 +318,141 @@ fn unknown_error_codes_from_newer_servers_stay_parsable() {
     assert_eq!(ErrorCode::from_label("rate-limited"), None);
 }
 
+/// `sample_row()` as one compact JSON value: the replay-report row bytes.
+const ROW: &str = r#"{"key":"surface d=3 rounds=9 p=1e-3 lr=1e-1 shots=4 seed=7","code":"surface-d3","recorded_policy":"eraser+m","policy":"gladiator+m","shots":4,"rounds":9,"exact":false,"divergent_shots":1,"live_match":null,"divergence_profile":{"shots":2,"rounds":9,"divergent_shots":1,"first_divergence":[0,0,1,0,0,0,0,0,0],"resimulated_rounds":7,"restored_rounds":2},"metrics":{"shots":4,"false_positives":0.25,"false_negatives":1.5,"data_lrcs":2.0,"ancilla_lrcs":0.0,"lrcs_per_round":0.222,"average_dlp":0.01,"final_dlp":0.02,"dlp_series":[0.0,0.01,0.02],"inaccuracy_per_round":0.19,"total_time_ns":12345.0,"lrc_time_ns":660.0,"logical_error_rate":0.25}}"#;
+/// `sample_entry()` as one compact JSON value.
+const ENTRY: &str = r#"{"key":"surface d=3 rounds=9 p=1e-3 lr=1e-1 shots=4 seed=7","hash":"00ff00ff00ff00ff","file":"shards/00/00ff00ff00ff00ff.qtr","code":"surface-d3","family":"surface","distance":3,"rounds":9,"p":0.001,"leakage_ratio":0.1,"shots":4,"seed":7,"policy":"eraser+m","trace_schema":1}"#;
+/// `sample_stats()` as one compact JSON value.
+const STATS: &str = r#"{"requests":10,"evals":6,"batch_evals":1,"cache_hits":4,"cache_misses":2,"cache_evictions":1,"cached_cells":1,"cache_capacity":8,"corpus_cells":3,"shared_passes":5,"suffixes_served":17,"peak_checkpoints":2,"active_connections":3,"max_connections":32,"queue_depth_hwm":9,"queue_limit":256,"shed_requests":1,"shed_connections":2,"corpus_reloads":4,"routed_requests":11,"fanout_hwm":2,"replica_errors":1,"replicas_up":2,"adaptive_rounds":7,"shots_allocated":4096}"#;
+
 #[test]
 fn frozen_wire_tags_do_not_drift() {
-    // These exact tags are frozen by docs/SERVE_PROTOCOL.md; renaming a Rust
-    // variant must not rename a wire tag.
-    let cases: Vec<(String, &str)> = vec![
-        (serde_json::to_string(&RequestKind::Ping).unwrap(), "\"ping\""),
-        (serde_json::to_string(&RequestKind::ListCells).unwrap(), "\"list-cells\""),
-        (serde_json::to_string(&RequestKind::Shutdown).unwrap(), "\"shutdown\""),
-        (serde_json::to_string(&ResponseKind::Pong).unwrap(), "\"pong\""),
-        (serde_json::to_string(&ResponseKind::ShuttingDown).unwrap(), "\"shutting-down\""),
+    // These exact lines are frozen by docs/SERVE_PROTOCOL.md: renaming a Rust
+    // variant must not rename a wire tag, and an absent optional field must
+    // stay absent (never `null`). `ROW`, `ENTRY` and `STATS` stand for the
+    // pinned payloads above.
+    let bare = || EvalSpec {
+        key: "k".to_string(),
+        policy: "ideal".to_string(),
+        mode: None,
+        decode: None,
+        decoder: None,
+    };
+    let full = EvalSpec {
+        mode: Some("closed-loop".to_string()),
+        decode: Some(true),
+        decoder: Some("lookup".to_string()),
+        ..bare()
+    };
+    let decode_off = EvalSpec { decode: Some(false), ..bare() };
+    let requests = [
+        (RequestKind::Ping, r#""ping""#),
+        (RequestKind::Version, r#""version""#),
+        (RequestKind::Stats, r#""stats""#),
+        (RequestKind::ListCells, r#""list-cells""#),
+        (RequestKind::Shutdown, r#""shutdown""#),
+        (RequestKind::StatCell { key: "k".to_string() }, r#"{"stat-cell":{"key":"k"}}"#),
+        (RequestKind::VerifyCell { key: "k".to_string() }, r#"{"verify-cell":{"key":"k"}}"#),
+        (RequestKind::Eval(bare()), r#"{"eval":{"key":"k","policy":"ideal"}}"#),
+        (
+            RequestKind::Eval(full),
+            r#"{"eval":{"key":"k","policy":"ideal","mode":"closed-loop","decode":true,"decoder":"lookup"}}"#,
+        ),
+        (RequestKind::Eval(decode_off), r#"{"eval":{"key":"k","policy":"ideal","decode":false}}"#),
+        (
+            RequestKind::BatchEval { evals: vec![bare()], per_item: None },
+            r#"{"batch-eval":{"evals":[{"key":"k","policy":"ideal"}]}}"#,
+        ),
+        (
+            RequestKind::BatchEval { evals: vec![bare()], per_item: Some(true) },
+            r#"{"batch-eval":{"evals":[{"key":"k","policy":"ideal"}],"per_item":true}}"#,
+        ),
+        (
+            RequestKind::BatchEval { evals: vec![], per_item: Some(false) },
+            r#"{"batch-eval":{"evals":[],"per_item":false}}"#,
+        ),
     ];
-    for (rendered, expected) in cases {
-        assert_eq!(rendered, expected);
+    for (kind, payload) in requests {
+        let line = request_line(&Request { id: Some(42), request: kind });
+        assert_eq!(line, format!(r#"{{"id":42,"request":{payload}}}"#));
     }
-    for (kind, tag) in [
-        (RequestKind::StatCell { key: "k".to_string() }, "stat-cell"),
-        (RequestKind::VerifyCell { key: "k".to_string() }, "verify-cell"),
-        (RequestKind::Eval(sample_eval_spec()), "eval"),
-        (RequestKind::BatchEval { evals: vec![], per_item: None }, "batch-eval"),
-    ] {
-        let rendered = serde_json::to_string(&kind).unwrap();
-        assert!(rendered.starts_with(&format!("{{\"{tag}\":")), "{rendered}");
+    assert_eq!(
+        request_line(&Request { id: None, request: RequestKind::Ping }),
+        r#"{"id":null,"request":"ping"}"#
+    );
+
+    let eval = |cached| EvalResult { cached, result: sample_row() };
+    let responses = [
+        (ResponseKind::Pong, r#""pong""#.to_string()),
+        (ResponseKind::ShuttingDown, r#""shutting-down""#.to_string()),
+        (
+            ResponseKind::Version(VersionInfo {
+                server: "qec-serve 0.1.0".to_string(),
+                git_describe: "unknown".to_string(),
+                protocol: PROTOCOL_VERSION,
+                trace_schema: 2,
+                manifest_schema: 1,
+                replay_schema: 2,
+            }),
+            r#"{"version":{"server":"qec-serve 0.1.0","git_describe":"unknown","protocol":1,"trace_schema":2,"manifest_schema":1,"replay_schema":2}}"#
+                .to_string(),
+        ),
+        (ResponseKind::Stats(sample_stats()), r#"{"stats":STATS}"#.replace("STATS", STATS)),
+        (ResponseKind::Cells(vec![sample_entry()]), r#"{"cells":[ENTRY]}"#.replace("ENTRY", ENTRY)),
+        (
+            ResponseKind::CellStat(CellStat {
+                entry: sample_entry(),
+                file_bytes: 4096,
+                generator: "repro record 0.1.0".to_string(),
+                git_describe: "unknown".to_string(),
+            }),
+            r#"{"cell-stat":{"entry":ENTRY,"file_bytes":4096,"generator":"repro record 0.1.0","git_describe":"unknown"}}"#
+                .replace("ENTRY", ENTRY),
+        ),
+        (
+            ResponseKind::Verified(VerifiedCell { key: "k".to_string(), shots: 4 }),
+            r#"{"verified":{"key":"k","shots":4}}"#.to_string(),
+        ),
+        (ResponseKind::Eval(eval(true)), r#"{"eval":{"cached":true,"result":ROW}}"#.replace("ROW", ROW)),
+        (
+            ResponseKind::Batch(vec![eval(false), eval(true)]),
+            r#"{"batch":[{"cached":false,"result":ROW},{"cached":true,"result":ROW}]}"#
+                .replace("ROW", ROW),
+        ),
+        (
+            ResponseKind::BatchItems(vec![
+                BatchItem::Eval(eval(true)),
+                BatchItem::Error(WireError::new(ErrorCode::UnknownPolicy, "nope")),
+            ]),
+            r#"{"batch-items":[{"eval":{"cached":true,"result":ROW}},{"error":{"code":"unknown-policy","message":"nope"}}]}"#
+                .replace("ROW", ROW),
+        ),
+        (
+            ResponseKind::Error(WireError::new(ErrorCode::BadRequest, "bad")),
+            r#"{"error":{"code":"bad-request","message":"bad"}}"#.to_string(),
+        ),
+    ];
+    for (kind, payload) in responses {
+        let line = response_line(&Response { id: Some(42), v: PROTOCOL_VERSION, response: kind });
+        assert_eq!(line, format!(r#"{{"id":42,"v":1,"response":{payload}}}"#));
     }
-    let rendered = serde_json::to_string(&ResponseKind::BatchItems(vec![])).unwrap();
-    assert!(rendered.starts_with("{\"batch-items\":"), "{rendered}");
+
+    // A `batch-items` entry on its own, and the replay row with and without
+    // the additive `decoder` label (absent, never `null`, when unselected).
+    assert_eq!(
+        serde_json::to_string(&BatchItem::Eval(eval(false))).unwrap(),
+        r#"{"eval":{"cached":false,"result":ROW}}"#.replace("ROW", ROW)
+    );
+    assert_eq!(
+        serde_json::to_string(&BatchItem::Error(WireError::new(ErrorCode::Internal, "x"))).unwrap(),
+        r#"{"error":{"code":"internal","message":"x"}}"#
+    );
+    assert_eq!(serde_json::to_string(&sample_row()).unwrap(), ROW);
+    let labelled = ReplayCellResult { decoder: Some("lookup".to_string()), ..sample_row() };
+    assert_eq!(
+        serde_json::to_string(&labelled).unwrap(),
+        ROW.replace(r#""policy":"gladiator+m","#, r#""policy":"gladiator+m","decoder":"lookup","#)
+    );
     assert_eq!(
         ErrorCode::ALL.map(|code| code.label().to_string()),
         [
