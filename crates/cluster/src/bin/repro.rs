@@ -24,10 +24,11 @@
 //! Argument parsing is strict: unknown subcommands, flags or experiment names
 //! print usage to stderr and exit with status 2. `replay --verify-live` and
 //! `corpus --verify` exit 1 on a mismatch/corruption; `query` exits 1 on an
-//! error response. Everything else exits 0.
+//! error response; an output file that cannot be written exits 1 with one
+//! `repro: cannot write` line. Everything else exits 0.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use leakage_speculation::PolicyKind;
@@ -293,15 +294,28 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, UsageError> {
     if selected.is_empty() {
         selected = EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
     }
-    fs::create_dir_all(&out_dir).expect("create output directory");
     for name in &selected {
         println!("=== {name} ===");
         let payload = run_one(name, &scale).expect("experiment names were validated above");
         let path = out_dir.join(format!("{name}.json"));
-        fs::write(&path, payload).expect("write result file");
+        if let Err(code) = write_output(&path, payload.as_bytes()) {
+            return Ok(code);
+        }
         println!("(saved {})\n", path.display());
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Writes an output file, creating its parent directories. A failure is a
+/// runtime error, not a usage error (the flags were fine, the filesystem was
+/// not): it prints `repro: cannot write <path>: <error>` and yields exit 1,
+/// like a `serve` bind failure.
+fn write_output(path: &Path, bytes: &[u8]) -> Result<(), ExitCode> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    parent.map_or(Ok(()), fs::create_dir_all).and_then(|()| fs::write(path, bytes)).map_err(|e| {
+        eprintln!("repro: cannot write {}: {e}", path.display());
+        ExitCode::FAILURE
+    })
 }
 
 // ---------------------------------------------------------------------------------
@@ -540,10 +554,9 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     let out = out.unwrap_or_else(|| PathBuf::from("repro-results/sweep.json"));
     let to_stdout = out.as_os_str() == "-";
     if !to_stdout {
-        if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fs::create_dir_all(parent).expect("create output directory");
+        if let Err(code) = write_output(&out, json.as_bytes()) {
+            return Ok(code);
         }
-        fs::write(&out, json.as_bytes()).expect("write sweep report");
     }
     if to_stdout {
         // Keep stdout machine-readable: the summary table goes to stderr so
@@ -620,10 +633,9 @@ fn finish_adaptive(
     let out = out.unwrap_or_else(|| PathBuf::from("repro-results/sweep.json"));
     let to_stdout = out.as_os_str() == "-";
     if !to_stdout {
-        if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fs::create_dir_all(parent).expect("create output directory");
+        if let Err(code) = write_output(&out, json.as_bytes()) {
+            return Ok(code);
         }
-        fs::write(&out, json.as_bytes()).expect("write sweep report");
     }
     // Allocation provenance goes to the console (stderr when stdout carries
     // the report), never into the report bytes — an adaptive run at its
@@ -754,7 +766,10 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, UsageError> {
         }
     }
     let corpus_dir = corpus_dir.ok_or_else(|| UsageError::new("record requires --corpus DIR"))?;
-    let spec = flags.build()?;
+    let mut spec = flags.build()?;
+    // A recording never decodes (neither cell keys nor `.qtr` bytes carry the
+    // flag), so no decoder needs to serve the recorded code.
+    spec.decode = false;
     let scenarios = spec.expand().map_err(UsageError::new)?;
     let recording = record_policy
         .or_else(|| scenarios.first().map(|s| s.policy))
@@ -847,10 +862,9 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
             emit(&json);
         }
         Some(path) => {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                fs::create_dir_all(parent).expect("create output directory");
+            if let Err(code) = write_output(path, json.as_bytes()) {
+                return Ok(code);
             }
-            fs::write(path, json.as_bytes()).expect("write replay report");
             emit(&summary);
             emit(&format!("(saved {} rows to {})", report.results.len(), path.display()));
         }

@@ -346,6 +346,56 @@ fn cross_decoder_replay_verifies_both_backends_and_labels_rows() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Decoding with no decoder selected means union-find, which cannot decode
+/// the color code: a decoded color sweep and a decoding replay of a color
+/// corpus exit 2 with the backend's reason instead of panicking. Recording
+/// never decodes, so the color corpus records (with or without a decoder
+/// axis) and the lookup table replays it.
+#[test]
+fn the_implied_union_find_decoder_is_validated_like_a_selected_one() {
+    let output = run(&["sweep", "--grid", "code=color", "d=3", "--shots", "4", "--out", "-"]);
+    assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr_of(&output));
+    assert!(stderr_of(&output).contains("needs a matchable code"), "{}", stderr_of(&output));
+
+    let dir = tmp_dir("color");
+    let corpus = dir.to_str().unwrap();
+    let record = |extra: &str| {
+        run(&["record", "--grid", "code=color", "d=3", extra, "--shots", "4", "--corpus", corpus])
+    };
+    for extra in ["p=1e-3", "decoder=lookup"] {
+        let output = record(extra);
+        assert_eq!(output.status.code(), Some(0), "{extra}: {}", stderr_of(&output));
+    }
+    let output = run(&["replay", "--corpus", corpus, "--closed-loop", "--decode"]);
+    assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr_of(&output));
+    assert!(stderr_of(&output).contains("needs a matchable code"), "{}", stderr_of(&output));
+    let output = run(&["replay", "--corpus", corpus, "--closed-loop", "--decoder", "lookup"]);
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `--out` path that cannot be written (here an existing directory) is a
+/// runtime error: one line naming the path, exit 1, no panic.
+#[test]
+fn an_unwritable_out_path_exits_1_with_a_one_line_error() {
+    let dir = tmp_dir("unwritable-out");
+    let corpus = dir.join("corpus");
+    let output = run(&record_args(corpus.to_str().unwrap()));
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let out = dir.to_str().unwrap();
+    for args in [
+        &["sweep", "--grid", "d=3", "--shots", "2", "--no-timing", "--out", out][..],
+        &["replay", "--corpus", corpus.to_str().unwrap(), "--out", out],
+    ] {
+        let output = run(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {}", stderr_of(&output));
+        let stderr = stderr_of(&output);
+        assert!(stderr.starts_with(&format!("repro: cannot write {out}: ")), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn report_shard_file(dir: &Path) -> PathBuf {
     let shards = dir.join("shards");
     let sub = std::fs::read_dir(&shards).unwrap().next().unwrap().unwrap().path();

@@ -441,6 +441,58 @@ fn per_item_batches_isolate_failures_and_preserve_order() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Decoding with no decoder selected means union-find, which cannot decode
+/// the color code. A served color decode without a `decoder` is therefore a
+/// typed `bad-request`, exactly like an explicit `"decoder":"uf"`, answered
+/// on a connection that keeps serving; `lookup` decodes the same cell.
+#[test]
+fn decoding_a_color_cell_without_a_decoder_is_a_typed_bad_request() {
+    let dir = tmp_dir("color");
+    let mut corpus = Corpus::open(&dir).unwrap();
+    let scenario = Scenario {
+        code: CodeFamily::Color,
+        distance: 3,
+        rounds: 3,
+        p: 1e-3,
+        leakage_ratio: 0.1,
+        policy: PolicyKind::EraserM,
+        shots: 2,
+        seed: 3,
+        decode: false,
+        decoder: None,
+    };
+    let key =
+        record_into_corpus(&mut corpus, &scenario, PolicyKind::EraserM, "server test").unwrap().key;
+    corpus.save().unwrap();
+    let (addr, handle) = start_in_process(&dir, 2);
+    let mut client = Client::connect(&addr).unwrap();
+    let implied = eval_spec(&key, "gladiator+m", true, true);
+    for request in [
+        RequestKind::Eval(implied.clone()),
+        RequestKind::BatchEval { evals: vec![implied.clone()], per_item: None },
+    ] {
+        let ResponseKind::Error(error) = client.request(request).unwrap() else {
+            panic!("an undecodable cell must answer with a typed error");
+        };
+        assert_eq!(error.code, ErrorCode::BadRequest, "{error}");
+        assert!(error.message.contains("needs a matchable code"), "{error}");
+    }
+    // Per item, the failure stays with its own pairing.
+    let results = client
+        .batch_eval(vec![implied.clone(), eval_spec(&key, "gladiator+m", true, false)])
+        .unwrap();
+    assert_eq!(results[0].as_ref().unwrap_err().code, ErrorCode::BadRequest);
+    assert!(results[1].is_ok(), "{:?}", results[1]);
+    let lookup = EvalSpec { decoder: Some("lookup".to_string()), ..implied };
+    let ResponseKind::Eval(served) = client.request(RequestKind::Eval(lookup)).unwrap() else {
+        panic!("the lookup decoder serves a d=3 color cell");
+    };
+    assert!(served.result.metrics.logical_error_rate.is_some());
+    shutdown(&addr);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn over_limit_connections_get_one_overloaded_line_and_the_daemon_keeps_serving() {
     let dir = tmp_dir("conn-limit");

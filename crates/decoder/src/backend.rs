@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use leaky_sim::RunRecord;
 use qec_codes::{CheckBasis, Code, CodeFamily, MatchingGraph};
+use serde::{de, Deserialize, Serialize, Value};
 
 use crate::decoder::{Correction, UnionFindDecoder};
 use crate::lookup::LookupDecoder;
@@ -171,6 +172,26 @@ impl DecoderKind {
                 Ok(Arc::new(UnionFindDecoder::new(graph)))
             }
             DecoderKind::Lookup => Ok(Arc::new(LookupDecoder::build(code, layers)?)),
+        }
+    }
+}
+
+/// Serializes as the frozen wire label.
+impl Serialize for DecoderKind {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label().to_string())
+    }
+}
+
+/// Parses a wire label, rejecting unknown ones with an error that names the
+/// known labels.
+impl Deserialize for DecoderKind {
+    fn from_value(value: &Value) -> Result<Self, de::Error> {
+        match value {
+            Value::Str(label) => Self::from_label(label).ok_or_else(|| {
+                de::expected(&format!("decoder label ({})", Self::known_labels()), value)
+            }),
+            other => Err(de::expected("decoder label string", other)),
         }
     }
 }

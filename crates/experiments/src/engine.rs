@@ -72,16 +72,14 @@ pub fn build_decoder(code: &Code, rounds: usize) -> Arc<UnionFindDecoder> {
 ///
 /// # Errors
 /// Returns the backend's validation error (unknown-family / d≠3 for the
-/// lookup table, unmatchable code for union-find) instead of panicking.
+/// lookup table, unmatchable code for union-find, selected or implied)
+/// instead of panicking.
 pub fn build_backend(
     kind: Option<DecoderKind>,
     code: &Code,
     rounds: usize,
 ) -> Result<Arc<dyn DecoderBackend>, String> {
-    match kind {
-        None => Ok(build_decoder(code, rounds)),
-        Some(kind) => kind.build(code, rounds + 1),
-    }
+    kind.unwrap_or(DecoderKind::UnionFind).build(code, rounds + 1)
 }
 
 impl BatchEngine {

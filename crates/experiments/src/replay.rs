@@ -705,7 +705,7 @@ pub fn evaluation_row(
 
 /// One row of a [`ReplayReport`]: one `(cell, policy)` pairing — or, when a
 /// decoder axis is in play, one `(cell, decoder, policy)` pairing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayCellResult {
     /// The corpus cell key.
     pub key: String,
@@ -719,6 +719,7 @@ pub struct ReplayCellResult {
     /// when the row used the legacy default (union-find). Omitted from the
     /// serialized row when `None`, so reports without a decoder axis stay
     /// byte-identical to pre-backend reports.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub decoder: Option<String>,
     /// Shots replayed.
     pub shots: usize,
@@ -736,52 +737,6 @@ pub struct ReplayCellResult {
     pub divergence_profile: Option<DivergenceProfile>,
     /// Aggregated replay metrics.
     pub metrics: AggregateMetrics,
-}
-
-// Hand-written (not derived) so the optional `decoder` field is *omitted*
-// when `None` rather than serialized as `null`: rows without a decoder
-// selection must stay byte-identical to pre-backend reports. Every other
-// field keeps the derive's behavior (`live_match`/`divergence_profile`
-// serialize as `null` when absent, exactly as before).
-impl Serialize for ReplayCellResult {
-    fn to_value(&self) -> serde::Value {
-        let mut composer = serde::ser::StructComposer::new();
-        composer.field("key", &self.key);
-        composer.field("code", &self.code);
-        composer.field("recorded_policy", &self.recorded_policy);
-        composer.field("policy", &self.policy);
-        if let Some(decoder) = &self.decoder {
-            composer.field("decoder", decoder);
-        }
-        composer.field("shots", &self.shots);
-        composer.field("rounds", &self.rounds);
-        composer.field("exact", &self.exact);
-        composer.field("divergent_shots", &self.divergent_shots);
-        composer.field("live_match", &self.live_match);
-        composer.field("divergence_profile", &self.divergence_profile);
-        composer.field("metrics", &self.metrics);
-        composer.end()
-    }
-}
-
-impl Deserialize for ReplayCellResult {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
-        let fields = serde::de::as_object(value, "ReplayCellResult")?;
-        Ok(ReplayCellResult {
-            key: serde::de::field(fields, "ReplayCellResult", "key")?,
-            code: serde::de::field(fields, "ReplayCellResult", "code")?,
-            recorded_policy: serde::de::field(fields, "ReplayCellResult", "recorded_policy")?,
-            policy: serde::de::field(fields, "ReplayCellResult", "policy")?,
-            decoder: serde::de::field(fields, "ReplayCellResult", "decoder")?,
-            shots: serde::de::field(fields, "ReplayCellResult", "shots")?,
-            rounds: serde::de::field(fields, "ReplayCellResult", "rounds")?,
-            exact: serde::de::field(fields, "ReplayCellResult", "exact")?,
-            divergent_shots: serde::de::field(fields, "ReplayCellResult", "divergent_shots")?,
-            live_match: serde::de::field(fields, "ReplayCellResult", "live_match")?,
-            divergence_profile: serde::de::field(fields, "ReplayCellResult", "divergence_profile")?,
-            metrics: serde::de::field(fields, "ReplayCellResult", "metrics")?,
-        })
-    }
 }
 
 /// A self-describing replay run over a whole corpus.

@@ -8,7 +8,7 @@
 //! grid flags, and [`crate::sweep::run_scenarios`] executes batches of them on
 //! the [`crate::engine::BatchEngine`] with shared artifacts.
 
-use serde::{de, ser, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use gladiator::GladiatorConfig;
 use leakage_speculation::PolicyKind;
@@ -17,17 +17,6 @@ use qec_codes::Code;
 use qec_decoder::DecoderKind;
 
 use crate::harness::ExperimentSpec;
-
-/// Parses a decoder selector from its wire label, rejecting unknown labels
-/// with an error that names the known ones.
-pub(crate) fn decoder_from_value(value: &Value) -> Result<DecoderKind, de::Error> {
-    match value {
-        Value::Str(label) => DecoderKind::from_label(label).ok_or_else(|| {
-            de::expected(&format!("decoder label ({})", DecoderKind::known_labels()), value)
-        }),
-        other => Err(de::expected("decoder label string", other)),
-    }
-}
 
 /// The code families the workspace can construct, keyed for sweep grids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -120,7 +109,7 @@ impl CodeFamily {
 /// `distance` is the family's size parameter (see [`CodeFamily`]). The derived
 /// [`ExperimentSpec`] always uses leakage sampling and a GLADIATOR calibration
 /// derived from `(p, leakage_ratio)`, matching the paper runners.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Code family of the cell.
     pub code: CodeFamily,
@@ -144,51 +133,8 @@ pub struct Scenario {
     /// default; the field is omitted from serialized scenarios when `None`,
     /// so reports without a decoder axis keep their pre-backend bytes (the
     /// additive-field rule — the schema version does not bump).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub decoder: Option<DecoderKind>,
-}
-
-// Hand-written (not derived) so the optional `decoder` field is *omitted*
-// when `None` rather than serialized as `null`: scenarios without a decoder
-// axis must stay byte-identical to pre-backend reports.
-impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut composer = ser::StructComposer::new();
-        composer.field("code", &self.code);
-        composer.field("distance", &self.distance);
-        composer.field("rounds", &self.rounds);
-        composer.field("p", &self.p);
-        composer.field("leakage_ratio", &self.leakage_ratio);
-        composer.field("policy", &self.policy);
-        composer.field("shots", &self.shots);
-        composer.field("seed", &self.seed);
-        composer.field("decode", &self.decode);
-        if let Some(kind) = self.decoder {
-            composer.field("decoder", &kind.label());
-        }
-        composer.end()
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        let fields = de::as_object(value, "Scenario")?;
-        let decoder = match de::field::<Option<Value>>(fields, "Scenario", "decoder")? {
-            None => None,
-            Some(value) => Some(decoder_from_value(&value)?),
-        };
-        Ok(Scenario {
-            code: de::field(fields, "Scenario", "code")?,
-            distance: de::field(fields, "Scenario", "distance")?,
-            rounds: de::field(fields, "Scenario", "rounds")?,
-            p: de::field(fields, "Scenario", "p")?,
-            leakage_ratio: de::field(fields, "Scenario", "leakage_ratio")?,
-            policy: de::field(fields, "Scenario", "policy")?,
-            shots: de::field(fields, "Scenario", "shots")?,
-            seed: de::field(fields, "Scenario", "seed")?,
-            decode: de::field(fields, "Scenario", "decode")?,
-            decoder,
-        })
-    }
 }
 
 impl Scenario {
@@ -241,7 +187,8 @@ impl Scenario {
     }
 
     /// Checks every field for consistency (size constraint, probabilities,
-    /// non-zero shot and round counts).
+    /// non-zero shot and round counts, and a decoder — selected, or union-find
+    /// when `decode` is set without one — that can serve the code).
     ///
     /// # Errors
     /// Returns a message describing the first violated constraint.
@@ -259,7 +206,9 @@ impl Scenario {
         if self.rounds == 0 {
             return Err("rounds must be positive".to_string());
         }
-        if let Some(kind) = self.decoder {
+        // A decoding cell without a selection decodes on union-find, which
+        // must be able to serve it just like an explicit choice.
+        if let Some(kind) = self.decoder.or(self.decode.then_some(DecoderKind::UnionFind)) {
             kind.supports(self.code.qec_family(), self.distance)
                 .map_err(|e| format!("decoder `{}` cannot serve this cell: {e}", kind.label()))?;
         }
@@ -432,6 +381,11 @@ mod tests {
             Scenario { code: CodeFamily::Color, decoder: Some(DecoderKind::UnionFind), ..sample() };
         let err = color_uf.validate().unwrap_err();
         assert!(err.contains("matchable"), "{err}");
+        // No selection decodes on uf too, so it is checked the same way —
+        // but only when the cell decodes at all.
+        let color = Scenario { code: CodeFamily::Color, ..sample() };
+        assert_eq!(color.validate().unwrap_err(), err);
+        assert!(Scenario { decode: false, ..color }.validate().is_ok());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{de, ser, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use qec_decoder::{DecoderBackend, DecoderKind};
@@ -33,7 +33,7 @@ use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::AggregateMetrics;
 use crate::replay::ReplayMode;
 use crate::runners::Scale;
-use crate::scenario::{decoder_from_value, CodeFamily, Scenario};
+use crate::scenario::{CodeFamily, Scenario};
 
 /// Version of the sweep-report JSON schema; bump when the shape changes.
 /// (v2: added the `recorded_policy` provenance field for corpus-backed sweeps.
@@ -51,7 +51,7 @@ pub const SWEEP_SCHEMA_VERSION: u32 = 4;
 /// numeric axes are additionally sorted, so permuting them leaves the
 /// expansion unchanged. Policies keep their listed order (paper figures order
 /// them deliberately).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Code family every cell runs on.
     pub code: CodeFamily,
@@ -77,6 +77,7 @@ pub struct SweepSpec {
     /// the legacy single-backend sweep on union-find; the field is omitted
     /// from serialized specs when `None` (additive — the sweep schema version
     /// does not bump, like the serve protocol's additive-field rule).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub decoders: Option<Vec<DecoderKind>>,
     /// Optional adaptive shot allocation: when present, `shots` becomes a
     /// per-cell **ceiling** and each cell sequentially allocates deterministic
@@ -84,58 +85,8 @@ pub struct SweepSpec {
     /// target relative half-width (see [`crate::adaptive`]). Omitted from
     /// serialized specs when `None`, so legacy fixed-shot specs and reports
     /// keep their exact bytes (additive, like `decoders`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adaptive: Option<crate::adaptive::AdaptiveSpec>,
-}
-
-// Hand-written so the optional `decoders` axis is omitted (not `null`) when
-// absent: legacy sweep reports must keep their exact pre-backend bytes.
-impl Serialize for SweepSpec {
-    fn to_value(&self) -> Value {
-        let mut composer = ser::StructComposer::new();
-        composer.field("code", &self.code);
-        composer.field("distances", &self.distances);
-        composer.field("error_rates", &self.error_rates);
-        composer.field("leakage_ratios", &self.leakage_ratios);
-        composer.field("policies", &self.policies);
-        composer.field("shots", &self.shots);
-        composer.field("rounds_per_distance", &self.rounds_per_distance);
-        composer.field("seed", &self.seed);
-        composer.field("decode", &self.decode);
-        if let Some(decoders) = &self.decoders {
-            let labels: Vec<String> =
-                decoders.iter().map(|kind| kind.label().to_string()).collect();
-            composer.field("decoders", &labels);
-        }
-        if let Some(adaptive) = &self.adaptive {
-            composer.field("adaptive", adaptive);
-        }
-        composer.end()
-    }
-}
-
-impl Deserialize for SweepSpec {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        let fields = de::as_object(value, "SweepSpec")?;
-        let decoders = match de::field::<Option<Vec<Value>>>(fields, "SweepSpec", "decoders")? {
-            None => None,
-            Some(values) => {
-                Some(values.iter().map(decoder_from_value).collect::<Result<Vec<_>, _>>()?)
-            }
-        };
-        Ok(SweepSpec {
-            code: de::field(fields, "SweepSpec", "code")?,
-            distances: de::field(fields, "SweepSpec", "distances")?,
-            error_rates: de::field(fields, "SweepSpec", "error_rates")?,
-            leakage_ratios: de::field(fields, "SweepSpec", "leakage_ratios")?,
-            policies: de::field(fields, "SweepSpec", "policies")?,
-            shots: de::field(fields, "SweepSpec", "shots")?,
-            rounds_per_distance: de::field(fields, "SweepSpec", "rounds_per_distance")?,
-            seed: de::field(fields, "SweepSpec", "seed")?,
-            decode: de::field(fields, "SweepSpec", "decode")?,
-            decoders,
-            adaptive: de::field(fields, "SweepSpec", "adaptive")?,
-        })
-    }
 }
 
 impl SweepSpec {

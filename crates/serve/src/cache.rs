@@ -7,9 +7,9 @@
 //! the loaded trace ([`LoadedCell`]), the calibrated [`PolicyFactory`] (every
 //! policy built from it shares the offline GLADIATOR model, pattern extractor
 //! and coloring), and lazily built decoder backends — one slot per
-//! [`DecoderKind`] plus the unlabeled legacy default (union-find). Cells are
-//! keyed by the manifest's policy-free cell key and evicted
-//! least-recently-used.
+//! [`DecoderKind`], the union-find slot also serving requests that name no
+//! decoder. Cells are keyed by the manifest's policy-free cell key and
+//! evicted least-recently-used.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -33,40 +33,24 @@ pub struct CachedCell {
     pub factory: Arc<PolicyFactory>,
     /// The policy that recorded the trace.
     pub recorded: PolicyKind,
-    /// The unlabeled legacy slot (union-find) requests without a `decoder`
-    /// field decode through.
-    decoder: OnceLock<Arc<dyn DecoderBackend>>,
-    /// One lazily filled slot per explicitly selectable [`DecoderKind`],
-    /// index-aligned with [`DecoderKind::ALL`].
+    /// One lazily filled slot per [`DecoderKind`], index-aligned with
+    /// [`DecoderKind::ALL`].
     backends: [OnceLock<Arc<dyn DecoderBackend>>; DecoderKind::ALL.len()],
 }
 
 impl CachedCell {
-    /// The cell's legacy default decoder (union-find), built on first use
-    /// (decoding is optional per request, and the matching-graph build is not
-    /// free) and shared by every later decode of the cell.
-    ///
-    /// # Panics
-    /// Panics when the cell's code is not matchable — the pre-backend
-    /// behavior of decoding such a cell, preserved for legacy requests.
-    #[must_use]
-    pub fn decoder(&self) -> Arc<dyn DecoderBackend> {
-        Arc::clone(self.decoder.get_or_init(|| {
-            build_backend(None, &self.cell.code, self.cell.header.rounds)
-                .expect("the legacy union-find build does not validate")
-        }))
-    }
-
-    /// The cell's decoder backend for `kind` — the legacy default slot when
-    /// `None` — built on first use and shared by every later decode of the
-    /// cell under that selection.
+    /// The cell's decoder backend for `kind` — union-find, the legacy default,
+    /// when `None` — built on first use (decoding is optional per request, and
+    /// the builds are not free) and shared by every later decode of the cell
+    /// under that selection.
     ///
     /// # Errors
-    /// Returns the backend's validation message when `kind` cannot serve this
-    /// cell's code/distance (e.g. the lookup table against d>3); the caller
-    /// maps it to a typed `bad-request`.
+    /// Returns the backend's validation message when the backend cannot serve
+    /// this cell's code/distance (e.g. the lookup table against d>3, or
+    /// union-find against the color code); the caller maps it to a typed
+    /// `bad-request`.
     pub fn backend(&self, kind: Option<DecoderKind>) -> Result<Arc<dyn DecoderBackend>, String> {
-        let Some(kind) = kind else { return Ok(self.decoder()) };
+        let kind = kind.unwrap_or(DecoderKind::UnionFind);
         let slot = &self.backends[DecoderKind::ALL
             .iter()
             .position(|&k| k == kind)
@@ -187,7 +171,6 @@ impl CellCache {
             cell,
             factory,
             recorded,
-            decoder: OnceLock::new(),
             backends: std::array::from_fn(|_| OnceLock::new()),
         });
         inner.misses += 1;
@@ -300,8 +283,8 @@ mod tests {
         let entry = corpus.entries()[0].clone();
         let cache = CellCache::new(2);
         let (cell, _) = cache.get_or_load(&corpus, &entry).unwrap();
-        let a = cell.decoder();
-        let b = cell.decoder();
+        let a = cell.backend(None).unwrap();
+        let b = cell.backend(None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let _ = std::fs::remove_dir_all(corpus.dir());
     }
@@ -312,12 +295,12 @@ mod tests {
         let entries: Vec<CorpusEntry> = corpus.entries().to_vec();
         let cache = CellCache::new(2);
         let (d3, _) = cache.get_or_load(&corpus, &entries[0]).unwrap();
-        // The unlabeled slot and the explicit `uf` slot are distinct builds...
+        // No selection decodes on the explicit `uf` slot...
         let legacy = d3.backend(None).unwrap();
-        assert!(Arc::ptr_eq(&legacy, &d3.backend(None).unwrap()));
         let uf = d3.backend(Some(DecoderKind::UnionFind)).unwrap();
         assert_eq!(uf.label(), "uf");
-        // ...while repeated selections of one kind share one backend.
+        assert!(Arc::ptr_eq(&legacy, &uf));
+        // ...and repeated selections of one kind share one backend.
         let lookup = d3.backend(Some(DecoderKind::Lookup)).unwrap();
         assert_eq!(lookup.label(), "lookup");
         assert!(Arc::ptr_eq(&lookup, &d3.backend(Some(DecoderKind::Lookup)).unwrap()));

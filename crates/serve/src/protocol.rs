@@ -6,14 +6,25 @@
 //! module is its executable counterpart, and the serde round-trip tests in
 //! `crates/serve/tests/protocol.rs` pin each documented shape.
 //!
-//! Shape conventions (mirroring the workspace's derive conventions, but with
-//! stable kebab-case wire tags that are **frozen** by the protocol doc):
+//! Shape conventions, all produced by the workspace's serde derive (the wire
+//! tags are **frozen** by the protocol doc):
 //!
 //! * requests and responses are one JSON object per line (LF-terminated);
 //! * payload-free kinds are bare strings (`"ping"`), payload-carrying kinds
-//!   are single-entry objects (`{"eval": {...}}`);
+//!   are single-entry objects (`{"eval": {...}}`), and every tag is the
+//!   variant name in kebab-case (`#[serde(rename_all = "kebab-case")]`);
+//! * an absent optional request field is omitted, never `null`
+//!   (`#[serde(skip_serializing_if = "Option::is_none")]`), so additive
+//!   fields leave older lines byte-identical;
 //! * every response envelope carries the protocol version in `v`, the same
 //!   schema-versioned-provenance discipline as sweep/replay reports.
+//!
+//! Only two types behind these lines keep hand-written, label-backed serde:
+//! [`ErrorCode`], whose open [`ErrorCode::Other`] variant keeps unknown codes
+//! from newer servers parsable, and `qec_decoder::DecoderKind` (`uf`,
+//! `lookup`) in the spec and report types. The free-form `message` of a
+//! malformed-line error names the Rust type (``unknown RequestKind variant
+//! `frobnicate` ``); clients match on the `code`, never the message.
 
 use serde::{de, Deserialize, Serialize, Value};
 
@@ -42,7 +53,8 @@ pub struct Request {
 }
 
 /// Everything the daemon can be asked to do.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum RequestKind {
     /// Liveness probe; answered with `pong`.
     Ping,
@@ -78,14 +90,18 @@ pub enum RequestKind {
         /// original all-or-nothing `batch` answer. Additive optional field —
         /// servers predating it ignore it and answer all-or-nothing, which
         /// clients must tolerate.
+        #[serde(skip_serializing_if = "Option::is_none")]
         per_item: Option<bool>,
     },
     /// Finish open connections' in-flight requests and exit the accept loop.
     Shutdown,
 }
 
-/// One `cell × policy` evaluation request.
-#[derive(Debug, Clone, PartialEq)]
+/// One `cell × policy` evaluation request. Absent optional fields are
+/// omitted from the wire line, never `null`: a spec without `decoder` (or
+/// `mode`/`decode`) renders exactly like one from a client predating the
+/// field, so old servers accept new clients' decoder-free requests unchanged.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalSpec {
     /// The corpus cell key (as listed by `list-cells`).
     pub key: String,
@@ -93,10 +109,12 @@ pub struct EvalSpec {
     pub policy: String,
     /// Replay mode label: `"open-loop"` (default when absent) or
     /// `"closed-loop"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub mode: Option<String>,
     /// Decode the replayed runs and report the LER (default `false`). As in
     /// `repro replay`, open-loop decoding only applies to recording-policy
     /// pairings; closed-loop decodes every pairing.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub decode: Option<bool>,
     /// Decoder backend label (`"uf"` or `"lookup"`; default when absent:
     /// union-find, the legacy behavior — responses to decoder-free requests
@@ -104,43 +122,8 @@ pub struct EvalSpec {
     /// and backends that cannot serve the cell's code/distance are answered
     /// with typed `bad-request` errors, never `internal` and never a closed
     /// connection. Additive optional field — no protocol version bump.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub decoder: Option<String>,
-}
-
-// Hand-written (not derived) so absent optional fields are *omitted* rather
-// than serialized as `null`: an `EvalSpec` without a `decoder` (or without
-// `mode`/`decode`) renders exactly like one from a client predating the
-// field, so old servers accept new clients' decoder-free requests unchanged.
-impl Serialize for EvalSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("key".to_string(), Value::Str(self.key.clone())),
-            ("policy".to_string(), Value::Str(self.policy.clone())),
-        ];
-        if let Some(mode) = &self.mode {
-            fields.push(("mode".to_string(), Value::Str(mode.clone())));
-        }
-        if let Some(decode) = self.decode {
-            fields.push(("decode".to_string(), Value::Bool(decode)));
-        }
-        if let Some(decoder) = &self.decoder {
-            fields.push(("decoder".to_string(), Value::Str(decoder.clone())));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for EvalSpec {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        let fields = de::as_object(value, "EvalSpec")?;
-        Ok(EvalSpec {
-            key: de::field(fields, "EvalSpec", "key")?,
-            policy: de::field(fields, "EvalSpec", "policy")?,
-            mode: de::field(fields, "EvalSpec", "mode")?,
-            decode: de::field(fields, "EvalSpec", "decode")?,
-            decoder: de::field(fields, "EvalSpec", "decoder")?,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------------
@@ -160,7 +143,8 @@ pub struct Response {
 }
 
 /// Everything the daemon can answer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum ResponseKind {
     /// Answer to `ping`.
     Pong,
@@ -355,7 +339,8 @@ pub struct EvalResult {
 // Entries are overwhelmingly `Eval` in practice, so boxing the large variant
 // would buy nothing but an extra allocation per served row.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum BatchItem {
     /// The pairing evaluated successfully.
     Eval(EvalResult),
@@ -386,36 +371,6 @@ impl From<Result<EvalResult, WireError>> for BatchItem {
         match outcome {
             Ok(result) => BatchItem::Eval(result),
             Err(error) => BatchItem::Error(error),
-        }
-    }
-}
-
-impl Serialize for BatchItem {
-    fn to_value(&self) -> Value {
-        match self {
-            BatchItem::Eval(result) => tagged("eval", result.to_value()),
-            BatchItem::Error(error) => tagged("error", error.to_value()),
-        }
-    }
-}
-
-impl Deserialize for BatchItem {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Object(entries) if entries.len() == 1 => {
-                let (tag, payload) = &entries[0];
-                let context = |e: de::Error| e.in_context(tag);
-                match tag.as_str() {
-                    "eval" => {
-                        Ok(BatchItem::Eval(EvalResult::from_value(payload).map_err(context)?))
-                    }
-                    "error" => {
-                        Ok(BatchItem::Error(WireError::from_value(payload).map_err(context)?))
-                    }
-                    other => Err(de::unknown_variant("batch item", other)),
-                }
-            }
-            other => Err(de::expected("batch item (single-entry object)", other)),
         }
     }
 }
@@ -527,151 +482,6 @@ impl WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.code.label(), self.message)
-    }
-}
-
-// ---------------------------------------------------------------------------------
-// Hand-written enum serde: the derive macro would use CamelCase variant names;
-// the protocol freezes kebab-case tags instead, so the two kind enums (and
-// nothing else) are implemented by hand. tests/protocol.rs pins every tag.
-// ---------------------------------------------------------------------------------
-
-/// `{tag: payload}` single-entry object.
-fn tagged(tag: &str, payload: Value) -> Value {
-    Value::Object(vec![(tag.to_string(), payload)])
-}
-
-/// `{"key": <key>}` payload for the by-key request kinds.
-fn key_payload(key: &str) -> Value {
-    Value::Object(vec![("key".to_string(), Value::Str(key.to_string()))])
-}
-
-impl Serialize for RequestKind {
-    fn to_value(&self) -> Value {
-        match self {
-            RequestKind::Ping => Value::Str("ping".to_string()),
-            RequestKind::Version => Value::Str("version".to_string()),
-            RequestKind::Stats => Value::Str("stats".to_string()),
-            RequestKind::ListCells => Value::Str("list-cells".to_string()),
-            RequestKind::Shutdown => Value::Str("shutdown".to_string()),
-            RequestKind::StatCell { key } => tagged("stat-cell", key_payload(key)),
-            RequestKind::VerifyCell { key } => tagged("verify-cell", key_payload(key)),
-            RequestKind::Eval(spec) => tagged("eval", spec.to_value()),
-            RequestKind::BatchEval { evals, per_item } => {
-                let mut fields = vec![("evals".to_string(), evals.to_value())];
-                if let Some(per_item) = per_item {
-                    fields.push(("per_item".to_string(), Value::Bool(*per_item)));
-                }
-                tagged("batch-eval", Value::Object(fields))
-            }
-        }
-    }
-}
-
-impl Deserialize for RequestKind {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Str(tag) => match tag.as_str() {
-                "ping" => Ok(RequestKind::Ping),
-                "version" => Ok(RequestKind::Version),
-                "stats" => Ok(RequestKind::Stats),
-                "list-cells" => Ok(RequestKind::ListCells),
-                "shutdown" => Ok(RequestKind::Shutdown),
-                other => Err(de::unknown_variant("request", other)),
-            },
-            Value::Object(entries) if entries.len() == 1 => {
-                let (tag, payload) = &entries[0];
-                match tag.as_str() {
-                    "stat-cell" => {
-                        let fields = de::as_object(payload, "stat-cell")?;
-                        Ok(RequestKind::StatCell { key: de::field(fields, "stat-cell", "key")? })
-                    }
-                    "verify-cell" => {
-                        let fields = de::as_object(payload, "verify-cell")?;
-                        Ok(RequestKind::VerifyCell {
-                            key: de::field(fields, "verify-cell", "key")?,
-                        })
-                    }
-                    "eval" => Ok(RequestKind::Eval(
-                        EvalSpec::from_value(payload).map_err(|e| e.in_context("eval"))?,
-                    )),
-                    "batch-eval" => {
-                        let fields = de::as_object(payload, "batch-eval")?;
-                        Ok(RequestKind::BatchEval {
-                            evals: de::field(fields, "batch-eval", "evals")?,
-                            per_item: de::field(fields, "batch-eval", "per_item")?,
-                        })
-                    }
-                    other => Err(de::unknown_variant("request", other)),
-                }
-            }
-            other => Err(de::expected("request (string or single-entry object)", other)),
-        }
-    }
-}
-
-impl Serialize for ResponseKind {
-    fn to_value(&self) -> Value {
-        match self {
-            ResponseKind::Pong => Value::Str("pong".to_string()),
-            ResponseKind::ShuttingDown => Value::Str("shutting-down".to_string()),
-            ResponseKind::Version(info) => tagged("version", info.to_value()),
-            ResponseKind::Stats(stats) => tagged("stats", stats.to_value()),
-            ResponseKind::Cells(cells) => tagged("cells", cells.to_value()),
-            ResponseKind::CellStat(stat) => tagged("cell-stat", stat.to_value()),
-            ResponseKind::Verified(verified) => tagged("verified", verified.to_value()),
-            ResponseKind::Eval(result) => tagged("eval", result.to_value()),
-            ResponseKind::Batch(results) => tagged("batch", results.to_value()),
-            ResponseKind::BatchItems(items) => tagged("batch-items", items.to_value()),
-            ResponseKind::Error(error) => tagged("error", error.to_value()),
-        }
-    }
-}
-
-impl Deserialize for ResponseKind {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        match value {
-            Value::Str(tag) => match tag.as_str() {
-                "pong" => Ok(ResponseKind::Pong),
-                "shutting-down" => Ok(ResponseKind::ShuttingDown),
-                other => Err(de::unknown_variant("response", other)),
-            },
-            Value::Object(entries) if entries.len() == 1 => {
-                let (tag, payload) = &entries[0];
-                let context = |e: de::Error| e.in_context(tag);
-                match tag.as_str() {
-                    "version" => Ok(ResponseKind::Version(
-                        VersionInfo::from_value(payload).map_err(context)?,
-                    )),
-                    "stats" => {
-                        Ok(ResponseKind::Stats(ServerStats::from_value(payload).map_err(context)?))
-                    }
-                    "cells" => Ok(ResponseKind::Cells(
-                        Vec::<CorpusEntry>::from_value(payload).map_err(context)?,
-                    )),
-                    "cell-stat" => {
-                        Ok(ResponseKind::CellStat(CellStat::from_value(payload).map_err(context)?))
-                    }
-                    "verified" => Ok(ResponseKind::Verified(
-                        VerifiedCell::from_value(payload).map_err(context)?,
-                    )),
-                    "eval" => {
-                        Ok(ResponseKind::Eval(EvalResult::from_value(payload).map_err(context)?))
-                    }
-                    "batch" => Ok(ResponseKind::Batch(
-                        Vec::<EvalResult>::from_value(payload).map_err(context)?,
-                    )),
-                    "batch-items" => Ok(ResponseKind::BatchItems(
-                        Vec::<BatchItem>::from_value(payload).map_err(context)?,
-                    )),
-                    "error" => {
-                        Ok(ResponseKind::Error(WireError::from_value(payload).map_err(context)?))
-                    }
-                    other => Err(de::unknown_variant("response", other)),
-                }
-            }
-            other => Err(de::expected("response (string or single-entry object)", other)),
-        }
     }
 }
 

@@ -492,10 +492,13 @@ fn prepare_eval(snapshot: &CorpusSnapshot, spec: &EvalSpec) -> Result<PreparedEv
         .cache
         .get_or_load(&snapshot.corpus, entry)
         .map_err(|e| WireError::new(ErrorCode::CorruptCorpus, e))?;
-    // A decoder/cell mismatch (e.g. the lookup decoder on a d=5 cell) is a
-    // request error, caught here at prepare time so it is typed `bad-request`
-    // — never `internal`, and never a disconnect.
-    if let Some(kind) = decoder {
+    // A decoder/cell mismatch (e.g. the lookup decoder on a d=5 cell, or a
+    // decoding pairing without a selection — union-find — on a color cell) is
+    // a request error, caught here at prepare time so it is typed
+    // `bad-request` — never `internal`, and never a disconnect.
+    let decode = spec.decode.unwrap_or(false);
+    let implied = decode && reproduces_live(&cached.cell, policy, mode);
+    if let Some(kind) = decoder.or(implied.then_some(DecoderKind::UnionFind)) {
         kind.supports(cached.cell.code.family(), cached.cell.code.distance()).map_err(|e| {
             WireError::new(
                 ErrorCode::BadRequest,
@@ -503,15 +506,7 @@ fn prepare_eval(snapshot: &CorpusSnapshot, spec: &EvalSpec) -> Result<PreparedEv
             )
         })?;
     }
-    Ok(PreparedEval {
-        key: spec.key.clone(),
-        cached,
-        hit,
-        policy,
-        mode,
-        decode: spec.decode.unwrap_or(false),
-        decoder,
-    })
+    Ok(PreparedEval { key: spec.key.clone(), cached, hit, policy, mode, decode, decoder })
 }
 
 /// Runs prepared evaluations of one cell as one candidate set, through the
