@@ -22,14 +22,18 @@
 //! ```
 //!
 //! Argument parsing is strict: unknown subcommands, flags or experiment names
-//! print usage to stderr and exit with status 2. `replay --verify-live` and
-//! `corpus --verify` exit 1 on a mismatch/corruption; `query` exits 1 on an
-//! error response; an output file that cannot be written exits 1 with one
-//! `repro: cannot write` line. Everything else exits 0.
+//! print usage to stderr and exit with status 2. Exit status 1 is a failure
+//! at run time: a `replay --verify-live` mismatch or `corpus --verify`
+//! corruption; a `query` error response, failed batch item or unreachable
+//! daemon; an output file that cannot be written (one `repro: cannot write`
+//! line); or a `serve`, `route` or `corpus shard` runtime failure (a corpus,
+//! shard map or bind error). Everything else exits 0.
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use leakage_speculation::PolicyKind;
 use qec_cluster::{shard_corpus, Router, RouterConfig, ShardOptions};
@@ -173,11 +177,13 @@ commands:
   list      print known experiments, policies and code families
   version   print version, git provenance and schema versions (also --version)
 
-exit status: 0 ok; 1 gate failure (replay --verify-live, corpus --verify);
-2 usage error
+exit status: 0 ok; 1 gate failure (replay --verify-live, corpus --verify), query
+error response or failed batch item, unwritable output file, or serve, route or
+corpus shard runtime failure; 2 usage error
 ";
 
 /// A usage error: the message is printed to stderr followed by the usage text.
+#[derive(Debug)]
 struct UsageError(String);
 
 impl UsageError {
@@ -210,7 +216,6 @@ fn main() -> ExitCode {
         Ok(code) => code,
         Err(UsageError(message)) => {
             // Tolerate a closed stderr so the exit code survives `2>&1 | head`.
-            use std::io::Write as _;
             let _ = writeln!(std::io::stderr(), "repro: {message}");
             let _ = write!(std::io::stderr(), "{USAGE}");
             ExitCode::from(2)
@@ -218,38 +223,135 @@ fn main() -> ExitCode {
     }
 }
 
-/// Borrowing cursor over the argument list with one token of lookahead.
+/// One subcommand's arguments, consumed as the command asks for them: every
+/// read marks the flags (and values) it takes as used, and [`Args::finish`]
+/// rejects any flag no read asked for. Flags may come in any order and
+/// repeat; a scalar flag keeps its last value, a list flag accumulates.
 struct Args<'a> {
+    command: &'static str,
     items: &'a [String],
-    pos: usize,
+    used: Vec<bool>,
 }
 
 impl<'a> Args<'a> {
-    fn new(items: &'a [String]) -> Self {
-        Args { items, pos: 0 }
+    fn new(command: &'static str, items: &'a [String]) -> Self {
+        Args { command, items, used: vec![false; items.len()] }
     }
 
-    fn next(&mut self) -> Option<&'a str> {
-        let arg = self.items.get(self.pos)?;
-        self.pos += 1;
-        Some(arg)
-    }
-
-    fn peek(&self) -> Option<&'a str> {
-        self.items.get(self.pos).map(String::as_str)
-    }
-
-    /// Pulls the value of a `--flag VALUE` pair. A following flag token does
-    /// not count as a value, so `--out --no-timing` is a usage error rather
-    /// than a file named `--no-timing`.
-    fn value(&mut self, flag: &str) -> Result<&'a str, UsageError> {
-        match self.peek() {
-            Some(value) if !value.starts_with("--") => {
-                self.pos += 1;
-                Ok(value)
+    /// Whether the switch `flag` was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        let mut given = false;
+        for (item, used) in self.items.iter().zip(&mut self.used) {
+            if item == flag {
+                *used = true;
+                given = true;
             }
-            _ => Err(UsageError::new(format!("{flag} requires a value"))),
         }
+        given
+    }
+
+    /// The value of every `flag VALUE` pair, in order. A value never starts
+    /// with `--`, so `--out --no-timing` is a usage error rather than a file
+    /// named `--no-timing`.
+    fn values(&mut self, flag: &str) -> Result<Vec<&'a str>, UsageError> {
+        let items = self.items;
+        let mut values = Vec::new();
+        for at in (0..items.len()).filter(|&at| items[at] == flag) {
+            match items.get(at + 1) {
+                Some(value) if !value.starts_with("--") => values.push(value.as_str()),
+                _ => return Err(UsageError::new(format!("{flag} requires a value"))),
+            }
+            self.used[at] = true;
+            self.used[at + 1] = true;
+        }
+        Ok(values)
+    }
+
+    /// The last value of `flag`.
+    fn value(&mut self, flag: &str) -> Result<Option<&'a str>, UsageError> {
+        Ok(self.values(flag)?.pop())
+    }
+
+    fn path(&mut self, flag: &str) -> Result<Option<PathBuf>, UsageError> {
+        Ok(self.value(flag)?.map(PathBuf::from))
+    }
+
+    /// Every value of `flag` through `parse`.
+    fn each<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Result<T, UsageError>,
+    ) -> Result<Vec<T>, UsageError> {
+        self.values(flag)?.into_iter().map(parse).collect()
+    }
+
+    /// The last value of `flag` through `parse`; every occurrence must parse.
+    fn parsed<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Result<T, UsageError>,
+    ) -> Result<Option<T>, UsageError> {
+        Ok(self.each(flag, parse)?.pop())
+    }
+
+    fn number<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Option<T>, UsageError> {
+        self.parsed(flag, |value| parse_number(flag, value))
+    }
+
+    /// A number that must be at least 1.
+    fn count(&mut self, flag: &str) -> Result<Option<usize>, UsageError> {
+        self.parsed(flag, |value| match parse_number(flag, value)? {
+            0 => Err(UsageError::new(format!("{flag} must be at least 1"))),
+            count => Ok(count),
+        })
+    }
+
+    /// Every comma-separated item of every `flag` value, through `parse`.
+    fn list<T>(
+        &mut self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Result<T, UsageError>,
+    ) -> Result<Vec<T>, UsageError> {
+        self.values(flag)?.into_iter().flat_map(|value| value.split(',')).map(parse).collect()
+    }
+
+    /// Every `--grid KEY=V[,V...]` entry. Each `--grid` also takes every
+    /// following token that contains `=` and does not start with `--`.
+    fn grid(&mut self) -> Result<Vec<(String, String)>, UsageError> {
+        self.values("--grid")?;
+        let items = self.items;
+        let mut entries = Vec::new();
+        let mut in_grid = false;
+        for (at, item) in items.iter().enumerate() {
+            in_grid = (at > 0 && items[at - 1] == "--grid")
+                || (in_grid && !item.starts_with("--") && item.contains('='));
+            if in_grid {
+                self.used[at] = true;
+                entries.push(split_grid_entry(item)?);
+            }
+        }
+        Ok(entries)
+    }
+
+    /// Rejects any flag no read asked for and returns the remaining
+    /// arguments, the operands: at most `max_operands` of them.
+    fn finish(self, max_operands: usize) -> Result<Vec<&'a str>, UsageError> {
+        let command = self.command;
+        let mut operands = Vec::new();
+        for (item, used) in self.items.iter().zip(self.used) {
+            if used {
+                continue;
+            }
+            if item.starts_with('-') {
+                return Err(UsageError::new(format!("unknown flag `{item}` for `{command}`")));
+            }
+            if operands.len() == max_operands {
+                let message = format!("unexpected argument `{item}` for `{command}`");
+                return Err(UsageError::new(message));
+            }
+            operands.push(item.as_str());
+        }
+        Ok(operands)
     }
 }
 
@@ -266,35 +368,56 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Usag
     value.parse().map_err(|_| UsageError::new(format!("{flag}: invalid value `{value}`")))
 }
 
+fn parse_decoder_label(label: &str) -> Result<DecoderKind, UsageError> {
+    DecoderKind::from_label(label.trim()).ok_or_else(|| {
+        UsageError::new(format!(
+            "unknown decoder `{label}`; known: {}",
+            DecoderKind::known_labels()
+        ))
+    })
+}
+
+fn parse_policy_label(label: &str) -> Result<PolicyKind, UsageError> {
+    PolicyKind::from_label(label.trim()).ok_or_else(|| {
+        UsageError::new(format!(
+            "unknown policy `{label}`; known: {}",
+            PolicyKind::ALL.map(PolicyKind::label).join(", ")
+        ))
+    })
+}
+
+fn replay_mode(closed_loop: bool) -> ReplayMode {
+    if closed_loop {
+        ReplayMode::ClosedLoop
+    } else {
+        ReplayMode::OpenLoop
+    }
+}
+
+/// A deadline of `ms` milliseconds, where 0 means none.
+fn deadline(ms: u64) -> Option<Duration> {
+    (ms > 0).then(|| Duration::from_millis(ms))
+}
+
 // ---------------------------------------------------------------------------------
 // repro run
 // ---------------------------------------------------------------------------------
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut scale = Scale::quick();
-    let mut out_dir = PathBuf::from("repro-results");
-    let mut selected: Vec<String> = Vec::new();
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--scale" => scale = parse_scale(iter.value("--scale")?)?,
-            "--out" => out_dir = PathBuf::from(iter.value("--out")?),
-            flag if flag.starts_with('-') => {
-                return Err(UsageError::new(format!("unknown flag `{flag}` for `run`")));
-            }
-            name => selected.push(name.to_string()),
-        }
-    }
-    if let Some(unknown) = selected.iter().find(|n| !EXPERIMENTS.contains(&n.as_str())) {
+    let mut args = Args::new("run", args);
+    let scale = args.parsed("--scale", parse_scale)?.unwrap_or_else(Scale::quick);
+    let out_dir = args.path("--out")?.unwrap_or_else(|| PathBuf::from("repro-results"));
+    let mut selected = args.finish(usize::MAX)?;
+    if let Some(unknown) = selected.iter().find(|name| !EXPERIMENTS.contains(name)) {
         return Err(UsageError::new(format!(
             "unknown experiment `{unknown}`; known: {}",
             EXPERIMENTS.join(", ")
         )));
     }
     if selected.is_empty() {
-        selected = EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
+        selected = EXPERIMENTS.to_vec();
     }
-    for name in &selected {
+    for name in selected {
         println!("=== {name} ===");
         let payload = run_one(name, &scale).expect("experiment names were validated above");
         let path = out_dir.join(format!("{name}.json"));
@@ -318,13 +441,45 @@ fn write_output(path: &Path, bytes: &[u8]) -> Result<(), ExitCode> {
     })
 }
 
+/// Delivers a JSON report with its console text: the `summary`, then each
+/// `note`. `--out -` keeps stdout machine-readable: the JSON alone goes there
+/// and the console text to stderr. An `--out` path is written first, so a
+/// consumer that closes our stdout early still gets the report on disk; the
+/// console text and a `(saved <saved> to <path>)` line follow on stdout.
+/// Without `--out` only the console text is printed. Returns the printer for
+/// any later status line, so it lands on the same stream.
+fn deliver(
+    out: Option<&Path>,
+    json: &str,
+    summary: &str,
+    notes: &[&str],
+    saved: &str,
+) -> Result<fn(&str), ExitCode> {
+    if out.is_some_and(|path| path.as_os_str() == "-") {
+        eprint!("{summary}");
+        let say: fn(&str) = |line| eprintln!("{line}");
+        notes.iter().for_each(|note| say(note));
+        emit(json);
+        return Ok(say);
+    }
+    if let Some(path) = out {
+        write_output(path, json.as_bytes())?;
+    }
+    emit(summary);
+    notes.iter().for_each(|note| emit(note));
+    if let Some(path) = out {
+        emit(&format!("(saved {saved} to {})", path.display()));
+    }
+    Ok(emit)
+}
+
 // ---------------------------------------------------------------------------------
 // repro sweep
 // ---------------------------------------------------------------------------------
 
 /// The spec-building flags shared by `sweep` and `record`: a grid (or spec
 /// file) plus scalar overrides.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 struct SpecFlags {
     scale: Option<Scale>,
     spec_file: Option<PathBuf>,
@@ -336,29 +491,16 @@ struct SpecFlags {
 }
 
 impl SpecFlags {
-    /// Consumes `arg` when it is a spec flag, returning whether it was one.
-    fn try_consume(&mut self, arg: &str, iter: &mut Args<'_>) -> Result<bool, UsageError> {
-        match arg {
-            "--spec" => self.spec_file = Some(PathBuf::from(iter.value("--spec")?)),
-            "--grid" => {
-                self.grid.push(split_grid_entry(iter.value("--grid")?)?);
-                // Consume every following KEY=VALUES token.
-                while iter.peek().is_some_and(|a| !a.starts_with("--") && a.contains('=')) {
-                    let entry = iter.next().expect("peeked above");
-                    self.grid.push(split_grid_entry(entry)?);
-                }
-            }
-            "--scale" => self.scale = Some(parse_scale(iter.value("--scale")?)?),
-            "--shots" => self.shots = Some(parse_number("--shots", iter.value("--shots")?)?),
-            "--rounds-per-distance" => {
-                let value = iter.value("--rounds-per-distance")?;
-                self.rounds_per_distance = Some(parse_number("--rounds-per-distance", value)?);
-            }
-            "--seed" => self.seed = Some(parse_number("--seed", iter.value("--seed")?)?),
-            "--no-decode" => self.no_decode = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
+    fn read(args: &mut Args<'_>) -> Result<Self, UsageError> {
+        Ok(SpecFlags {
+            scale: args.parsed("--scale", parse_scale)?,
+            spec_file: args.path("--spec")?,
+            grid: args.grid()?,
+            shots: args.number("--shots")?,
+            rounds_per_distance: args.number("--rounds-per-distance")?,
+            seed: args.number("--seed")?,
+            no_decode: args.switch("--no-decode"),
+        })
     }
 
     /// Lowers the collected flags to a concrete [`SweepSpec`].
@@ -401,185 +543,112 @@ impl SpecFlags {
     }
 }
 
-fn parse_decoder_label(label: &str) -> Result<DecoderKind, UsageError> {
-    DecoderKind::from_label(label.trim()).ok_or_else(|| {
-        UsageError::new(format!(
-            "unknown decoder `{label}`; known: {}",
-            DecoderKind::known_labels()
-        ))
-    })
-}
-
-fn parse_policy_label(label: &str) -> Result<PolicyKind, UsageError> {
-    PolicyKind::from_label(label.trim()).ok_or_else(|| {
-        UsageError::new(format!(
-            "unknown policy `{label}`; known: {}",
-            PolicyKind::ALL.map(PolicyKind::label).join(", ")
-        ))
-    })
-}
-
 fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut flags = SpecFlags::default();
-    let mut timing = true;
-    let mut out: Option<PathBuf> = None;
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut record_policy: Option<PolicyKind> = None;
-    let mut mode = ReplayMode::OpenLoop;
-    let mut decoders: Vec<DecoderKind> = Vec::new();
-    let mut adaptive = false;
-    let mut target_ci: Option<f64> = None;
-    let mut confidence = 0.95f64;
-    let mut initial_batch = 64usize;
-    let mut max_shots: Option<usize> = None;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut stop_after_rounds: Option<u64> = None;
-    let mut resume_dir: Option<PathBuf> = None;
-    let mut spec_flags_used = false;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        if flags.try_consume(arg, &mut iter)? {
-            spec_flags_used = true;
-            continue;
-        }
-        match arg {
-            "--no-timing" => timing = false,
-            "--out" => out = Some(PathBuf::from(iter.value("--out")?)),
-            "--corpus" => corpus_dir = Some(PathBuf::from(iter.value("--corpus")?)),
-            "--record-policy" => {
-                record_policy = Some(parse_policy_label(iter.value("--record-policy")?)?);
-            }
-            "--closed-loop" => mode = ReplayMode::ClosedLoop,
-            "--decoder" => {
-                for label in iter.value("--decoder")?.split(',') {
-                    decoders.push(parse_decoder_label(label)?);
-                }
-            }
-            "--adaptive" => adaptive = true,
-            "--target-ci" => {
-                target_ci = Some(parse_number("--target-ci", iter.value("--target-ci")?)?);
-            }
-            "--confidence" => {
-                confidence = parse_number("--confidence", iter.value("--confidence")?)?;
-            }
-            "--initial-batch" => {
-                initial_batch = parse_number("--initial-batch", iter.value("--initial-batch")?)?;
-            }
-            "--max-shots" => {
-                max_shots = Some(parse_number("--max-shots", iter.value("--max-shots")?)?);
-            }
-            "--checkpoint" => checkpoint_dir = Some(PathBuf::from(iter.value("--checkpoint")?)),
-            "--stop-after-rounds" => {
-                stop_after_rounds =
-                    Some(parse_number("--stop-after-rounds", iter.value("--stop-after-rounds")?)?);
-            }
-            "--resume" => resume_dir = Some(PathBuf::from(iter.value("--resume")?)),
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `sweep`")));
-            }
-        }
-    }
+    let mut args = Args::new("sweep", args);
+    let flags = SpecFlags::read(&mut args)?;
+    let timing = !args.switch("--no-timing");
+    let out = args.path("--out")?.unwrap_or_else(|| PathBuf::from("repro-results/sweep.json"));
+    let corpus_dir = args.path("--corpus")?;
+    let record_policy = args.parsed("--record-policy", parse_policy_label)?;
+    let closed_loop = args.switch("--closed-loop");
+    let decoders = args.list("--decoder", parse_decoder_label)?;
+    let adaptive = args.switch("--adaptive");
+    let target_ci: Option<f64> = args.number("--target-ci")?;
+    let confidence: Option<f64> = args.number("--confidence")?;
+    let initial_batch: Option<usize> = args.number("--initial-batch")?;
+    let max_shots: Option<usize> = args.number("--max-shots")?;
+    let checkpoint_dir = args.path("--checkpoint")?;
+    let stop_after_rounds: Option<u64> = args.number("--stop-after-rounds")?;
+    let resume_dir = args.path("--resume")?;
+    args.finish(0)?;
     if record_policy.is_some() && corpus_dir.is_none() {
         return Err(UsageError::new("--record-policy requires --corpus"));
     }
+    let adaptive_only = target_ci.is_some()
+        || confidence.is_some()
+        || initial_batch.is_some()
+        || max_shots.is_some()
+        || checkpoint_dir.is_some();
     if let Some(dir) = resume_dir {
         // Resume takes its whole spec from the checkpoint: flags that would
         // redefine the run contradict the byte-identity contract.
-        if spec_flags_used || adaptive || !decoders.is_empty() || mode == ReplayMode::ClosedLoop {
+        if flags != SpecFlags::default() || adaptive || !decoders.is_empty() || closed_loop {
             return Err(UsageError::new(
                 "--resume takes the spec from the checkpoint; it only accepts \
                  --stop-after-rounds, --out, --corpus and --record-policy",
             ));
         }
-        if target_ci.is_some() || max_shots.is_some() || checkpoint_dir.is_some() {
+        if adaptive_only {
             return Err(UsageError::new(
-                "--resume reads --target-ci/--max-shots/--checkpoint from the checkpoint \
-                 directory; do not pass them",
+                "--resume reads --target-ci/--confidence/--initial-batch/--max-shots/\
+                 --checkpoint from the checkpoint directory; do not pass them",
             ));
         }
         let outcome = resume_adaptive(&dir, stop_after_rounds).map_err(UsageError::new)?;
-        return finish_adaptive(outcome, &dir, out, corpus_dir, record_policy);
+        return finish_adaptive(outcome, &dir, &out, corpus_dir, record_policy);
+    }
+    let mut spec = flags.build()?;
+    if !decoders.is_empty() {
+        spec.decoders = Some(decoders);
     }
     if adaptive {
-        if mode == ReplayMode::ClosedLoop {
+        if closed_loop {
             return Err(UsageError::new("--adaptive runs live; it cannot combine --closed-loop"));
         }
         let checkpoint = checkpoint_dir
             .ok_or_else(|| UsageError::new("--adaptive requires --checkpoint DIR"))?;
         let target = target_ci
             .ok_or_else(|| UsageError::new("--adaptive requires --target-ci R (e.g. 0.1)"))?;
-        let mut spec = flags.build()?;
-        if !decoders.is_empty() {
-            spec.decoders = Some(decoders);
-        }
         if let Some(ceiling) = max_shots {
             spec.shots = ceiling;
         }
-        spec.adaptive =
-            Some(AdaptiveSpec { target_rel_halfwidth: target, confidence, initial_batch });
+        let defaults = AdaptiveSpec::default();
+        spec.adaptive = Some(AdaptiveSpec {
+            target_rel_halfwidth: target,
+            confidence: confidence.unwrap_or(defaults.confidence),
+            initial_batch: initial_batch.unwrap_or(defaults.initial_batch),
+        });
         // Adaptive/decoder/family violations surface here as typed usage
         // errors (exit 2) rather than mid-sweep failures.
         spec.expand().map_err(UsageError::new)?;
         let outcome =
             run_adaptive(&spec, &checkpoint, stop_after_rounds).map_err(UsageError::new)?;
-        return finish_adaptive(outcome, &checkpoint, out, corpus_dir, record_policy);
+        return finish_adaptive(outcome, &checkpoint, &out, corpus_dir, record_policy);
     }
-    if target_ci.is_some()
-        || max_shots.is_some()
-        || checkpoint_dir.is_some()
-        || stop_after_rounds.is_some()
-    {
+    if adaptive_only || stop_after_rounds.is_some() {
         return Err(UsageError::new(
-            "--target-ci/--max-shots/--checkpoint/--stop-after-rounds require --adaptive",
+            "--target-ci/--confidence/--initial-batch/--max-shots/--checkpoint/\
+             --stop-after-rounds require --adaptive",
         ));
     }
-    if mode == ReplayMode::ClosedLoop && corpus_dir.is_none() {
+    if closed_loop && corpus_dir.is_none() {
         return Err(UsageError::new("--closed-loop requires --corpus"));
-    }
-    let mut spec = flags.build()?;
-    if !decoders.is_empty() {
-        spec.decoders = Some(decoders);
     }
     // Decoder/family mismatches surface here, at expansion time, as typed
     // usage errors (exit 2) rather than mid-sweep failures.
     spec.expand().map_err(UsageError::new)?;
     let report = match &corpus_dir {
-        Some(dir) => run_sweep_with_corpus(&spec, dir, record_policy, timing, mode)
-            .map_err(UsageError::new)?,
+        Some(dir) => {
+            run_sweep_with_corpus(&spec, dir, record_policy, timing, replay_mode(closed_loop))
+                .map_err(UsageError::new)?
+        }
         None => run_sweep(&spec, timing).map_err(UsageError::new)?,
     };
-    let json = to_json(&report);
-    // Persist the artifact before any (interruptible) console output, so a
-    // consumer that closes our stdout early still gets the report on disk.
-    let out = out.unwrap_or_else(|| PathBuf::from("repro-results/sweep.json"));
-    let to_stdout = out.as_os_str() == "-";
-    if !to_stdout {
-        if let Err(code) = write_output(&out, json.as_bytes()) {
-            return Ok(code);
-        }
-    }
-    if to_stdout {
-        // Keep stdout machine-readable: the summary table goes to stderr so
-        // `repro sweep --out - | jq .` sees nothing but the JSON report.
-        eprint!("{}", sweep_summary(&report));
-        emit(&json);
-    } else {
-        emit(&sweep_summary(&report));
-        emit(&format!("(saved {} cells to {})", report.cells.len(), out.display()));
-    }
-    Ok(ExitCode::SUCCESS)
+    let saved = format!("{} cells", report.cells.len());
+    let delivered = deliver(Some(&out), &to_json(&report), &sweep_summary(&report), &[], &saved);
+    Ok(delivered.err().unwrap_or(ExitCode::SUCCESS))
 }
 
 /// Lands an adaptive sweep outcome: `None` is a pause at a round boundary
-/// (checkpointed, exit 0 with a resume hint); `Some` persists the report
-/// exactly like the fixed-shot path, optionally records the finished cells
-/// into a corpus (appending only new shots to cells already recorded), and
-/// prints the allocation provenance that deliberately lives outside the
-/// report bytes.
+/// (checkpointed, exit 0 with a resume hint); `Some` optionally records the
+/// finished cells into a corpus (appending only new shots to cells already
+/// recorded), then delivers the report exactly like the fixed-shot path, with
+/// the allocation provenance that deliberately lives outside the report
+/// bytes as a console note.
 fn finish_adaptive(
     outcome: Option<AdaptiveOutcome>,
-    checkpoint: &std::path::Path,
-    out: Option<PathBuf>,
+    checkpoint: &Path,
+    out: &Path,
     corpus_dir: Option<PathBuf>,
     record_policy: Option<PolicyKind>,
 ) -> Result<ExitCode, UsageError> {
@@ -629,37 +698,22 @@ fn finish_adaptive(
             dir.display()
         ));
     }
-    let json = to_json(&outcome.report);
-    let out = out.unwrap_or_else(|| PathBuf::from("repro-results/sweep.json"));
-    let to_stdout = out.as_os_str() == "-";
-    if !to_stdout {
-        if let Err(code) = write_output(&out, json.as_bytes()) {
-            return Ok(code);
-        }
-    }
-    // Allocation provenance goes to the console (stderr when stdout carries
-    // the report), never into the report bytes — an adaptive run at its
-    // ceiling must stay byte-identical to the legacy fixed-shot report.
+    // An adaptive run at its ceiling must stay byte-identical to the legacy
+    // fixed-shot report, so the provenance is a console note only.
     let provenance = format!(
         "adaptive: {} rounds, {} shots allocated ({} cells converged, {} at ceiling)",
         outcome.rounds, outcome.shots_allocated, outcome.converged, outcome.ceilinged
     );
-    if to_stdout {
-        eprint!("{}", sweep_summary(&outcome.report));
-        eprintln!("{provenance}");
-        emit(&json);
-    } else {
-        emit(&sweep_summary(&outcome.report));
-        emit(&provenance);
-        emit(&format!("(saved {} cells to {})", outcome.report.cells.len(), out.display()));
-    }
-    Ok(ExitCode::SUCCESS)
+    let report = &outcome.report;
+    let saved = format!("{} cells", report.cells.len());
+    let json = to_json(report);
+    let delivered = deliver(Some(out), &json, &sweep_summary(report), &[&provenance], &saved);
+    Ok(delivered.err().unwrap_or(ExitCode::SUCCESS))
 }
 
 /// Prints a line to stdout, ignoring a closed pipe (`repro sweep | head` must
 /// not abort after the report is already on disk).
 fn emit(line: &str) {
-    use std::io::Write as _;
     let _ = writeln!(std::io::stdout(), "{line}");
 }
 
@@ -688,17 +742,8 @@ fn apply_grid(spec: &mut SweepSpec, grid: &[(String, String)]) -> Result<(), Usa
             "p" | "error-rate" => spec.error_rates = values(key, list)?,
             "lr" | "leakage-ratio" => spec.leakage_ratios = values(key, list)?,
             "policy" => {
-                spec.policies = list
-                    .split(',')
-                    .map(|label| {
-                        PolicyKind::from_label(label.trim()).ok_or_else(|| {
-                            UsageError::new(format!(
-                                "grid policy: unknown policy `{label}`; known: {}",
-                                PolicyKind::ALL.map(PolicyKind::label).join(", ")
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
+                spec.policies =
+                    list.split(',').map(parse_policy_label).collect::<Result<_, _>>()?;
             }
             "code" | "family" => {
                 spec.code = CodeFamily::from_label(list.trim()).ok_or_else(|| {
@@ -747,25 +792,12 @@ fn sweep_summary(report: &SweepReport) -> String {
 // ---------------------------------------------------------------------------------
 
 fn cmd_record(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut flags = SpecFlags::default();
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut record_policy: Option<PolicyKind> = None;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        if flags.try_consume(arg, &mut iter)? {
-            continue;
-        }
-        match arg {
-            "--corpus" => corpus_dir = Some(PathBuf::from(iter.value("--corpus")?)),
-            "--record-policy" => {
-                record_policy = Some(parse_policy_label(iter.value("--record-policy")?)?);
-            }
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `record`")));
-            }
-        }
-    }
-    let corpus_dir = corpus_dir.ok_or_else(|| UsageError::new("record requires --corpus DIR"))?;
+    let mut args = Args::new("record", args);
+    let flags = SpecFlags::read(&mut args)?;
+    let corpus_dir =
+        args.path("--corpus")?.ok_or_else(|| UsageError::new("record requires --corpus DIR"))?;
+    let record_policy = args.parsed("--record-policy", parse_policy_label)?;
+    args.finish(0)?;
     let mut spec = flags.build()?;
     // A recording never decodes (neither cell keys nor `.qtr` bytes carry the
     // flag), so no decoder needs to serve the recorded code.
@@ -820,56 +852,28 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut options = ReplayOptions::default();
-    let mut out: Option<PathBuf> = None;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--corpus" => corpus_dir = Some(PathBuf::from(iter.value("--corpus")?)),
-            "--policy" => {
-                for label in iter.value("--policy")?.split(',') {
-                    options.policies.push(parse_policy_label(label)?);
-                }
-            }
-            "--decode" => options.decode = true,
-            "--decoder" => {
-                for label in iter.value("--decoder")?.split(',') {
-                    options.decoders.push(parse_decoder_label(label)?);
-                }
-            }
-            "--closed-loop" => options.mode = ReplayMode::ClosedLoop,
-            "--verify-live" => options.verify_live = true,
-            "--out" => out = Some(PathBuf::from(iter.value("--out")?)),
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `replay`")));
-            }
-        }
-    }
-    let corpus_dir = corpus_dir.ok_or_else(|| UsageError::new("replay requires --corpus DIR"))?;
-    // Selecting a decoder is asking for decoded metrics.
-    if !options.decoders.is_empty() {
-        options.decode = true;
-    }
+    let mut args = Args::new("replay", args);
+    let corpus_dir =
+        args.path("--corpus")?.ok_or_else(|| UsageError::new("replay requires --corpus DIR"))?;
+    let decoders = args.list("--decoder", parse_decoder_label)?;
+    let options = ReplayOptions {
+        policies: args.list("--policy", parse_policy_label)?,
+        // Selecting a decoder is asking for decoded metrics.
+        decode: args.switch("--decode") || !decoders.is_empty(),
+        decoders,
+        mode: replay_mode(args.switch("--closed-loop")),
+        verify_live: args.switch("--verify-live"),
+    };
+    let out = args.path("--out")?;
+    args.finish(0)?;
     let (report, checkpoint_stats) =
         replay_corpus_with_stats(&corpus_dir, &options).map_err(UsageError::new)?;
-    let json = to_json(&report);
     let summary = replay_summary(&report, &checkpoint_stats);
-    match &out {
-        Some(path) if path.as_os_str() == "-" => {
-            // Keep stdout machine-readable, as `sweep --out -` does.
-            eprint!("{summary}");
-            emit(&json);
-        }
-        Some(path) => {
-            if let Err(code) = write_output(path, json.as_bytes()) {
-                return Ok(code);
-            }
-            emit(&summary);
-            emit(&format!("(saved {} rows to {})", report.results.len(), path.display()));
-        }
-        None => emit(&summary),
-    }
+    let saved = format!("{} rows", report.results.len());
+    let say = match deliver(out.as_deref(), &to_json(&report), &summary, &[], &saved) {
+        Ok(say) => say,
+        Err(code) => return Ok(code),
+    };
     let mismatches: Vec<&str> = report
         .results
         .iter()
@@ -889,16 +893,10 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
             return Ok(ExitCode::FAILURE);
         }
         if mismatches.is_empty() {
-            let message = format!(
+            say(&format!(
                 "verify-live OK: {verified} {} replay(s) matched the live engine bit-for-bit",
                 report.replay_mode
-            );
-            if out.as_ref().is_some_and(|path| path.as_os_str() == "-") {
-                // `--out -` promises pure JSON on stdout; status goes to stderr.
-                eprintln!("{message}");
-            } else {
-                emit(&message);
-            }
+            ));
         } else {
             eprintln!(
                 "verify-live FAILED for {} cell(s): {}",
@@ -989,21 +987,9 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, UsageError> {
     if args.first().map(String::as_str) == Some("shard") {
         return cmd_corpus_shard(&args[1..]);
     }
-    let mut dir: Option<PathBuf> = None;
-    let mut verify = false;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--verify" => verify = true,
-            flag if flag.starts_with('-') => {
-                return Err(UsageError::new(format!("unknown flag `{flag}` for `corpus`")));
-            }
-            path if dir.is_none() => dir = Some(PathBuf::from(path)),
-            extra => {
-                return Err(UsageError::new(format!("unexpected argument `{extra}` for `corpus`")));
-            }
-        }
-    }
+    let mut args = Args::new("corpus", args);
+    let verify = args.switch("--verify");
+    let dir = args.finish(1)?.pop().map(PathBuf::from);
     let dir = dir.ok_or_else(|| UsageError::new("corpus requires a directory"))?;
     let corpus = Corpus::open_existing(&dir).map_err(|e| UsageError::new(e.to_string()))?;
     let rows: Vec<Vec<String>> = corpus
@@ -1050,36 +1036,15 @@ fn cmd_corpus(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_corpus_shard(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut source: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut replicas: Option<usize> = None;
-    let mut addrs: Vec<String> = Vec::new();
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--out" => out = Some(PathBuf::from(iter.value("--out")?)),
-            "--replicas" => {
-                replicas = Some(parse_number("--replicas", iter.value("--replicas")?)?);
-            }
-            "--replica-addr" => addrs.push(iter.value("--replica-addr")?.to_string()),
-            flag if flag.starts_with('-') => {
-                return Err(UsageError::new(format!("unknown flag `{flag}` for `corpus shard`")));
-            }
-            path if source.is_none() => source = Some(PathBuf::from(path)),
-            extra => {
-                return Err(UsageError::new(format!(
-                    "unexpected argument `{extra}` for `corpus shard`"
-                )));
-            }
-        }
-    }
+    let mut args = Args::new("corpus shard", args);
+    let out =
+        args.path("--out")?.ok_or_else(|| UsageError::new("corpus shard requires --out DIR"))?;
+    let replicas = args.count("--replicas")?;
+    let replicas = replicas.ok_or_else(|| UsageError::new("corpus shard requires --replicas N"))?;
+    let addrs = args.each("--replica-addr", |addr| Ok(addr.to_string()))?;
+    let source = args.finish(1)?.pop().map(PathBuf::from);
     let source =
         source.ok_or_else(|| UsageError::new("corpus shard requires a source directory"))?;
-    let out = out.ok_or_else(|| UsageError::new("corpus shard requires --out DIR"))?;
-    let replicas = replicas.ok_or_else(|| UsageError::new("corpus shard requires --replicas N"))?;
-    if replicas == 0 {
-        return Err(UsageError::new("--replicas must be at least 1"));
-    }
     if !addrs.is_empty() && addrs.len() != replicas {
         return Err(UsageError::new(format!(
             "--replica-addr given {} time(s) for {replicas} replica(s) — pass one per \
@@ -1129,41 +1094,23 @@ fn cmd_corpus_shard(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_route(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut cluster: Option<PathBuf> = None;
-    let mut overrides: Vec<(usize, String)> = Vec::new();
-    let mut config = RouterConfig::default();
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--cluster" => cluster = Some(PathBuf::from(iter.value("--cluster")?)),
-            "--addr" => config.addr = iter.value("--addr")?.to_string(),
-            "--replica-addr" => {
-                let value = iter.value("--replica-addr")?;
-                let (index, addr) = value.split_once('=').ok_or_else(|| {
-                    UsageError::new(format!("--replica-addr `{value}`: expected INDEX=HOST:PORT"))
-                })?;
-                overrides.push((parse_number("--replica-addr", index)?, addr.to_string()));
-            }
-            "--timeout-ms" => {
-                let ms: u64 = parse_number("--timeout-ms", iter.value("--timeout-ms")?)?;
-                config.replica_timeout = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-            }
-            "--retries" => {
-                config.replica_retries = parse_number("--retries", iter.value("--retries")?)?;
-            }
-            "--max-connections" => {
-                config.max_connections =
-                    parse_number("--max-connections", iter.value("--max-connections")?)?;
-                if config.max_connections == 0 {
-                    return Err(UsageError::new("--max-connections must be at least 1"));
-                }
-            }
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `route`")));
-            }
-        }
-    }
-    let cluster = cluster.ok_or_else(|| UsageError::new("route requires --cluster FILE"))?;
+    let mut args = Args::new("route", args);
+    let cluster =
+        args.path("--cluster")?.ok_or_else(|| UsageError::new("route requires --cluster FILE"))?;
+    let overrides = args.each("--replica-addr", |value| {
+        let (index, addr) = value.split_once('=').ok_or_else(|| {
+            UsageError::new(format!("--replica-addr `{value}`: expected INDEX=HOST:PORT"))
+        })?;
+        Ok((parse_number("--replica-addr", index)?, addr.to_string()))
+    })?;
+    let defaults = RouterConfig::default();
+    let config = RouterConfig {
+        addr: args.value("--addr")?.map_or(defaults.addr, String::from),
+        replica_timeout: args.number("--timeout-ms")?.map_or(defaults.replica_timeout, deadline),
+        replica_retries: args.number("--retries")?.unwrap_or(defaults.replica_retries),
+        max_connections: args.count("--max-connections")?.unwrap_or(defaults.max_connections),
+    };
+    args.finish(0)?;
     let router = match Router::bind(&cluster, &overrides, &config) {
         Ok(router) => router,
         Err(message) => {
@@ -1173,24 +1120,24 @@ fn cmd_route(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     // Same announce-line contract as `repro serve`: scripts parse the bound
     // (possibly ephemeral) address from the first line.
-    {
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout();
-        let _ = writeln!(
-            stdout,
-            "qec-cluster routing on {} (cluster {}, {} replica(s), {} cell(s), \
-             {} connection(s))",
-            router.local_addr(),
-            cluster.display(),
-            router.replica_count(),
-            router.cluster_cells(),
-            config.max_connections
-        );
-        let _ = stdout.flush();
-    }
+    announce(&format!(
+        "qec-cluster routing on {} (cluster {}, {} replica(s), {} cell(s), {} connection(s))",
+        router.local_addr(),
+        cluster.display(),
+        router.replica_count(),
+        router.cluster_cells(),
+        config.max_connections
+    ));
     router.run();
     emit("qec-cluster: clean shutdown");
     Ok(ExitCode::SUCCESS)
+}
+
+/// Prints the startup line scripts parse for the bound (possibly ephemeral)
+/// address, flushed through any pipe buffering.
+fn announce(line: &str) {
+    emit(line);
+    let _ = std::io::stdout().flush();
 }
 
 // ---------------------------------------------------------------------------------
@@ -1198,38 +1145,18 @@ fn cmd_route(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut config = ServeConfig::default();
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--corpus" => corpus_dir = Some(PathBuf::from(iter.value("--corpus")?)),
-            "--addr" => config.addr = iter.value("--addr")?.to_string(),
-            "--cache-cells" => {
-                config.cache_cells = parse_number("--cache-cells", iter.value("--cache-cells")?)?;
-                if config.cache_cells == 0 {
-                    return Err(UsageError::new("--cache-cells must be at least 1"));
-                }
-            }
-            "--max-connections" => {
-                config.max_connections =
-                    parse_number("--max-connections", iter.value("--max-connections")?)?;
-                if config.max_connections == 0 {
-                    return Err(UsageError::new("--max-connections must be at least 1"));
-                }
-            }
-            "--queue-limit" => {
-                config.queue_limit = parse_number("--queue-limit", iter.value("--queue-limit")?)?;
-                if config.queue_limit == 0 {
-                    return Err(UsageError::new("--queue-limit must be at least 1"));
-                }
-            }
-            other => {
-                return Err(UsageError::new(format!("unknown argument `{other}` for `serve`")));
-            }
-        }
-    }
-    let corpus_dir = corpus_dir.ok_or_else(|| UsageError::new("serve requires --corpus DIR"))?;
+    let mut args = Args::new("serve", args);
+    let corpus_dir =
+        args.path("--corpus")?.ok_or_else(|| UsageError::new("serve requires --corpus DIR"))?;
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: args.value("--addr")?.map_or(defaults.addr, String::from),
+        cache_cells: args.count("--cache-cells")?.unwrap_or(defaults.cache_cells),
+        max_connections: args.count("--max-connections")?.unwrap_or(defaults.max_connections),
+        queue_limit: args.count("--queue-limit")?.unwrap_or(defaults.queue_limit),
+        ..defaults
+    };
+    args.finish(0)?;
     // Corpus/bind failures are runtime errors (exit 1), not usage errors: the
     // flags were fine, the environment was not.
     let server = match Server::bind(&corpus_dir, &config) {
@@ -1239,24 +1166,16 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, UsageError> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    // The announce line is the startup handshake scripts parse for the bound
-    // (possibly ephemeral) address — flush it through any pipe buffering.
-    {
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout();
-        let _ = writeln!(
-            stdout,
-            "qec-serve listening on {} (corpus {}, {} cell(s), cache {} cell(s), \
-             {} connection(s), queue {})",
-            server.local_addr(),
-            corpus_dir.display(),
-            server.corpus_cells(),
-            config.cache_cells,
-            config.max_connections,
-            config.queue_limit
-        );
-        let _ = stdout.flush();
-    }
+    announce(&format!(
+        "qec-serve listening on {} (corpus {}, {} cell(s), cache {} cell(s), \
+         {} connection(s), queue {})",
+        server.local_addr(),
+        corpus_dir.display(),
+        server.corpus_cells(),
+        config.cache_cells,
+        config.max_connections,
+        config.queue_limit
+    ));
     server.run();
     emit("qec-serve: clean shutdown");
     Ok(ExitCode::SUCCESS)
@@ -1267,101 +1186,59 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_query(args: &[String]) -> Result<ExitCode, UsageError> {
-    let mut addr: Option<String> = None;
-    let mut action: Option<String> = None;
-    let mut keys: Vec<String> = Vec::new();
-    let mut policies: Vec<String> = Vec::new();
-    let mut mode: Option<String> = None;
-    let mut decode = false;
-    let mut decoder: Option<String> = None;
+    let mut args = Args::new("query", args);
+    let addr = args.value("--addr")?;
+    let keys = args.values("--key")?;
     // Deadlines default on: `query` talks to a daemon it does not control,
     // so a hung or partitioned server must yield a typed failure, not a
     // wedged invocation.
-    let mut timeout_ms: u64 = 10_000;
-    let mut retries: u32 = 0;
-    let mut iter = Args::new(args);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--addr" => addr = Some(iter.value("--addr")?.to_string()),
-            "--key" => keys.push(iter.value("--key")?.to_string()),
-            "--timeout-ms" => {
-                timeout_ms = parse_number("--timeout-ms", iter.value("--timeout-ms")?)?;
-            }
-            "--retries" => retries = parse_number("--retries", iter.value("--retries")?)?,
-            "--policy" => {
-                for label in iter.value("--policy")?.split(',') {
-                    // Validated client-side for a friendly exit-2; the server
-                    // re-validates and answers unknown-policy for raw clients.
-                    parse_policy_label(label)?;
-                    policies.push(label.trim().to_string());
-                }
-            }
-            "--closed-loop" => mode = Some(ReplayMode::ClosedLoop.label().to_string()),
-            "--decode" => decode = true,
-            "--decoder" => {
-                // Validated client-side for a friendly exit-2; the server
-                // re-validates and answers bad-request for raw clients.
-                let label = parse_decoder_label(iter.value("--decoder")?)?;
-                decoder = Some(label.label().to_string());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(UsageError::new(format!("unknown flag `{flag}` for `query`")));
-            }
-            name if action.is_none() => action = Some(name.to_string()),
-            extra => {
-                return Err(UsageError::new(format!("unexpected argument `{extra}` for `query`")));
-            }
-        }
-    }
+    let timeout = deadline(args.number("--timeout-ms")?.unwrap_or(10_000));
+    let retries: u32 = args.number("--retries")?.unwrap_or(0);
+    // Labels are validated client-side for a friendly exit-2; the server
+    // re-validates and answers unknown-policy or bad-request for raw clients.
+    let policies = args.list("--policy", parse_policy_label)?;
+    let closed_loop = args.switch("--closed-loop");
+    let decode = args.switch("--decode");
+    let decoder = args.parsed("--decoder", parse_decoder_label)?;
+    let action = args.finish(1)?.pop();
     let addr = addr.ok_or_else(|| UsageError::new("query requires --addr HOST:PORT"))?;
     let action = action.ok_or_else(|| UsageError::new("query requires an action"))?;
     // Strict parsing, like every other subcommand: a flag the chosen action
     // cannot consume is a usage error, not silently ignored.
-    let takes_key = matches!(action.as_str(), "stat" | "verify" | "eval" | "batch-eval");
-    let takes_eval_flags = matches!(action.as_str(), "eval" | "batch-eval");
-    if !takes_key && !keys.is_empty() {
-        return Err(UsageError::new(format!("query {action} does not take --key")));
-    }
-    if !takes_eval_flags {
-        if !policies.is_empty() {
-            return Err(UsageError::new(format!("query {action} does not take --policy")));
-        }
-        if mode.is_some() {
-            return Err(UsageError::new(format!("query {action} does not take --closed-loop")));
-        }
-        if decode {
-            return Err(UsageError::new(format!("query {action} does not take --decode")));
-        }
-        if decoder.is_some() {
-            return Err(UsageError::new(format!("query {action} does not take --decoder")));
+    let takes_eval_flags = matches!(action, "eval" | "batch-eval");
+    let takes_key = takes_eval_flags || matches!(action, "stat" | "verify");
+    for (flag, given, taken) in [
+        ("--key", !keys.is_empty(), takes_key),
+        ("--policy", !policies.is_empty(), takes_eval_flags),
+        ("--closed-loop", closed_loop, takes_eval_flags),
+        ("--decode", decode, takes_eval_flags),
+        ("--decoder", decoder.is_some(), takes_eval_flags),
+    ] {
+        if given && !taken {
+            return Err(UsageError::new(format!("query {action} does not take {flag}")));
         }
     }
-    // Selecting a decoder is asking for decoded metrics (mirrors `replay`).
-    if decoder.is_some() {
-        decode = true;
-    }
-    let eval_spec = |key: &str, policy: &str| EvalSpec {
+    let eval_spec = |key: &str, policy: &PolicyKind| EvalSpec {
         key: key.to_string(),
-        policy: policy.to_string(),
-        mode: mode.clone(),
-        decode: decode.then_some(true),
-        decoder: decoder.clone(),
+        policy: policy.label().to_string(),
+        mode: closed_loop.then(|| ReplayMode::ClosedLoop.label().to_string()),
+        // Selecting a decoder is asking for decoded metrics (mirrors `replay`).
+        decode: (decode || decoder.is_some()).then_some(true),
+        decoder: decoder.map(|kind| kind.label().to_string()),
     };
-    let one_key = || -> Result<&String, UsageError> {
-        match keys.as_slice() {
-            [key] => Ok(key),
-            [] => Err(UsageError::new(format!("query {action} requires --key KEY"))),
-            _ => Err(UsageError::new(format!("query {action} takes exactly one --key"))),
-        }
+    let one_key = || match keys.as_slice() {
+        [key] => Ok(*key),
+        [] => Err(UsageError::new(format!("query {action} requires --key KEY"))),
+        _ => Err(UsageError::new(format!("query {action} takes exactly one --key"))),
     };
-    let request = match action.as_str() {
+    let request = match action {
         "ping" => RequestKind::Ping,
         "version" => RequestKind::Version,
         "stats" => RequestKind::Stats,
         "cells" => RequestKind::ListCells,
         "shutdown" => RequestKind::Shutdown,
-        "stat" => RequestKind::StatCell { key: one_key()?.clone() },
-        "verify" => RequestKind::VerifyCell { key: one_key()?.clone() },
+        "stat" => RequestKind::StatCell { key: one_key()?.to_string() },
+        "verify" => RequestKind::VerifyCell { key: one_key()?.to_string() },
         "eval" => match policies.as_slice() {
             [policy] => RequestKind::Eval(eval_spec(one_key()?, policy)),
             _ => return Err(UsageError::new("query eval requires exactly one --policy LABEL")),
@@ -1378,11 +1255,8 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, UsageError> {
             return Err(UsageError::new(format!("unknown query action `{other}`")));
         }
     };
-    let client_config = ClientConfig {
-        connect_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
-        io_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
-    };
-    let mut client = match Client::connect_with(addr.as_str(), client_config) {
+    let client_config = ClientConfig { connect_timeout: timeout, io_timeout: timeout };
+    let mut client = match Client::connect_with(addr, client_config) {
         Ok(client) => client,
         Err(message) => {
             eprintln!("repro query: {message}");
@@ -1401,7 +1275,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, UsageError> {
                     }
                 }
             } else {
-                keys.clone()
+                keys.iter().map(|key| (*key).to_string()).collect()
             };
             let evals: Vec<EvalSpec> = keys
                 .iter()
@@ -1484,9 +1358,7 @@ fn fetch_all_keys(client: &mut Client) -> Result<Vec<String>, String> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_version(args: &[String]) -> Result<ExitCode, UsageError> {
-    if let Some(extra) = args.first() {
-        return Err(UsageError::new(format!("unexpected argument `{extra}` for `version`")));
-    }
+    Args::new("version", args).finish(0)?;
     println!("repro {} ({})", env!("CARGO_PKG_VERSION"), git_describe());
     println!("sweep report schema:    {SWEEP_SCHEMA_VERSION}");
     println!("adaptive checkpoint:    {ADAPTIVE_SCHEMA_VERSION}");
@@ -1502,9 +1374,7 @@ fn cmd_version(args: &[String]) -> Result<ExitCode, UsageError> {
 // ---------------------------------------------------------------------------------
 
 fn cmd_list(args: &[String]) -> Result<ExitCode, UsageError> {
-    if let Some(extra) = args.first() {
-        return Err(UsageError::new(format!("unexpected argument `{extra}` for `list`")));
-    }
+    Args::new("list", args).finish(0)?;
     println!("experiments: {}", EXPERIMENTS.join(", "));
     println!("policies:    {}", PolicyKind::ALL.map(PolicyKind::label).join(", "));
     println!("codes:       {}", CodeFamily::ALL.map(CodeFamily::label).join(", "));
@@ -1755,4 +1625,122 @@ fn print_patterns(rows: &[runners::PatternUsageRow]) {
         })
         .collect();
     println!("{}", text_table(&["policy", "pattern", "LRCs (leaked)", "LRCs (healthy)"], &table));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn message<T>(result: Result<T, UsageError>) -> String {
+        match result {
+            Ok(_) => panic!("expected a usage error"),
+            Err(UsageError(message)) => message,
+        }
+    }
+
+    #[test]
+    fn a_flag_never_stands_where_a_value_belongs() {
+        let items = argv("--out --no-timing");
+        assert_eq!(message(Args::new("sweep", &items).path("--out")), "--out requires a value");
+        let items = argv("--no-timing --seed");
+        assert_eq!(
+            message(Args::new("sweep", &items).number::<u64>("--seed")),
+            "--seed requires a value"
+        );
+        // `-` is a value (stdout), not a flag.
+        let items = argv("--out - --no-timing");
+        let mut args = Args::new("sweep", &items);
+        assert_eq!(args.value("--out").unwrap(), Some("-"));
+        assert!(args.switch("--no-timing"));
+        assert!(!args.switch("--closed-loop"));
+        assert_eq!(args.finish(0).unwrap(), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn grid_takes_every_following_key_value_token() {
+        let items =
+            argv("--grid d=3 p=1e-3,2e-3 extra --shots 4 --grid lr=0.1 policy=ideal --seed 2 q=1");
+        let mut args = Args::new("sweep", &items);
+        let grid = args.grid().unwrap();
+        let pairs: Vec<(&str, &str)> = grid.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        assert_eq!(pairs, [("d", "3"), ("p", "1e-3,2e-3"), ("lr", "0.1"), ("policy", "ideal")]);
+        assert_eq!(args.number::<usize>("--shots").unwrap(), Some(4));
+        assert_eq!(args.number::<u64>("--seed").unwrap(), Some(2));
+        // A token without `=` ends the tail, and so does a flag.
+        assert_eq!(message(args.finish(0)), "unexpected argument `extra` for `sweep`");
+        // The first token after `--grid` is its value, `=` or not.
+        let items = argv("--grid d3");
+        assert_eq!(
+            message(Args::new("sweep", &items).grid()),
+            "--grid expects KEY=VALUES, got `d3`"
+        );
+        let items = argv("--grid --shots 4");
+        assert_eq!(message(Args::new("sweep", &items).grid()), "--grid requires a value");
+    }
+
+    #[test]
+    fn scalar_flags_keep_the_last_value_and_parse_every_occurrence() {
+        let items = argv("--shots 4 --seed 1 --shots 9");
+        let mut args = Args::new("sweep", &items);
+        assert_eq!(args.number::<usize>("--shots").unwrap(), Some(9));
+        assert_eq!(args.number::<usize>("--max-shots").unwrap(), None);
+        let items = argv("--shots many --shots 5");
+        assert_eq!(
+            message(Args::new("sweep", &items).number::<usize>("--shots")),
+            "--shots: invalid value `many`"
+        );
+        let items = argv("--replicas 0 --replicas 2");
+        assert_eq!(
+            message(Args::new("corpus shard", &items).count("--replicas")),
+            "--replicas must be at least 1"
+        );
+        let items = argv("--scale galactic --scale smoke");
+        assert!(Args::new("run", &items).parsed("--scale", parse_scale).is_err());
+    }
+
+    #[test]
+    fn lists_accumulate_across_occurrences_and_commas() {
+        let items = argv("--policy eraser+m,ideal --key a --policy gladiator+m --key b");
+        let mut args = Args::new("query", &items);
+        assert_eq!(
+            args.list("--policy", parse_policy_label).unwrap(),
+            [PolicyKind::EraserM, PolicyKind::Ideal, PolicyKind::GladiatorM]
+        );
+        assert_eq!(args.values("--key").unwrap(), ["a", "b"]);
+        assert!(args.finish(0).unwrap().is_empty());
+        let items = argv("--decoder uf --decoder lookup,bogus");
+        assert_eq!(
+            message(Args::new("replay", &items).list("--decoder", parse_decoder_label)),
+            "unknown decoder `bogus`; known: uf, lookup"
+        );
+    }
+
+    #[test]
+    fn finish_rejects_unread_flags_and_extra_operands() {
+        let items = argv("dir --verify");
+        let mut args = Args::new("corpus", &items);
+        assert!(args.switch("--verify"));
+        assert_eq!(args.finish(1).unwrap(), ["dir"]);
+        let items = argv("a b");
+        assert_eq!(
+            message(Args::new("corpus", &items).finish(1)),
+            "unexpected argument `b` for `corpus`"
+        );
+        let items = argv("fig1 --frobnicate fig9");
+        assert_eq!(
+            message(Args::new("run", &items).finish(usize::MAX)),
+            "unknown flag `--frobnicate` for `run`"
+        );
+        let items = argv("fig1 fig9 fig1");
+        assert_eq!(Args::new("run", &items).finish(usize::MAX).unwrap(), ["fig1", "fig9", "fig1"]);
+        // A flag read as a switch leaves its would-be value as an operand.
+        let items = argv("--verify x y");
+        let mut args = Args::new("corpus", &items);
+        args.switch("--verify");
+        assert_eq!(message(args.finish(1)), "unexpected argument `y` for `corpus`");
+    }
 }

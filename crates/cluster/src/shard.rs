@@ -72,8 +72,7 @@ pub fn shard_corpus(
         options.created_by.clone(),
         options.git_describe.clone(),
         corpus_dir.display().to_string(),
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     for (replica, sub) in map.replicas.iter().zip(&sub_manifests) {
         let replica_dir = out_dir.join(&replica.dir);
         if replica_dir.join(MANIFEST_FILE).exists() {

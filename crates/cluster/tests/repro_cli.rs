@@ -221,6 +221,65 @@ fn trace_subcommands_reject_bad_usage() {
     assert_usage_error(&["query", "--addr", "x", "ping", "--decoder", "uf"]); // eval-only flag
 }
 
+/// The usage errors of `route` and `corpus shard` (which no other test runs
+/// through the binary) and of unread `replay`/`sweep` arguments: each exits 2
+/// with its message and the usage text on stderr.
+#[test]
+fn route_shard_replay_and_sweep_usage_errors() {
+    let shard = ["corpus", "shard", "src", "--out", "o"];
+    let cases: [(&[&str], &str); 16] = [
+        (&["route"], "route requires --cluster FILE"),
+        (&["route", "--cluster"], "--cluster requires a value"),
+        (&["route", "--cluster", "c", "--replica-addr", "0"], "expected INDEX=HOST:PORT"),
+        (&["route", "--cluster", "c", "--max-connections", "0"], "must be at least 1"),
+        (&["route", "--cluster", "c", "--timeout-ms", "x"], "--timeout-ms: invalid value `x`"),
+        (&["route", "--cluster", "c", "--frobnicate"], "unknown flag `--frobnicate` for `route`"),
+        (&["corpus", "shard", "--out", "o", "--replicas", "2"], "requires a source directory"),
+        (&["corpus", "shard", "src", "--replicas", "2"], "corpus shard requires --out DIR"),
+        (&[&shard[..], &["--replicas", "0"]].concat(), "--replicas must be at least 1"),
+        (&[&shard[..], &["--replicas", "2", "--replica-addr", "a:1"]].concat(), "1 time(s)"),
+        (&[&shard[..], &["--replicas", "2", "other"]].concat(), "unexpected argument `other`"),
+        (&[&shard[..], &["--replicas", "2", "--frobnicate"]].concat(), "unknown flag"),
+        (&["replay", "--corpus", "c", "--frobnicate"], "unknown flag `--frobnicate` for `replay`"),
+        (&["sweep", "--frobnicate"], "unknown flag `--frobnicate` for `sweep`"),
+        (&["sweep", "--grid", "d=3", "extra"], "unexpected argument `extra` for `sweep`"),
+        (&["sweep", "--shots", "many", "--shots", "5"], "--shots: invalid value `many`"),
+    ];
+    for (args, message) in cases {
+        assert_usage_error(args);
+        let stderr = stderr_of(&run(args));
+        assert!(stderr.starts_with("repro: ") && stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+/// Sharding a one-cell corpus across two replicas is a mistake in the
+/// arguments, not a corrupt corpus: exit 1 with one line naming the replica
+/// that would own no cells.
+#[test]
+fn sharding_more_replicas_than_cells_names_the_empty_replica() {
+    let dir = tmp_dir("shard-one-cell");
+    let corpus = dir.join("corpus");
+    let output = run(&record_args(corpus.to_str().unwrap()));
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let out = dir.join("sharded");
+    let output = run(&[
+        "corpus",
+        "shard",
+        corpus.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--replicas",
+        "2",
+    ]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.starts_with("repro corpus shard: replica "), "{stderr}");
+    assert!(stderr.contains(" would own no cells (1 cell(s) across 2 replica(s))"), "{stderr}");
+    assert!(!stderr.contains("corrupt"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The unknown-decoder usage error names the known labels, so the exit-2 is
 /// actionable without opening the docs.
 #[test]
@@ -582,6 +641,59 @@ fn adaptive_flags_reject_bad_usage() {
     // Resuming a directory that holds no checkpoint is an error, not a
     // silent fresh start.
     assert_usage_error(&["sweep", "--resume", "/nonexistent-checkpoint-dir"]);
+
+    // --confidence and --initial-batch are adaptive-only too: a fixed-shot
+    // sweep has no use for them, and a resumed one reads them from its
+    // checkpoint. The resume lines need a real checkpoint to get that far.
+    let dir = tmp_dir("adaptive-only-flags");
+    let ckpt = dir.to_str().unwrap();
+    let output = run(&[
+        "sweep",
+        "--grid",
+        "d=3",
+        "p=1e-3",
+        "policy=eraser+m",
+        "--shots",
+        "400",
+        "--no-decode",
+        "--adaptive",
+        "--target-ci",
+        "0.1",
+        "--initial-batch",
+        "2",
+        "--checkpoint",
+        ckpt,
+        "--stop-after-rounds",
+        "1",
+        "--out",
+        "-",
+    ]);
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    assert_usage_error(&[
+        "sweep",
+        "--grid",
+        "d=3",
+        "--shots",
+        "4",
+        "--confidence",
+        "0.5",
+        "--out",
+        "-",
+    ]);
+    assert_usage_error(&[
+        "sweep",
+        "--grid",
+        "d=3",
+        "--shots",
+        "4",
+        "--initial-batch",
+        "7",
+        "--out",
+        "-",
+    ]);
+    assert_usage_error(&["sweep", "--resume", ckpt, "--confidence", "0.99", "--out", "-"]);
+    assert_usage_error(&["sweep", "--resume", ckpt, "--initial-batch", "3", "--out", "-"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -43,21 +43,19 @@
 //!   from zero (`crates/experiments/tests/adaptive.rs` mirrors the `.qtr`
 //!   corruption suite against it).
 
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use leakage_speculation::PolicyFactory;
-use qec_decoder::DecoderBackend;
 use qec_trace::wire::{read_block, write_block, Decoder, Encoder};
 use qec_trace::{Corpus, TraceError};
 
-use crate::engine::{build_backend, BatchEngine};
+use crate::engine::BatchEngine;
 use crate::metrics::MetricsAccumulator;
 use crate::scenario::Scenario;
-use crate::sweep::{git_describe, SweepCell, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION};
+use crate::sweep::{
+    git_describe, SharedEngines, SweepCell, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION,
+};
 
 /// Version of the adaptive checkpoint schema (`adaptive.json` **and** the
 /// binary `state.qad` blocks); bump when either shape changes, or when the
@@ -683,51 +681,6 @@ fn generator() -> String {
     format!("repro sweep {}", env!("CARGO_PKG_VERSION"))
 }
 
-/// Builds one engine per scenario, sharing the code, the (recalibrated)
-/// policy factory and the decoder backends across consecutive scenarios with
-/// the same `(family, distance)` — the exact artifact-sharing discipline of
-/// [`crate::sweep::run_scenarios`], except the engines outlive the call so
-/// every allocation round reuses them.
-fn build_engines(scenarios: &[Scenario]) -> Result<Vec<BatchEngine>, String> {
-    let mut engines = Vec::with_capacity(scenarios.len());
-    let mut start = 0usize;
-    while start < scenarios.len() {
-        let group_key = (scenarios[start].code, scenarios[start].distance);
-        let end = start
-            + scenarios[start..].iter().take_while(|s| (s.code, s.distance) == group_key).count();
-        let code = scenarios[start].build_code();
-        let mut factory: Option<Arc<PolicyFactory>> = None;
-        let mut decoders: BTreeMap<_, Arc<dyn DecoderBackend>> = BTreeMap::new();
-        for scenario in &scenarios[start..end] {
-            let spec = scenario.to_spec();
-            let shared_factory = match factory.take() {
-                Some(f) if f.config() == &spec.gladiator => f,
-                Some(f) => Arc::new(f.recalibrated(&spec.gladiator)),
-                None => Arc::new(PolicyFactory::new(&code, &spec.gladiator)),
-            };
-            factory = Some(Arc::clone(&shared_factory));
-            let decoder = if spec.decode {
-                let slot = (spec.rounds, scenario.decoder);
-                let backend = match decoders.get(&slot) {
-                    Some(backend) => Arc::clone(backend),
-                    None => {
-                        let built = build_backend(scenario.decoder, &code, spec.rounds)
-                            .map_err(|e| format!("cell {}: {e}", scenario.id()))?;
-                        decoders.insert(slot, Arc::clone(&built));
-                        built
-                    }
-                };
-                Some(backend)
-            } else {
-                None
-            };
-            engines.push(BatchEngine::with_shared(&spec, shared_factory, decoder));
-        }
-        start = end;
-    }
-    Ok(engines)
-}
-
 /// The round loop shared by [`run_adaptive`] and [`resume_adaptive`]. Before
 /// each round it recomputes every cell's stopping decision from its tally
 /// (the decision is a pure function, so nothing about it needs persisting),
@@ -761,9 +714,11 @@ fn drive(
             }
         }
         // Engines are built lazily so a resume of an already-finished run
-        // never pays for artifact construction.
+        // never pays for artifact construction; they outlive the round, so
+        // every allocation round reuses them.
         if engines.is_none() {
-            engines = Some(build_engines(scenarios)?);
+            let mut shared = SharedEngines::default();
+            engines = Some(scenarios.iter().map(|s| shared.engine(s)).collect::<Result<_, _>>()?);
         }
         let engines = engines.as_ref().expect("just built");
         for &i in &active {

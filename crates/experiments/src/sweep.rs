@@ -19,6 +19,7 @@
 //! `seed + shot` contract); wall-times are the one non-deterministic field
 //! and can be disabled for comparison jobs (`timing = false`).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::Arc;
@@ -484,44 +485,78 @@ pub fn run_sweep_with_corpus(
 /// `(family, distance)` run.
 #[must_use]
 pub fn run_scenarios(scenarios: &[Scenario], timing: bool) -> Vec<SweepCell> {
-    let mut cells = Vec::with_capacity(scenarios.len());
-    let mut start = 0usize;
-    while start < scenarios.len() {
-        let group_key = (scenarios[start].code, scenarios[start].distance);
-        let end = start
-            + scenarios[start..].iter().take_while(|s| (s.code, s.distance) == group_key).count();
-        let code = scenarios[start].build_code();
-        let mut factory: Option<Arc<PolicyFactory>> = None;
-        let mut decoders = BTreeMap::new();
-        for scenario in &scenarios[start..end] {
-            let spec = scenario.to_spec();
-            let shared_factory = match factory.take() {
-                Some(f) if f.config() == &spec.gladiator => f,
-                Some(f) => Arc::new(f.recalibrated(&spec.gladiator)),
-                None => Arc::new(PolicyFactory::new(&code, &spec.gladiator)),
-            };
-            factory = Some(Arc::clone(&shared_factory));
-            let decoder = spec.decode.then(|| {
-                Arc::clone(decoders.entry((spec.rounds, scenario.decoder)).or_insert_with(|| {
-                    build_backend(scenario.decoder, &code, spec.rounds)
-                        .expect("expansion validates decoder/code compatibility")
-                }))
-            });
-            let engine = BatchEngine::with_shared(&spec, shared_factory, decoder);
+    let mut engines = SharedEngines::default();
+    scenarios
+        .iter()
+        .map(|scenario| {
+            let engine =
+                engines.engine(scenario).expect("expansion validates decoder/code compatibility");
             let cell_start = Instant::now();
             let result = engine.run();
             let wall_time_ms = if timing { cell_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
-            cells.push(SweepCell {
+            SweepCell {
                 scenario: *scenario,
                 code: result.code,
                 metrics: result.metrics,
                 divergence_profile: None,
                 wall_time_ms,
-            });
-        }
-        start = end;
+            }
+        })
+        .collect()
+}
+
+/// The one artifact-sharing builder of live sweeps: fed scenarios in order,
+/// it builds one [`BatchEngine`] per scenario. Consecutive scenarios with the
+/// same `(family, distance)` share one policy factory (re-calibrated, not
+/// rebuilt, when the error rate moves) and one decoder backend per
+/// `(rounds, decoder)`. Only the current group's artifacts are held; each
+/// engine keeps its own handles to the ones it uses.
+#[derive(Default)]
+pub(crate) struct SharedEngines {
+    group: Option<EngineGroup>,
+}
+
+/// The artifacts shared by one `(family, distance)` run of scenarios.
+struct EngineGroup {
+    key: (CodeFamily, usize),
+    factory: Arc<PolicyFactory>,
+    decoders: BTreeMap<(usize, Option<DecoderKind>), Arc<dyn DecoderBackend>>,
+}
+
+impl SharedEngines {
+    /// The engine of the next scenario.
+    ///
+    /// # Errors
+    /// Returns a message when the scenario's decoder cannot serve its code.
+    pub(crate) fn engine(&mut self, scenario: &Scenario) -> Result<BatchEngine, String> {
+        let spec = scenario.to_spec();
+        let key = (scenario.code, scenario.distance);
+        let group = match &mut self.group {
+            Some(group) if group.key == key => {
+                if group.factory.config() != &spec.gladiator {
+                    group.factory = Arc::new(group.factory.recalibrated(&spec.gladiator));
+                }
+                group
+            }
+            slot => {
+                let factory = Arc::new(PolicyFactory::new(&scenario.build_code(), &spec.gladiator));
+                slot.insert(EngineGroup { key, factory, decoders: BTreeMap::new() })
+            }
+        };
+        let decoder = if spec.decode {
+            let backend = match group.decoders.entry((spec.rounds, scenario.decoder)) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => entry.insert(
+                    build_backend(scenario.decoder, group.factory.code(), spec.rounds)
+                        .map_err(|e| format!("cell {}: {e}", scenario.id()))?,
+                ),
+            };
+            Some(Arc::clone(backend))
+        } else {
+            None
+        };
+        Ok(BatchEngine::with_shared(&spec, Arc::clone(&group.factory), decoder))
     }
-    cells
 }
 
 /// `git describe --always --dirty` of the current checkout, or `"unknown"`

@@ -96,9 +96,10 @@ impl ClusterMap {
     /// (entries in source-manifest order).
     ///
     /// # Errors
-    /// Fails when `replicas` is zero, when `addrs` is neither empty nor
-    /// exactly `replicas` long, or when some replica would own no cells (an
-    /// empty sub-corpus cannot be served — use fewer replicas).
+    /// Returns a message when `replicas` is zero, when `addrs` is neither
+    /// empty nor exactly `replicas` long, or when some replica would own no
+    /// cells (an empty sub-corpus cannot be served — use fewer replicas).
+    /// These are mistakes in the arguments, not a corrupt corpus.
     pub fn partition(
         manifest: &CorpusManifest,
         replicas: usize,
@@ -106,15 +107,15 @@ impl ClusterMap {
         created_by: impl Into<String>,
         git_describe: impl Into<String>,
         source_corpus: impl Into<String>,
-    ) -> Result<(ClusterMap, Vec<CorpusManifest>), TraceError> {
+    ) -> Result<(ClusterMap, Vec<CorpusManifest>), String> {
         if replicas == 0 {
-            return Err(TraceError::corrupt("cannot shard across zero replicas"));
+            return Err("cannot shard across zero replicas".to_string());
         }
         if !addrs.is_empty() && addrs.len() != replicas {
-            return Err(TraceError::corrupt(format!(
+            return Err(format!(
                 "{} address(es) given for {replicas} replica(s) (give none or exactly one each)",
                 addrs.len()
-            )));
+            ));
         }
         let mut assignments = Vec::with_capacity(manifest.entries.len());
         let mut sub_manifests: Vec<CorpusManifest> = (0..replicas)
@@ -134,11 +135,11 @@ impl ClusterMap {
             sub_manifests[replica].entries.push(entry.clone());
         }
         if let Some(empty) = sub_manifests.iter().position(|sub| sub.entries.is_empty()) {
-            return Err(TraceError::corrupt(format!(
+            return Err(format!(
                 "replica {empty} would own no cells ({} cell(s) across {replicas} replica(s)); \
                  an empty sub-corpus cannot be served — use fewer replicas",
                 manifest.entries.len()
-            )));
+            ));
         }
         let map = ClusterMap {
             schema_version: CLUSTER_SCHEMA_VERSION,
@@ -360,7 +361,8 @@ mod tests {
         let manifest = manifest(&["only-cell"]);
         // 1 cell cannot feed 2 replicas: one would serve an empty corpus.
         let err = ClusterMap::partition(&manifest, 2, &[], "t", "u", "c").unwrap_err();
-        assert!(err.to_string().contains("would own no cells"), "{err}");
+        assert!(err.contains("would own no cells"), "{err}");
+        assert!(!err.contains("corrupt"), "an argument mistake is not corruption: {err}");
         assert!(ClusterMap::partition(&manifest, 0, &[], "t", "u", "c").is_err());
         let one_addr = ["127.0.0.1:1".to_string()];
         let err = ClusterMap::partition(&manifest, 1, &one_addr, "t", "u", "c").unwrap();
