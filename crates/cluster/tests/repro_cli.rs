@@ -363,6 +363,25 @@ fn record_replay_corpus_flow_verifies_against_the_live_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard whose header carries an invalid noise model fails `corpus --verify`
+/// with every CRC intact: replay and serve would calibrate policies from it.
+#[test]
+fn an_invalid_header_noise_model_fails_corpus_verify() {
+    let dir = tmp_dir("bad-noise");
+    let corpus = dir.to_str().unwrap();
+    let output = run(&record_args(corpus));
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let shard = report_shard_file(&dir);
+    let (mut header, shots) = qec_trace::read_trace_file(&shard).unwrap();
+    header.noise.p = 2.0;
+    qec_trace::write_trace_file(&shard, &header, &shots).unwrap();
+    let output = run(&["corpus", corpus, "--verify"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("noise model: p = 2 is not a probability"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The cross-decoder session from the README, end to end: one recording
 /// replayed under both backends, every row live-verified bit-for-bit
 /// (`--decoder` implies `--decode`), rows labeled decoder-major, and the

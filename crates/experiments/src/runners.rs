@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use gladiator::{
     hardware::{checker_luts, lut_table, LutReport},
+    labeling::eraser_flags,
     GladiatorConfig, GladiatorModel, MobilityEstimator, MobilityRegime,
 };
 use leakage_speculation::PolicyKind;
@@ -326,8 +327,7 @@ pub fn fig8_color_code(scale: &Scale) -> (Vec<FlaggedCountRow>, Vec<PatternUsage
     let config = GladiatorConfig::default();
     let model = GladiatorModel::for_code(&code, config);
     let mut counts = Vec::new();
-    let eraser_flagged =
-        (0..8u32).filter(|&p| leakage_speculation::EraserPolicy::flags(3, p)).count();
+    let eraser_flagged = (0..8u32).filter(|&p| eraser_flags(3, p)).count();
     counts.push(FlaggedCountRow {
         policy: "eraser+m".to_string(),
         width: 3,

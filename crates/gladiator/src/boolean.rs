@@ -240,7 +240,7 @@ pub fn minimize_tagged<'a>(
 mod tests {
     use super::*;
     use crate::config::GladiatorConfig;
-    use crate::labeling::build_single_round_table;
+    use crate::site_class::SiteClass;
     use proptest::prelude::*;
 
     #[test]
@@ -305,8 +305,10 @@ mod tests {
     #[test]
     fn minimize_tagged_agrees_with_tables() {
         let config = GladiatorConfig::default();
-        let tables: Vec<(usize, PatternTable)> =
-            [2usize, 3, 4].iter().map(|&w| (w, build_single_round_table(w, &config))).collect();
+        let tables: Vec<(usize, PatternTable)> = [2usize, 3, 4]
+            .iter()
+            .map(|&w| (w, PatternTable::build(&SiteClass::uniform(w), &config, 1)))
+            .collect();
         let expr = minimize_tagged(tables.iter().map(|(w, t)| (*w, t)));
         for (width, table) in &tables {
             for pattern in 0..(1u32 << width) {

@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Calibration data and modelling switches used when building the error-propagation
-/// graphs. These correspond to the "device calibration data (leakage rate, non-leakage
-/// noise, readout error)" the paper feeds into the offline stage.
+/// Calibration data used when enumerating the fault model. These correspond to the
+/// "device calibration data (leakage rate, non-leakage noise, readout error)" the paper
+/// feeds into the offline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GladiatorConfig {
     /// Physical (non-leakage) error rate `p`.
@@ -13,19 +13,6 @@ pub struct GladiatorConfig {
     pub leakage_ratio: f64,
     /// A pattern is flagged as leakage when `W_leak > threshold · W_nonleak`.
     pub threshold: f64,
-    /// Include first-order data errors occurring *between* the CNOTs of a round (the
-    /// suffix patterns such as "0011"). The paper includes these for the surface code.
-    pub mid_round_data_errors: bool,
-    /// Include second-order (two independent fault) non-leakage events.
-    pub second_order: bool,
-    /// Relative weight of a single CNOT depolarizing fault that flips only its own
-    /// ancilla (per non-identity outcome class).
-    pub gate_fault_fraction: f64,
-    /// Background non-leakage weight `background_fault_factor · p²` added to every
-    /// pattern, accounting for the aggregate probability of multi-fault combinations
-    /// that are not enumerated explicitly (crosstalk, hook-error chains, ≥3 faults).
-    /// Keeps extremely unlikely leakage explanations from winning by default.
-    pub background_fault_factor: f64,
 }
 
 impl GladiatorConfig {
@@ -35,14 +22,8 @@ impl GladiatorConfig {
         self.leakage_ratio * self.p
     }
 
-    /// Background non-leakage weight added to every pattern.
-    #[must_use]
-    pub fn background_weight(&self) -> f64 {
-        self.background_fault_factor * self.p * self.p
-    }
-
     /// Returns a copy with a different physical error rate (recalibration only changes
-    /// edge weights, never the graph structure — Section 4.3).
+    /// fault weights, never the enumerated fault locations — Section 4.3).
     #[must_use]
     pub fn with_error_rate(mut self, p: f64) -> Self {
         self.p = p;
@@ -63,7 +44,7 @@ impl GladiatorConfig {
         self
     }
 
-    /// Validates that the calibration values are probabilities / positive factors.
+    /// Validates that the calibration values are probabilities / a positive factor.
     ///
     /// # Errors
     /// Returns a description of the first invalid field.
@@ -77,30 +58,13 @@ impl GladiatorConfig {
         if self.threshold <= 0.0 || self.threshold.is_nan() {
             return Err(format!("threshold {} must be positive", self.threshold));
         }
-        if !(0.0..=1.0).contains(&self.gate_fault_fraction) {
-            return Err(format!("gate fault fraction {} out of range", self.gate_fault_fraction));
-        }
-        if self.background_fault_factor < 0.0 || self.background_fault_factor.is_nan() {
-            return Err(format!(
-                "background fault factor {} must be non-negative",
-                self.background_fault_factor
-            ));
-        }
         Ok(())
     }
 }
 
 impl Default for GladiatorConfig {
     fn default() -> Self {
-        GladiatorConfig {
-            p: 1e-3,
-            leakage_ratio: 0.1,
-            threshold: 1.0,
-            mid_round_data_errors: true,
-            second_order: true,
-            gate_fault_fraction: 0.25,
-            background_fault_factor: 2.0,
-        }
+        GladiatorConfig { p: 1e-3, leakage_ratio: 0.1, threshold: 1.0 }
     }
 }
 
@@ -114,8 +78,6 @@ mod tests {
         assert!((c.p - 1e-3).abs() < 1e-12);
         assert!((c.p_leak() - 1e-4).abs() < 1e-12);
         assert!((c.threshold - 1.0).abs() < 1e-12);
-        assert!(c.mid_round_data_errors);
-        assert!(c.second_order);
         c.validate().expect("defaults are valid");
     }
 

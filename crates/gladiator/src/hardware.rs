@@ -85,7 +85,8 @@ mod tests {
     use super::*;
     use crate::boolean::minimize_tagged;
     use crate::config::GladiatorConfig;
-    use crate::labeling::build_single_round_table;
+    use crate::labeling::PatternTable;
+    use crate::site_class::SiteClass;
 
     #[test]
     fn gladiator_lut_law_matches_table3() {
@@ -123,8 +124,10 @@ mod tests {
     #[test]
     fn checker_cost_from_default_calibration_is_about_ten_luts() {
         let config = GladiatorConfig::default();
-        let tables: Vec<(usize, _)> =
-            [2usize, 3, 4].iter().map(|&w| (w, build_single_round_table(w, &config))).collect();
+        let tables: Vec<(usize, _)> = [2usize, 3, 4]
+            .iter()
+            .map(|&w| (w, PatternTable::build(&SiteClass::uniform(w), &config, 1)))
+            .collect();
         let expr = minimize_tagged(tables.iter().map(|(w, t)| (*w, t)));
         let luts = checker_luts(&expr);
         assert!(

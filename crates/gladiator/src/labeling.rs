@@ -1,9 +1,9 @@
-//! Graph merging and node labeling: the lookup table the QEC controller queries.
+//! Pattern labeling: the lookup table the QEC controller queries.
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::GladiatorConfig;
-use crate::propagation::PropagationGraph;
+use crate::propagation;
 use crate::site_class::SiteClass;
 
 /// A labeled syndrome-pattern table for one degree class.
@@ -21,36 +21,20 @@ pub struct PatternTable {
 }
 
 impl PatternTable {
-    /// Builds a table from explicit leakage / non-leakage graphs.
+    /// Builds the table of `site_class` over a window of `window` rounds: 1 for
+    /// GLADIATOR, 2 for GLADIATOR-D, whose table is indexed by
+    /// `round₂ << width | round₁`.
     ///
     /// # Panics
-    /// Panics if the graphs disagree on the pattern width.
+    /// Panics if the window or the class width is out of range (see
+    /// [`propagation::fault_weights`]).
     #[must_use]
-    pub fn from_graphs(
-        leakage: &PropagationGraph,
-        non_leakage: &PropagationGraph,
-        threshold: f64,
-    ) -> Self {
-        assert_eq!(
-            leakage.width(),
-            non_leakage.width(),
-            "leakage and non-leakage graphs must share a width"
-        );
-        let width = leakage.width();
-        let size = 1usize << width;
-        let mut leakage_weight = vec![0.0; size];
-        let mut nonleakage_weight = vec![0.0; size];
-        for pattern in 0..size as u32 {
-            leakage_weight[pattern as usize] = leakage.weight_into(pattern, None);
-            nonleakage_weight[pattern as usize] = non_leakage.weight_into(pattern, None);
-        }
-        let flagged =
-            (0..size).map(|i| leakage_weight[i] > threshold * nonleakage_weight[i]).collect();
-        PatternTable { width, leakage_weight, nonleakage_weight, flagged, threshold }
+    pub fn build(site_class: &SiteClass, config: &GladiatorConfig, window: usize) -> Self {
+        let (leakage, nonleakage) = propagation::fault_weights(site_class, config, window);
+        Self::from_weights(window * site_class.width, leakage, nonleakage, config.threshold)
     }
 
-    /// Builds a table directly from raw per-pattern weights (used by the two-round
-    /// enumerator).
+    /// Builds a table directly from raw per-pattern weights.
     ///
     /// # Panics
     /// Panics if the weight vectors do not have `2^width` entries.
@@ -134,28 +118,36 @@ pub fn eraser_flags(width: usize, pattern: u32) -> bool {
     2 * flips >= width && flips > 0
 }
 
-/// Builds the single-round table for a degree class in the simplified basis-agnostic
-/// model (every site detects every Pauli).
-#[must_use]
-pub fn build_single_round_table(width: usize, config: &GladiatorConfig) -> PatternTable {
-    build_single_round_table_for_class(&SiteClass::uniform(width), config)
-}
-
-/// Builds the single-round table for an explicit [`SiteClass`] (basis-aware model).
-#[must_use]
-pub fn build_single_round_table_for_class(
-    site_class: &SiteClass,
-    config: &GladiatorConfig,
-) -> PatternTable {
-    let leakage = PropagationGraph::leakage(site_class.width, config);
-    let non_leakage = PropagationGraph::non_leakage_for_class(site_class, config);
-    PatternTable::from_graphs(&leakage, &non_leakage, config.threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn config() -> GladiatorConfig {
+        GladiatorConfig::default()
+    }
+
+    fn single_round(width: usize, config: &GladiatorConfig) -> PatternTable {
+        PatternTable::build(&SiteClass::uniform(width), config, 1)
+    }
+
+    fn two_round(width: usize, config: &GladiatorConfig) -> PatternTable {
+        PatternTable::build(&SiteClass::uniform(width), config, 2)
+    }
+
+    /// ERASER applied independently to both rounds of the window.
+    fn eraser_two_round_count(width: usize) -> usize {
+        let all = 1u32 << width;
+        let mut count = 0;
+        for r1 in 0..all {
+            for r2 in 0..all {
+                if eraser_flags(width, r1) && eraser_flags(width, r2) {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
 
     #[test]
     fn eraser_heuristic_counts_match_paper() {
@@ -170,7 +162,7 @@ mod tests {
 
     #[test]
     fn surface_bulk_table_flags_fewer_patterns_than_eraser() {
-        let table = build_single_round_table(4, &GladiatorConfig::default());
+        let table = single_round(4, &GladiatorConfig::default());
         assert_eq!(table.flagged_count(), 8);
         assert_eq!(table.eraser_flagged_count(), 11);
         // Frequently occurring non-leakage patterns must not be flagged.
@@ -182,7 +174,7 @@ mod tests {
 
     #[test]
     fn flagged_patterns_have_higher_leakage_weight() {
-        let table = build_single_round_table(4, &GladiatorConfig::default());
+        let table = single_round(4, &GladiatorConfig::default());
         for pattern in table.flagged_patterns() {
             assert!(table.leakage_weight(pattern) > table.nonleakage_weight(pattern));
         }
@@ -190,7 +182,7 @@ mod tests {
 
     #[test]
     fn three_bit_table_flags_only_multi_flip_non_first_order_patterns() {
-        let table = build_single_round_table(3, &GladiatorConfig::default());
+        let table = single_round(3, &GladiatorConfig::default());
         // The weight-2 patterns 101 and 011 (time order) that are not suffixes are
         // leakage-dominated; singles and the all-ones pattern are not.
         assert!(table.flagged_count() <= 4);
@@ -204,21 +196,21 @@ mod tests {
     fn one_bit_patterns_are_never_flagged_at_default_calibration() {
         // A single adjacent check cannot distinguish leakage from a measurement error,
         // so a 1-bit site never speculates (matches the color-code corner qubits).
-        let table = build_single_round_table(1, &GladiatorConfig::default());
+        let table = single_round(1, &GladiatorConfig::default());
         assert_eq!(table.flagged_count(), 0);
     }
 
     #[test]
     fn higher_leakage_ratio_flags_more_patterns() {
-        let low = build_single_round_table(4, &GladiatorConfig::default().with_leakage_ratio(0.01));
-        let high = build_single_round_table(4, &GladiatorConfig::default().with_leakage_ratio(1.0));
+        let low = single_round(4, &GladiatorConfig::default().with_leakage_ratio(0.01));
+        let high = single_round(4, &GladiatorConfig::default().with_leakage_ratio(1.0));
         assert!(high.flagged_count() >= low.flagged_count());
     }
 
     #[test]
     fn raising_the_threshold_only_removes_flags() {
-        let lenient = build_single_round_table(4, &GladiatorConfig::default().with_threshold(1.0));
-        let strict = build_single_round_table(4, &GladiatorConfig::default().with_threshold(10.0));
+        let lenient = single_round(4, &GladiatorConfig::default().with_threshold(1.0));
+        let strict = single_round(4, &GladiatorConfig::default().with_threshold(10.0));
         for p in 0..16u32 {
             if strict.is_flagged(p) {
                 assert!(lenient.is_flagged(p), "pattern {p:04b} flagged only at strict threshold");
@@ -230,21 +222,105 @@ mod tests {
     #[test]
     #[should_panic(expected = "wider than table width")]
     fn out_of_range_pattern_panics() {
-        let table = build_single_round_table(3, &GladiatorConfig::default());
+        let table = single_round(3, &GladiatorConfig::default());
         let _ = table.is_flagged(0b10000);
+    }
+
+    #[test]
+    fn eraser_two_round_surface_count_is_121() {
+        // Paper, Section 5.2: ERASER flags 121 of 256 two-round patterns.
+        assert_eq!(eraser_two_round_count(4), 121);
+    }
+
+    #[test]
+    fn surface_two_round_table_flags_fewer_than_eraser() {
+        let table = two_round(4, &config());
+        let flagged = table.flagged_count();
+        assert!(
+            flagged < 121,
+            "GLADIATOR-D must flag fewer two-round patterns than ERASER (got {flagged})"
+        );
+        assert!(flagged >= 30, "GLADIATOR-D should still flag a substantial set (got {flagged})");
+    }
+
+    #[test]
+    fn color_code_two_round_table_flags_a_small_rare_pattern_set() {
+        // Paper: 11/64 for GLADIATOR-D vs 16/64 for ERASER on 3-bit sites. Our
+        // enumeration lands at a comparable size (the exact count depends on the set of
+        // second-order events modelled; EXPERIMENTS.md records the difference). What
+        // matters operationally is that the flagged patterns are the *rare*
+        // random-looking ones, not the common deterministic fault signatures ERASER
+        // reacts to.
+        let table = two_round(3, &config());
+        assert_eq!(eraser_two_round_count(3), 16);
+        assert!(table.flagged_count() >= 8);
+        assert!(table.flagged_count() <= 20);
+        // Deterministic data-error and measurement-echo signatures stay unflagged.
+        // (`| 0b000` spells out the empty round-1 pattern half on purpose.)
+        #[allow(clippy::identity_op)]
+        let burst_then_silence = (0b111 << 3) | 0b000;
+        assert!(!table.is_flagged(burst_then_silence));
+        assert!(!table.is_flagged((0b001 << 3) | 0b001));
+    }
+
+    #[test]
+    fn persistent_data_error_signature_is_not_flagged() {
+        // suffix in round 1, complementary prefix in round 2 (paper's "0011 -> 1111"
+        // temporal argument expressed on detectors).
+        let table = two_round(4, &config());
+        let r1 = 0b1100u32;
+        let r2 = 0b0011u32;
+        assert!(!table.is_flagged((r2 << 4) | r1));
+    }
+
+    #[test]
+    fn random_flip_signature_is_flagged() {
+        let table = two_round(4, &config());
+        // Round 1 shows only the last site flipped (compatible with a leak landing
+        // mid-round), round 2 keeps flipping random sites: leakage-dominated.
+        let r1 = 0b1000u32;
+        let r2 = 0b0110u32;
+        assert!(table.is_flagged((r2 << 4) | r1));
+    }
+
+    #[test]
+    fn measurement_error_echo_is_not_flagged() {
+        let table = two_round(4, &config());
+        // same single bit in both rounds = classic measurement-error echo
+        let r1 = 0b0010u32;
+        let r2 = 0b0010u32;
+        assert!(!table.is_flagged((r2 << 4) | r1));
+    }
+
+    #[test]
+    fn deferring_helps_sparse_sites_more_than_single_round() {
+        // For 2-bit sites the single-round table cannot flag anything, but the
+        // two-round table can.
+        let single = single_round(2, &config());
+        let double = two_round(2, &config());
+        assert_eq!(single.flagged_count(), 0);
+        assert!(double.flagged_count() > 0);
+    }
+
+    #[test]
+    fn zero_window_is_never_flagged() {
+        for width in 1..=6 {
+            let table = two_round(width, &config());
+            assert!(!table.is_flagged(0), "width {width}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         #[test]
         fn gladiator_never_flags_more_than_eraser_at_default_calibration(width in 2usize..7) {
-            let table = build_single_round_table(width, &GladiatorConfig::default());
+            let table = single_round(width, &GladiatorConfig::default());
             prop_assert!(table.flagged_count() <= table.eraser_flagged_count());
         }
 
         #[test]
         fn zero_pattern_is_never_flagged(width in 1usize..9, lr in 0.01f64..1.0) {
-            let table = build_single_round_table(width, &GladiatorConfig::default().with_leakage_ratio(lr));
+            let table = single_round(width, &GladiatorConfig::default().with_leakage_ratio(lr));
             prop_assert!(!table.is_flagged(0));
         }
     }

@@ -7,20 +7,19 @@
 //!
 //! The pipeline mirrors Section 4 of the paper:
 //!
-//! 1. [`propagation`] builds, for every data-qubit degree class of a code, a
-//!    **leakage graph** and a **non-leakage graph** whose nodes are syndrome patterns
-//!    and whose weighted edges are error events calibrated by the device error rates.
-//! 2. [`labeling`] merges the two graphs and labels each pattern as *leakage* when the
-//!    accumulated leakage weight exceeds the non-leakage weight by a threshold factor,
-//!    producing a [`PatternTable`] (the runtime lookup table).
-//! 3. [`two_round`] extends the enumeration to a two-round sliding window
-//!    (GLADIATOR-D), which the paper uses for sparse-syndrome codes such as the color
-//!    code.
-//! 4. [`boolean`] converts the flagged pattern set into a minimized disjunctive normal
+//! 1. [`propagation`] enumerates, for every data-qubit site class of a code, where the
+//!    data qubit can leak and which ordinary faults can occur, over a window of one
+//!    round (GLADIATOR) or two rounds (GLADIATOR-D, which the paper uses for
+//!    sparse-syndrome codes such as the color code). Every fault is weighted by the
+//!    device error rates and summed into the syndrome patterns it produces.
+//! 2. [`labeling`] labels each pattern as *leakage* when its accumulated leakage
+//!    weight exceeds its non-leakage weight by a threshold factor, producing a
+//!    [`PatternTable`] (the runtime lookup table).
+//! 3. [`boolean`] converts the flagged pattern set into a minimized disjunctive normal
 //!    form via Quine–McCluskey (the paper uses SymPy), matching Appendix B.
-//! 5. [`hardware`] estimates the FPGA LUT cost of the resulting sequence checker and of
+//! 4. [`hardware`] estimates the FPGA LUT cost of the resulting sequence checker and of
 //!    ERASER's per-qubit FSM (Table 3).
-//! 6. [`mobility`] implements the leakage-mobility estimator of Section 7.6 (Table 6).
+//! 5. [`mobility`] implements the leakage-mobility estimator of Section 7.6 (Table 6).
 //!
 //! The entry point is [`GladiatorModel::for_code`], which builds every table a runtime
 //! policy needs for a given [`qec_codes::Code`].
@@ -49,67 +48,60 @@ pub mod labeling;
 pub mod mobility;
 pub mod propagation;
 pub mod site_class;
-pub mod two_round;
 
 pub use boolean::{BooleanExpression, TaggedPattern};
 pub use config::GladiatorConfig;
 pub use hardware::{eraser_lut_estimate, gladiator_lut_estimate, LutReport};
 pub use labeling::PatternTable;
 pub use mobility::{MobilityEstimator, MobilityRegime};
-pub use propagation::{ErrorClass, PropagationGraph};
 pub use site_class::SiteClass;
 
 use std::collections::BTreeMap;
 
 use qec_codes::Code;
 
-/// The complete offline GLADIATOR model for one code: a single-round pattern table per
-/// data-qubit degree class, and a two-round table per class for GLADIATOR-D.
+/// The complete offline GLADIATOR model for one code: a single-round pattern table and
+/// a two-round (GLADIATOR-D) table per site class.
+///
+/// Width-keyed queries read the *uniform class* of that width,
+/// [`SiteClass::uniform`], in which every site detects every Pauli; the model holds it
+/// for every width it covers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GladiatorModel {
     config: GladiatorConfig,
-    single_round: BTreeMap<usize, PatternTable>,
-    two_round: BTreeMap<usize, PatternTable>,
-    single_round_by_class: BTreeMap<SiteClass, PatternTable>,
-    two_round_by_class: BTreeMap<SiteClass, PatternTable>,
+    single_round: BTreeMap<SiteClass, PatternTable>,
+    two_round: BTreeMap<SiteClass, PatternTable>,
 }
 
 impl GladiatorModel {
     /// Builds the model for every parity-site class occurring in `code`: one
     /// basis-aware table per distinct (width, detection-signature) class, plus the
-    /// simplified width-keyed tables used for reporting and hardware synthesis.
+    /// uniform class of every width, used for reporting and hardware synthesis.
     #[must_use]
     pub fn for_code(code: &Code, config: GladiatorConfig) -> Self {
-        let adjacency = code.site_adjacency();
-        let mut model = Self::for_degrees(&adjacency.degree_classes(), config);
-        for class in SiteClass::classes_of(code) {
-            model
-                .single_round_by_class
-                .insert(class, labeling::build_single_round_table_for_class(&class, &config));
-            model
-                .two_round_by_class
-                .insert(class, two_round::build_two_round_table_for_class(&class, &config));
-        }
-        model
+        Self::for_classes(SiteClass::classes_of(code), config)
     }
 
     /// Builds the model for an explicit list of degree classes (pattern widths) in the
     /// simplified basis-agnostic form.
     #[must_use]
     pub fn for_degrees(degrees: &[usize], config: GladiatorConfig) -> Self {
+        Self::for_classes(degrees.iter().map(|&width| SiteClass::uniform(width)), config)
+    }
+
+    /// Builds both windows for every class and for the uniform class of its width.
+    fn for_classes(classes: impl IntoIterator<Item = SiteClass>, config: GladiatorConfig) -> Self {
         let mut single_round = BTreeMap::new();
-        let mut two_round_tables = BTreeMap::new();
-        for &width in degrees {
-            single_round.insert(width, labeling::build_single_round_table(width, &config));
-            two_round_tables.insert(width, two_round::build_two_round_table(width, &config));
+        let mut two_round = BTreeMap::new();
+        for class in classes {
+            for class in [class, SiteClass::uniform(class.width)] {
+                single_round
+                    .entry(class)
+                    .or_insert_with(|| PatternTable::build(&class, &config, 1));
+                two_round.entry(class).or_insert_with(|| PatternTable::build(&class, &config, 2));
+            }
         }
-        GladiatorModel {
-            config,
-            single_round,
-            two_round: two_round_tables,
-            single_round_by_class: BTreeMap::new(),
-            two_round_by_class: BTreeMap::new(),
-        }
+        GladiatorModel { config, single_round, two_round }
     }
 
     /// The configuration used to build this model.
@@ -121,39 +113,42 @@ impl GladiatorModel {
     /// Single-round pattern table for a data qubit with `width` adjacent checks.
     #[must_use]
     pub fn single_round_table(&self, width: usize) -> Option<&PatternTable> {
-        self.single_round.get(&width)
+        self.single_round.get(&SiteClass::uniform(width))
     }
 
     /// Two-round (GLADIATOR-D) pattern table for `width` adjacent checks.
     #[must_use]
     pub fn two_round_table(&self, width: usize) -> Option<&PatternTable> {
-        self.two_round.get(&width)
+        self.two_round.get(&SiteClass::uniform(width))
     }
 
     /// Degree classes covered by this model, ascending.
     #[must_use]
     pub fn widths(&self) -> Vec<usize> {
-        self.single_round.keys().copied().collect()
+        let mut widths: Vec<usize> = self.single_round.keys().map(|class| class.width).collect();
+        widths.dedup();
+        widths
     }
 
     /// Classifies a single-round pattern: `true` means "leakage-dominated, schedule an
     /// LRC". Patterns for unknown widths are conservatively classified as non-leakage.
     #[must_use]
     pub fn classify(&self, width: usize, pattern: u32) -> bool {
-        self.single_round.get(&width).is_some_and(|t| t.is_flagged(pattern))
+        self.single_round_table(width).is_some_and(|t| t.is_flagged(pattern))
     }
 
     /// Basis-aware single-round classification for a specific site class (falls back to
     /// the width-keyed table when the class was not prebuilt).
     #[must_use]
     pub fn classify_class(&self, site_class: &SiteClass, pattern: u32) -> bool {
-        match self.single_round_by_class.get(site_class) {
+        match self.class_table(site_class) {
             Some(table) => table.is_flagged(pattern),
             None => self.classify(site_class.width, pattern),
         }
     }
 
-    /// Basis-aware two-round classification for a specific site class.
+    /// Basis-aware two-round classification for a specific site class (falls back to
+    /// the width-keyed table when the class was not prebuilt).
     #[must_use]
     pub fn classify_two_round_class(
         &self,
@@ -161,34 +156,34 @@ impl GladiatorModel {
         round1: u32,
         round2: u32,
     ) -> bool {
-        match self.two_round_by_class.get(site_class) {
-            Some(table) => {
-                let pattern = (u64::from(round2) << site_class.width) | u64::from(round1);
-                table.is_flagged(pattern as u32)
-            }
-            None => self.classify_two_round(site_class.width, round1, round2),
-        }
+        let width = site_class.width;
+        let pattern = (u64::from(round2) << width) | u64::from(round1);
+        self.two_round
+            .get(site_class)
+            .or_else(|| self.two_round_table(width))
+            .is_some_and(|t| t.is_flagged(pattern as u32))
     }
 
     /// The basis-aware single-round table for a site class, if it was prebuilt.
     #[must_use]
     pub fn class_table(&self, site_class: &SiteClass) -> Option<&PatternTable> {
-        self.single_round_by_class.get(site_class)
+        self.single_round.get(site_class)
     }
 
     /// Classifies a two-round pattern (`round1` in the low bits, `round2` shifted by
     /// `width`), as used by GLADIATOR-D.
     #[must_use]
     pub fn classify_two_round(&self, width: usize, round1: u32, round2: u32) -> bool {
-        let pattern = (u64::from(round2) << width) | u64::from(round1);
-        self.two_round.get(&width).is_some_and(|t| t.is_flagged(pattern as u32))
+        self.classify_two_round_class(&SiteClass::uniform(width), round1, round2)
     }
 
     /// The minimized Boolean expression over prefix-tagged patterns covering every
     /// single-round degree class (the content of the paper's sequence checker).
     #[must_use]
     pub fn minimized_expression(&self) -> BooleanExpression {
-        boolean::minimize_tagged(self.single_round.iter().map(|(&w, t)| (w, t)))
+        boolean::minimize_tagged(
+            self.widths().into_iter().filter_map(|w| self.single_round_table(w).map(|t| (w, t))),
+        )
     }
 }
 

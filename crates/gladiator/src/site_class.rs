@@ -1,6 +1,6 @@
 //! Site classes: the per-data-qubit environment the offline model is built for.
 //!
-//! The propagation graphs need to know, for every adjacent parity site, *which data
+//! The fault enumeration needs to know, for every adjacent parity site, *which data
 //! Pauli errors it detects*: a Z-type check detects X errors, an X-type check detects Z
 //! errors, and a self-dual face (color code) detects both. Two data qubits whose
 //! adjacent sites have the same width and the same detection signature share one

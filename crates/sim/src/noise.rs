@@ -66,7 +66,8 @@ impl NoiseParams {
         self.gate_time_ns * cnot_layers as f64 + self.meas_time_ns
     }
 
-    /// Validates that every probability lies in `[0, 1]`.
+    /// Validates that every probability lies in `[0, 1]` and every timing is
+    /// non-negative.
     ///
     /// # Errors
     /// Returns a message naming the first out-of-range field.
@@ -83,8 +84,15 @@ impl NoiseParams {
                 return Err(format!("{name} = {value} is not a probability"));
             }
         }
-        if self.gate_time_ns < 0.0 || self.meas_time_ns < 0.0 || self.lrc_time_ns < 0.0 {
-            return Err("timings must be non-negative".to_string());
+        let timings = [
+            ("gate_time_ns", self.gate_time_ns),
+            ("meas_time_ns", self.meas_time_ns),
+            ("lrc_time_ns", self.lrc_time_ns),
+        ];
+        for (name, value) in timings {
+            if value < 0.0 || value.is_nan() {
+                return Err(format!("{name} = {value} must be non-negative"));
+            }
         }
         Ok(())
     }

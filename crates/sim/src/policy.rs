@@ -8,7 +8,7 @@
 //! oracle used for the "IDEAL" baseline, which receives them explicitly through
 //! [`PolicyContext::ground_truth`]).
 
-use qec_codes::{Code, DataAdjacency, DataQubitId};
+use qec_codes::{Code, DataQubitId};
 
 use crate::record::RoundRecord;
 
@@ -65,10 +65,6 @@ pub struct GroundTruth<'a> {
 pub struct PolicyContext<'a> {
     /// Index of the upcoming round (0-based). When `round == 0` no observations exist yet.
     pub round: usize,
-    /// The code being protected.
-    pub code: &'a Code,
-    /// Pre-computed data-qubit adjacency of the code.
-    pub adjacency: &'a DataAdjacency,
     /// Records of all completed rounds, oldest first.
     pub history: &'a [RoundRecord],
     /// Ground truth leak flags — only for oracle policies; honest policies must ignore it.
@@ -149,13 +145,10 @@ mod tests {
     #[test]
     fn never_lrc_schedules_nothing() {
         let code = Code::rotated_surface(3);
-        let adjacency = code.data_adjacency();
         let data_leaked = vec![false; code.num_data()];
         let ancilla_leaked = vec![false; code.num_checks()];
         let ctx = PolicyContext {
             round: 0,
-            code: &code,
-            adjacency: &adjacency,
             history: &[],
             ground_truth: GroundTruth {
                 data_leaked: &data_leaked,
@@ -170,7 +163,6 @@ mod tests {
     #[test]
     fn round_back_indexes_from_most_recent() {
         let code = Code::rotated_surface(3);
-        let adjacency = code.data_adjacency();
         let make = |round| RoundRecord {
             round,
             measurements: vec![],
@@ -188,8 +180,6 @@ mod tests {
         let ancilla_leaked = vec![false; code.num_checks()];
         let ctx = PolicyContext {
             round: 3,
-            code: &code,
-            adjacency: &adjacency,
             history: &history,
             ground_truth: GroundTruth {
                 data_leaked: &data_leaked,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qec_codes::{CheckBasis, Code, DataAdjacency, DataQubitId};
+use qec_codes::{CheckBasis, Code, DataQubitId};
 
 use crate::frame::QubitFrames;
 use crate::noise::NoiseParams;
@@ -22,7 +22,6 @@ use crate::sink::TraceSink;
 pub struct Simulator {
     code: Code,
     checks: std::sync::Arc<Vec<qec_codes::Check>>,
-    adjacency: DataAdjacency,
     noise: NoiseParams,
     pub(crate) frames: QubitFrames,
     pub(crate) rng: ChaCha8Rng,
@@ -36,12 +35,12 @@ pub struct Simulator {
 
 /// A snapshot of every piece of [`Simulator`] state that varies within a run:
 /// frames, RNG stream position, previous-round measurements and the round
-/// counter. The immutable run configuration (code, noise, adjacency) is *not*
+/// counter. The immutable run configuration (code, noise, round tables) is *not*
 /// captured — a checkpoint may only be restored into the simulator family it
 /// was taken from.
 ///
 /// Compared to cloning the whole `Simulator`, a checkpoint is cheap to take
-/// and cheap to restore: no code/adjacency duplication, and
+/// and cheap to restore: no code or table duplication, and
 /// [`Simulator::restore`] copies into the existing allocations instead of
 /// reallocating. This is what makes shared-checkpoint closed-loop replay
 /// (one forced prefix, N resumed suffixes) affordable per shot.
@@ -65,12 +64,10 @@ impl Simulator {
     /// Creates a simulator for `code` under `noise`, seeded deterministically.
     #[must_use]
     pub fn new(code: &Code, noise: NoiseParams, seed: u64) -> Self {
-        let adjacency = code.data_adjacency();
         let cnot_layers = code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0);
         Simulator {
             code: code.clone(),
             checks: std::sync::Arc::new(code.checks().to_vec()),
-            adjacency,
             noise,
             frames: QubitFrames::new(code.num_data(), code.num_checks()),
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -145,7 +142,7 @@ impl Simulator {
 
     /// Re-seeds the RNG and resets all per-run state, leaving the simulator
     /// bit-for-bit identical to a freshly constructed `Simulator::new(code, noise,
-    /// seed)` — but without re-deriving the code structures (adjacency, check list),
+    /// seed)` — but without re-deriving the code structures (check list, round tables),
     /// which is what makes per-shot reuse in the batch engine allocation-light.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = ChaCha8Rng::seed_from_u64(seed);
@@ -295,8 +292,6 @@ impl Simulator {
         for round in history.len()..total_rounds {
             let request = policy.plan_lrcs(&PolicyContext {
                 round,
-                code: &self.code,
-                adjacency: &self.adjacency,
                 history: &history,
                 ground_truth: GroundTruth {
                     data_leaked: self.frames.data_leaks(),

@@ -136,7 +136,7 @@ pub fn build_policy(
 ///
 /// | artifact | needed by | cost |
 /// |---|---|---|
-/// | [`GladiatorModel`] | gladiator variants | graph propagation + Quine–McCluskey |
+/// | [`GladiatorModel`] | gladiator variants | fault enumeration + Quine–McCluskey |
 /// | [`PatternExtractor`] | eraser, mlr-only, gladiator | site grouping per qubit |
 /// | per-qubit [`SiteClass`]es | gladiator variants | code scan |
 /// | greedy [`Coloring`] | staggered | interaction-graph colouring |

@@ -22,8 +22,8 @@ use crate::patterns::PatternExtractor;
 /// back to the two-round window even in non-deferred mode (this is the same
 /// sparse-syndrome argument the paper uses to motivate GLADIATOR-D in Section 5).
 ///
-/// The expensive code-derived artifacts — the offline [`GladiatorModel`] (graph
-/// propagation + Quine–McCluskey), the [`PatternExtractor`] and the per-qubit site
+/// The expensive code-derived artifacts — the offline [`GladiatorModel`] (fault
+/// enumeration + Quine–McCluskey), the [`PatternExtractor`] and the per-qubit site
 /// classes — are held behind [`Arc`] so one build can back many policy instances
 /// across shots and threads (see [`crate::PolicyFactory`]). The convenience
 /// constructors below build a private copy of everything; batch paths should go

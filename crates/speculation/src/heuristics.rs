@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use gladiator::labeling::eraser_flags;
 use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext, RoundRecord};
 use qec_codes::Code;
 
@@ -41,13 +42,6 @@ impl EraserPolicy {
         let name = if use_mlr { "eraser+m" } else { "eraser" };
         EraserPolicy { extractor, use_mlr, name }
     }
-
-    /// The 50 % heuristic on one pattern.
-    #[must_use]
-    pub fn flags(width: usize, pattern: u32) -> bool {
-        let flips = pattern.count_ones() as usize;
-        flips > 0 && 2 * flips >= width
-    }
 }
 
 impl LeakagePolicy for EraserPolicy {
@@ -63,7 +57,7 @@ impl LeakagePolicy for EraserPolicy {
         let data = patterns
             .iter()
             .enumerate()
-            .filter(|&(q, &pattern)| Self::flags(self.extractor.width(q), pattern))
+            .filter(|&(q, &pattern)| eraser_flags(self.extractor.width(q), pattern))
             .map(|(q, _)| q)
             .collect();
         let ancilla = if self.use_mlr { mlr_ancilla_requests(last) } else { Vec::new() };
@@ -136,12 +130,12 @@ mod tests {
 
     #[test]
     fn eraser_heuristic_matches_paper_examples() {
-        assert!(EraserPolicy::flags(4, 0b1100));
-        assert!(EraserPolicy::flags(4, 0b1111));
-        assert!(!EraserPolicy::flags(4, 0b0001));
-        assert!(!EraserPolicy::flags(4, 0));
-        assert!(EraserPolicy::flags(3, 0b011));
-        assert!(!EraserPolicy::flags(3, 0b001));
+        assert!(eraser_flags(4, 0b1100));
+        assert!(eraser_flags(4, 0b1111));
+        assert!(!eraser_flags(4, 0b0001));
+        assert!(!eraser_flags(4, 0));
+        assert!(eraser_flags(3, 0b011));
+        assert!(!eraser_flags(3, 0b001));
     }
 
     #[test]

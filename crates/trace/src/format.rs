@@ -173,7 +173,8 @@ impl TraceHeader {
     /// Decodes a header block payload.
     ///
     /// # Errors
-    /// Fails on truncation, trailing bytes, or an unsupported schema version.
+    /// Fails on truncation, trailing bytes, an unsupported schema version, or a
+    /// noise model that [`NoiseParams::validate`] rejects.
     pub fn decode(payload: &[u8]) -> Result<Self, TraceError> {
         let mut dec = Decoder::new(payload);
         let schema_version = u32::try_from(dec.take_varint()?)
@@ -203,6 +204,19 @@ impl TraceHeader {
         dec.expect_finished()?;
         let [p, leakage_ratio, mlr, mobility, lrc_error_factor, mlr_false_flag, gate_time_ns, meas_time_ns, lrc_time_ns] =
             floats;
+        let noise = NoiseParams {
+            p,
+            leakage_ratio,
+            mlr,
+            mobility,
+            lrc_error_factor,
+            mlr_enabled,
+            mlr_false_flag,
+            gate_time_ns,
+            meas_time_ns,
+            lrc_time_ns,
+        };
+        noise.validate().map_err(|e| TraceError::corrupt(format!("noise model: {e}")))?;
         Ok(TraceHeader {
             schema_version,
             generator,
@@ -217,18 +231,7 @@ impl TraceHeader {
             seed,
             policy,
             leakage_sampling,
-            noise: NoiseParams {
-                p,
-                leakage_ratio,
-                mlr,
-                mobility,
-                lrc_error_factor,
-                mlr_enabled,
-                mlr_false_flag,
-                gate_time_ns,
-                meas_time_ns,
-                lrc_time_ns,
-            },
+            noise,
         })
     }
 }

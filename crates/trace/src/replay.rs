@@ -41,7 +41,7 @@ use leaky_sim::{
     GroundTruth, LeakagePolicy, LrcRequest, PolicyContext, RunRecord, Simulator,
     SimulatorCheckpoint,
 };
-use qec_codes::{Code, DataAdjacency};
+use qec_codes::Code;
 use serde::{Deserialize, Serialize};
 
 use crate::format::{code_fingerprint, ShotTrace, TraceHeader};
@@ -305,12 +305,11 @@ impl SharedShotReplay {
     }
 }
 
-/// Prebuilt per-trace replay state: the code, its adjacency, and the recording
-/// run's timing inputs. Build once per trace, replay many shots/policies.
+/// Prebuilt per-trace replay state: the code and the recording run's timing
+/// inputs. Build once per trace, replay many shots/policies.
 #[derive(Debug)]
 pub struct ReplayContext {
     code: Code,
-    adjacency: DataAdjacency,
     header: TraceHeader,
 }
 
@@ -334,11 +333,7 @@ impl ReplayContext {
                 header.code_fingerprint
             )));
         }
-        Ok(ReplayContext {
-            code: code.clone(),
-            adjacency: code.data_adjacency(),
-            header: header.clone(),
-        })
+        Ok(ReplayContext { code: code.clone(), header: header.clone() })
     }
 
     /// The trace header the context was built from.
@@ -541,8 +536,6 @@ impl ReplayContext {
             };
             let ctx = PolicyContext {
                 round,
-                code: &self.code,
-                adjacency: &self.adjacency,
                 history: &recorded.rounds[..round],
                 ground_truth: GroundTruth { data_leaked: &record.data_leak_before, ancilla_leaked },
             };

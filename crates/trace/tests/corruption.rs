@@ -9,15 +9,13 @@ use qec_trace::{
     TRACE_SCHEMA_VERSION,
 };
 
-fn sample_trace_bytes(shots: usize, rounds: usize) -> Vec<u8> {
-    let code = Code::rotated_surface(3);
-    let noise = NoiseParams::default();
-    let header = TraceHeader {
+fn sample_header(code: &Code, shots: usize, rounds: usize) -> TraceHeader {
+    TraceHeader {
         schema_version: TRACE_SCHEMA_VERSION,
         generator: "corruption test".to_string(),
         git_describe: "unknown".to_string(),
         code_name: code.name().to_string(),
-        code_fingerprint: code_fingerprint(&code),
+        code_fingerprint: code_fingerprint(code),
         num_data: code.num_data(),
         num_checks: code.num_checks(),
         cnot_layers: 4,
@@ -26,9 +24,14 @@ fn sample_trace_bytes(shots: usize, rounds: usize) -> Vec<u8> {
         seed: 3,
         policy: "no-lrc".to_string(),
         leakage_sampling: false,
-        noise,
-    };
-    let mut sim = Simulator::new(&code, noise, 0);
+        noise: NoiseParams::default(),
+    }
+}
+
+fn sample_trace_bytes(shots: usize, rounds: usize) -> Vec<u8> {
+    let code = Code::rotated_surface(3);
+    let header = sample_header(&code, shots, rounds);
+    let mut sim = Simulator::new(&code, header.noise, 0);
     let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
     for shot in 0..shots as u64 {
         sim.reseed_for_shot(header.seed, shot, header.leakage_sampling);
@@ -114,6 +117,43 @@ fn a_flipped_crc_trailer_byte_reports_a_crc_mismatch() {
         }
     };
     assert!(err.to_string().contains("CRC mismatch"), "{err}");
+}
+
+/// The error of opening a trace whose header carries `noise` under valid CRCs.
+fn header_noise_error(noise: NoiseParams) -> TraceError {
+    let code = Code::rotated_surface(3);
+    let header = TraceHeader { noise, ..sample_header(&code, 0, 3) };
+    let bytes = TraceWriter::new(Vec::new(), &header).unwrap().finish().unwrap();
+    match TraceReader::new(bytes.as_slice()) {
+        Err(e) => e,
+        Ok(_) => panic!("a header with {noise:?} must not decode"),
+    }
+}
+
+/// The header's noise model calibrates every policy replayed or served from the
+/// shard, so a model `NoiseParams::validate` rejects is corrupt, CRCs or not.
+#[test]
+fn a_header_noise_probability_above_one_is_corrupt() {
+    let err = header_noise_error(NoiseParams { p: 2.0, ..NoiseParams::default() });
+    assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+    assert_eq!(err.to_string(), "corrupt trace: noise model: p = 2 is not a probability");
+}
+
+#[test]
+fn a_nan_header_noise_probability_is_corrupt() {
+    let err = header_noise_error(NoiseParams { p: f64::NAN, ..NoiseParams::default() });
+    assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+    assert_eq!(err.to_string(), "corrupt trace: noise model: p = NaN is not a probability");
+}
+
+#[test]
+fn a_negative_header_lrc_time_is_corrupt() {
+    let err = header_noise_error(NoiseParams { lrc_time_ns: -1.0, ..NoiseParams::default() });
+    assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "corrupt trace: noise model: lrc_time_ns = -1 must be non-negative"
+    );
 }
 
 /// A directory without a manifest is not a corpus: read-only consumers fail

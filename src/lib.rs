@@ -7,8 +7,8 @@
 //! * [`codes`] — code families (surface, color, HGP, BPC) and their structure.
 //! * [`sim`] — the leakage-aware Pauli-frame simulator and noise model.
 //! * [`decoder`] — space–time union-find decoding.
-//! * [`model`] — the GLADIATOR offline model (graphs, tables, Boolean minimization,
-//!   hardware cost, mobility estimation).
+//! * [`model`] — the GLADIATOR offline model (one windowed fault enumeration, pattern
+//!   tables, Boolean minimization, hardware cost, mobility estimation).
 //! * [`policies`] — the runtime speculation policies.
 //! * [`experiments`] — metrics, the Monte-Carlo harness and per-figure/table runners.
 //! * [`serve`] — the long-running speculation-evaluation daemon and its wire
