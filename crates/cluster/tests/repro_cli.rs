@@ -227,7 +227,11 @@ fn trace_subcommands_reject_bad_usage() {
 #[test]
 fn route_shard_replay_and_sweep_usage_errors() {
     let shard = ["corpus", "shard", "src", "--out", "o"];
-    let cases: [(&[&str], &str); 16] = [
+    let huge = "6148914691236517206"; // times 3 wraps to 2 in u64 arithmetic
+    let overflow = "rounds_per_distance 6148914691236517206 times distance 3 overflows";
+    let sweep = ["sweep", "--grid", "d=3", "p=1e-3", "lr=0.1", "policy=gladiator+m"];
+    let record = ["record", "--grid", "d=3", "p=1e-3", "policy=gladiator+m", "--corpus", "c"];
+    let cases: [(&[&str], &str); 18] = [
         (&["route"], "route requires --cluster FILE"),
         (&["route", "--cluster"], "--cluster requires a value"),
         (&["route", "--cluster", "c", "--replica-addr", "0"], "expected INDEX=HOST:PORT"),
@@ -244,6 +248,11 @@ fn route_shard_replay_and_sweep_usage_errors() {
         (&["sweep", "--frobnicate"], "unknown flag `--frobnicate` for `sweep`"),
         (&["sweep", "--grid", "d=3", "extra"], "unexpected argument `extra` for `sweep`"),
         (&["sweep", "--shots", "many", "--shots", "5"], "--shots: invalid value `many`"),
+        (
+            &[&sweep[..], &["--rounds-per-distance", huge, "--no-decode", "--out", "-"]].concat(),
+            overflow,
+        ),
+        (&[&record[..], &["--shots", "2", "--rounds-per-distance", huge]].concat(), overflow),
     ];
     for (args, message) in cases {
         assert_usage_error(args);
@@ -379,6 +388,63 @@ fn an_invalid_header_noise_model_fails_corpus_verify() {
     assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
     let stderr = stderr_of(&output);
     assert!(stderr.contains("noise model: p = 2 is not a probability"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records a 2-shot, 3-round gladiator+m cell into `dir`, then rewrites its
+/// shard header and manifest entry through `corrupt` with every CRC intact.
+fn record_then_corrupt_counts(dir: &Path, corrupt: impl Fn(&mut usize, &mut usize)) {
+    let corpus = dir.to_str().unwrap();
+    let output = run(&[
+        "record",
+        "--grid",
+        "d=3",
+        "p=1e-3",
+        "policy=gladiator+m",
+        "--shots",
+        "2",
+        "--rounds-per-distance",
+        "1",
+        "--corpus",
+        corpus,
+    ]);
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let shard = report_shard_file(dir);
+    let (mut header, mut shots) = qec_trace::read_trace_file(&shard).unwrap();
+    corrupt(&mut header.shots, &mut header.rounds);
+    shots.truncate(header.shots);
+    qec_trace::write_trace_file(&shard, &header, &shots).unwrap();
+    let mut manifest = qec_trace::Corpus::open(dir).unwrap();
+    let mut entry = manifest.entries()[0].clone();
+    corrupt(&mut entry.shots, &mut entry.rounds);
+    manifest.insert(entry);
+    manifest.save().unwrap();
+}
+
+/// A shard and manifest entry declaring 2^40 shots over two real ones fail
+/// `corpus --verify` naming the count, instead of sizing the shot vector
+/// from the header (an allocation failure aborts the process).
+#[test]
+fn a_huge_declared_shot_count_fails_corpus_verify() {
+    let dir = tmp_dir("huge-shots");
+    record_then_corrupt_counts(&dir, |shots, _| *shots = 1 << 40);
+    let output = run(&["corpus", dir.to_str().unwrap(), "--verify"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("trace holds 2 shots, header says 1099511627776"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell of zero shots and 2^40 rounds is corrupt: no recorder writes an
+/// empty cell, and replay would size its per-round state from the count.
+#[test]
+fn a_zero_shot_cell_fails_corpus_verify() {
+    let dir = tmp_dir("zero-shots");
+    record_then_corrupt_counts(&dir, |shots, rounds| (*shots, *rounds) = (0, 1 << 40));
+    let output = run(&["corpus", dir.to_str().unwrap(), "--verify"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("trace header declares 0 shots"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,11 @@
 //! Monte-Carlo experiment driver.
 //!
-//! [`run_policy_experiment`] and [`compare_policies`] are thin wrappers over the
+//! [`run_policy_experiment`] and [`compare_policies`] drive the
 //! [`crate::engine::BatchEngine`], which owns every code-derived artifact for the
 //! duration of an experiment (offline GLADIATOR model, pattern extractor, decoder
 //! and matching graph) and reuses one `Simulator` + policy pair per worker thread.
+//! [`compare_policies`] runs one engine per policy around **one** shared policy
+//! factory and **one** decoder.
 //!
 //! # Seeding contract
 //!
@@ -18,14 +20,16 @@
 //! determinism tests pin the engine against it — and for callers that genuinely
 //! want a single run without amortizable setup.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use gladiator::GladiatorConfig;
-use leakage_speculation::{build_policy, PolicyKind};
+use leakage_speculation::{build_policy, PolicyFactory, PolicyKind};
 use leaky_sim::{NoiseParams, RunRecord, Simulator};
 use qec_codes::Code;
 
-use crate::engine::{run_policy_set, BatchEngine};
+use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::AggregateMetrics;
 
 /// Full specification of one policy experiment (code is passed separately so specs can
@@ -159,7 +163,7 @@ pub fn run_policy_experiment(code: &Code, spec: &ExperimentSpec) -> PolicyExperi
 /// with it the offline model) and a fresh [`Simulator`] on every call, defining the
 /// semantics one shot must have. The batch engine is tested to be bit-for-bit
 /// identical to this function under the `seed + shot` contract; use
-/// [`BatchEngine::run_records`] when simulating many shots.
+/// [`BatchEngine::map_records`] when simulating many shots.
 #[must_use]
 pub fn simulate_shot(code: &Code, spec: &ExperimentSpec, shot: u64) -> RunRecord {
     let mut policy = build_policy(spec.policy, code, &spec.gladiator);
@@ -170,14 +174,25 @@ pub fn simulate_shot(code: &Code, spec: &ExperimentSpec, shot: u64) -> RunRecord
     sim.run_with_policy(policy.as_mut(), spec.rounds)
 }
 
-/// Runs the same spec for several policies and returns the results in order.
+/// Runs the same spec for several policies and returns the results in order,
+/// with **one** policy factory and **one** decoder shared by every engine.
 #[must_use]
 pub fn compare_policies(
     code: &Code,
     base: &ExperimentSpec,
     policies: &[PolicyKind],
 ) -> Vec<PolicyExperimentResult> {
-    run_policy_set(code, base, policies)
+    let factory = Arc::new(PolicyFactory::new(code, &base.gladiator));
+    let decoder = base.decode.then(|| {
+        build_backend(None, code, base.rounds).expect("union-find serves the engine's code")
+    });
+    policies
+        .iter()
+        .map(|&kind| {
+            let spec = ExperimentSpec { policy: kind, ..base.clone() };
+            BatchEngine::with_shared(&spec, Arc::clone(&factory), decoder.clone()).run()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -238,6 +253,19 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].policy, "always-lrc");
         assert_eq!(results[1].policy, "ideal");
+    }
+
+    #[test]
+    fn compare_policies_shares_one_factory_and_matches_independent_engines() {
+        let code = Code::rotated_surface(3);
+        let base = ExperimentSpec::quick(PolicyKind::Gladiator).with_shots(3).with_rounds(6);
+        let kinds = [PolicyKind::Gladiator, PolicyKind::GladiatorDM, PolicyKind::EraserM];
+        let shared = compare_policies(&code, &base, &kinds);
+        // The shared-artifact path must reproduce per-policy engines bit for bit.
+        for (result, &kind) in shared.iter().zip(&kinds) {
+            let spec = ExperimentSpec { policy: kind, ..base.clone() };
+            assert_eq!(result, &BatchEngine::new(&code, &spec).run(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -9,16 +9,17 @@
 //!   negatives, speculation inaccuracy, cycle-time overhead.
 //! * [`engine`] — the [`engine::BatchEngine`]: the throughput execution path. It
 //!   owns every code-derived artifact for an experiment (offline GLADIATOR model,
-//!   pattern extractor, union-find decoder + matching graph) and drives a
-//!   rayon-parallel pool of per-thread `Simulator` + policy contexts. Shot `i`
-//!   always runs under seed `spec.seed + i`, so results are bit-for-bit
+//!   pattern extractor, union-find decoder + matching graph) and drives one
+//!   rayon-parallel shot loop over per-thread `Simulator` + policy contexts. Shot
+//!   `i` always runs under seed `spec.seed + i`, so results are bit-for-bit
 //!   reproducible and independent of thread count (the *seeding contract*); worker
-//!   threads reuse their context across shots via `Simulator::reseed` +
-//!   `LeakagePolicy::reset` (the *thread-reuse model*).
-//! * [`harness`] — [`ExperimentSpec`] plus thin engine-backed drivers
-//!   ([`run_policy_experiment`], [`harness::compare_policies`]) and the legacy
-//!   single-shot reference path ([`harness::simulate_shot`]) the engine is tested
-//!   against.
+//!   threads reuse their context across shots via `Simulator::reseed_for_shot` +
+//!   `LeakagePolicy::reset` (the *thread-reuse model*). Each shot's `RunRecord`
+//!   is its one record: scores, extractions and traces are all read off it.
+//! * [`harness`] — [`ExperimentSpec`] plus the engine-backed drivers
+//!   ([`run_policy_experiment`], and [`harness::compare_policies`], which shares
+//!   one factory and one decoder across a policy set) and the legacy single-shot
+//!   reference path ([`harness::simulate_shot`]) the engine is tested against.
 //! * [`runners`] — one function per experiment (Figure 1(b,c), 3, 4(b), 5, 8–14 and
 //!   Tables 2–6), each returning serializable rows and printable summaries.
 //! * [`scenario`] — the declarative workload unit: a [`scenario::Scenario`] names one
@@ -31,7 +32,8 @@
 //!   ([`adaptive::run_adaptive`]), checkpointed at every round boundary so a
 //!   resumed run ([`adaptive::resume_adaptive`]) renders a byte-identical report.
 //! * [`replay`] — corpus-backed evaluation over `qec-trace`: record each policy-free
-//!   scenario cell once ([`replay::record_into_corpus`]), then evaluate candidate
+//!   scenario cell once ([`replay::record_into_corpus`], or grow a shorter
+//!   recording with [`replay::extend_into_corpus`]), then evaluate candidate
 //!   policy sets against it through one evaluator ([`replay::evaluate_cell_set`],
 //!   with [`replay::evaluate_cell`] its set of one, and [`replay::replay_corpus`]
 //!   over a whole corpus): open-loop against the recorded observables, with

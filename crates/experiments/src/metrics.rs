@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use leaky_sim::RunRecord;
+use leaky_sim::{LrcRequest, NoiseParams, RoundRecord, RunRecord};
 
 /// Per-shot speculation metrics extracted from one simulated run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,39 +38,11 @@ impl RunMetrics {
     /// attribute cycle-time overhead to leakage mitigation.
     #[must_use]
     pub fn score(run: &RunRecord, lrc_time_ns: f64) -> Self {
-        let mut false_positives = 0usize;
-        let mut false_negatives = 0usize;
-        let mut data_lrcs = 0usize;
-        let mut ancilla_lrcs = 0usize;
-        for round in &run.rounds {
-            data_lrcs += round.data_lrcs.len();
-            ancilla_lrcs += round.ancilla_lrcs.len();
-            for &q in &round.data_lrcs {
-                if !round.data_leak_before[q] {
-                    false_positives += 1;
-                }
-            }
-            for (q, &leaked) in round.data_leak_before.iter().enumerate() {
-                if leaked && !round.data_lrcs.contains(&q) {
-                    false_negatives += 1;
-                }
-            }
-        }
-        let dlp_series: Vec<f64> = run.rounds.iter().map(|r| r.data_leak_fraction()).collect();
-        let total_lrcs = data_lrcs + ancilla_lrcs;
-        RunMetrics {
-            rounds: run.num_rounds(),
-            false_positives,
-            false_negatives,
-            data_lrcs,
-            ancilla_lrcs,
-            average_dlp: run.average_data_leak_fraction(),
-            final_dlp: run.final_data_leak_fraction(),
-            dlp_series,
-            total_time_ns: run.total_time_ns(),
-            lrc_time_ns: lrc_time_ns * total_lrcs as f64,
-            logical_error: None,
-        }
+        let applied = run
+            .rounds
+            .iter()
+            .map(|round| (&round.data_lrcs[..], round.ancilla_lrcs.len(), round.cycle_time_ns));
+        Self::tally(run, applied, lrc_time_ns)
     }
 
     /// Scores a *replayed* speculation schedule against a recorded run: the
@@ -80,44 +52,53 @@ impl RunMetrics {
     ///
     /// When `planned` equals the run's recorded schedule (replaying the
     /// policy that recorded the trace), this is **bit-for-bit identical** to
-    /// [`RunMetrics::score`] of the live run — same counting loops, same f64
-    /// accumulation order. DLP fields always describe the recorded execution
-    /// (a different policy's counterfactual leakage lifetimes are unknowable
-    /// without re-simulating).
+    /// [`RunMetrics::score`] of the live run: both run the same tally, and the
+    /// simulator priced each round with the same [`NoiseParams::round_ns`].
+    /// DLP fields always describe the recorded execution (a different
+    /// policy's counterfactual leakage lifetimes are unknowable without
+    /// re-simulating).
     ///
     /// # Panics
     /// Panics when `planned` and the run disagree on the round count.
     #[must_use]
     pub fn score_replay(
         run: &RunRecord,
-        planned: &[leaky_sim::LrcRequest],
-        noise: &leaky_sim::NoiseParams,
+        planned: &[LrcRequest],
+        noise: &NoiseParams,
         cnot_layers: usize,
     ) -> Self {
         assert_eq!(planned.len(), run.rounds.len(), "one planned request per round");
+        let priced = planned.iter().map(|plan| {
+            (&plan.data[..], plan.ancilla.len(), noise.round_ns(cnot_layers, plan.len()))
+        });
+        Self::tally(run, priced, noise.lrc_time_ns)
+    }
+
+    /// The one scoring loop: each round's `(data LRCs, parity LRC count,
+    /// round time)` is judged against the run's ground-truth leak flags, in
+    /// round order, and the DLP fields are read off the run.
+    fn tally<'a>(
+        run: &RunRecord,
+        schedule: impl Iterator<Item = (&'a [usize], usize, f64)>,
+        lrc_time_ns: f64,
+    ) -> Self {
         let mut false_positives = 0usize;
         let mut false_negatives = 0usize;
         let mut data_lrcs = 0usize;
         let mut ancilla_lrcs = 0usize;
         let mut total_time_ns = 0.0f64;
-        for (round, plan) in run.rounds.iter().zip(planned) {
-            data_lrcs += plan.data.len();
-            ancilla_lrcs += plan.ancilla.len();
-            for &q in &plan.data {
-                if !round.data_leak_before[q] {
-                    false_positives += 1;
-                }
-            }
-            for (q, &leaked) in round.data_leak_before.iter().enumerate() {
-                if leaked && !plan.data.contains(&q) {
-                    false_negatives += 1;
-                }
-            }
-            total_time_ns +=
-                noise.base_round_ns(cnot_layers) + noise.lrc_time_ns * plan.len() as f64;
+        for (round, (data, ancilla, time_ns)) in run.rounds.iter().zip(schedule) {
+            data_lrcs += data.len();
+            ancilla_lrcs += ancilla;
+            false_positives += data.iter().filter(|&&q| !round.data_leak_before[q]).count();
+            false_negatives += round
+                .data_leak_before
+                .iter()
+                .enumerate()
+                .filter(|&(q, &leaked)| leaked && !data.contains(&q))
+                .count();
+            total_time_ns += time_ns;
         }
-        let dlp_series: Vec<f64> = run.rounds.iter().map(|r| r.data_leak_fraction()).collect();
-        let total_lrcs = data_lrcs + ancilla_lrcs;
         RunMetrics {
             rounds: run.num_rounds(),
             false_positives,
@@ -126,9 +107,9 @@ impl RunMetrics {
             ancilla_lrcs,
             average_dlp: run.average_data_leak_fraction(),
             final_dlp: run.final_data_leak_fraction(),
-            dlp_series,
+            dlp_series: run.rounds.iter().map(RoundRecord::data_leak_fraction).collect(),
             total_time_ns,
-            lrc_time_ns: noise.lrc_time_ns * total_lrcs as f64,
+            lrc_time_ns: lrc_time_ns * (data_lrcs + ancilla_lrcs) as f64,
             logical_error: None,
         }
     }

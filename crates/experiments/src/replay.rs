@@ -1,10 +1,13 @@
 //! Corpus-backed speculation evaluation: record each scenario cell once,
 //! replay every policy against it.
 //!
-//! The recording side drives [`BatchEngine::trace_records`] (shot-ordered, so
-//! trace bytes are independent of worker-thread count) and files the result in
-//! a [`Corpus`] under a **policy-free cell key** — `(family, distance, rounds,
-//! p, lr, shots, seed)`. The replay side reconstructs each shot's run
+//! The recording side drives [`BatchEngine::trace_records_range`] (shot-ordered,
+//! so trace bytes are independent of worker-thread count) and files the result
+//! in a [`Corpus`] under a **policy-free cell key** — `(family, distance,
+//! rounds, p, lr, shots, seed)` — through one writer that fills a temporary
+//! sibling shard and renames it into place, whether it records a cell from
+//! scratch ([`record_into_corpus`]) or grows a shorter recording of it
+//! ([`extend_into_corpus`]). The replay side reconstructs each shot's run
 //! bit-for-bit, drives any [`PolicyKind`]'s speculation against the recorded
 //! observables ([`qec_trace::ReplayContext`]), and scores it with
 //! [`RunMetrics::score_replay`].
@@ -30,13 +33,16 @@
 //! `crates/experiments/tests/closed_loop.rs`), while non-divergent shots never
 //! touch the simulator and divergent shots skip all prefix policy evaluation.
 //! Per-round [`DivergenceProfile`]s report where shots diverged and how much
-//! re-simulation the repairs cost.
+//! re-simulation the repairs cost; like the out-of-band [`CheckpointStats`],
+//! they follow from each candidate's first divergence round alone.
 //!
 //! Both modes run through one evaluator, [`evaluate_cell_set`]: a candidate
 //! set against one cell in one parallel pass, with [`evaluate_cell`] as its
 //! set of one. `repro replay`, corpus-backed sweeps and the `qec-serve` daemon
 //! all evaluate through it.
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -49,8 +55,9 @@ use leaky_sim::{LeakagePolicy, LrcRequest, RunRecord};
 use qec_codes::Code;
 use qec_decoder::{logical_failure, DecoderBackend, DecoderKind, MemoryBasis};
 use qec_trace::{
-    code_fingerprint, open_trace_file, Corpus, CorpusEntry, DivergenceProfile, ReplayContext,
-    ShotTrace, TraceHeader, TRACE_SCHEMA_VERSION,
+    check_extends, code_fingerprint, open_trace_file, CheckpointPlan, Corpus, CorpusEntry,
+    DivergenceProfile, ReplayContext, ShotTrace, TraceError, TraceHeader, TraceWriter,
+    TRACE_SCHEMA_VERSION,
 };
 
 use crate::engine::{build_backend, BatchEngine};
@@ -172,7 +179,8 @@ pub fn record_cell(
     generator: &str,
 ) -> (TraceHeader, Vec<ShotTrace>) {
     let (engine, header) = recording_engine(scenario, record_policy, generator);
-    (header, engine.trace_records())
+    let traces = engine.trace_records_range(0, header.shots as u64);
+    (header, traces)
 }
 
 /// Shots simulated per recording chunk: bounds recording memory to
@@ -184,7 +192,9 @@ const RECORD_CHUNK_SHOTS: u64 = 1024;
 /// Records a cell and files it in `corpus` (trace file + manifest entry,
 /// replacing any previous recording of the same key), streaming to disk in
 /// `RECORD_CHUNK_SHOTS`-sized chunks so memory stays flat at paper-scale shot
-/// counts. The caller persists the manifest with [`Corpus::save`].
+/// counts. The shard is written to a temporary sibling and renamed into
+/// place, so a failed recording leaves any previous shard untouched. The
+/// caller persists the manifest with [`Corpus::save`].
 ///
 /// # Errors
 /// Returns a message on I/O failure.
@@ -194,58 +204,19 @@ pub fn record_into_corpus(
     record_policy: PolicyKind,
     generator: &str,
 ) -> Result<CorpusEntry, String> {
-    let key = cell_key(scenario);
-    let hash = Corpus::cell_hash(&key);
-    let (engine, header) = recording_engine(scenario, record_policy, generator);
-    let rel_path = Corpus::shard_rel_path(hash);
-    let path = corpus.dir().join(&rel_path);
-    (|| -> Result<(), qec_trace::TraceError> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::File::create(&path)?;
-        let mut writer = qec_trace::TraceWriter::new(std::io::BufWriter::new(file), &header)?;
-        let mut shot = 0u64;
-        while shot < header.shots as u64 {
-            let chunk_end = (shot + RECORD_CHUNK_SHOTS).min(header.shots as u64);
-            for trace in engine.trace_records_range(shot, chunk_end) {
-                writer.write_shot(&trace)?;
-            }
-            shot = chunk_end;
-        }
-        writer.finish()?;
-        Ok(())
-    })()
-    .map_err(|e| format!("recording {key}: {e}"))?;
-    let entry = CorpusEntry {
-        key,
-        hash: format!("{hash:016x}"),
-        file: rel_path,
-        code: header.code_name.clone(),
-        family: scenario.code.label().to_string(),
-        distance: scenario.distance,
-        rounds: scenario.rounds,
-        p: scenario.p,
-        leakage_ratio: scenario.leakage_ratio,
-        shots: scenario.shots,
-        seed: scenario.seed,
-        policy: record_policy.label().to_string(),
-        trace_schema: header.schema_version,
-    };
-    corpus.insert(entry.clone());
-    Ok(entry)
+    write_cell(corpus, scenario, record_policy, generator, None)
 }
 
-/// Records a cell into `corpus` like [`record_into_corpus`], but **appends to
-/// an existing shorter recording of the same cell** when one is present
+/// Records a cell into `corpus` like [`record_into_corpus`], but **grows an
+/// existing shorter recording of the same cell** when one is present
 /// instead of re-simulating from shot zero. A reusable recording matches the
 /// scenario on every policy-free identity field *except* the shot count
 /// (which keys embed, so growing a cell re-keys it): family, distance,
 /// rounds, `p`, `lr`, seed — plus the recording policy, which drives the
-/// closed-loop execution. Under the `seed + shot` contract the appended
-/// blocks are exactly what a from-scratch recording would have produced, and
-/// [`qec_trace::extend_trace_file`] re-verifies every identity field against
-/// the on-disk header before touching a byte.
+/// closed-loop execution. Under the `seed + shot` contract the grown shard is
+/// exactly what a from-scratch recording would have produced, and
+/// [`check_extends`] re-verifies every identity field against the shorter
+/// shard's header before a shot is copied.
 ///
 /// This is what makes adaptive sweeps compose with replay: each time a cell's
 /// allocation grows past its recorded shot count, only the new shots are
@@ -271,45 +242,83 @@ pub fn extend_into_corpus(
             && entry.seed == scenario.seed
             && entry.policy == record_policy.label()
     };
-    if let Some(existing) = corpus.lookup(&key) {
-        if reusable(existing) {
+    let prefix = match corpus.lookup(&key) {
+        Some(existing) if reusable(existing) => {
             return Ok((existing.clone(), ExtendDisposition::Cached));
         }
         // Same key, different recording policy: a fresh recording replaces it.
-        let entry = record_into_corpus(corpus, scenario, record_policy, generator)?;
-        return Ok((entry, ExtendDisposition::Recorded));
-    }
-    // The longest strictly-shorter recording of the same cell, if any.
-    let prefix = corpus
-        .entries()
-        .iter()
-        .filter(|entry| reusable(entry) && entry.shots < scenario.shots)
-        .max_by_key(|entry| entry.shots)
-        .cloned();
-    let Some(prefix) = prefix else {
-        let entry = record_into_corpus(corpus, scenario, record_policy, generator)?;
-        return Ok((entry, ExtendDisposition::Recorded));
+        Some(_) => None,
+        // The longest strictly-shorter recording of the same cell, if any.
+        None => corpus
+            .entries()
+            .iter()
+            .filter(|entry| reusable(entry) && entry.shots < scenario.shots)
+            .max_by_key(|entry| entry.shots)
+            .cloned(),
     };
-    let (engine, header) = recording_engine(scenario, record_policy, generator);
-    let mut new_shots = Vec::with_capacity(scenario.shots - prefix.shots);
-    let mut shot = prefix.shots as u64;
-    while shot < header.shots as u64 {
-        let chunk_end = (shot + RECORD_CHUNK_SHOTS).min(header.shots as u64);
-        new_shots.extend(engine.trace_records_range(shot, chunk_end));
-        shot = chunk_end;
-    }
-    let old_path = corpus.trace_path(&prefix);
-    qec_trace::extend_trace_file(&old_path, &header, &new_shots)
-        .map_err(|e| format!("extending {}: {e}", prefix.key))?;
+    let entry = write_cell(corpus, scenario, record_policy, generator, prefix.as_ref())?;
+    let disposition = match prefix {
+        Some(prefix) => ExtendDisposition::Extended { appended: scenario.shots - prefix.shots },
+        None => ExtendDisposition::Recorded,
+    };
+    Ok((entry, disposition))
+}
+
+/// The one corpus writer. Writes the cell's shard into a temporary sibling,
+/// renames it into place and files its entry (replacing any entry of the same
+/// key). Growing a shorter recording (`prefix`) first streams that shard's
+/// shots, then removes it and its entry; either way only the remaining shots
+/// are simulated, in `RECORD_CHUNK_SHOTS` chunks.
+fn write_cell(
+    corpus: &mut Corpus,
+    scenario: &Scenario,
+    record_policy: PolicyKind,
+    generator: &str,
+    prefix: Option<&CorpusEntry>,
+) -> Result<CorpusEntry, String> {
+    let key = cell_key(scenario);
     let hash = Corpus::cell_hash(&key);
+    let (engine, header) = recording_engine(scenario, record_policy, generator);
     let rel_path = Corpus::shard_rel_path(hash);
-    let new_path = corpus.dir().join(&rel_path);
-    if let Some(parent) = new_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", new_path.display()))?;
+    let path = corpus.dir().join(&rel_path);
+    let tmp = path.with_extension("qtr.tmp");
+    let written = (|| -> Result<(), TraceError> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        let mut writer = TraceWriter::new(BufWriter::new(File::create(&tmp)?), &header)?;
+        let mut shot = 0u64;
+        if let Some(prefix) = prefix {
+            let mut reader = open_trace_file(&corpus.trace_path(prefix))?;
+            check_extends(reader.header(), &header)?;
+            while let Some(trace) = reader.next_shot()? {
+                writer.write_shot(&trace)?;
+            }
+            shot = prefix.shots as u64;
+        }
+        while shot < header.shots as u64 {
+            let chunk_end = (shot + RECORD_CHUNK_SHOTS).min(header.shots as u64);
+            for trace in engine.trace_records_range(shot, chunk_end) {
+                writer.write_shot(&trace)?;
+            }
+            shot = chunk_end;
+        }
+        writer.finish()?;
+        std::fs::rename(&tmp, &path)?;
+        if let Some(prefix) = prefix.map(|prefix| corpus.trace_path(prefix)) {
+            if prefix != path {
+                std::fs::remove_file(prefix)?;
+            }
+        }
+        Ok(())
+    })();
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(format!("recording {key}: {e}"));
     }
-    std::fs::rename(&old_path, &new_path)
-        .map_err(|e| format!("re-keying {} -> {}: {e}", old_path.display(), new_path.display()))?;
-    corpus.remove(&prefix.key);
+    if let Some(prefix) = prefix {
+        corpus.remove(&prefix.key);
+    }
     let entry = CorpusEntry {
         key,
         hash: format!("{hash:016x}"),
@@ -326,7 +335,7 @@ pub fn extend_into_corpus(
         trace_schema: header.schema_version,
     };
     corpus.insert(entry.clone());
-    Ok((entry, ExtendDisposition::Extended { appended: new_shots.len() }))
+    Ok(entry)
 }
 
 /// How [`extend_into_corpus`] satisfied a recording request.
@@ -334,9 +343,9 @@ pub fn extend_into_corpus(
 pub enum ExtendDisposition {
     /// An exact recording of the cell already existed; nothing was simulated.
     Cached,
-    /// A shorter recording of the cell was grown in place.
+    /// A shorter recording of the cell was grown.
     Extended {
-        /// Shots appended to the existing recording.
+        /// Shots recorded beyond the shorter recording.
         appended: usize,
     },
     /// No reusable recording existed; the cell was recorded from scratch.
@@ -365,8 +374,8 @@ pub struct LoadedCell {
 /// aborts the load without paying for the payload at all.
 ///
 /// # Errors
-/// Returns a message on I/O failure, corruption, an unknown code family, or a
-/// fingerprint mismatch.
+/// Returns a message on I/O failure, corruption, an unknown code family, a
+/// fingerprint mismatch, or a cell without shots.
 pub fn load_entry(corpus: &Corpus, entry: &CorpusEntry) -> Result<LoadedCell, String> {
     let family = CodeFamily::from_label(&entry.family)
         .ok_or_else(|| format!("{}: unknown code family `{}`", entry.key, entry.family))?;
@@ -399,7 +408,14 @@ pub fn load_entry(corpus: &Corpus, entry: &CorpusEntry) -> Result<LoadedCell, St
             ));
         }
     }
-    let mut shots = Vec::with_capacity(header.shots);
+    // No recorder writes an empty cell, and replay sizes per-round state from
+    // `rounds`: only a decoded shot vouches for it.
+    if header.shots == 0 {
+        return Err(format!("{}: trace header declares 0 shots", entry.key));
+    }
+    // The vector grows as shots decode: a header's count never sizes an
+    // allocation.
+    let mut shots = Vec::new();
     while let Some(shot) = reader.next_shot().map_err(|e| format!("{}: {e}", path.display()))? {
         shots.push(shot);
     }
@@ -459,6 +475,21 @@ impl CheckpointStats {
         self.forced_rounds += other.forced_rounds;
         self.suffixes += other.suffixes;
         self.peak_checkpoints = self.peak_checkpoints.max(other.peak_checkpoints);
+    }
+
+    /// Folds one closed-loop shot, given each candidate's first divergence
+    /// round, through its [`CheckpointPlan`]: the shot pays a forced pass
+    /// when any candidate diverged, runs it to the deepest divergence round,
+    /// resumes one suffix per divergent candidate and holds one checkpoint
+    /// per distinct divergence round.
+    fn add_shot(&mut self, divergences: &[Option<usize>]) {
+        let plan = CheckpointPlan::new(divergences);
+        if let Some(deepest) = plan.max_round() {
+            self.forced_passes += 1;
+            self.forced_rounds += deepest as u64;
+        }
+        self.suffixes += divergences.iter().flatten().count() as u64;
+        self.peak_checkpoints = self.peak_checkpoints.max(plan.distinct_rounds() as u64);
     }
 }
 
@@ -570,19 +601,16 @@ pub fn evaluate_cell_set(
         .zip(decoders)
         .map(|(&policy, &decoder)| decoder.filter(|_| reproduces_live(cell, policy, mode)))
         .collect();
-    /// Per-shot outcome: per-candidate scored results (metrics, divergence
-    /// round, suffix rounds, forced-prefix depth) plus the shot's sharing
-    /// stats (forced rounds, suffixes, peak checkpoints).
-    type ShotOutcome =
-        Result<(Vec<(RunMetrics, Option<usize>, usize, usize)>, usize, usize, usize), String>;
     let ctx = ReplayContext::new(&cell.code, &cell.header).map_err(|e| e.to_string())?;
+    let closed_loop = mode == ReplayMode::ClosedLoop;
+    /// Per shot, every candidate's metrics and first divergence round.
+    type ShotOutcome = Result<Vec<(RunMetrics, Option<usize>)>, String>;
     let per_shot: Vec<ShotOutcome> = (0..cell.shots.len())
         .into_par_iter()
         .map_init(
             || {
                 let instances: Vec<_> = policies.iter().map(|&p| factory.build(p)).collect();
-                let sim = (mode == ReplayMode::ClosedLoop).then(|| ctx.make_simulator());
-                (instances, sim)
+                (instances, closed_loop.then(|| ctx.make_simulator()))
             },
             |(instances, sim), shot| {
                 let trace = &cell.shots[shot];
@@ -590,38 +618,22 @@ pub fn evaluate_cell_set(
                     instance.reset();
                 }
                 let Some(sim) = sim else {
-                    let scored = instances
-                        .iter_mut()
-                        .zip(&decoders)
-                        .map(|(instance, &decoder)| {
-                            let replay = ctx.replay_shot(trace, instance.as_mut());
-                            let metrics =
-                                score_run(cell, &replay.run, Some(&replay.planned), decoder);
-                            (metrics, replay.divergence, 0, 0)
-                        })
-                        .collect();
-                    return Ok((scored, 0, 0, 0));
+                    let scored = instances.iter_mut().zip(&decoders).map(|(instance, &decoder)| {
+                        let replay = ctx.replay_shot(trace, instance.as_mut());
+                        let metrics = score_run(cell, &replay.run, Some(&replay.planned), decoder);
+                        (metrics, replay.divergence)
+                    });
+                    return Ok(scored.collect());
                 };
                 let mut refs: Vec<&mut dyn LeakagePolicy> =
                     instances.iter_mut().map(|p| p.as_mut() as _).collect();
-                let shared = ctx
+                let replays = ctx
                     .replay_shot_closed_loop(trace, &mut refs, sim)
                     .map_err(|e| e.to_string())?;
-                let scored = shared
-                    .replays
-                    .iter()
-                    .zip(&decoders)
-                    .map(|(replay, &decoder)| {
-                        let metrics = score_run(cell, &replay.run, None, decoder);
-                        (
-                            metrics,
-                            replay.divergence,
-                            replay.resimulated_rounds,
-                            replay.restored_rounds,
-                        )
-                    })
-                    .collect();
-                Ok((scored, shared.forced_rounds, shared.suffixes, shared.peak_checkpoints))
+                let scored = replays.iter().zip(&decoders).map(|(replay, &decoder)| {
+                    (score_run(cell, &replay.run, None, decoder), replay.divergence)
+                });
+                Ok(scored.collect())
             },
         )
         .collect();
@@ -632,14 +644,12 @@ pub fn evaluate_cell_set(
     let mut profiles: Vec<DivergenceProfile> =
         policies.iter().map(|_| DivergenceProfile::new(cell.header.rounds)).collect();
     for outcome in per_shot {
-        let (scored, forced_rounds, suffixes, peak_checkpoints) = outcome?;
-        stats.forced_passes += u64::from(suffixes > 0);
-        stats.forced_rounds += forced_rounds as u64;
-        stats.suffixes += suffixes as u64;
-        stats.peak_checkpoints = stats.peak_checkpoints.max(peak_checkpoints as u64);
-        for (index, (metrics, divergence, resimulated, restored)) in scored.into_iter().enumerate()
-        {
-            profiles[index].add(divergence, resimulated, restored);
+        let scored = outcome?;
+        if closed_loop {
+            stats.add_shot(&scored.iter().map(|&(_, divergence)| divergence).collect::<Vec<_>>());
+        }
+        for (index, (metrics, divergence)) in scored.into_iter().enumerate() {
+            profiles[index].add(divergence);
             runs[index].push(metrics);
         }
     }
@@ -649,7 +659,7 @@ pub fn evaluate_cell_set(
         .map(|(runs, profile)| CellReplay {
             metrics: AggregateMetrics::from_runs(runs),
             divergent_shots: profile.divergent_shots,
-            profile: (mode == ReplayMode::ClosedLoop).then_some(profile),
+            profile: closed_loop.then_some(profile),
         })
         .collect();
     Ok((replays, stats))
@@ -881,4 +891,30 @@ pub fn replay_corpus_with_stats(
         results,
     };
     Ok((report, cell_stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checkpoint_stats_follow_from_the_divergence_rounds() {
+        // Candidates diverging at rounds 3, 3, 6 and 0, plus one exact one:
+        // one pass forced to round 6, four suffixes, three distinct rounds.
+        let mut stats = CheckpointStats::default();
+        stats.add_shot(&[Some(3), Some(3), Some(6), Some(0), None]);
+        let expected = CheckpointStats {
+            forced_passes: 1,
+            forced_rounds: 6,
+            suffixes: 4,
+            peak_checkpoints: 3,
+        };
+        assert_eq!(stats, expected);
+        // An all-exact shot forces nothing and keeps the high-water mark.
+        stats.add_shot(&[None, None]);
+        assert_eq!(stats, expected);
+        let mut exact = CheckpointStats::default();
+        exact.add_shot(&[None, None, None]);
+        assert_eq!(exact, CheckpointStats::default());
+    }
 }

@@ -182,8 +182,9 @@ impl SweepSpec {
     /// scenario is validated before any is returned.
     ///
     /// # Errors
-    /// Returns a message when an axis is empty, a value is non-finite, or any
-    /// expanded scenario fails [`Scenario::validate`].
+    /// Returns a message when an axis is empty, a value is non-finite,
+    /// `rounds_per_distance × distance` overflows, or any expanded scenario
+    /// fails [`Scenario::validate`].
     pub fn expand(&self) -> Result<Vec<Scenario>, String> {
         let spec = self.clone();
         if let Some(adaptive) = &self.adaptive {
@@ -193,7 +194,13 @@ impl SweepSpec {
         let (distances, error_rates, leakage_ratios, policies) = spec.normalized_axes()?;
         let mut scenarios = Vec::new();
         for &distance in &distances {
-            let rounds = (self.rounds_per_distance * distance).max(2);
+            let rounds = self.rounds_per_distance.checked_mul(distance).ok_or_else(|| {
+                format!(
+                    "rounds_per_distance {} times distance {distance} overflows the round count",
+                    self.rounds_per_distance
+                )
+            })?;
+            let rounds = rounds.max(2);
             for &p in &error_rates {
                 for &leakage_ratio in &leakage_ratios {
                     // The decoder axis sits just outside policies, so a
@@ -818,6 +825,15 @@ mod tests {
         assert_eq!(scenarios[1].rounds, 14);
         let minimal = SweepSpec { rounds_per_distance: 0, ..tiny_spec() };
         assert!(minimal.expand().unwrap().iter().all(|s| s.rounds == 2));
+    }
+
+    #[test]
+    fn an_overflowing_round_count_is_an_error_naming_both_factors() {
+        // 6148914691236517206 × 3 wraps to 2 in u64 arithmetic.
+        let spec = SweepSpec { rounds_per_distance: 6_148_914_691_236_517_206, ..tiny_spec() };
+        let err = spec.expand().unwrap_err();
+        assert!(err.contains("rounds_per_distance 6148914691236517206"), "{err}");
+        assert!(err.contains("distance 3"), "{err}");
     }
 
     #[test]

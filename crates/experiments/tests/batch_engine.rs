@@ -7,16 +7,24 @@
 //!    [`PolicyExperimentResult`]s (including across engine instances).
 //! 3. The offline GLADIATOR model is built exactly once per experiment and shared,
 //!    never once per shot.
+//! 4. A recorded shot is the run's stored projection: the engine's traces
+//!    reconstruct the engine's own runs bit for bit.
 
 use std::sync::Arc;
 
 use leakage_speculation::PolicyKind;
-use qec_codes::Code;
+use leaky_sim::RunRecord;
+use qec_codes::{Check, Code};
 use qec_experiments::engine::BatchEngine;
 use qec_experiments::harness::{run_policy_experiment, simulate_shot, ExperimentSpec};
 
 fn spec_for(kind: PolicyKind) -> ExperimentSpec {
     ExperimentSpec::quick(kind).with_shots(5).with_rounds(9).with_seed(4242)
+}
+
+/// Every run of the engine, in shot order.
+fn records(engine: &BatchEngine) -> Vec<RunRecord> {
+    engine.map_records(|_, run| run)
 }
 
 #[test]
@@ -25,7 +33,7 @@ fn engine_matches_legacy_path_for_every_policy_kind() {
     for kind in PolicyKind::ALL {
         let spec = spec_for(kind);
         let engine = BatchEngine::new(&code, &spec);
-        let records = engine.run_records();
+        let records = records(&engine);
         assert_eq!(records.len(), spec.shots);
         for (shot, engine_record) in records.iter().enumerate() {
             let legacy = simulate_shot(&code, &spec, shot as u64);
@@ -43,7 +51,7 @@ fn engine_matches_legacy_path_on_the_color_code() {
     for kind in [PolicyKind::EraserM, PolicyKind::GladiatorDM, PolicyKind::Staggered] {
         let spec = spec_for(kind).with_shots(3);
         let engine = BatchEngine::new(&code, &spec);
-        for (shot, record) in engine.run_records().iter().enumerate() {
+        for (shot, record) in records(&engine).iter().enumerate() {
             assert_eq!(record, &simulate_shot(&code, &spec, shot as u64), "{kind:?} shot {shot}");
         }
     }
@@ -84,7 +92,7 @@ fn offline_model_is_shared_not_rebuilt_per_shot() {
     let engine = BatchEngine::new(&code, &spec);
     let model = Arc::clone(engine.policy_factory().model());
     let baseline = Arc::strong_count(&model);
-    let _ = engine.run_records();
+    let _ = records(&engine);
     // Worker policies all borrowed the same allocation and released it again; a
     // per-shot rebuild would have left the factory's OnceLock pointing elsewhere
     // (impossible) or shown transient foreign allocations — pointer identity and
@@ -96,8 +104,27 @@ fn offline_model_is_shared_not_rebuilt_per_shot() {
 #[test]
 fn seed_shifts_shift_the_whole_run() {
     let code = Code::rotated_surface(3);
-    let a = BatchEngine::new(&code, &spec_for(PolicyKind::EraserM)).run_records();
-    let b = BatchEngine::new(&code, &spec_for(PolicyKind::EraserM).with_seed(4243)).run_records();
+    let a = records(&BatchEngine::new(&code, &spec_for(PolicyKind::EraserM)));
+    let b = records(&BatchEngine::new(&code, &spec_for(PolicyKind::EraserM).with_seed(4243)));
     // seed+1 aligns shot i of run b with shot i+1 of run a (the `seed + i` contract).
     assert_eq!(a[1..], b[..a.len() - 1]);
+}
+
+#[test]
+fn recorded_traces_reconstruct_the_engine_runs_for_every_policy_kind() {
+    for code in [Code::rotated_surface(3), Code::color_666(3)] {
+        let cnot_layers = code.checks().iter().map(Check::weight).max().unwrap_or(0);
+        for kind in PolicyKind::ALL {
+            let spec = spec_for(kind).with_shots(3);
+            let engine = BatchEngine::new(&code, &spec);
+            let traces = engine.trace_records_range(0, spec.shots as u64);
+            let runs = records(&engine);
+            assert_eq!(traces.len(), runs.len());
+            for (shot, (trace, run)) in traces.iter().zip(&runs).enumerate() {
+                assert_eq!(trace.shot, shot as u64);
+                let what = format!("{} {kind:?} shot {shot}", code.name());
+                assert_eq!(&trace.to_run(&spec.noise, cnot_layers), run, "{what}");
+            }
+        }
+    }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use proptest::prelude::*;
 use qec_decoder::DecoderBackend;
-use qec_experiments::engine::build_decoder;
+use qec_experiments::engine::build_backend;
 use qec_experiments::replay::{
     calibration_for, evaluate_cell, evaluate_cell_set, record_cell, record_into_corpus,
     replay_corpus, spec_from_header, CellReplay, LoadedCell, ReplayMode, ReplayOptions,
@@ -64,10 +64,10 @@ fn assert_exact_counterfactual(
     decode: bool,
 ) -> CellReplay {
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
-    let decoder = decode.then(|| build_decoder(&cell.code, cell.header.rounds));
-    let decoder_ref = decoder.as_deref().map(|d| d as &dyn DecoderBackend);
+    let decoder = decode.then(|| build_backend(None, &cell.code, cell.header.rounds).unwrap());
     let replay =
-        evaluate_cell(cell, &factory, candidate, decoder_ref, ReplayMode::ClosedLoop).unwrap();
+        evaluate_cell(cell, &factory, candidate, decoder.as_deref(), ReplayMode::ClosedLoop)
+            .unwrap();
     let spec = spec_from_header(&cell.header, candidate, decode);
     let live = BatchEngine::new(&cell.code, &spec).run();
     assert_eq!(
@@ -324,9 +324,8 @@ fn shared_checkpoint_evaluation_matches_per_policy_and_live_for_all_11_policies(
     let scenario = cell_scenario(3, 10, 1e-3, 0.1, 29, PolicyKind::GladiatorM);
     let cell = record_loaded(&scenario);
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
-    let decoder = build_decoder(&cell.code, cell.header.rounds);
-    let decoders: Vec<Option<&dyn DecoderBackend>> =
-        vec![Some(&*decoder as &dyn DecoderBackend); PolicyKind::ALL.len()];
+    let decoder = build_backend(None, &cell.code, cell.header.rounds).unwrap();
+    let decoders: Vec<Option<&dyn DecoderBackend>> = vec![Some(&*decoder); PolicyKind::ALL.len()];
     let (shared, stats) = evaluate_cell_set(
         &cell,
         &factory,

@@ -10,10 +10,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use leakage_speculation::{PolicyFactory, PolicyKind};
-use qec_experiments::engine::build_decoder;
+use qec_experiments::engine::build_backend;
 use qec_experiments::replay::{
-    calibration_for, cell_key, evaluate_cell, load_entry, record_cell, record_into_corpus,
-    replay_corpus, spec_from_header, LoadedCell, ReplayMode, ReplayOptions,
+    calibration_for, cell_key, evaluate_cell, extend_into_corpus, load_entry, record_cell,
+    record_into_corpus, replay_corpus, spec_from_header, ExtendDisposition, LoadedCell, ReplayMode,
+    ReplayOptions,
 };
 use qec_experiments::sweep::{run_sweep, run_sweep_with_corpus, SweepSpec};
 use qec_experiments::{BatchEngine, CodeFamily, Scenario};
@@ -56,7 +57,7 @@ fn replayed_metrics_match_the_live_engine_bit_for_bit_for_every_policy_kind() {
         let (header, shots) = record_cell(&scenario, kind, "replay test");
         let cell = LoadedCell { header, shots, code: code.clone() };
         let factory = Arc::new(PolicyFactory::new(&code, &calibration_for(&cell.header)));
-        let decoder = build_decoder(&code, scenario.rounds);
+        let decoder = build_backend(None, &code, scenario.rounds).unwrap();
         let replay =
             evaluate_cell(&cell, &factory, kind, Some(&*decoder), ReplayMode::OpenLoop).unwrap();
 
@@ -85,7 +86,7 @@ fn corpus_round_trip_preserves_bit_for_bit_replay() {
     let reopened = Corpus::open(&dir).unwrap();
     let cell = load_entry(&reopened, reopened.lookup(&entry.key).unwrap()).unwrap();
     let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
-    let decoder = build_decoder(&cell.code, scenario.rounds);
+    let decoder = build_backend(None, &cell.code, scenario.rounds).unwrap();
     let replay = evaluate_cell(
         &cell,
         &factory,
@@ -97,6 +98,61 @@ fn corpus_round_trip_preserves_bit_for_bit_replay() {
 
     let live = BatchEngine::new(&cell.code, &scenario.to_spec()).run();
     assert_eq!(replay.metrics, live.metrics);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Growing a recorded cell equals recording it from scratch: asking for 3
+/// shots, then 7, then 7 again records, grows by 4 and hits the cache, and the
+/// grown shard and entry equal a 7-shot recording byte for byte.
+#[test]
+fn growing_a_cell_matches_recording_it_from_scratch() {
+    let (grown_dir, fresh_dir) = (tmp_dir("grow"), tmp_dir("grow-fresh"));
+    let cell = |shots| Scenario { shots, ..scenario(PolicyKind::GladiatorM) };
+    let mut grown = Corpus::open(&grown_dir).unwrap();
+    let mut grow = |shots| {
+        extend_into_corpus(&mut grown, &cell(shots), PolicyKind::GladiatorM, "replay test").unwrap()
+    };
+    let (short, recorded) = grow(3);
+    let (entry, extended) = grow(7);
+    let (cached, again) = grow(7);
+    assert_eq!(recorded, ExtendDisposition::Recorded);
+    assert_eq!(extended, ExtendDisposition::Extended { appended: 4 });
+    assert_eq!(again, ExtendDisposition::Cached);
+    assert_eq!(cached, entry);
+    assert!(!grown.trace_path(&short).exists(), "the 3-shot shard is gone");
+    assert_eq!(grown.entries(), std::slice::from_ref(&entry));
+
+    let mut fresh = Corpus::open(&fresh_dir).unwrap();
+    let from_scratch =
+        record_into_corpus(&mut fresh, &cell(7), PolicyKind::GladiatorM, "replay test").unwrap();
+    assert_eq!(entry, from_scratch);
+    assert_eq!(
+        std::fs::read(grown.trace_path(&entry)).unwrap(),
+        std::fs::read(fresh.trace_path(&from_scratch)).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&grown_dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
+}
+
+/// Re-recording a key under another policy writes a temporary sibling and
+/// renames it into place only when complete: a write that cannot start leaves
+/// the live shard as it was.
+#[test]
+fn a_blocked_re_record_leaves_the_live_shard_untouched() {
+    let dir = tmp_dir("blocked");
+    let scenario = scenario(PolicyKind::EraserM);
+    let mut corpus = Corpus::open(&dir).unwrap();
+    let entry =
+        record_into_corpus(&mut corpus, &scenario, PolicyKind::EraserM, "replay test").unwrap();
+    corpus.save().unwrap();
+    let shard = corpus.trace_path(&entry);
+    let before = std::fs::read(&shard).unwrap();
+    std::fs::create_dir(shard.with_extension("qtr.tmp")).unwrap();
+    let result = extend_into_corpus(&mut corpus, &scenario, PolicyKind::GladiatorM, "replay test");
+    assert!(result.is_err(), "a blocked re-record must fail: {result:?}");
+    assert_eq!(std::fs::read(&shard).unwrap(), before, "the live shard must not change");
+    let saved = Corpus::open(&dir).unwrap();
+    load_entry(&saved, saved.lookup(&entry.key).unwrap()).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -50,8 +50,8 @@ fn sample_metrics() -> AggregateMetrics {
 
 fn sample_row() -> ReplayCellResult {
     let mut profile = DivergenceProfile::new(9);
-    profile.add(Some(2), 7, 2);
-    profile.add(None, 0, 0);
+    profile.add(Some(2));
+    profile.add(None);
     ReplayCellResult {
         key: sample_entry().key,
         code: "surface-d3".to_string(),

@@ -51,7 +51,6 @@ pub mod policy;
 pub mod record;
 pub mod rounds;
 pub mod simulator;
-pub mod sink;
 
 pub use frame::QubitFrames;
 pub use noise::{NoiseParams, NoiseParamsBuilder};
@@ -59,4 +58,3 @@ pub use pauli::Pauli;
 pub use policy::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
 pub use record::{RoundRecord, RunRecord};
 pub use simulator::{Simulator, SimulatorCheckpoint};
-pub use sink::{NullTraceSink, TraceSink};

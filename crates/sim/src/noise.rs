@@ -66,6 +66,13 @@ impl NoiseParams {
         self.gate_time_ns * cnot_layers as f64 + self.meas_time_ns
     }
 
+    /// Duration of one QEC round that applies `lrcs` LRC gadgets, in ns: the one
+    /// cycle-time formula of live rounds, reconstructed traces and replay scoring.
+    #[must_use]
+    pub fn round_ns(&self, cnot_layers: usize, lrcs: usize) -> f64 {
+        self.base_round_ns(cnot_layers) + self.lrc_time_ns * lrcs as f64
+    }
+
     /// Validates that every probability lies in `[0, 1]` and every timing is
     /// non-negative.
     ///

@@ -261,8 +261,6 @@ impl Simulator {
             }
         }
 
-        let cycle_time_ns = noise.base_round_ns(layers) + noise.lrc_time_ns * request.len() as f64;
-
         RoundRecord {
             round,
             measurements,
@@ -273,7 +271,7 @@ impl Simulator {
             data_leak_before,
             data_leak_after: self.frames.data_leak_flags(),
             ancilla_leak_after: self.frames.ancilla_leak_flags(),
-            cycle_time_ns,
+            cycle_time_ns: noise.round_ns(layers, request.len()),
         }
     }
 

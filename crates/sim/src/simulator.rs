@@ -12,7 +12,6 @@ use crate::noise::NoiseParams;
 use crate::policy::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
 use crate::record::{RoundRecord, RunRecord};
 use crate::rounds::RoundTables;
-use crate::sink::TraceSink;
 
 /// Leakage-aware Pauli-frame simulator for one logical qubit of a CSS code.
 ///
@@ -219,26 +218,7 @@ impl Simulator {
         policy: &mut P,
         rounds: usize,
     ) -> RunRecord {
-        self.run_with_policy_observed(policy, rounds, &mut crate::sink::NullTraceSink)
-    }
-
-    /// Like [`Simulator::run_with_policy`], but reports the initial leak flags,
-    /// every completed round and the finalized run to `sink` as they happen.
-    /// Panics under the same start-of-shot precondition.
-    ///
-    /// The sink only ever observes; it cannot perturb the run, so the returned
-    /// record is bit-for-bit identical to an unobserved run with the same seed.
-    /// With [`crate::sink::NullTraceSink`] the observation calls monomorphize to
-    /// nothing — this *is* the plain round loop.
-    pub fn run_with_policy_observed<P: LeakagePolicy + ?Sized, S: TraceSink>(
-        &mut self,
-        policy: &mut P,
-        rounds: usize,
-        sink: &mut S,
-    ) -> RunRecord {
-        // Borrowed views keep the disabled (NullTraceSink) path allocation-free.
-        sink.begin_shot(self.frames.data_leaks(), self.frames.ancilla_leaks());
-        self.resume_with_policy_observed(policy, Vec::with_capacity(rounds), rounds, sink)
+        self.resume_with_policy(policy, Vec::with_capacity(rounds), rounds)
     }
 
     /// Resumes a partially executed shot closed-loop with `policy`: `history`
@@ -259,30 +239,8 @@ impl Simulator {
     pub fn resume_with_policy<P: LeakagePolicy + ?Sized>(
         &mut self,
         policy: &mut P,
-        history: Vec<RoundRecord>,
-        total_rounds: usize,
-    ) -> RunRecord {
-        self.resume_with_policy_observed(
-            policy,
-            history,
-            total_rounds,
-            &mut crate::sink::NullTraceSink,
-        )
-    }
-
-    /// [`Simulator::resume_with_policy`] with a [`TraceSink`] observing the
-    /// *resumed* rounds only: the sink sees one `record_round` per live round
-    /// and the final `finish_shot`, but no `begin_shot` — shot-level bracketing
-    /// belongs to whoever executed the prefix.
-    ///
-    /// # Panics
-    /// Panics when `history.len()` disagrees with [`Simulator::rounds_executed`].
-    pub fn resume_with_policy_observed<P: LeakagePolicy + ?Sized, S: TraceSink>(
-        &mut self,
-        policy: &mut P,
         mut history: Vec<RoundRecord>,
         total_rounds: usize,
-        sink: &mut S,
     ) -> RunRecord {
         assert_eq!(
             self.round_index,
@@ -298,13 +256,9 @@ impl Simulator {
                     ancilla_leaked: self.frames.ancilla_leaks(),
                 },
             });
-            let record = self.run_round(&request);
-            sink.record_round(&record);
-            history.push(record);
+            history.push(self.run_round(&request));
         }
-        let run = self.finalize_run(history);
-        sink.finish_shot(&run);
-        run
+        self.finalize_run(history)
     }
 
     /// Finalizes a run: leaked data qubits are depolarized back into the computational

@@ -1,4 +1,4 @@
-//! The `.qtr` trace schema: header, per-shot frames, and the capture sink.
+//! The `.qtr` trace schema: header and per-shot frames.
 //!
 //! A trace file is `TRACE_MAGIC`, then a header block, then one block per shot
 //! (in shot order), then an end block carrying the shot count — every block
@@ -14,7 +14,7 @@
 //!
 //! [`LeakagePolicy`]: leaky_sim::LeakagePolicy
 
-use leaky_sim::{NoiseParams, RoundRecord, RunRecord, TraceSink};
+use leaky_sim::{LeakagePolicy, NoiseParams, RoundRecord, RunRecord, Simulator};
 use qec_codes::{CheckBasis, Code};
 
 use crate::wire::{Decoder, Encoder, TraceError};
@@ -276,6 +276,54 @@ pub struct ShotTrace {
 }
 
 impl ShotTrace {
+    /// Runs one shot of `policy` on `sim` and records it as shot `shot`. The
+    /// simulator must stand at the start of the shot (fresh, or just through
+    /// [`Simulator::reseed_for_shot`]): its leak flags there are the shot's
+    /// initial flags.
+    pub fn record<P: LeakagePolicy + ?Sized>(
+        shot: u64,
+        sim: &mut Simulator,
+        policy: &mut P,
+        rounds: usize,
+    ) -> Self {
+        let initial_data_leak = sim.frames().data_leak_flags();
+        let initial_ancilla_leak = sim.frames().ancilla_leak_flags();
+        let run = sim.run_with_policy(policy, rounds);
+        ShotTrace::from_run(shot, initial_data_leak, initial_ancilla_leak, run)
+    }
+
+    /// The stored projection of a run: moves every stored field out of `run`
+    /// and drops the derivable ones. [`ShotTrace::to_run`] is its inverse.
+    #[must_use]
+    pub fn from_run(
+        shot: u64,
+        initial_data_leak: Vec<bool>,
+        initial_ancilla_leak: Vec<bool>,
+        run: RunRecord,
+    ) -> Self {
+        let rounds = run
+            .rounds
+            .into_iter()
+            .map(|round| TraceRound {
+                measurements: round.measurements,
+                mlr_leak_flags: round.mlr_leak_flags,
+                data_lrcs: round.data_lrcs,
+                ancilla_lrcs: round.ancilla_lrcs,
+                data_leak_after: round.data_leak_after,
+                ancilla_leak_after: round.ancilla_leak_after,
+            })
+            .collect();
+        ShotTrace {
+            shot,
+            initial_data_leak,
+            initial_ancilla_leak,
+            rounds,
+            final_data_x: run.final_data_x,
+            final_data_z: run.final_data_z,
+            final_perfect_measurements: run.final_perfect_measurements,
+        }
+    }
+
     /// Reconstructs the full [`RunRecord`] of the recorded shot, bit-for-bit
     /// equal to what the live simulator returned: detectors are re-derived by
     /// XORing consecutive measurement rounds, `data_leak_before` chains from
@@ -309,8 +357,7 @@ impl ShotTrace {
                     data_leak_before: data_leak_before.clone(),
                     data_leak_after: frame.data_leak_after.clone(),
                     ancilla_leak_after: frame.ancilla_leak_after.clone(),
-                    cycle_time_ns: noise.base_round_ns(cnot_layers)
-                        + noise.lrc_time_ns * lrc_count as f64,
+                    cycle_time_ns: noise.round_ns(cnot_layers, lrc_count),
                 };
                 data_leak_before.clone_from(&frame.data_leak_after);
                 record
@@ -391,72 +438,10 @@ impl ShotTrace {
     }
 }
 
-/// [`TraceSink`] that captures one shot into a [`ShotTrace`].
-///
-/// Feed it to [`Simulator::run_with_policy_observed`], then call
-/// [`ShotRecorder::into_trace`] with the shot index.
-///
-/// [`Simulator::run_with_policy_observed`]: leaky_sim::Simulator::run_with_policy_observed
-#[derive(Debug, Default)]
-pub struct ShotRecorder {
-    initial_data_leak: Vec<bool>,
-    initial_ancilla_leak: Vec<bool>,
-    rounds: Vec<TraceRound>,
-    final_data_x: Vec<bool>,
-    final_data_z: Vec<bool>,
-    final_perfect_measurements: Vec<bool>,
-}
-
-impl ShotRecorder {
-    /// A fresh recorder, ready for one shot.
-    #[must_use]
-    pub fn new() -> Self {
-        ShotRecorder::default()
-    }
-
-    /// Consumes the recorder into the captured trace, stamped with `shot`.
-    #[must_use]
-    pub fn into_trace(self, shot: u64) -> ShotTrace {
-        ShotTrace {
-            shot,
-            initial_data_leak: self.initial_data_leak,
-            initial_ancilla_leak: self.initial_ancilla_leak,
-            rounds: self.rounds,
-            final_data_x: self.final_data_x,
-            final_data_z: self.final_data_z,
-            final_perfect_measurements: self.final_perfect_measurements,
-        }
-    }
-}
-
-impl TraceSink for ShotRecorder {
-    fn begin_shot(&mut self, data_leaked: &[bool], ancilla_leaked: &[bool]) {
-        self.initial_data_leak = data_leaked.to_vec();
-        self.initial_ancilla_leak = ancilla_leaked.to_vec();
-    }
-
-    fn record_round(&mut self, record: &RoundRecord) {
-        self.rounds.push(TraceRound {
-            measurements: record.measurements.clone(),
-            mlr_leak_flags: record.mlr_leak_flags.clone(),
-            data_lrcs: record.data_lrcs.clone(),
-            ancilla_lrcs: record.ancilla_lrcs.clone(),
-            data_leak_after: record.data_leak_after.clone(),
-            ancilla_leak_after: record.ancilla_leak_after.clone(),
-        });
-    }
-
-    fn finish_shot(&mut self, run: &RunRecord) {
-        self.final_data_x = run.final_data_x.clone();
-        self.final_data_z = run.final_data_z.clone();
-        self.final_perfect_measurements = run.final_perfect_measurements.clone();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leaky_sim::{policy::NeverLrc, Simulator};
+    use leaky_sim::policy::NeverLrc;
 
     fn sample_header() -> TraceHeader {
         let code = Code::rotated_surface(3);
@@ -480,10 +465,11 @@ mod tests {
 
     fn record_shot(seed: u64, rounds: usize) -> (ShotTrace, RunRecord) {
         let code = Code::rotated_surface(3);
-        let mut sim = Simulator::new(&code, NoiseParams::default(), seed);
-        let mut recorder = ShotRecorder::new();
-        let run = sim.run_with_policy_observed(&mut NeverLrc, rounds, &mut recorder);
-        (recorder.into_trace(seed), run)
+        let noise = NoiseParams::default();
+        let mut sim = Simulator::new(&code, noise, seed);
+        let trace = ShotTrace::record(seed, &mut sim, &mut NeverLrc, rounds);
+        let run = Simulator::new(&code, noise, seed).run_with_policy(&mut NeverLrc, rounds);
+        (trace, run)
     }
 
     #[test]

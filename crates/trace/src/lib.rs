@@ -10,9 +10,11 @@
 //!   with provenance (generator, git describe, code fingerprint, bit-exact
 //!   noise model) followed by per-shot, per-round frames — bit-packed
 //!   syndromes, ground-truth leak flags, the applied LRC schedule and MLR
-//!   heralds — with varint encoding and a CRC-32 per block. Derivable fields
-//!   (detectors, `data_leak_before`, cycle times) are reconstructed, not
-//!   stored.
+//!   heralds — with varint encoding and a CRC-32 per block. A [`ShotTrace`] is
+//!   the stored projection of a simulator [`RunRecord`](leaky_sim::RunRecord)
+//!   ([`ShotTrace::from_run`]); derivable fields (detectors,
+//!   `data_leak_before`, cycle times) are reconstructed by its inverse,
+//!   [`ShotTrace::to_run`], not stored.
 //! * [`stream`] — streaming writer/reader over `std::io::{Write, Read}`,
 //!   flat-memory in the shot count; shots are framed in shot order so trace
 //!   bytes never depend on recording thread count.
@@ -23,8 +25,11 @@
 //!   reconstructing exact simulator state (recorded seed contract + one forced
 //!   prefix pass per shot, shared by the candidate set) and re-simulating the
 //!   suffix, yielding every candidate's run bit-for-bit as a from-scratch live
-//!   simulation would. Same-policy replay reproduces
-//!   the live engine's decisions (and hence metrics) bit-for-bit either way.
+//!   simulation would. Each candidate's outcome is its run plus its first
+//!   divergence round, from which all replay accounting follows
+//!   ([`DivergenceProfile::add`], [`CheckpointPlan`]). Same-policy replay
+//!   reproduces the live engine's decisions (and hence metrics) bit-for-bit
+//!   either way.
 //! * [`corpus`] — a sharded corpus directory (`shards/<hh>/<hash>.qtr`) with a
 //!   JSON manifest keyed by policy-free cell keys, so sweeps simulate each
 //!   cell once and replay every policy against it.
@@ -48,15 +53,11 @@ pub use corpus::{
     manifest_stamp, Corpus, CorpusEntry, CorpusManifest, ManifestStamp, MANIFEST_SCHEMA_VERSION,
 };
 pub use format::{
-    code_fingerprint, ShotRecorder, ShotTrace, TraceHeader, TraceRound, TRACE_MAGIC,
-    TRACE_SCHEMA_VERSION,
+    code_fingerprint, ShotTrace, TraceHeader, TraceRound, TRACE_MAGIC, TRACE_SCHEMA_VERSION,
 };
-pub use replay::{
-    CheckpointPlan, ClosedLoopReplay, DivergenceProfile, ReplayContext, SharedShotReplay,
-    ShotReplay,
-};
+pub use replay::{CheckpointPlan, ClosedLoopReplay, DivergenceProfile, ReplayContext, ShotReplay};
 pub use stream::{
-    check_extends, extend_trace_file, open_trace_file, read_trace_file, read_trace_header,
-    write_trace_file, TraceReader, TraceWriter,
+    check_extends, open_trace_file, read_trace_file, read_trace_header, write_trace_file,
+    TraceReader, TraceWriter,
 };
 pub use wire::{crc32, TraceError};

@@ -69,6 +69,8 @@ impl ShotReplay {
 
 /// The outcome of closed-loop replaying one shot against one candidate: the
 /// exact counterfactual run the candidate policy would have produced live.
+/// Its replay cost follows from the divergence round `d` alone: rounds `0..d`
+/// are force-re-executed from the trace and rounds `d..` run live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClosedLoopReplay {
     /// The candidate policy's run, **bit-for-bit** what a from-scratch live
@@ -78,16 +80,6 @@ pub struct ClosedLoopReplay {
     /// First round where the candidate's planned schedule differed from the
     /// recorded one; `None` when the whole shot was served from the trace.
     pub divergence: Option<usize>,
-    /// Rounds executed live under the candidate's own schedule (the suffix
-    /// from the divergence round on); `0` for non-divergent shots. These are
-    /// the rounds whose *outcomes* are counterfactual.
-    pub resimulated_rounds: usize,
-    /// Pre-divergence rounds force-re-executed with the recorded schedule to
-    /// rebuild simulator state; `0` for non-divergent shots. These rounds
-    /// reproduce the trace bit-for-bit, but they cost full simulation work
-    /// (no policy planning) — for any divergent shot,
-    /// `restored_rounds + resimulated_rounds` equals the shot's round count.
-    pub restored_rounds: usize,
 }
 
 impl ClosedLoopReplay {
@@ -137,33 +129,20 @@ impl DivergenceProfile {
         }
     }
 
-    /// Folds one shot's closed-loop outcome into the profile.
-    ///
-    /// # Panics
-    /// Panics when a divergence round is outside the profile's round range.
-    pub fn record(&mut self, replay: &ClosedLoopReplay) {
-        self.add(replay.divergence, replay.resimulated_rounds, replay.restored_rounds);
-    }
-
-    /// Folds one shot described by its divergence round, re-simulated
-    /// (suffix) round count and restored (forced-prefix) round count — the
-    /// building block behind [`DivergenceProfile::record`].
+    /// Folds one shot described by its first divergence round `d` (`None`
+    /// for an exact shot): a divergent shot re-simulates its `rounds − d`
+    /// suffix rounds and restores its `d` prefix rounds.
     ///
     /// # Panics
     /// Panics when the divergence round is outside the profile's round range.
-    pub fn add(
-        &mut self,
-        divergence: Option<usize>,
-        resimulated_rounds: usize,
-        restored_rounds: usize,
-    ) {
+    pub fn add(&mut self, divergence: Option<usize>) {
         self.shots += 1;
         if let Some(round) = divergence {
             self.divergent_shots += 1;
             self.first_divergence[round] += 1;
+            self.resimulated_rounds += (self.rounds - round) as u64;
+            self.restored_rounds += round as u64;
         }
-        self.resimulated_rounds += resimulated_rounds as u64;
-        self.restored_rounds += restored_rounds as u64;
     }
 
     /// Shots that never diverged (served entirely from the trace).
@@ -273,38 +252,6 @@ impl CheckpointPlan {
     }
 }
 
-/// The outcome of closed-loop replaying one shot against a whole candidate set
-/// from shared checkpoints: per-candidate results plus the shot's sharing
-/// economics (one forced pass, N resumed suffixes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedShotReplay {
-    /// Per-candidate closed-loop outcomes, index-aligned with the `policies`
-    /// argument of [`ReplayContext::replay_shot_closed_loop`]. Every field of
-    /// every entry is bit-identical to what that candidate alone, as a set of
-    /// one, would get ([`ClosedLoopReplay::restored_rounds`] still reports the
-    /// candidate's state-reconstruction depth, even though the shared pass
-    /// amortized the actual execution cost across the set).
-    pub replays: Vec<ClosedLoopReplay>,
-    /// Rounds executed by the single shared forced pass (= the deepest
-    /// divergence round); `0` when no candidate diverged and no pass ran.
-    pub forced_rounds: usize,
-    /// Candidates resumed live from a shared checkpoint (= divergent
-    /// candidates).
-    pub suffixes: usize,
-    /// Checkpoints held at the store's high-water mark (= distinct divergence
-    /// rounds).
-    pub peak_checkpoints: usize,
-}
-
-impl SharedShotReplay {
-    /// `true` when at least one candidate diverged, so the shot paid one
-    /// forced re-execution of (part of) the recorded prefix.
-    #[must_use]
-    pub fn forced_pass(&self) -> bool {
-        self.suffixes > 0
-    }
-}
-
 /// Prebuilt per-trace replay state: the code and the recording run's timing
 /// inputs. Build once per trace, replay many shots/policies.
 #[derive(Debug)]
@@ -392,7 +339,7 @@ impl ReplayContext {
     /// from *r*. Sharing the pass across the set therefore cannot change any
     /// candidate's run.
     ///
-    /// Candidates are served in argument order. As with
+    /// Candidates are served, and returned, in argument order. As with
     /// [`ReplayContext::replay_shot`], the caller owns each policy's
     /// lifecycle (call [`LeakagePolicy::reset`] before each shot). `sim` must
     /// come from [`ReplayContext::make_simulator`] (or be equivalent); its
@@ -411,7 +358,7 @@ impl ReplayContext {
         trace: &ShotTrace,
         policies: &mut [&mut dyn LeakagePolicy],
         sim: &mut Simulator,
-    ) -> Result<SharedShotReplay, TraceError> {
+    ) -> Result<Vec<ClosedLoopReplay>, TraceError> {
         self.check_simulator(sim)?;
         let recorded = trace.to_run(&self.header.noise, self.header.cnot_layers);
         let total_rounds = recorded.rounds.len();
@@ -429,9 +376,6 @@ impl ReplayContext {
         let mut plan = CheckpointPlan::new(
             &divergences.iter().map(|d| d.as_ref().map(|(round, _)| *round)).collect::<Vec<_>>(),
         );
-        let peak_checkpoints = plan.distinct_rounds();
-        let suffixes = divergences.iter().flatten().count();
-        let forced_rounds = plan.max_round().unwrap_or(0);
 
         // The one shared forced pass: re-execute the recorded schedule up to
         // the deepest divergence round, snapshotting at the start of each
@@ -468,12 +412,7 @@ impl ReplayContext {
                 history.extend_from_slice(&recorded.rounds[..div_round]);
                 history.push(sim.run_round(&div_plan));
                 let run = sim.resume_with_policy(*policy, history, total_rounds);
-                Some(ClosedLoopReplay {
-                    run,
-                    divergence: Some(div_round),
-                    resimulated_rounds: total_rounds - div_round,
-                    restored_rounds: div_round,
-                })
+                Some(ClosedLoopReplay { run, divergence: Some(div_round) })
             })
             .collect();
         // A candidate that reproduces the recorded schedule at every round
@@ -481,7 +420,7 @@ impl ReplayContext {
         // such candidate takes it without a copy.
         let mut exact_left = served.iter().filter(|replay| replay.is_none()).count();
         let mut recorded = Some(recorded);
-        let replays = served
+        Ok(served
             .into_iter()
             .map(|replay| {
                 replay.unwrap_or_else(|| {
@@ -490,13 +429,10 @@ impl ReplayContext {
                     ClosedLoopReplay {
                         run: run.expect("the recorded run outlives every exact candidate"),
                         divergence: None,
-                        resimulated_rounds: 0,
-                        restored_rounds: 0,
                     }
                 })
             })
-            .collect();
-        Ok(SharedShotReplay { replays, forced_rounds, suffixes, peak_checkpoints })
+            .collect())
     }
 
     /// The closed-loop precondition: `sim` must be shaped and parameterized
@@ -594,7 +530,7 @@ impl ReplayContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{ShotRecorder, TRACE_SCHEMA_VERSION};
+    use crate::format::TRACE_SCHEMA_VERSION;
     use gladiator::GladiatorConfig;
     use leakage_speculation::{build_policy, PolicyKind};
     use leaky_sim::{NoiseParams, Simulator};
@@ -604,8 +540,7 @@ mod tests {
         let mut policy = build_policy(kind, code, &GladiatorConfig::default());
         let mut sim = Simulator::new(code, noise, seed);
         sim.seed_random_data_leakage(1);
-        let mut recorder = ShotRecorder::new();
-        let run = sim.run_with_policy_observed(policy.as_mut(), rounds, &mut recorder);
+        let trace = ShotTrace::record(0, &mut sim, policy.as_mut(), rounds);
         let header = TraceHeader {
             schema_version: TRACE_SCHEMA_VERSION,
             generator: "replay test".to_string(),
@@ -622,8 +557,7 @@ mod tests {
             leakage_sampling: true,
             noise,
         };
-        let trace = recorder.into_trace(0);
-        assert_eq!(trace.to_run(&noise, header.cnot_layers), run);
+        assert_eq!(trace.to_run(&noise, header.cnot_layers), live_run(code, kind, &header, 0));
         (header, trace)
     }
 
@@ -673,7 +607,7 @@ mod tests {
         sim: &mut Simulator,
     ) -> Result<ClosedLoopReplay, TraceError> {
         let mut set = ctx.replay_shot_closed_loop(trace, &mut [policy], sim)?;
-        Ok(set.replays.pop().expect("one candidate, one replay"))
+        Ok(set.pop().expect("one candidate, one replay"))
     }
 
     #[test]
@@ -689,12 +623,6 @@ mod tests {
             assert_eq!(replay.run, live, "{kind:?} counterfactual must be exact");
             if kind == PolicyKind::GladiatorM {
                 assert!(replay.is_exact(), "recording policy must never diverge");
-                assert_eq!(replay.resimulated_rounds, 0);
-                assert_eq!(replay.restored_rounds, 0);
-            }
-            if let Some(round) = replay.divergence {
-                assert_eq!(replay.resimulated_rounds, header.rounds - round);
-                assert_eq!(replay.restored_rounds, round);
             }
         }
     }
@@ -711,11 +639,8 @@ mod tests {
         let replay = replay_one(&ctx, &trace, closed.as_mut(), &mut sim).unwrap();
         assert_eq!(replay.divergence, open_loop.divergence);
         assert_eq!(replay.divergence, Some(0));
-        // Always-LRC diverges immediately: no prefix to restore, the whole
-        // shot is re-simulated, and every executed round carries the full
-        // schedule.
-        assert_eq!(replay.resimulated_rounds, header.rounds);
-        assert_eq!(replay.restored_rounds, 0);
+        // Always-LRC diverges immediately: the whole shot is re-simulated,
+        // and every executed round carries the full schedule.
         for round in &replay.run.rounds {
             assert_eq!(round.data_lrcs.len(), code.num_data());
         }
@@ -805,18 +730,11 @@ mod tests {
             candidates.iter_mut().map(|p| p.as_mut() as &mut dyn LeakagePolicy).collect();
         let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
 
-        assert_eq!(shared.replays.len(), solo.len());
-        for ((replay, oracle), kind) in shared.replays.iter().zip(&solo).zip(PolicyKind::ALL) {
+        assert_eq!(shared.len(), solo.len());
+        for ((replay, oracle), kind) in shared.iter().zip(&solo).zip(PolicyKind::ALL) {
             assert_eq!(replay, oracle, "{kind:?} must be bit-identical to its set of one");
         }
-        // Sharing economics: one pass to the deepest divergence round, one
-        // suffix per divergent candidate, one checkpoint per distinct round.
-        let rounds: Vec<usize> = solo.iter().filter_map(|r| r.divergence).collect();
-        assert_eq!(shared.suffixes, rounds.len());
-        assert_eq!(shared.forced_rounds, rounds.iter().copied().max().unwrap_or(0));
-        let distinct: std::collections::BTreeSet<usize> = rounds.iter().copied().collect();
-        assert_eq!(shared.peak_checkpoints, distinct.len());
-        assert!(shared.forced_pass());
+        assert!(shared.iter().any(|replay| !replay.is_exact()), "the set must share a pass");
     }
 
     #[test]
@@ -831,10 +749,7 @@ mod tests {
         let mut b = build_policy(PolicyKind::NoLrc, &code, &GladiatorConfig::default());
         let mut refs: Vec<&mut dyn LeakagePolicy> = vec![a.as_mut(), b.as_mut()];
         let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
-        assert!(!shared.forced_pass());
-        assert_eq!(shared.forced_rounds, 0);
-        assert_eq!(shared.peak_checkpoints, 0);
-        assert!(shared.replays.iter().all(ClosedLoopReplay::is_exact));
+        assert!(shared.iter().all(ClosedLoopReplay::is_exact));
         assert_eq!(sim.rounds_executed(), 0, "no simulation for an all-exact set");
     }
 
@@ -854,15 +769,12 @@ mod tests {
         let mut refs: Vec<&mut dyn LeakagePolicy> =
             vec![&mut p0, &mut p1, &mut p2, &mut p3, exact.as_mut()];
         let shared = ctx.replay_shot_closed_loop(&trace, &mut refs, &mut sim).unwrap();
-        assert_eq!(shared.suffixes, 4);
-        assert_eq!(shared.forced_rounds, 6);
-        assert_eq!(shared.peak_checkpoints, 3);
-        let divergences: Vec<Option<usize>> = shared.replays.iter().map(|r| r.divergence).collect();
+        let divergences: Vec<Option<usize>> = shared.iter().map(|r| r.divergence).collect();
         assert_eq!(divergences, vec![Some(3), Some(3), Some(6), Some(0), None]);
         // Same-round candidates must be bit-identical to their solo replays.
         for (index, fire_round) in [(0usize, 3usize), (1, 3), (2, 6), (3, 0)] {
             let solo = replay_one(&ctx, &trace, &mut DivergeAt { fire_round }, &mut sim).unwrap();
-            assert_eq!(shared.replays[index], solo, "candidate {index}");
+            assert_eq!(shared[index], solo, "candidate {index}");
         }
     }
 
@@ -885,20 +797,8 @@ mod tests {
     #[test]
     fn divergence_profile_invariants_hold() {
         let mut profile = DivergenceProfile::new(5);
-        let run = RunRecord {
-            rounds: vec![],
-            final_data_x: vec![],
-            final_data_z: vec![],
-            final_perfect_measurements: vec![],
-        };
-        let shot = |divergence: Option<usize>| ClosedLoopReplay {
-            run: run.clone(),
-            divergence,
-            resimulated_rounds: divergence.map_or(0, |r| 5 - r),
-            restored_rounds: divergence.unwrap_or(0),
-        };
         for divergence in [None, Some(2), Some(0), Some(2), None, Some(4)] {
-            profile.record(&shot(divergence));
+            profile.add(divergence);
         }
         assert_eq!(profile.shots, 6);
         assert_eq!(profile.divergent_shots, 4);

@@ -230,48 +230,6 @@ pub fn check_extends(old: &TraceHeader, new: &TraceHeader) -> Result<(), TraceEr
     Ok(())
 }
 
-/// Extends the trace at `path` in place with `new_shots` additional shots,
-/// re-stamping it with `header` (whose `shots` must equal the old count plus
-/// `new_shots.len()`; see [`check_extends`] for what must stay fixed). The
-/// old shot blocks are streamed unchanged into a temporary sibling, the new
-/// blocks appended after them, and the result renamed over the original — a
-/// crash at any instant leaves either the old complete trace or the new one,
-/// never a torn file.
-///
-/// # Errors
-/// Fails when the existing trace is corrupt, the headers disagree on an
-/// identity field, the shot arithmetic is off, or I/O fails.
-pub fn extend_trace_file(
-    path: &Path,
-    header: &TraceHeader,
-    new_shots: &[ShotTrace],
-) -> Result<(), TraceError> {
-    let mut reader = open_trace_file(path)?;
-    check_extends(reader.header(), header)?;
-    let old_count = reader.header().shots;
-    if header.shots != old_count + new_shots.len() {
-        return Err(TraceError::corrupt(format!(
-            "extended header says {} shots, but {} existing + {} new = {}",
-            header.shots,
-            old_count,
-            new_shots.len(),
-            old_count + new_shots.len()
-        )));
-    }
-    let tmp = path.with_extension("qtr.tmp");
-    let file = File::create(&tmp)?;
-    let mut writer = TraceWriter::new(BufWriter::new(file), header)?;
-    while let Some(shot) = reader.next_shot()? {
-        writer.write_shot(&shot)?;
-    }
-    for shot in new_shots {
-        writer.write_shot(shot)?;
-    }
-    writer.finish()?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 /// Reads a complete trace file into memory.
 ///
 /// # Errors
@@ -309,7 +267,7 @@ pub fn read_trace_header(path: &Path) -> Result<TraceHeader, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{code_fingerprint, ShotRecorder, TRACE_SCHEMA_VERSION};
+    use crate::format::{code_fingerprint, TRACE_SCHEMA_VERSION};
     use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
     use qec_codes::Code;
 
@@ -336,9 +294,7 @@ mod tests {
         let traces = (0..shots as u64)
             .map(|shot| {
                 sim.reseed(5 + shot);
-                let mut recorder = ShotRecorder::new();
-                let _ = sim.run_with_policy_observed(&mut NeverLrc, rounds, &mut recorder);
-                recorder.into_trace(shot)
+                ShotTrace::record(shot, &mut sim, &mut NeverLrc, rounds)
             })
             .collect();
         (header, traces)
@@ -408,59 +364,25 @@ mod tests {
     }
 
     #[test]
-    fn extending_a_trace_matches_a_from_scratch_recording_byte_for_byte() {
-        // Record 5 shots in one go, and 3 + 2 via extend: same bytes.
-        let (full_header, full_shots) = sample(5, 4);
-        let (mut short_header, short_shots) = sample(3, 4);
-        let dir = std::env::temp_dir().join(format!("qtr-extend-{}", std::process::id()));
-        let full_path = dir.join("full.qtr");
-        let grown_path = dir.join("grown.qtr");
-        write_trace_file(&full_path, &full_header, &full_shots).unwrap();
-        write_trace_file(&grown_path, &short_header, &short_shots).unwrap();
-        short_header.shots = 5;
-        extend_trace_file(&grown_path, &short_header, &full_shots[3..]).unwrap();
-        assert_eq!(
-            std::fs::read(&grown_path).unwrap(),
-            std::fs::read(&full_path).unwrap(),
-            "extended trace must be byte-identical to a from-scratch recording"
-        );
-        // Extending by zero shots is a no-op rewrite.
-        extend_trace_file(&grown_path, &short_header, &[]).unwrap();
-        assert_eq!(std::fs::read(&grown_path).unwrap(), std::fs::read(&full_path).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn extend_rejects_identity_mismatches_and_bad_shot_arithmetic() {
-        let (header, shots) = sample(2, 4);
-        let dir = std::env::temp_dir().join(format!("qtr-extend-bad-{}", std::process::id()));
-        let path = dir.join("cell.qtr");
-        write_trace_file(&path, &header, &shots).unwrap();
-        // Identity field changed: refused, original left untouched.
-        let mut wrong_seed = header.clone();
-        wrong_seed.seed += 1;
-        wrong_seed.shots = 3;
-        let err = extend_trace_file(&path, &wrong_seed, &[]).unwrap_err();
+    fn check_extends_rejects_identity_changes_and_shrinking() {
+        let (header, _) = sample(2, 4);
+        // Identity field changed: refused.
+        let wrong_seed = TraceHeader { seed: header.seed + 1, shots: 3, ..header.clone() };
+        let err = check_extends(&header, &wrong_seed).unwrap_err();
         assert!(err.to_string().contains("seed changed"), "{err}");
         // Shrinking the cell is refused.
-        let mut shrunk = header.clone();
-        shrunk.shots = 1;
-        let err = extend_trace_file(&path, &shrunk, &[]).unwrap_err();
+        let shrunk = TraceHeader { shots: 1, ..header.clone() };
+        let err = check_extends(&header, &shrunk).unwrap_err();
         assert!(err.to_string().contains("shots shrank"), "{err}");
-        // Header shot count must equal old + new.
-        let mut off_by_one = header.clone();
-        off_by_one.shots = 4;
-        let err = extend_trace_file(&path, &off_by_one, &[]).unwrap_err();
-        assert!(err.to_string().contains("2 existing + 0 new"), "{err}");
-        // Generator and git may be re-stamped freely.
-        let mut restamped = header.clone();
-        restamped.generator = "extend test".to_string();
-        restamped.git_describe = "v9-dirty".to_string();
-        extend_trace_file(&path, &restamped, &[]).unwrap();
-        assert_eq!(read_trace_header(&path).unwrap().generator, "extend test");
-        let (_, read_shots) = read_trace_file(&path).unwrap();
-        assert_eq!(read_shots, shots, "failed extends must leave the trace intact");
-        let _ = std::fs::remove_dir_all(&dir);
+        // Generator and git may be re-stamped freely, and the cell may grow.
+        let restamped = TraceHeader {
+            generator: "extend test".to_string(),
+            git_describe: "v9-dirty".to_string(),
+            shots: 5,
+            ..header.clone()
+        };
+        check_extends(&header, &restamped).unwrap();
+        check_extends(&header, &header).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
 use qec_codes::Code;
 use qec_trace::{
-    code_fingerprint, Corpus, ShotRecorder, TraceError, TraceHeader, TraceReader, TraceWriter,
+    code_fingerprint, Corpus, ShotTrace, TraceError, TraceHeader, TraceReader, TraceWriter,
     TRACE_SCHEMA_VERSION,
 };
 
@@ -35,9 +35,7 @@ fn sample_trace_bytes(shots: usize, rounds: usize) -> Vec<u8> {
     let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
     for shot in 0..shots as u64 {
         sim.reseed_for_shot(header.seed, shot, header.leakage_sampling);
-        let mut recorder = ShotRecorder::new();
-        let _ = sim.run_with_policy_observed(&mut NeverLrc, rounds, &mut recorder);
-        writer.write_shot(&recorder.into_trace(shot)).unwrap();
+        writer.write_shot(&ShotTrace::record(shot, &mut sim, &mut NeverLrc, rounds)).unwrap();
     }
     writer.finish().unwrap()
 }

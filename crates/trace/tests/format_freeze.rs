@@ -20,7 +20,7 @@ use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
 use qec_codes::Code;
 use qec_trace::wire::{crc32, read_block};
 use qec_trace::{
-    code_fingerprint, ShotRecorder, TraceHeader, TraceReader, TraceWriter, TRACE_MAGIC,
+    code_fingerprint, ShotTrace, TraceHeader, TraceReader, TraceWriter, TRACE_MAGIC,
     TRACE_SCHEMA_VERSION,
 };
 
@@ -73,9 +73,8 @@ fn golden_bytes() -> Vec<u8> {
     let mut writer = TraceWriter::new(Vec::new(), &header).expect("in-memory write");
     for shot in 0..header.shots as u64 {
         sim.reseed_for_shot(header.seed, shot, header.leakage_sampling);
-        let mut recorder = ShotRecorder::new();
-        let _ = sim.run_with_policy_observed(&mut NeverLrc, header.rounds, &mut recorder);
-        writer.write_shot(&recorder.into_trace(shot)).expect("in-memory write");
+        let trace = ShotTrace::record(shot, &mut sim, &mut NeverLrc, header.rounds);
+        writer.write_shot(&trace).expect("in-memory write");
     }
     writer.finish().expect("in-memory write")
 }
