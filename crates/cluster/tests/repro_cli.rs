@@ -3,7 +3,8 @@
 //! determinism of the report bytes.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
@@ -445,6 +446,94 @@ fn a_zero_shot_cell_fails_corpus_verify() {
     assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
     let stderr = stderr_of(&output);
     assert!(stderr.contains("trace header declares 0 shots"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records a d=3 cell at p = 1e-3 and one at p = 2e-3 into `dir`, then edits
+/// the p = 1e-3 manifest entry through `tamper`, leaving every shard intact.
+fn record_then_tamper_manifest(dir: &Path, tamper: impl Fn(&mut qec_trace::CorpusEntry, &str)) {
+    let corpus = dir.to_str().unwrap();
+    let output = run(&[
+        "record",
+        "--grid",
+        "d=3",
+        "p=1e-3,2e-3",
+        "policy=gladiator+m",
+        "--shots",
+        "2",
+        "--rounds-per-distance",
+        "1",
+        "--corpus",
+        corpus,
+    ]);
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr_of(&output));
+    let mut manifest = qec_trace::Corpus::open(dir).unwrap();
+    let other = manifest.entries().iter().find(|e| e.p == 2e-3).unwrap().file.clone();
+    let mut entry = manifest.entries().iter().find(|e| e.p == 1e-3).unwrap().clone();
+    tamper(&mut entry, &other);
+    manifest.insert(entry);
+    manifest.save().unwrap();
+}
+
+/// Runs `repro`, failing the test if it is still running after `deadline`.
+fn run_within(args: &[&str], deadline: Duration) -> Output {
+    let mut child =
+        repro(args).stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawn repro");
+    let start = Instant::now();
+    while child.try_wait().expect("poll repro").is_none() {
+        if start.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect repro output")
+}
+
+/// A manifest entry claiming an even surface distance fails `corpus --verify`
+/// naming the distance, instead of panicking in the code constructor.
+#[test]
+fn a_manifest_distance_no_code_admits_fails_corpus_verify() {
+    let dir = tmp_dir("distance-4");
+    record_then_tamper_manifest(&dir, |entry, _| entry.distance = 4);
+    let output = run(&["corpus", dir.to_str().unwrap(), "--verify"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("manifest says distance=4: surface does not admit size 4"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A manifest entry claiming d=1001 for a d=3 shard is refused from the shard
+/// header, before the d=1001 code is built (which would take minutes).
+#[test]
+fn a_manifest_distance_the_shard_does_not_hold_fails_corpus_verify_promptly() {
+    let dir = tmp_dir("distance-1001");
+    record_then_tamper_manifest(&dir, |entry, _| entry.distance = 1001);
+    let output =
+        run_within(&["corpus", dir.to_str().unwrap(), "--verify"], Duration::from_secs(120));
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("distance=1001, whose code surface-d1001 does not match"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A manifest entry whose file points at another cell's shard fails
+/// `corpus --verify` naming the error rate the shard was recorded with.
+#[test]
+fn a_manifest_entry_pointing_at_another_cells_shard_fails_corpus_verify() {
+    let dir = tmp_dir("swapped-shard");
+    record_then_tamper_manifest(&dir, |entry, other| {
+        entry.file = other.to_string();
+        entry.hash = other.rsplit('/').next().unwrap().trim_end_matches(".qtr").to_string();
+    });
+    let output = run(&["corpus", dir.to_str().unwrap(), "--verify"]);
+    assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    assert!(
+        stderr.contains("manifest says p=0.001, but the trace file was recorded with p=0.002"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,6 +1,6 @@
 //! Converting simulated runs into detection events and judging logical failure.
 
-use qec_codes::{CheckBasis, Code, MatchingGraph};
+use qec_codes::{Code, MatchingGraph};
 
 use crate::decoder::Correction;
 use leaky_sim::RunRecord;
@@ -16,17 +16,6 @@ pub enum MemoryBasis {
     Z,
     /// Logical X memory (decode Z errors using X-type checks).
     X,
-}
-
-impl MemoryBasis {
-    /// The check basis whose detectors are decoded for this memory experiment.
-    #[must_use]
-    pub fn check_basis(self) -> CheckBasis {
-        match self {
-            MemoryBasis::Z => CheckBasis::Z,
-            MemoryBasis::X => CheckBasis::X,
-        }
-    }
 }
 
 /// Extracts the detection events of `run` for the matching graph `graph`.
@@ -105,6 +94,7 @@ mod tests {
     use super::*;
     use crate::decoder::UnionFindDecoder;
     use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
+    use qec_codes::CheckBasis;
 
     fn run_and_decode(d: usize, rounds: usize, p: f64, seed: u64) -> (Code, RunRecord, bool) {
         let code = Code::rotated_surface(d);

@@ -18,9 +18,9 @@
 //! ([`BatchEngine::run`], [`BatchEngine::score_range`]), a caller's extraction
 //! ([`BatchEngine::map_records`]), or its stored projection, a [`ShotTrace`]
 //! ([`BatchEngine::trace_records_range`]). Several engines can share one factory
-//! and one decoder ([`BatchEngine::with_shared`]), which is how
-//! [`crate::harness::compare_policies`] lets GLADIATOR+M and GLADIATOR-D+M share a
-//! single offline model build.
+//! and one decoder ([`BatchEngine::with_shared`]), which is how the sweep
+//! executor ([`crate::sweep::run_scenarios`]) lets every cell of a grid on one
+//! code, GLADIATOR+M and GLADIATOR-D+M alike, share a single offline model build.
 //!
 //! # Seeding contract
 //!

@@ -1,11 +1,11 @@
 //! Monte-Carlo experiment driver.
 //!
-//! [`run_policy_experiment`] and [`compare_policies`] drive the
-//! [`crate::engine::BatchEngine`], which owns every code-derived artifact for the
-//! duration of an experiment (offline GLADIATOR model, pattern extractor, decoder
-//! and matching graph) and reuses one `Simulator` + policy pair per worker thread.
-//! [`compare_policies`] runs one engine per policy around **one** shared policy
-//! factory and **one** decoder.
+//! [`run_policy_experiment`] drives one [`crate::engine::BatchEngine`], which
+//! owns every code-derived artifact for the duration of an experiment (offline
+//! GLADIATOR model, pattern extractor, decoder and matching graph) and reuses
+//! one `Simulator` + policy pair per worker thread. A grid of cells that should
+//! share those artifacts runs on the sweep executor,
+//! [`crate::sweep::run_scenarios`], as every paper grid runner does.
 //!
 //! # Seeding contract
 //!
@@ -20,16 +20,14 @@
 //! determinism tests pin the engine against it — and for callers that genuinely
 //! want a single run without amortizable setup.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use gladiator::GladiatorConfig;
-use leakage_speculation::{build_policy, PolicyFactory, PolicyKind};
+use leakage_speculation::{build_policy, PolicyKind};
 use leaky_sim::{NoiseParams, RunRecord, Simulator};
 use qec_codes::Code;
 
-use crate::engine::{build_backend, BatchEngine};
+use crate::engine::BatchEngine;
 use crate::metrics::AggregateMetrics;
 
 /// Full specification of one policy experiment (code is passed separately so specs can
@@ -112,13 +110,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Replaces the GLADIATOR calibration and keeps it consistent with the noise model.
-    #[must_use]
-    pub fn with_gladiator(mut self, config: GladiatorConfig) -> Self {
-        self.gladiator = config;
-        self
-    }
-
     /// Derives the GLADIATOR calibration from the current noise parameters (same `p`
     /// and leakage ratio), which is how the paper recalibrates the offline model.
     #[must_use]
@@ -174,27 +165,6 @@ pub fn simulate_shot(code: &Code, spec: &ExperimentSpec, shot: u64) -> RunRecord
     sim.run_with_policy(policy.as_mut(), spec.rounds)
 }
 
-/// Runs the same spec for several policies and returns the results in order,
-/// with **one** policy factory and **one** decoder shared by every engine.
-#[must_use]
-pub fn compare_policies(
-    code: &Code,
-    base: &ExperimentSpec,
-    policies: &[PolicyKind],
-) -> Vec<PolicyExperimentResult> {
-    let factory = Arc::new(PolicyFactory::new(code, &base.gladiator));
-    let decoder = base.decode.then(|| {
-        build_backend(None, code, base.rounds).expect("union-find serves the engine's code")
-    });
-    policies
-        .iter()
-        .map(|&kind| {
-            let spec = ExperimentSpec { policy: kind, ..base.clone() };
-            BatchEngine::with_shared(&spec, Arc::clone(&factory), decoder.clone()).run()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,29 +213,6 @@ mod tests {
         let a = run_policy_experiment(&code, &spec);
         let b = run_policy_experiment(&code, &spec);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn compare_policies_preserves_order() {
-        let code = Code::rotated_surface(3);
-        let base = ExperimentSpec::quick(PolicyKind::NoLrc).with_shots(2).with_rounds(4);
-        let results = compare_policies(&code, &base, &[PolicyKind::AlwaysLrc, PolicyKind::Ideal]);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].policy, "always-lrc");
-        assert_eq!(results[1].policy, "ideal");
-    }
-
-    #[test]
-    fn compare_policies_shares_one_factory_and_matches_independent_engines() {
-        let code = Code::rotated_surface(3);
-        let base = ExperimentSpec::quick(PolicyKind::Gladiator).with_shots(3).with_rounds(6);
-        let kinds = [PolicyKind::Gladiator, PolicyKind::GladiatorDM, PolicyKind::EraserM];
-        let shared = compare_policies(&code, &base, &kinds);
-        // The shared-artifact path must reproduce per-policy engines bit for bit.
-        for (result, &kind) in shared.iter().zip(&kinds) {
-            let spec = ExperimentSpec { policy: kind, ..base.clone() };
-            assert_eq!(result, &BatchEngine::new(&code, &spec).run(), "{kind:?}");
-        }
     }
 
     #[test]

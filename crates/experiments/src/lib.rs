@@ -16,12 +16,14 @@
 //!   threads reuse their context across shots via `Simulator::reseed_for_shot` +
 //!   `LeakagePolicy::reset` (the *thread-reuse model*). Each shot's `RunRecord`
 //!   is its one record: scores, extractions and traces are all read off it.
-//! * [`harness`] — [`ExperimentSpec`] plus the engine-backed drivers
-//!   ([`run_policy_experiment`], and [`harness::compare_policies`], which shares
-//!   one factory and one decoder across a policy set) and the legacy single-shot
-//!   reference path ([`harness::simulate_shot`]) the engine is tested against.
+//! * [`harness`] — [`ExperimentSpec`], [`run_policy_experiment`] (one experiment
+//!   on the engine) and the legacy single-shot reference path
+//!   ([`harness::simulate_shot`]) the engine is tested against.
 //! * [`runners`] — one function per experiment (Figure 1(b,c), 3, 4(b), 5, 8–14 and
-//!   Tables 2–6), each returning serializable rows and printable summaries.
+//!   Tables 2–6), each returning serializable rows and printable summaries. The
+//!   policy grids among them declare their cells as scenarios and run on the sweep
+//!   executor, [`sweep::run_scenarios`], which shares one factory and one decoder
+//!   across the cells of each code.
 //! * [`scenario`] — the declarative workload unit: a [`scenario::Scenario`] names one
 //!   `(code family, distance, rounds, p, lr, policy, shots, seed)` cell as plain
 //!   serializable data.

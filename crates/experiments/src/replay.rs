@@ -367,33 +367,51 @@ pub struct LoadedCell {
 /// structural fingerprint.
 ///
 /// The shard is opened with the **lazy** streaming reader
-/// ([`qec_trace::open_trace_file`]): the header is validated first, every
-/// identity check below runs against it at `O(header)` cost, and only then
-/// are the shot blocks decoded — once, shot-at-a-time, straight into the
-/// cell's shot vector. A manifest that does not describe the shard therefore
-/// aborts the load without paying for the payload at all.
+/// ([`qec_trace::open_trace_file`]): the header is validated first, and every
+/// identity check of the entry against it — family and size (named by the
+/// header's code), code name, `p`, `lr`, rounds, shots, seed, recording policy
+/// and trace schema — runs at `O(header)` cost before a shot block is decoded.
+/// A manifest that does not describe the shard therefore aborts the load
+/// without paying for the payload, and without building a code the header does
+/// not name. The shots then decode once, shot-at-a-time, straight into the
+/// cell's shot vector. The key, which restates that identity, is checked last,
+/// so a more specific check names the mismatched field first; only then is the
+/// code built and its fingerprint checked.
 ///
 /// # Errors
-/// Returns a message on I/O failure, corruption, an unknown code family, a
-/// fingerprint mismatch, or a cell without shots.
+/// Returns a message on I/O failure, corruption, an unknown code family or
+/// size, any disagreement between the entry and the header, a fingerprint
+/// mismatch, or a cell without shots.
 pub fn load_entry(corpus: &Corpus, entry: &CorpusEntry) -> Result<LoadedCell, String> {
     let family = CodeFamily::from_label(&entry.family)
         .ok_or_else(|| format!("{}: unknown code family `{}`", entry.key, entry.family))?;
-    let code = family.build(entry.distance);
+    family
+        .validate_size(entry.distance)
+        .map_err(|e| format!("{}: manifest says distance={}: {e}", entry.key, entry.distance))?;
     let path = corpus.trace_path(entry);
     let mut reader = open_trace_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let header = reader.header().clone();
-    if code_fingerprint(&code) != header.code_fingerprint {
+    let code_name = family.code_name(entry.distance);
+    if code_name != header.code_name {
         return Err(format!(
-            "{}: manifest code {} does not match the trace's recorded code {}",
-            entry.key,
-            code.name(),
-            header.code_name
+            "{}: manifest says family={} distance={}, whose code {code_name} does not match \
+             the trace's recorded code {}",
+            entry.key, entry.family, entry.distance, header.code_name
         ));
     }
     // Manifest metadata and trace header must agree on the execution identity;
     // a mismatch means the manifest was edited or points at the wrong shard.
+    let mismatch = |field: &str, manifest_value: &str, header_value: &str| {
+        format!(
+            "{}: manifest says {field}={manifest_value}, but the trace file was recorded with \
+             {field}={header_value} — the manifest does not describe this shard",
+            entry.key
+        )
+    };
     for (field, manifest_value, header_value) in [
+        ("code", entry.code.clone(), header.code_name.clone()),
+        ("p", entry.p.to_string(), header.noise.p.to_string()),
+        ("leakage_ratio", entry.leakage_ratio.to_string(), header.noise.leakage_ratio.to_string()),
         ("rounds", entry.rounds.to_string(), header.rounds.to_string()),
         ("shots", entry.shots.to_string(), header.shots.to_string()),
         ("seed", entry.seed.to_string(), header.seed.to_string()),
@@ -401,11 +419,7 @@ pub fn load_entry(corpus: &Corpus, entry: &CorpusEntry) -> Result<LoadedCell, St
         ("trace_schema", entry.trace_schema.to_string(), header.schema_version.to_string()),
     ] {
         if manifest_value != header_value {
-            return Err(format!(
-                "{}: manifest says {field}={manifest_value}, but the trace file was recorded \
-                 with {field}={header_value} — the manifest does not describe this shard",
-                entry.key
-            ));
+            return Err(mismatch(field, &manifest_value, &header_value));
         }
     }
     // No recorder writes an empty cell, and replay sizes per-round state from
@@ -427,6 +441,31 @@ pub fn load_entry(corpus: &Corpus, entry: &CorpusEntry) -> Result<LoadedCell, St
             entry.key,
             shots.len(),
             header.shots
+        ));
+    }
+    // The key the recording run filed this shard under (keys are policy-free).
+    let recorded_key = cell_key(&Scenario {
+        code: family,
+        distance: entry.distance,
+        rounds: header.rounds,
+        p: header.noise.p,
+        leakage_ratio: header.noise.leakage_ratio,
+        policy: PolicyKind::NoLrc,
+        shots: header.shots,
+        seed: header.seed,
+        decode: false,
+        decoder: None,
+    });
+    if entry.key != recorded_key {
+        return Err(mismatch("key", &entry.key, &recorded_key));
+    }
+    let code = family.build(entry.distance);
+    if code_fingerprint(&code) != header.code_fingerprint {
+        return Err(format!(
+            "{}: manifest code {} does not match the trace's recorded code {}",
+            entry.key,
+            code.name(),
+            header.code_name
         ));
     }
     Ok(LoadedCell { header, shots, code })

@@ -2,9 +2,20 @@
 //!
 //! Every runner accepts a [`Scale`] so the same code path serves three purposes:
 //! unit/integration tests (`Scale::smoke`), the default `repro run` scale
-//! (`Scale::quick`), and full paper-scale reproduction runs (`Scale::paper`, hours of
-//! CPU time, matching the artifact's 15–20 h figure). Results are serializable and can
-//! be rendered as text tables via [`crate::report`].
+//! (`Scale::quick`), and full paper-scale reproduction runs (`Scale::paper`). In a
+//! release build on 2 vCPUs all 16 experiments take about 0.05 s at smoke scale and
+//! 0.3 s at quick scale; the 15–20 h of CPU time for paper scale is the artifact's
+//! figure, not a measurement of this code. Results are serializable and can be
+//! rendered as text tables via [`crate::report`].
+//!
+//! The eleven policy grids (Figures 1, 4(b) and 9–14, Tables 2, 4 and 5) declare
+//! their cells as [`Scenario`]s and run on the sweep executor, [`run_scenarios`],
+//! which shares each code's policy factory and decoder across cells. They are
+//! scenario lists rather than [`crate::sweep::SweepSpec`]s: several take their round
+//! count from the uncapped paper distance, which no `rounds_per_distance × d`
+//! expresses, and each keeps its own row order. The other five run the device model
+//! (Figure 3), reduce every shot's record to pattern histograms (Figures 5 and 8),
+//! count LUTs (Table 3), or set a leakage mobility no scenario expresses (Table 6).
 
 use serde::{Deserialize, Serialize};
 
@@ -13,16 +24,17 @@ use gladiator::{
     labeling::eraser_flags,
     GladiatorConfig, GladiatorModel, MobilityEstimator, MobilityRegime,
 };
-use leakage_speculation::PolicyKind;
+use leakage_speculation::PolicyKind::{
+    self, AlwaysLrc, Eraser, EraserM, Gladiator, GladiatorD, GladiatorDM, GladiatorM, Ideal,
+    MlrOnly, NoLrc, Staggered,
+};
 use leaky_sim::{device::DeviceModel, NoiseParams};
 use qec_codes::Code;
 
 use crate::engine::BatchEngine;
-use crate::harness::{
-    compare_policies, run_policy_experiment, ExperimentSpec, PolicyExperimentResult,
-};
+use crate::harness::{ExperimentSpec, PolicyExperimentResult};
 use crate::scenario::{CodeFamily, Scenario};
-use crate::sweep::run_scenarios;
+use crate::sweep::{run_scenarios, SweepCell};
 
 /// Scaling knobs shared by all runners.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,19 +50,23 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny scale for unit and integration tests (seconds).
+    /// Tiny scale for unit and integration tests: all 16 experiments take about
+    /// 0.05 s (release build, 2 vCPU).
     #[must_use]
     pub fn smoke() -> Self {
         Scale { shots: 4, rounds_factor: 0.02, max_distance: 5, seed: 7 }
     }
 
-    /// Quick scale: small but large enough for trends to be visible (minutes).
+    /// Quick scale, the default of `repro run`: all 16 experiments take about
+    /// 0.3 s (release build, 2 vCPU). With 24 shots, most LER rows are 0 or 1/24.
     #[must_use]
     pub fn quick() -> Self {
         Scale { shots: 24, rounds_factor: 0.1, max_distance: 7, seed: 11 }
     }
 
-    /// Paper scale (hours; mirrors the artifact's recommended 100k–1M shots).
+    /// Paper scale: 10,000 shots per configuration at the paper's round counts and
+    /// distances up to 17. The artifact quotes 15–20 h of CPU time for the paper's
+    /// runs; that figure is not a measurement of this code.
     #[must_use]
     pub fn paper() -> Self {
         Scale { shots: 10_000, rounds_factor: 1.0, max_distance: 17, seed: 2025 }
@@ -92,6 +108,50 @@ fn default_noise(p: f64, lr: f64) -> NoiseParams {
     NoiseParams::builder().physical_error_rate(p).leakage_ratio(lr).build()
 }
 
+/// The undecoded cells of `policies` at one `(p, lr)` grid point, at `scale`'s
+/// shots and seed. The sweep executor lowers each to the calibrated,
+/// leakage-sampled spec of [`spec`].
+fn cells(
+    code: CodeFamily,
+    distance: usize,
+    rounds: usize,
+    (p, leakage_ratio): (f64, f64),
+    policies: &[PolicyKind],
+    scale: &Scale,
+) -> Vec<Scenario> {
+    policies
+        .iter()
+        .map(|&policy| Scenario {
+            code,
+            distance,
+            rounds,
+            p,
+            leakage_ratio,
+            policy,
+            shots: scale.shots,
+            seed: scale.seed,
+            decode: false,
+            decoder: None,
+        })
+        .collect()
+}
+
+/// Runs `scenarios` on the sweep executor, one row per cell in order.
+fn run_rows<R>(scenarios: &[Scenario], row: impl Fn(SweepCell) -> R) -> Vec<R> {
+    run_scenarios(scenarios, false).into_iter().map(row).collect()
+}
+
+/// Runs `scenarios` as whole-policy results.
+fn policy_results(scenarios: &[Scenario]) -> Vec<PolicyExperimentResult> {
+    run_rows(scenarios, |cell| PolicyExperimentResult {
+        policy: cell.scenario.policy.label().to_string(),
+        code: cell.code,
+        shots: cell.scenario.shots,
+        rounds: cell.scenario.rounds,
+        metrics: cell.metrics,
+    })
+}
+
 // ---------------------------------------------------------------------------------
 // Figure 1(b,c): headline FN/FP/LRC comparison and leakage population at d = 11.
 // ---------------------------------------------------------------------------------
@@ -99,15 +159,14 @@ fn default_noise(p: f64, lr: f64) -> NoiseParams {
 /// Runs the headline comparison of Figure 1(b) and 1(c).
 #[must_use]
 pub fn fig1_headline(scale: &Scale) -> Vec<PolicyExperimentResult> {
-    let d = scale.distance(11);
-    let code = Code::rotated_surface(d);
-    let rounds = scale.rounds(100 * 11);
-    let base = spec(PolicyKind::EraserM, default_noise(1e-3, 0.1), rounds, scale);
-    compare_policies(
-        &code,
-        &base,
-        &[PolicyKind::EraserM, PolicyKind::GladiatorM, PolicyKind::GladiatorDM, PolicyKind::Ideal],
-    )
+    policy_results(&cells(
+        CodeFamily::Surface,
+        scale.distance(11),
+        scale.rounds(100 * 11),
+        (1e-3, 0.1),
+        &[EraserM, GladiatorM, GladiatorDM, Ideal],
+        scale,
+    ))
 }
 
 // ---------------------------------------------------------------------------------
@@ -162,58 +221,36 @@ pub struct LerRow {
     pub lrcs_per_round: f64,
 }
 
+/// Decoded surface-code cells at `lr = 0.1` over `10·d` rounds, error-rate-major
+/// then distance-major.
 fn ler_sweep(
+    error_rates: &[f64],
     distances: &[usize],
     policies: &[PolicyKind],
-    p: f64,
-    lr: f64,
-    rounds_per_d: usize,
     scale: &Scale,
 ) -> Vec<LerRow> {
-    // Expressed as scenarios so the sweep executor shares the code instance,
-    // policy factory and decoder across the (distance × policy) grid.
     let mut scenarios = Vec::new();
-    for &d in distances {
-        let d = scale.distance(d);
-        let rounds = scale.rounds(rounds_per_d * d).max(2);
-        for &kind in policies {
-            scenarios.push(Scenario {
-                code: CodeFamily::Surface,
-                distance: d,
-                rounds,
-                p,
-                leakage_ratio: lr,
-                policy: kind,
-                shots: scale.shots,
-                seed: scale.seed,
-                decode: true,
-                decoder: None,
-            });
+    for &p in error_rates {
+        for &d in distances {
+            let d = scale.distance(d);
+            let rounds = scale.rounds(10 * d).max(2);
+            scenarios.extend(cells(CodeFamily::Surface, d, rounds, (p, 0.1), policies, scale));
         }
     }
-    run_scenarios(&scenarios, false)
-        .into_iter()
-        .map(|cell| LerRow {
-            policy: cell.scenario.policy.label().to_string(),
-            distance: cell.scenario.distance,
-            p,
-            logical_error_rate: cell.metrics.logical_error_rate.unwrap_or(0.0),
-            lrcs_per_round: cell.metrics.lrcs_per_round,
-        })
-        .collect()
+    scenarios.iter_mut().for_each(|scenario| scenario.decode = true);
+    run_rows(&scenarios, |cell| LerRow {
+        policy: cell.scenario.policy.label().to_string(),
+        distance: cell.scenario.distance,
+        p: cell.scenario.p,
+        logical_error_rate: cell.metrics.logical_error_rate.unwrap_or(0.0),
+        lrcs_per_round: cell.metrics.lrcs_per_round,
+    })
 }
 
 /// Reproduces Figure 4(b): LER of the open-loop policies and ERASER+M.
 #[must_use]
 pub fn fig4b_open_loop_ler(scale: &Scale) -> Vec<LerRow> {
-    ler_sweep(
-        &[3, 5],
-        &[PolicyKind::AlwaysLrc, PolicyKind::Staggered, PolicyKind::EraserM],
-        1e-3,
-        0.1,
-        10,
-        scale,
-    )
+    ler_sweep(&[1e-3], &[3, 5], &[AlwaysLrc, Staggered, EraserM], scale)
 }
 
 // ---------------------------------------------------------------------------------
@@ -300,8 +337,8 @@ pub fn fig5_surface_pattern_usage(scale: &Scale) -> Vec<PatternUsageRow> {
     let d = scale.distance(7);
     let code = Code::rotated_surface(d);
     let rounds = scale.rounds(100);
-    let mut rows = pattern_usage_histogram(&code, PolicyKind::EraserM, 4, scale, rounds);
-    rows.extend(pattern_usage_histogram(&code, PolicyKind::GladiatorM, 4, scale, rounds));
+    let mut rows = pattern_usage_histogram(&code, EraserM, 4, scale, rounds);
+    rows.extend(pattern_usage_histogram(&code, GladiatorM, 4, scale, rounds));
     rows
 }
 
@@ -351,9 +388,9 @@ pub fn fig8_color_code(scale: &Scale) -> (Vec<FlaggedCountRow>, Vec<PatternUsage
         });
     }
     let rounds = scale.rounds(100);
-    let mut usage = pattern_usage_histogram(&code, PolicyKind::EraserM, 3, scale, rounds);
-    usage.extend(pattern_usage_histogram(&code, PolicyKind::GladiatorM, 3, scale, rounds));
-    usage.extend(pattern_usage_histogram(&code, PolicyKind::GladiatorDM, 3, scale, rounds));
+    let mut usage = pattern_usage_histogram(&code, EraserM, 3, scale, rounds);
+    usage.extend(pattern_usage_histogram(&code, GladiatorM, 3, scale, rounds));
+    usage.extend(pattern_usage_histogram(&code, GladiatorDM, 3, scale, rounds));
     (counts, usage)
 }
 
@@ -365,22 +402,14 @@ pub fn fig8_color_code(scale: &Scale) -> (Vec<FlaggedCountRow>, Vec<PatternUsage
 /// ERASER / GLADIATOR / GLADIATOR-D with and without MLR (surface code d = 7).
 #[must_use]
 pub fn fig9_speculation_accuracy(scale: &Scale) -> Vec<PolicyExperimentResult> {
-    let d = scale.distance(7);
-    let code = Code::rotated_surface(d);
-    let rounds = scale.rounds(10 * 7);
-    let base = spec(PolicyKind::Eraser, default_noise(1e-3, 0.1), rounds, scale);
-    compare_policies(
-        &code,
-        &base,
-        &[
-            PolicyKind::Eraser,
-            PolicyKind::Gladiator,
-            PolicyKind::GladiatorD,
-            PolicyKind::EraserM,
-            PolicyKind::GladiatorM,
-            PolicyKind::GladiatorDM,
-        ],
-    )
+    policy_results(&cells(
+        CodeFamily::Surface,
+        scale.distance(7),
+        scale.rounds(10 * 7),
+        (1e-3, 0.1),
+        &[Eraser, Gladiator, GladiatorD, EraserM, GladiatorM, GladiatorDM],
+        scale,
+    ))
 }
 
 // ---------------------------------------------------------------------------------
@@ -402,53 +431,42 @@ pub struct DlpSeriesRow {
     pub lrcs_per_round: f64,
 }
 
+/// Runs `scenarios` as leakage-population trajectories.
+fn dlp_rows(scenarios: &[Scenario]) -> Vec<DlpSeriesRow> {
+    run_rows(scenarios, |cell| DlpSeriesRow {
+        code: cell.code,
+        policy: cell.scenario.policy.label().to_string(),
+        leakage_ratio: cell.scenario.leakage_ratio,
+        dlp_series: cell.metrics.dlp_series,
+        lrcs_per_round: cell.metrics.lrcs_per_round,
+    })
+}
+
 /// Reproduces Figure 10: DLP over 100·d rounds for surface codes at several distances
 /// and leakage ratios.
 #[must_use]
 pub fn fig10_surface_dlp(scale: &Scale) -> Vec<DlpSeriesRow> {
-    let policies =
-        [PolicyKind::EraserM, PolicyKind::GladiatorM, PolicyKind::GladiatorDM, PolicyKind::Ideal];
-    let mut rows = Vec::new();
-    for &(paper_d, lr) in &[(7usize, 0.1f64), (11, 0.1), (11, 1.0)] {
-        let d = scale.distance(paper_d);
-        let code = Code::rotated_surface(d);
-        let rounds = scale.rounds(100 * paper_d);
-        for &kind in &policies {
-            let s = spec(kind, default_noise(1e-3, lr), rounds, scale);
-            let result = run_policy_experiment(&code, &s);
-            rows.push(DlpSeriesRow {
-                code: code.name().to_string(),
-                policy: kind.label().to_string(),
-                leakage_ratio: lr,
-                dlp_series: result.metrics.dlp_series.clone(),
-                lrcs_per_round: result.metrics.lrcs_per_round,
-            });
-        }
+    let policies = [EraserM, GladiatorM, GladiatorDM, Ideal];
+    let mut scenarios = Vec::new();
+    for (paper_d, lr) in [(7usize, 0.1f64), (11, 0.1), (11, 1.0)] {
+        let (d, rounds) = (scale.distance(paper_d), scale.rounds(100 * paper_d));
+        scenarios.extend(cells(CodeFamily::Surface, d, rounds, (1e-3, lr), &policies, scale));
     }
-    rows
+    dlp_rows(&scenarios)
 }
 
 /// Reproduces Figure 11: DLP and LRC usage on the color code (d = 19 in the paper)
 /// over 100 QEC cycles.
 #[must_use]
 pub fn fig11_color_dlp(scale: &Scale) -> Vec<DlpSeriesRow> {
-    let d = scale.distance(19);
-    let code = Code::color_666(d);
-    let rounds = scale.rounds(100).max(20);
-    [PolicyKind::EraserM, PolicyKind::GladiatorM, PolicyKind::GladiatorDM]
-        .iter()
-        .map(|&kind| {
-            let s = spec(kind, default_noise(1e-3, 0.1), rounds, scale);
-            let result = run_policy_experiment(&code, &s);
-            DlpSeriesRow {
-                code: code.name().to_string(),
-                policy: kind.label().to_string(),
-                leakage_ratio: 0.1,
-                dlp_series: result.metrics.dlp_series.clone(),
-                lrcs_per_round: result.metrics.lrcs_per_round,
-            }
-        })
-        .collect()
+    dlp_rows(&cells(
+        CodeFamily::Color,
+        scale.distance(19),
+        scale.rounds(100).max(20),
+        (1e-3, 0.1),
+        &[EraserM, GladiatorM, GladiatorDM],
+        scale,
+    ))
 }
 
 // ---------------------------------------------------------------------------------
@@ -459,14 +477,7 @@ pub fn fig11_color_dlp(scale: &Scale) -> Vec<DlpSeriesRow> {
 /// GLADIATOR+M, plus the suppression factor Λ.
 #[must_use]
 pub fn fig12_ler_vs_distance(scale: &Scale) -> Vec<LerRow> {
-    ler_sweep(
-        &[3, 5, 7],
-        &[PolicyKind::NoLrc, PolicyKind::AlwaysLrc, PolicyKind::EraserM, PolicyKind::GladiatorM],
-        1e-3,
-        0.1,
-        10,
-        scale,
-    )
+    ler_sweep(&[1e-3], &[3, 5, 7], &[NoLrc, AlwaysLrc, EraserM, GladiatorM], scale)
 }
 
 /// Suppression factor Λ between consecutive distances for one policy (Figure 12's
@@ -485,33 +496,7 @@ pub fn suppression_factor(rows: &[LerRow], policy: &str) -> Vec<f64> {
 /// Reproduces Figure 13: LER and LRC usage at p = 10⁻³ vs p = 10⁻⁴.
 #[must_use]
 pub fn fig13_error_rate_sensitivity(scale: &Scale) -> Vec<LerRow> {
-    let mut rows = ler_sweep(
-        &[5],
-        &[
-            PolicyKind::AlwaysLrc,
-            PolicyKind::EraserM,
-            PolicyKind::GladiatorM,
-            PolicyKind::GladiatorDM,
-        ],
-        1e-3,
-        0.1,
-        10,
-        scale,
-    );
-    rows.extend(ler_sweep(
-        &[5],
-        &[
-            PolicyKind::AlwaysLrc,
-            PolicyKind::EraserM,
-            PolicyKind::GladiatorM,
-            PolicyKind::GladiatorDM,
-        ],
-        1e-4,
-        0.1,
-        10,
-        scale,
-    ));
-    rows
+    ler_sweep(&[1e-3, 1e-4], &[5], &[AlwaysLrc, EraserM, GladiatorM, GladiatorDM], scale)
 }
 
 // ---------------------------------------------------------------------------------
@@ -534,26 +519,22 @@ pub struct DistanceScalingRow {
 /// Reproduces Figure 14: total leakages and LRC usage as the code distance grows.
 #[must_use]
 pub fn fig14_distance_scaling(scale: &Scale) -> Vec<DistanceScalingRow> {
-    let mut rows = Vec::new();
-    for &paper_d in &[7usize, 11, 13, 17] {
+    let policies = [EraserM, GladiatorM, Ideal];
+    let mut scenarios: Vec<Scenario> = Vec::new();
+    for paper_d in [7usize, 11, 13, 17] {
         let d = scale.distance(paper_d);
-        if rows.iter().any(|r: &DistanceScalingRow| r.distance == d) {
-            continue; // capped distances collapse; keep one copy
-        }
-        let code = Code::rotated_surface(d);
-        let rounds = scale.rounds(100 * paper_d);
-        for &kind in &[PolicyKind::EraserM, PolicyKind::GladiatorM, PolicyKind::Ideal] {
-            let s = spec(kind, default_noise(1e-3, 0.1), rounds, scale);
-            let result = run_policy_experiment(&code, &s);
-            rows.push(DistanceScalingRow {
-                distance: d,
-                policy: kind.label().to_string(),
-                average_dlp: result.metrics.average_dlp,
-                data_lrcs: result.metrics.data_lrcs,
-            });
+        // Capped distances collapse; the first paper distance sets the rounds.
+        if scenarios.iter().all(|s| s.distance != d) {
+            let rounds = scale.rounds(100 * paper_d);
+            scenarios.extend(cells(CodeFamily::Surface, d, rounds, (1e-3, 0.1), &policies, scale));
         }
     }
-    rows
+    run_rows(&scenarios, |cell| DistanceScalingRow {
+        distance: cell.scenario.distance,
+        policy: cell.scenario.policy.label().to_string(),
+        average_dlp: cell.metrics.average_dlp,
+        data_lrcs: cell.metrics.data_lrcs,
+    })
 }
 
 // ---------------------------------------------------------------------------------
@@ -564,22 +545,14 @@ pub fn fig14_distance_scaling(scale: &Scale) -> Vec<DistanceScalingRow> {
 /// for Always-LRC, ERASER(±M), MLR-only, Staggered and GLADIATOR+M.
 #[must_use]
 pub fn table2_efficacy(scale: &Scale) -> Vec<PolicyExperimentResult> {
-    let d = scale.distance(7);
-    let code = Code::rotated_surface(d);
-    let rounds = scale.rounds(700).max(10);
-    let base = spec(PolicyKind::AlwaysLrc, default_noise(1e-3, 0.1), rounds, scale);
-    compare_policies(
-        &code,
-        &base,
-        &[
-            PolicyKind::AlwaysLrc,
-            PolicyKind::Eraser,
-            PolicyKind::EraserM,
-            PolicyKind::MlrOnly,
-            PolicyKind::Staggered,
-            PolicyKind::GladiatorM,
-        ],
-    )
+    policy_results(&cells(
+        CodeFamily::Surface,
+        scale.distance(7),
+        scale.rounds(700).max(10),
+        (1e-3, 0.1),
+        &[AlwaysLrc, Eraser, EraserM, MlrOnly, Staggered, GladiatorM],
+        scale,
+    ))
 }
 
 // ---------------------------------------------------------------------------------
@@ -618,35 +591,23 @@ pub struct Table4Row {
 /// Reproduces Table 4 for GLADIATOR+M and ERASER+M at d = 11.
 #[must_use]
 pub fn table4_equilibrium(scale: &Scale) -> Vec<Table4Row> {
-    let d = scale.distance(11);
-    let code = Code::rotated_surface(d);
-    let rounds = scale.rounds(100 * 11);
-    let mut rows = Vec::new();
-    for &kind in &[PolicyKind::GladiatorM, PolicyKind::EraserM] {
-        for &lr in &[0.01f64, 0.1, 1.0] {
-            let s = spec(kind, default_noise(1e-3, lr), rounds, scale);
-            let result = run_policy_experiment(&code, &s);
-            rows.push(Table4Row {
-                policy: kind.label().to_string(),
-                leakage_ratio: lr,
-                p: 1e-3,
-                leakage_equilibrium: result.metrics.final_dlp,
-                inaccuracy_per_round: result.metrics.inaccuracy_per_round,
-            });
-        }
-        for &p in &[1e-3f64, 1e-4] {
-            let s = spec(kind, default_noise(p, 0.1), rounds, scale);
-            let result = run_policy_experiment(&code, &s);
-            rows.push(Table4Row {
-                policy: kind.label().to_string(),
-                leakage_ratio: 0.1,
-                p,
-                leakage_equilibrium: result.metrics.final_dlp,
-                inaccuracy_per_round: result.metrics.inaccuracy_per_round,
-            });
+    let (d, rounds) = (scale.distance(11), scale.rounds(100 * 11));
+    // Policy-major: the three equilibrium columns (lr at p = 1e-3), then the
+    // two inaccuracy columns (p at lr = 0.1).
+    let points = [(1e-3, 0.01), (1e-3, 0.1), (1e-3, 1.0), (1e-3, 0.1), (1e-4, 0.1)];
+    let mut scenarios = Vec::new();
+    for kind in [GladiatorM, EraserM] {
+        for point in points {
+            scenarios.extend(cells(CodeFamily::Surface, d, rounds, point, &[kind], scale));
         }
     }
-    rows
+    run_rows(&scenarios, |cell| Table4Row {
+        policy: cell.scenario.policy.label().to_string(),
+        leakage_ratio: cell.scenario.leakage_ratio,
+        p: cell.scenario.p,
+        leakage_equilibrium: cell.metrics.final_dlp,
+        inaccuracy_per_round: cell.metrics.inaccuracy_per_round,
+    })
 }
 
 // ---------------------------------------------------------------------------------
@@ -670,23 +631,25 @@ pub struct Table5Row {
 /// color, HGP and BPC codes.
 #[must_use]
 pub fn table5_code_families(scale: &Scale) -> Vec<Table5Row> {
-    let codes: Vec<Code> = vec![
-        Code::rotated_surface(scale.distance(7)),
-        Code::color_666(scale.distance(7)),
-        Code::hgp(if scale.max_distance >= 9 { 3 } else { 2 }),
-        Code::bpc(21),
+    let families = [
+        (CodeFamily::Surface, scale.distance(7)),
+        (CodeFamily::Color, scale.distance(7)),
+        (CodeFamily::Hgp, if scale.max_distance >= 9 { 3 } else { 2 }),
+        (CodeFamily::Bpc, 21),
     ];
     let rounds = scale.rounds(100).max(10);
-    codes
-        .into_iter()
-        .map(|code| {
-            let base = spec(PolicyKind::EraserM, default_noise(1e-3, 0.1), rounds, scale);
-            let results =
-                compare_policies(&code, &base, &[PolicyKind::EraserM, PolicyKind::GladiatorM]);
-            let (eraser, glad) = (&results[0].metrics, &results[1].metrics);
+    let policies = [EraserM, GladiatorM];
+    let mut scenarios = Vec::new();
+    for (code, size) in families {
+        scenarios.extend(cells(code, size, rounds, (1e-3, 0.1), &policies, scale));
+    }
+    run_scenarios(&scenarios, false)
+        .chunks(policies.len())
+        .map(|pair| {
+            let (eraser, glad) = (&pair[0].metrics, &pair[1].metrics);
             let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { f64::INFINITY };
             Table5Row {
-                code: code.name().to_string(),
+                code: pair[0].code.clone(),
                 lrc_reduction: ratio(eraser.data_lrcs, glad.data_lrcs),
                 dlp_reduction: ratio(eraser.average_dlp, glad.average_dlp),
                 cycle_time_reduction: ratio(eraser.lrc_time_ns, glad.lrc_time_ns),
@@ -734,7 +697,7 @@ pub fn table6_mobility(scale: &Scale) -> Vec<Table6Row> {
                 .leakage_ratio(1.0)
                 .mobility(mobility)
                 .build();
-            let s = spec(PolicyKind::GladiatorM, noise, rounds, scale);
+            let s = spec(GladiatorM, noise, rounds, scale);
             let mut correct = 0usize;
             let mut classified = 0usize;
             let mut conditional_sum = 0.0;

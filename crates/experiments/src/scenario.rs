@@ -88,6 +88,17 @@ impl CodeFamily {
         }
     }
 
+    /// The name of the instance [`CodeFamily::build`] returns at `size`,
+    /// without building it.
+    #[must_use]
+    pub(crate) fn code_name(self, size: usize) -> String {
+        let prefix = match self {
+            CodeFamily::Surface | CodeFamily::Color => 'd',
+            CodeFamily::Hgp | CodeFamily::Bpc => 'l',
+        };
+        format!("{}-{prefix}{size}", self.label())
+    }
+
     /// Builds the concrete code instance of this family at `size`.
     ///
     /// # Panics
@@ -304,6 +315,7 @@ mod tests {
             family.validate_size(size).unwrap();
             let code = family.build(size);
             assert!(code.name().starts_with(family.label()), "{}", code.name());
+            assert_eq!(family.code_name(size), code.name());
         }
     }
 

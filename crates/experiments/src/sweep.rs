@@ -350,8 +350,7 @@ pub fn run_sweep_with_corpus(
     mode: ReplayMode,
 ) -> Result<SweepReport, String> {
     use crate::replay::{
-        calibration_for, cell_key, evaluate_cell_set, load_entry, record_into_corpus,
-        reproduces_live,
+        cell_key, evaluate_cell_set, load_entry, record_into_corpus, reproduces_live,
     };
 
     let scenarios = spec.expand()?;
@@ -362,36 +361,38 @@ pub fn run_sweep_with_corpus(
     let generator = format!("repro sweep {}", env!("CARGO_PKG_VERSION"));
     let mut cells = Vec::with_capacity(scenarios.len());
     let mut manifest_dirty = false;
-    // Shared per-(family, distance) artifacts, exactly like [`run_scenarios`]:
-    // the factory is *recalibrated* (code-derived structures survive) when the
-    // error-rate axis moves, and decoders are reused per round count.
-    let mut shared: Option<(CodeFamily, usize, Arc<PolicyFactory>)> = None;
-    let mut decoders: BTreeMap<(usize, Option<DecoderKind>), Arc<dyn DecoderBackend>> =
-        BTreeMap::new();
+    let mut engines = SharedEngines::default();
     let mut start = 0usize;
     while start < scenarios.len() {
         // Policies are the innermost expansion axis, so one recorded cell
         // serves a consecutive scenario group.
-        let key = cell_key(&scenarios[start]);
+        let scenario = &scenarios[start];
+        let key = cell_key(scenario);
         let end = start + scenarios[start..].iter().take_while(|s| cell_key(s) == key).count();
         let entry = match corpus.lookup(&key) {
             Some(entry) => entry.clone(),
             None => {
-                let entry =
-                    record_into_corpus(&mut corpus, &scenarios[start], recording_kind, &generator)
-                        .map_err(|e| format!("cell {key}: {e}"))?;
+                let entry = record_into_corpus(&mut corpus, scenario, recording_kind, &generator)
+                    .map_err(|e| format!("cell {key}: {e}"))?;
                 manifest_dirty = true;
                 entry
             }
         };
         let cell = load_entry(&corpus, &entry)?;
-        if cell.header.rounds != scenarios[start].rounds
-            || cell.header.shots != scenarios[start].shots
+        // The shared factory is calibrated from the scenario, so the header
+        // must describe exactly the scenario's execution.
+        if cell.header.rounds != scenario.rounds
+            || cell.header.shots != scenario.shots
+            || cell.header.noise.p != scenario.p
+            || cell.header.noise.leakage_ratio != scenario.leakage_ratio
         {
             return Err(format!(
-                "cell {key}: corpus trace was recorded with rounds={}, shots={} — delete the \
-                 stale entry or use a fresh corpus directory",
-                cell.header.rounds, cell.header.shots
+                "cell {key}: corpus trace was recorded with rounds={}, shots={}, p={:e}, \
+                 lr={:e} — delete the stale entry or use a fresh corpus directory",
+                cell.header.rounds,
+                cell.header.shots,
+                cell.header.noise.p,
+                cell.header.noise.leakage_ratio
             ));
         }
         // A cache hit recorded under a different policy would silently turn the
@@ -406,46 +407,17 @@ pub fn run_sweep_with_corpus(
                 cell.header.policy
             ));
         }
-        let calibration = calibration_for(&cell.header);
-        let group_key = (scenarios[start].code, scenarios[start].distance);
-        let factory = match shared.take() {
-            Some((family, distance, factory)) if (family, distance) == group_key => {
-                if factory.config() == &calibration {
-                    factory
-                } else {
-                    Arc::new(factory.recalibrated(&calibration))
-                }
-            }
-            _ => {
-                decoders.clear(); // decoders are (family, distance)-specific too
-                Arc::new(PolicyFactory::new(&cell.code, &calibration))
-            }
-        };
-        shared = Some((group_key.0, group_key.1, Arc::clone(&factory)));
         let group = &scenarios[start..end];
         let group_start = Instant::now();
-        let mut shot_decoders: Vec<Option<Arc<dyn DecoderBackend>>> =
-            Vec::with_capacity(group.len());
-        for scenario in group {
-            // Skip the decoder build for a pairing that will not decode.
-            let want_decode = scenario.decode && reproduces_live(&cell, scenario.policy, mode);
-            let decoder = if want_decode {
-                let slot = (scenario.rounds, scenario.decoder);
-                let backend = match decoders.get(&slot) {
-                    Some(backend) => Arc::clone(backend),
-                    None => {
-                        let built = build_backend(scenario.decoder, &cell.code, scenario.rounds)
-                            .map_err(|e| format!("cell {key}: {e}"))?;
-                        decoders.insert(slot, Arc::clone(&built));
-                        built
-                    }
-                };
-                Some(backend)
-            } else {
-                None
-            };
-            shot_decoders.push(decoder);
-        }
+        let (factory, _) = engines.artifacts(scenario, false)?;
+        // Only a pairing that reproduces the live run decodes.
+        let shot_decoders = group
+            .iter()
+            .map(|s| {
+                let decode = s.decode && reproduces_live(&cell, s.policy, mode);
+                Ok(engines.artifacts(s, decode)?.1)
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         let decoder_refs: Vec<Option<&dyn DecoderBackend>> =
             shot_decoders.iter().map(std::option::Option::as_deref).collect();
         let kinds: Vec<PolicyKind> = group.iter().map(|s| s.policy).collect();
@@ -512,12 +484,14 @@ pub fn run_scenarios(scenarios: &[Scenario], timing: bool) -> Vec<SweepCell> {
         .collect()
 }
 
-/// The one artifact-sharing builder of live sweeps: fed scenarios in order,
-/// it builds one [`BatchEngine`] per scenario. Consecutive scenarios with the
-/// same `(family, distance)` share one policy factory (re-calibrated, not
-/// rebuilt, when the error rate moves) and one decoder backend per
-/// `(rounds, decoder)`. Only the current group's artifacts are held; each
-/// engine keeps its own handles to the ones it uses.
+/// The one artifact-sharing source of every grid, live or corpus-backed: fed
+/// scenarios in order, it hands out each scenario's calibrated policy factory
+/// and decoder ([`SharedEngines::artifacts`]), or a [`BatchEngine`] wired onto
+/// them ([`SharedEngines::engine`]). Consecutive scenarios with the same
+/// `(family, distance)` share one policy factory (re-calibrated, not rebuilt,
+/// when the error rate moves) and one decoder backend per `(rounds, decoder)`.
+/// Only the current group's artifacts are held; each engine keeps its own
+/// handles to the ones it uses.
 #[derive(Default)]
 pub(crate) struct SharedEngines {
     group: Option<EngineGroup>,
@@ -537,24 +511,40 @@ impl SharedEngines {
     /// Returns a message when the scenario's decoder cannot serve its code.
     pub(crate) fn engine(&mut self, scenario: &Scenario) -> Result<BatchEngine, String> {
         let spec = scenario.to_spec();
+        let (factory, decoder) = self.artifacts(scenario, spec.decode)?;
+        Ok(BatchEngine::with_shared(&spec, factory, decoder))
+    }
+
+    /// The scenario's policy factory, calibrated to its `(p, lr)`, and, when
+    /// `decode` is set, its decoder for `(rounds, decoder)`.
+    ///
+    /// # Errors
+    /// Returns a message when the scenario's decoder cannot serve its code.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn artifacts(
+        &mut self,
+        scenario: &Scenario,
+        decode: bool,
+    ) -> Result<(Arc<PolicyFactory>, Option<Arc<dyn DecoderBackend>>), String> {
+        let calibration = scenario.to_spec().gladiator;
         let key = (scenario.code, scenario.distance);
         let group = match &mut self.group {
             Some(group) if group.key == key => {
-                if group.factory.config() != &spec.gladiator {
-                    group.factory = Arc::new(group.factory.recalibrated(&spec.gladiator));
+                if group.factory.config() != &calibration {
+                    group.factory = Arc::new(group.factory.recalibrated(&calibration));
                 }
                 group
             }
             slot => {
-                let factory = Arc::new(PolicyFactory::new(&scenario.build_code(), &spec.gladiator));
+                let factory = Arc::new(PolicyFactory::new(&scenario.build_code(), &calibration));
                 slot.insert(EngineGroup { key, factory, decoders: BTreeMap::new() })
             }
         };
-        let decoder = if spec.decode {
-            let backend = match group.decoders.entry((spec.rounds, scenario.decoder)) {
+        let decoder = if decode {
+            let backend = match group.decoders.entry((scenario.rounds, scenario.decoder)) {
                 Entry::Occupied(entry) => entry.into_mut(),
                 Entry::Vacant(entry) => entry.insert(
-                    build_backend(scenario.decoder, group.factory.code(), spec.rounds)
+                    build_backend(scenario.decoder, group.factory.code(), scenario.rounds)
                         .map_err(|e| format!("cell {}: {e}", scenario.id()))?,
                 ),
             };
@@ -562,7 +552,7 @@ impl SharedEngines {
         } else {
             None
         };
-        Ok(BatchEngine::with_shared(&spec, Arc::clone(&group.factory), decoder))
+        Ok((Arc::clone(&group.factory), decoder))
     }
 }
 

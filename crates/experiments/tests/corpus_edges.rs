@@ -36,12 +36,18 @@ fn recorded_corpus(name: &str) -> (PathBuf, Corpus) {
 #[test]
 fn manifest_metadata_that_disagrees_with_the_shard_header_is_rejected() {
     type Edit = fn(&mut qec_trace::CorpusEntry);
-    let cases: [(&str, &str, Edit); 5] = [
+    let cases: [(&str, &str, Edit); 9] = [
         ("rounds", "rounds", |e| e.rounds = 99),
         ("shots", "shots", |e| e.shots = 77),
         ("seed", "seed", |e| e.seed = 1234),
         ("policy", "policy", |e| e.policy = "ideal".to_string()),
         ("schema", "trace_schema", |e| e.trace_schema = 42),
+        ("code", "code=surface-d5", |e| e.code = "surface-d5".to_string()),
+        ("p", "p=0.002", |e| e.p = 2e-3),
+        ("lr", "leakage_ratio=1", |e| e.leakage_ratio = 1.0),
+        ("key", "key=surface d=3 rounds=6 p=1e-3 lr=1e-1 shots=2 seed=20", |e| {
+            e.key = e.key.replace("seed=19", "seed=20");
+        }),
     ];
     for (name, field, edit) in cases {
         let (dir, corpus) = recorded_corpus(name);
@@ -74,6 +80,18 @@ fn a_manifest_entry_with_the_wrong_code_family_is_rejected() {
     entry.distance = 5;
     let err = load_entry(&corpus, &entry).unwrap_err();
     assert!(err.contains("does not match"), "{err}");
+    // Sizes are checked against the shard header before any code is built: an
+    // even surface distance would panic the constructor, and a huge one would
+    // spend minutes building a code the shard never held.
+    for (distance, expected) in [
+        (4, "surface does not admit size 4"),
+        (1001, "surface-d1001 does not match the trace's recorded code surface-d3"),
+    ] {
+        let mut entry = corpus.entries()[0].clone();
+        entry.distance = distance;
+        let err = load_entry(&corpus, &entry).unwrap_err();
+        assert!(err.contains(&format!("distance={distance}")) && err.contains(expected), "{err}");
+    }
 
     let mut family = corpus.entries()[0].clone();
     family.family = "steane".to_string();

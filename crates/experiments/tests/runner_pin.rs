@@ -3,7 +3,7 @@
 //! One FNV-1a digest per runner covers the pretty JSON `repro run` writes for
 //! it (`report::to_json` of the runner's rows), at `Scale::smoke()` and at
 //! `Scale::quick()`, the default scale of `repro run`. A change that moves a
-//! row on purpose updates the digests here and says why in CHANGES.md.
+//! row on purpose updates these digests and says why in CHANGES.md.
 
 use qec_experiments::report::to_json;
 use qec_experiments::runners::{self, Scale};

@@ -171,14 +171,6 @@ impl NoiseParamsBuilder {
         self
     }
 
-    /// Set the timing model (gate layer, measurement+reset, LRC latency) in ns.
-    pub fn timings_ns(&mut self, gate: f64, meas: f64, lrc: f64) -> &mut Self {
-        self.params.gate_time_ns = gate;
-        self.params.meas_time_ns = meas;
-        self.params.lrc_time_ns = lrc;
-        self
-    }
-
     /// Finish building.
     ///
     /// # Panics

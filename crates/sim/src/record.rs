@@ -122,12 +122,6 @@ impl RunRecord {
     pub fn total_time_ns(&self) -> f64 {
         self.rounds.iter().map(|r| r.cycle_time_ns).sum()
     }
-
-    /// Detector outcomes laid out per round (row) and check id (column).
-    #[must_use]
-    pub fn detector_matrix(&self) -> Vec<Vec<bool>> {
-        self.rounds.iter().map(|r| r.detectors.clone()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +168,6 @@ mod tests {
         assert!((run.average_data_leak_fraction() - 0.25).abs() < 1e-12);
         assert!((run.final_data_leak_fraction() - 0.5).abs() < 1e-12);
         assert!((run.total_time_ns() - 1200.0).abs() < 1e-9);
-        assert_eq!(run.detector_matrix().len(), 2);
     }
 
     #[test]

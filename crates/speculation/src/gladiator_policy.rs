@@ -2,9 +2,8 @@
 
 use std::sync::Arc;
 
-use gladiator::{GladiatorConfig, GladiatorModel, SiteClass};
+use gladiator::{GladiatorModel, SiteClass};
 use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext};
-use qec_codes::Code;
 
 use crate::heuristics::mlr_ancilla_requests;
 use crate::patterns::PatternExtractor;
@@ -13,7 +12,7 @@ use crate::patterns::PatternExtractor;
 ///
 /// The policy evaluates, for every data qubit, the syndrome pattern over its adjacent
 /// parity sites and schedules an LRC when the pattern is labeled leakage-dominated.
-/// Three switches reproduce the paper's variants: `with_mlr` adds MLR-triggered parity
+/// Two switches reproduce the paper's variants: `use_mlr` adds MLR-triggered parity
 /// LRCs ("+M"), and `deferred` classifies two-round windows instead of single rounds
 /// ("-D", Section 5.2).
 ///
@@ -25,9 +24,8 @@ use crate::patterns::PatternExtractor;
 /// The expensive code-derived artifacts — the offline [`GladiatorModel`] (fault
 /// enumeration + Quine–McCluskey), the [`PatternExtractor`] and the per-qubit site
 /// classes — are held behind [`Arc`] so one build can back many policy instances
-/// across shots and threads (see [`crate::PolicyFactory`]). The convenience
-/// constructors below build a private copy of everything; batch paths should go
-/// through [`GladiatorPolicy::from_shared`] instead.
+/// across shots and threads: [`crate::PolicyFactory`] builds them once and hands them
+/// to [`GladiatorPolicy::from_shared`], the one constructor.
 #[derive(Debug, Clone)]
 pub struct GladiatorPolicy {
     extractor: Arc<PatternExtractor>,
@@ -35,45 +33,10 @@ pub struct GladiatorPolicy {
     qubit_classes: Arc<Vec<SiteClass>>,
     qubit_uses_window: Vec<bool>,
     use_mlr: bool,
-    deferred: bool,
     name: &'static str,
 }
 
 impl GladiatorPolicy {
-    /// Plain GLADIATOR (single-round speculation, no MLR).
-    #[must_use]
-    pub fn new(code: &Code, config: GladiatorConfig) -> Self {
-        Self::build(code, config, false, false)
-    }
-
-    /// GLADIATOR+M.
-    #[must_use]
-    pub fn with_mlr(code: &Code, config: GladiatorConfig) -> Self {
-        Self::build(code, config, true, false)
-    }
-
-    /// GLADIATOR-D (two-round deferred speculation, no MLR).
-    #[must_use]
-    pub fn deferred(code: &Code, config: GladiatorConfig) -> Self {
-        Self::build(code, config, false, true)
-    }
-
-    /// GLADIATOR-D+M.
-    #[must_use]
-    pub fn deferred_with_mlr(code: &Code, config: GladiatorConfig) -> Self {
-        Self::build(code, config, true, true)
-    }
-
-    fn build(code: &Code, config: GladiatorConfig, use_mlr: bool, deferred: bool) -> Self {
-        Self::from_shared(
-            Arc::new(GladiatorModel::for_code(code, config)),
-            Arc::new(PatternExtractor::new(code)),
-            Arc::new(SiteClass::per_qubit(code)),
-            use_mlr,
-            deferred,
-        )
-    }
-
     /// Builds a policy around prebuilt, shared offline artifacts. The artifacts must
     /// all derive from the same code; only the cheap per-qubit window flags are
     /// computed here, so calling this once per worker thread costs O(num_data).
@@ -98,34 +61,7 @@ impl GladiatorPolicy {
                     || model.class_table(class).map_or(true, |table| table.flagged_count() == 0)
             })
             .collect();
-        GladiatorPolicy {
-            extractor,
-            model,
-            qubit_classes,
-            qubit_uses_window,
-            use_mlr,
-            deferred,
-            name,
-        }
-    }
-
-    /// The offline model backing this policy.
-    #[must_use]
-    pub fn model(&self) -> &GladiatorModel {
-        &self.model
-    }
-
-    /// Shared handle to the offline model — pointer-compare with
-    /// [`Arc::ptr_eq`] to verify model sharing across policy instances.
-    #[must_use]
-    pub fn model_handle(&self) -> &Arc<GladiatorModel> {
-        &self.model
-    }
-
-    /// `true` when the policy defers decisions over a two-round window.
-    #[must_use]
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
+        GladiatorPolicy { extractor, model, qubit_classes, qubit_uses_window, use_mlr, name }
     }
 }
 
@@ -178,7 +114,8 @@ impl LeakagePolicy for GladiatorPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::EraserPolicy;
+    use crate::{build_policy, PolicyKind};
+    use gladiator::GladiatorConfig;
     use leaky_sim::{NoiseParams, Simulator};
     use qec_codes::Code;
 
@@ -191,24 +128,35 @@ mod tests {
             .build()
     }
 
+    fn policy(kind: PolicyKind, code: &Code) -> Box<dyn LeakagePolicy + Send> {
+        build_policy(kind, code, &GladiatorConfig::default())
+    }
+
     #[test]
     fn variant_names_are_distinct() {
         let code = Code::rotated_surface(3);
-        let config = GladiatorConfig::default();
-        assert_eq!(GladiatorPolicy::new(&code, config).name(), "gladiator");
-        assert_eq!(GladiatorPolicy::with_mlr(&code, config).name(), "gladiator+m");
-        assert_eq!(GladiatorPolicy::deferred(&code, config).name(), "gladiator-d");
-        assert_eq!(GladiatorPolicy::deferred_with_mlr(&code, config).name(), "gladiator-d+m");
-        assert!(GladiatorPolicy::deferred(&code, config).is_deferred());
+        assert_eq!(policy(PolicyKind::Gladiator, &code).name(), "gladiator");
+        assert_eq!(policy(PolicyKind::GladiatorM, &code).name(), "gladiator+m");
+        assert_eq!(policy(PolicyKind::GladiatorD, &code).name(), "gladiator-d");
+        assert_eq!(policy(PolicyKind::GladiatorDM, &code).name(), "gladiator-d+m");
+        // The deferred switch sends every qubit through the two-round window.
+        let deferred = GladiatorPolicy::from_shared(
+            Arc::new(GladiatorModel::for_code(&code, GladiatorConfig::default())),
+            Arc::new(PatternExtractor::new(&code)),
+            Arc::new(SiteClass::per_qubit(&code)),
+            false,
+            true,
+        );
+        assert!(deferred.qubit_uses_window.iter().all(|&window| window));
     }
 
     #[test]
     fn gladiator_catches_an_injected_leak() {
         let code = Code::rotated_surface(3);
-        let mut policy = GladiatorPolicy::with_mlr(&code, GladiatorConfig::default());
+        let mut policy = policy(PolicyKind::GladiatorM, &code);
         let mut sim = Simulator::new(&code, quiet_noise(), 41);
         sim.inject_data_leakage(4);
-        let run = sim.run_with_policy(&mut policy, 40);
+        let run = sim.run_with_policy(policy.as_mut(), 40);
         assert!(
             run.rounds.iter().any(|r| r.data_lrcs.contains(&4)),
             "GLADIATOR should speculate the leaked centre qubit within a few rounds"
@@ -227,10 +175,10 @@ mod tests {
             .mlr_false_flag(0.0)
             .build();
         let rounds = 300;
-        let mut eraser = EraserPolicy::new(&code);
-        let eraser_run = Simulator::new(&code, noise, 7).run_with_policy(&mut eraser, rounds);
-        let mut glad = GladiatorPolicy::new(&code, GladiatorConfig::default());
-        let glad_run = Simulator::new(&code, noise, 7).run_with_policy(&mut glad, rounds);
+        let mut eraser = policy(PolicyKind::Eraser, &code);
+        let eraser_run = Simulator::new(&code, noise, 7).run_with_policy(eraser.as_mut(), rounds);
+        let mut glad = policy(PolicyKind::Gladiator, &code);
+        let glad_run = Simulator::new(&code, noise, 7).run_with_policy(glad.as_mut(), rounds);
         assert!(
             glad_run.total_data_lrcs() * 2 < eraser_run.total_data_lrcs().max(1) * 3,
             "GLADIATOR ({}) should not exceed ~1.5x fewer FPs than ERASER ({})",
@@ -243,10 +191,10 @@ mod tests {
     #[test]
     fn deferred_variant_waits_for_two_rounds() {
         let code = Code::color_666(5);
-        let mut policy = GladiatorPolicy::deferred_with_mlr(&code, GladiatorConfig::default());
+        let mut policy = policy(PolicyKind::GladiatorDM, &code);
         let mut sim = Simulator::new(&code, quiet_noise(), 4);
         sim.inject_data_leakage(9);
-        let run = sim.run_with_policy(&mut policy, 30);
+        let run = sim.run_with_policy(policy.as_mut(), 30);
         // No decision can be made before two rounds of history exist.
         assert!(run.rounds[0].data_lrcs.is_empty());
         assert!(
@@ -258,9 +206,9 @@ mod tests {
     #[test]
     fn quiet_system_triggers_no_lrcs() {
         let code = Code::rotated_surface(3);
-        let mut policy = GladiatorPolicy::with_mlr(&code, GladiatorConfig::default());
+        let mut policy = policy(PolicyKind::GladiatorM, &code);
         let mut sim = Simulator::new(&code, quiet_noise(), 2);
-        let run = sim.run_with_policy(&mut policy, 20);
+        let run = sim.run_with_policy(policy.as_mut(), 20);
         assert_eq!(run.total_lrcs(), 0);
     }
 }

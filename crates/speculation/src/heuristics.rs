@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use gladiator::labeling::eraser_flags;
 use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext, RoundRecord};
-use qec_codes::Code;
 
 use crate::patterns::PatternExtractor;
 
@@ -24,19 +23,8 @@ pub struct EraserPolicy {
 }
 
 impl EraserPolicy {
-    /// ERASER without multi-level readout.
-    #[must_use]
-    pub fn new(code: &Code) -> Self {
-        Self::from_shared(Arc::new(PatternExtractor::new(code)), false)
-    }
-
-    /// ERASER+M: the published configuration with MLR on parity qubits.
-    #[must_use]
-    pub fn with_mlr(code: &Code) -> Self {
-        Self::from_shared(Arc::new(PatternExtractor::new(code)), true)
-    }
-
-    /// Builds the policy around a prebuilt, shared extractor (batch-engine path).
+    /// Builds the policy around a prebuilt, shared extractor; `use_mlr` selects
+    /// ERASER+M, the published configuration with MLR on parity qubits.
     #[must_use]
     pub fn from_shared(extractor: Arc<PatternExtractor>, use_mlr: bool) -> Self {
         let name = if use_mlr { "eraser+m" } else { "eraser" };
@@ -78,13 +66,7 @@ pub struct MlrOnly {
 }
 
 impl MlrOnly {
-    /// Builds the policy for `code`.
-    #[must_use]
-    pub fn new(code: &Code) -> Self {
-        Self::from_shared(Arc::new(PatternExtractor::new(code)))
-    }
-
-    /// Builds the policy around a prebuilt, shared extractor (batch-engine path).
+    /// Builds the policy around a prebuilt, shared extractor.
     #[must_use]
     pub fn from_shared(extractor: Arc<PatternExtractor>) -> Self {
         MlrOnly { extractor }
@@ -116,6 +98,8 @@ impl LeakagePolicy for MlrOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_policy, PolicyKind};
+    use gladiator::GladiatorConfig;
     use leaky_sim::{NoiseParams, Simulator};
     use qec_codes::Code;
 
@@ -126,6 +110,10 @@ mod tests {
             .mobility(0.0)
             .mlr_false_flag(0.0)
             .build()
+    }
+
+    fn policy(kind: PolicyKind, code: &Code) -> Box<dyn LeakagePolicy + Send> {
+        build_policy(kind, code, &GladiatorConfig::default())
     }
 
     #[test]
@@ -141,10 +129,10 @@ mod tests {
     #[test]
     fn eraser_reacts_to_an_injected_leak() {
         let code = Code::rotated_surface(3);
-        let mut policy = EraserPolicy::with_mlr(&code);
+        let mut policy = policy(PolicyKind::EraserM, &code);
         let mut sim = Simulator::new(&code, quiet_noise(), 5);
         sim.inject_data_leakage(4);
-        let run = sim.run_with_policy(&mut policy, 30);
+        let run = sim.run_with_policy(policy.as_mut(), 30);
         let lrcs_on_centre: usize = run.rounds.iter().filter(|r| r.data_lrcs.contains(&4)).count();
         assert!(lrcs_on_centre >= 1, "ERASER should eventually speculate the leaked centre qubit");
         // Once reset (and with all noise off) the leak must not return.
@@ -154,10 +142,10 @@ mod tests {
     #[test]
     fn eraser_without_mlr_never_requests_ancilla_lrcs() {
         let code = Code::rotated_surface(3);
-        let mut policy = EraserPolicy::new(&code);
+        let mut policy = policy(PolicyKind::Eraser, &code);
         let noise = NoiseParams::default();
         let mut sim = Simulator::new(&code, noise, 9);
-        let run = sim.run_with_policy(&mut policy, 20);
+        let run = sim.run_with_policy(policy.as_mut(), 20);
         assert!(run.rounds.iter().all(|r| r.ancilla_lrcs.is_empty()));
         assert_eq!(policy.name(), "eraser");
     }
@@ -165,10 +153,10 @@ mod tests {
     #[test]
     fn mlr_only_resets_flagged_ancillas_and_their_neighbourhood() {
         let code = Code::rotated_surface(3);
-        let mut policy = MlrOnly::new(&code);
+        let mut policy = policy(PolicyKind::MlrOnly, &code);
         let mut sim = Simulator::new(&code, quiet_noise(), 3);
         sim.inject_ancilla_leakage(0);
-        let run = sim.run_with_policy(&mut policy, 3);
+        let run = sim.run_with_policy(policy.as_mut(), 3);
         // Flagged in round 0, reset at the start of round 1.
         assert!(run.rounds[0].mlr_leak_flags[0]);
         assert!(run.rounds[1].ancilla_lrcs.contains(&0));
@@ -189,9 +177,9 @@ mod tests {
             .leakage_ratio(0.0)
             .mlr_false_flag(0.0)
             .build();
-        let mut policy = EraserPolicy::new(&code);
+        let mut policy = policy(PolicyKind::Eraser, &code);
         let mut sim = Simulator::new(&code, noise, 17);
-        let run = sim.run_with_policy(&mut policy, 200);
+        let run = sim.run_with_policy(policy.as_mut(), 200);
         assert!(
             run.total_data_lrcs() > 0,
             "ERASER should misfire on ordinary gate noise (that is the paper's point)"

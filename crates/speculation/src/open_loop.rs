@@ -46,22 +46,11 @@ pub struct StaggeredLrc {
 }
 
 impl StaggeredLrc {
-    /// Builds the policy for `code` using a greedy colouring of its interaction graph.
-    #[must_use]
-    pub fn new(code: &Code) -> Self {
-        Self::from_shared(Arc::new(code.interaction_graph().greedy_coloring()), code.num_checks())
-    }
-
-    /// Builds the policy around a prebuilt, shared colouring (batch-engine path).
+    /// Builds the policy around a prebuilt, shared colouring of the code's
+    /// interaction graph.
     #[must_use]
     pub fn from_shared(coloring: Arc<Coloring>, num_checks: usize) -> Self {
         StaggeredLrc { coloring, num_checks }
-    }
-
-    /// Number of colour groups in the round-robin schedule.
-    #[must_use]
-    pub fn num_groups(&self) -> usize {
-        self.coloring.num_colors()
     }
 }
 
@@ -86,8 +75,14 @@ impl LeakagePolicy for StaggeredLrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_policy, PolicyKind};
+    use gladiator::GladiatorConfig;
     use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
     use qec_codes::Code;
+
+    fn staggered(code: &Code) -> Box<dyn LeakagePolicy + Send> {
+        build_policy(PolicyKind::Staggered, code, &GladiatorConfig::default())
+    }
 
     #[test]
     fn always_lrc_schedules_every_qubit_every_round() {
@@ -104,10 +99,10 @@ mod tests {
     #[test]
     fn staggered_covers_all_data_qubits_over_one_cycle() {
         let code = Code::rotated_surface(5);
-        let mut policy = StaggeredLrc::new(&code);
-        let groups = policy.num_groups();
+        let mut policy = staggered(&code);
+        let groups = code.interaction_graph().greedy_coloring().num_colors();
         let mut sim = Simulator::new(&code, NoiseParams::default(), 2);
-        let run = sim.run_with_policy(&mut policy, groups);
+        let run = sim.run_with_policy(policy.as_mut(), groups);
         let mut covered: Vec<usize> = run.rounds.iter().flat_map(|r| r.data_lrcs.clone()).collect();
         covered.sort_unstable();
         covered.dedup();
@@ -118,9 +113,9 @@ mod tests {
     fn staggered_never_resets_interacting_qubits_together() {
         let code = Code::rotated_surface(5);
         let graph = code.interaction_graph();
-        let mut policy = StaggeredLrc::new(&code);
+        let mut policy = staggered(&code);
         let mut sim = Simulator::new(&code, NoiseParams::default(), 3);
-        let run = sim.run_with_policy(&mut policy, 8);
+        let run = sim.run_with_policy(policy.as_mut(), 8);
         for round in &run.rounds {
             for (i, &a) in round.data_lrcs.iter().enumerate() {
                 for &b in &round.data_lrcs[i + 1..] {
