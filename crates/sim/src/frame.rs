@@ -138,6 +138,11 @@ impl QubitFrames {
         self.ancilla_leak.iter().filter(|&&l| l).count()
     }
 
+    /// `true` when any data or ancilla qubit is leaked.
+    pub(crate) fn any_leaked(&self) -> bool {
+        self.data_leak.iter().chain(&self.ancilla_leak).any(|&leaked| leaked)
+    }
+
     /// Snapshot of the data leak flags.
     #[must_use]
     pub fn data_leak_flags(&self) -> Vec<bool> {

@@ -27,6 +27,13 @@
 //! bytes on every platform; the mapping from RNG stream to noise events is part
 //! of the `.qtr` trace schema.
 //!
+//! A *quiet* round, one in which no stream fires and no qubit is leaked after the
+//! LRC step, cannot change a frame or draw past its first gaps, so the executor
+//! reads each check's noiseless parity instead of running the gate loop. The bytes
+//! and the RNG position are those of the full loop by construction (the argument is
+//! in [`rounds`]); at the paper's operating point most rounds of a mitigated run are
+//! quiet, so a round costs in proportion to its noise events.
+//!
 //! # Example
 //!
 //! ```

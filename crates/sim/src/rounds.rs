@@ -19,6 +19,21 @@
 //! repeated multiplication, never with `ln`/`log1p`: platform libms do not promise
 //! bit-identical logarithms, and the `seed + shot` contract promises identical
 //! bytes on every build.
+//!
+//! # Quiet rounds
+//!
+//! A round is *quiet* when, after its LRC step, the first gap of all three streams
+//! is `NO_EVENT` and no data or ancilla qubit is leaked. A quiet round reads each
+//! check's noiseless parity ([`Simulator::measure_ideal`]) and skips the data-noise,
+//! preparation, CNOT and readout loops. That is exact: with every first gap at
+//! `NO_EVENT` no trial of the round fires; with no leaked operand no leaked-gate
+//! coin is drawn and readout draws nothing; and without faults a Z check's ancilla
+//! Z bit and an X check's ancilla X bit stay clear, so the CNOTs leave every data
+//! frame as it is. Each measurement is then the noiseless parity of its support and
+//! no MLR flag is raised, so the RNG position, the frames and the [`RoundRecord`]
+//! are those of the full loop by construction. The check comes after the LRC
+//! gadgets, which draw from the RNG and can re-leak a qubit; `data_leak_before` is
+//! still taken before them. The gate loop stays the one path for every other round.
 
 use std::sync::Arc;
 
@@ -144,6 +159,11 @@ impl<'t> RoundStreams<'t> {
             false_flag: GapStream::start(&tables.false_flag, rng),
         }
     }
+
+    /// `true` when no trial of any stream fires for the rest of the round.
+    fn all_quiet(&self) -> bool {
+        [self.p.gap, self.leak.gap, self.false_flag.gap] == [NO_EVENT; 3]
+    }
 }
 
 /// Within-round Pauli frame of the ancilla (parity) qubits. Ancillas are measured and
@@ -170,13 +190,21 @@ impl AncillaFrames {
 }
 
 impl Simulator {
-    /// Executes one noisy QEC round: LRCs → data noise → ancilla prep → CNOT layers →
-    /// readout, returning the observable record plus ground truth snapshots.
-    pub(crate) fn execute_round(&mut self, request: &LrcRequest) -> RoundRecord {
+    /// Executes one QEC round: LRCs → data noise → ancilla prep → CNOT layers →
+    /// readout, returning the observable record plus ground truth snapshots, and
+    /// advances the round counter.
+    ///
+    /// With `QUIET_GUARD` a quiet round (see the module docs) reads each check's
+    /// noiseless parity and skips every loop after the LRCs; production always
+    /// compiles the guard in, and only the test reference compiles it out. The
+    /// returned flag says whether the round took that branch.
+    pub(crate) fn execute_round<const QUIET_GUARD: bool>(
+        &mut self,
+        request: &LrcRequest,
+    ) -> (RoundRecord, bool) {
         let noise = self.noise_params();
         let num_checks = self.code().num_checks();
-        let num_data = self.code().num_data();
-        let round = self.current_round_index();
+        let round = self.round_index;
 
         let data_leak_before = self.frames.data_leak_flags();
         let tables = Arc::clone(&self.round_tables);
@@ -190,8 +218,53 @@ impl Simulator {
             self.apply_ancilla_lrc(c);
         }
 
+        // --- 2.–5. Noise, ancilla prep, CNOT layers and readout ------------------------
+        let quiet = QUIET_GUARD && streams.all_quiet() && !self.frames.any_leaked();
+        let (measurements, mlr_leak_flags) = if quiet {
+            // Exact by construction: see "Quiet rounds" in the module docs.
+            (self.measure_ideal(), vec![false; num_checks])
+        } else {
+            self.noisy_gates_and_readout(&mut streams)
+        };
+
+        // Detectors: XOR against the previous round's raw measurements.
+        let mut detectors = vec![false; num_checks];
+        {
+            let prev = self.previous_measurements();
+            for c in 0..num_checks {
+                detectors[c] = measurements[c] ^ prev[c];
+                prev[c] = measurements[c];
+            }
+        }
+        self.round_index += 1;
+
+        let record = RoundRecord {
+            round,
+            measurements,
+            detectors,
+            mlr_leak_flags,
+            data_lrcs: request.data.clone(),
+            ancilla_lrcs: request.ancilla.clone(),
+            data_leak_before,
+            data_leak_after: self.frames.data_leak_flags(),
+            ancilla_leak_after: self.frames.ancilla_leak_flags(),
+            cycle_time_ns: noise.round_ns(self.cnot_layers(), request.len()),
+        };
+        (record, quiet)
+    }
+
+    /// Steps 2–5 of a round that is not quiet: start-of-round data noise, ancilla
+    /// preparation, the CNOT layers and readout. Returns the raw measurements and
+    /// the MLR leak flags.
+    fn noisy_gates_and_readout(
+        &mut self,
+        streams: &mut RoundStreams<'_>,
+    ) -> (Vec<bool>, Vec<bool>) {
+        let noise = self.noise_params();
+        let num_checks = self.code().num_checks();
+
         // --- 2. Start-of-round data noise ---------------------------------------------
-        for q in 0..num_data {
+        for q in 0..self.code().num_data() {
             if streams.p.fires(&mut self.rng) {
                 let err = Pauli::random_error(&mut self.rng);
                 self.frames.apply_data_pauli(q, err);
@@ -218,11 +291,10 @@ impl Simulator {
         }
 
         // --- 4. CNOT layers -------------------------------------------------------------
-        let layers = self.cnot_layers();
-        for t in 0..layers {
+        for t in 0..self.cnot_layers() {
             for check in checks.iter() {
                 if let Some(&q) = check.support.get(t) {
-                    self.apply_syndrome_cnot(check, q, &mut ancilla, &mut streams);
+                    self.apply_syndrome_cnot(check, q, &mut ancilla, streams);
                 }
             }
         }
@@ -250,29 +322,7 @@ impl Simulator {
                 }
             }
         }
-
-        // Detectors: XOR against the previous round's raw measurements.
-        let mut detectors = vec![false; num_checks];
-        {
-            let prev = self.previous_measurements();
-            for c in 0..num_checks {
-                detectors[c] = measurements[c] ^ prev[c];
-                prev[c] = measurements[c];
-            }
-        }
-
-        RoundRecord {
-            round,
-            measurements,
-            detectors,
-            mlr_leak_flags,
-            data_lrcs: request.data.clone(),
-            ancilla_lrcs: request.ancilla.clone(),
-            data_leak_before,
-            data_leak_after: self.frames.data_leak_flags(),
-            ancilla_leak_after: self.frames.ancilla_leak_flags(),
-            cycle_time_ns: noise.round_ns(layers, request.len()),
-        }
+        (measurements, mlr_leak_flags)
     }
 
     /// One CNOT of the syndrome-extraction circuit between `check`'s ancilla and data
@@ -391,11 +441,13 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::QubitFrames;
     use crate::noise::NoiseParams;
     use crate::policy::{LrcRequest, NeverLrc};
     use crate::simulator::Simulator;
     use qec_codes::Code;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn clean_noise() -> NoiseParams {
         NoiseParams::builder()
@@ -587,6 +639,73 @@ mod tests {
         let trials = (rounds * code.num_checks()) as f64;
         let (mean, sigma) = (trials * 0.01, (trials * 0.01 * 0.99).sqrt());
         assert!((flagged as f64 - mean).abs() <= 5.0 * sigma, "{flagged} flags, expected {mean}");
+    }
+
+    /// A seeded random LRC request with ascending ids: each leaked qubit with
+    /// probability 1/2, each healthy one with probability 1/32.
+    fn random_request(frames: &QubitFrames, rng: &mut ChaCha8Rng) -> LrcRequest {
+        fn pick(leaked: bool, rng: &mut ChaCha8Rng) -> bool {
+            rng.gen_bool(if leaked { 0.5 } else { 1.0 / 32.0 })
+        }
+        LrcRequest {
+            data: (0..frames.num_data()).filter(|&q| pick(frames.data_leaked(q), rng)).collect(),
+            ancilla: (0..frames.num_ancilla())
+                .filter(|&c| pick(frames.ancilla_leaked(c), rng))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn quiet_rounds_match_the_full_gate_loop() {
+        let codes = [
+            Code::rotated_surface(3),
+            Code::rotated_surface(5),
+            Code::color_666(3),
+            Code::color_666(5),
+            Code::hgp(2),
+            Code::bpc(14),
+        ];
+        let mut noises = Vec::new();
+        for p in [0.0, 1e-3, 1e-2] {
+            for lr in [0.0, 0.1, 1.0] {
+                for mobility in [0.0, 0.1, 1.0] {
+                    for mlr in [false, true] {
+                        noises.push(
+                            NoiseParams::builder()
+                                .physical_error_rate(p)
+                                .leakage_ratio(lr)
+                                .mobility(mobility)
+                                .mlr_enabled(mlr)
+                                .build(),
+                        );
+                    }
+                }
+            }
+        }
+        for code in &codes {
+            let (mut quiet_rounds, mut rounds) = (0, 0);
+            for (i, &noise) in noises.iter().enumerate() {
+                // One seeded leak per shot, so LRCs also land on leaked qubits.
+                let mut fast = Simulator::new(code, noise, 0);
+                fast.reseed_for_shot(1000, i as u64, true);
+                let mut reference = fast.clone();
+                let mut requests = ChaCha8Rng::seed_from_u64(i as u64);
+                for round in 0..12 {
+                    let request = random_request(fast.frames(), &mut requests);
+                    let (record, quiet) = fast.execute_round::<true>(&request);
+                    let (expected, guarded) = reference.execute_round::<false>(&request);
+                    let at = format!("{} {noise:?} round {round}", code.name());
+                    assert!(!guarded, "the reference compiles the quiet guard out");
+                    assert_eq!(record, expected, "{at}");
+                    assert_eq!(fast.frames(), reference.frames(), "{at}");
+                    assert_eq!(fast.rng.get_word_pos(), reference.rng.get_word_pos(), "{at}");
+                    assert_eq!(fast.checkpoint(), reference.checkpoint(), "{at}");
+                    quiet_rounds += usize::from(quiet);
+                    rounds += 1;
+                }
+            }
+            assert!(0 < quiet_rounds && quiet_rounds < rounds, "{}: {quiet_rounds}", code.name());
+        }
     }
 
     /// Mean `u64` draws per round of a d=5, 30-round no-LRC shot at the default

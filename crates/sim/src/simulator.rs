@@ -25,7 +25,7 @@ pub struct Simulator {
     pub(crate) frames: QubitFrames,
     pub(crate) rng: ChaCha8Rng,
     prev_measurements: Vec<bool>,
-    round_index: usize,
+    pub(crate) round_index: usize,
     cnot_layers: usize,
     /// Survival tables of the round executor's gap streams (immutable, shared by
     /// clones).
@@ -198,9 +198,7 @@ impl Simulator {
 
     /// Executes a single QEC round, applying the requested LRCs first.
     pub fn run_round(&mut self, request: &LrcRequest) -> RoundRecord {
-        let record = self.execute_round(request);
-        self.round_index += 1;
-        record
+        self.execute_round::<true>(request).0
     }
 
     /// Runs `rounds` QEC rounds closed-loop with `policy`, then finalizes the run
@@ -344,10 +342,6 @@ impl Simulator {
     /// avoid borrowing `self` while mutating frames.
     pub(crate) fn shared_checks(&self) -> std::sync::Arc<Vec<qec_codes::Check>> {
         std::sync::Arc::clone(&self.checks)
-    }
-
-    pub(crate) fn current_round_index(&self) -> usize {
-        self.round_index
     }
 
     pub(crate) fn noise_params(&self) -> NoiseParams {

@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use gladiator::{GladiatorModel, SiteClass};
 use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext};
+use qec_codes::DataQubitId;
 
 use crate::heuristics::mlr_ancilla_requests;
-use crate::patterns::PatternExtractor;
+use crate::patterns::{PatternExtractor, PatternScratch};
 
 /// Closed-loop leakage speculation using GLADIATOR's offline pattern tables.
 ///
@@ -21,6 +22,10 @@ use crate::patterns::PatternExtractor;
 /// back to the two-round window even in non-deferred mode (this is the same
 /// sparse-syndrome argument the paper uses to motivate GLADIATOR-D in Section 5).
 ///
+/// Planning is sparse: only the qubits next to a site that fired in the window, plus
+/// the few whose own table flags the all-zero pattern or window, are classified. Every
+/// other qubit's pattern is all-zero, so the decision it would get is known up front.
+///
 /// The expensive code-derived artifacts — the offline [`GladiatorModel`] (fault
 /// enumeration + Quine–McCluskey), the [`PatternExtractor`] and the per-qubit site
 /// classes — are held behind [`Arc`] so one build can back many policy instances
@@ -32,14 +37,21 @@ pub struct GladiatorPolicy {
     model: Arc<GladiatorModel>,
     qubit_classes: Arc<Vec<SiteClass>>,
     qubit_uses_window: Vec<bool>,
+    /// Whether any qubit reads the two-round window.
+    any_window: bool,
+    /// The qubits (ascending) whose table flags the all-zero pattern, or the
+    /// all-zero window for window qubits: flagged even when none of their sites fired.
+    zero_flagged: Vec<DataQubitId>,
+    scratch: PatternScratch,
     use_mlr: bool,
     name: &'static str,
 }
 
 impl GladiatorPolicy {
     /// Builds a policy around prebuilt, shared offline artifacts. The artifacts must
-    /// all derive from the same code; only the cheap per-qubit window flags are
-    /// computed here, so calling this once per worker thread costs O(num_data).
+    /// all derive from the same code; only the cheap per-qubit window and zero-pattern
+    /// flags are computed here, so calling this once per worker thread costs
+    /// O(num_data).
     #[must_use]
     pub fn from_shared(
         model: Arc<GladiatorModel>,
@@ -54,14 +66,42 @@ impl GladiatorPolicy {
             (true, false) => "gladiator-d",
             (true, true) => "gladiator-d+m",
         };
-        let qubit_uses_window = qubit_classes
+        let qubit_uses_window: Vec<bool> = qubit_classes
             .iter()
             .map(|class| {
                 deferred
                     || model.class_table(class).map_or(true, |table| table.flagged_count() == 0)
             })
             .collect();
-        GladiatorPolicy { extractor, model, qubit_classes, qubit_uses_window, use_mlr, name }
+        let zero_flagged = qubit_classes
+            .iter()
+            .zip(&qubit_uses_window)
+            .enumerate()
+            .filter(|&(_, (class, &window))| class.width > 0 && flags(&model, class, window, 0))
+            .map(|(q, _)| q)
+            .collect();
+        GladiatorPolicy {
+            any_window: qubit_uses_window.contains(&true),
+            scratch: PatternScratch::new(extractor.num_data()),
+            extractor,
+            model,
+            qubit_classes,
+            qubit_uses_window,
+            zero_flagged,
+            use_mlr,
+            name,
+        }
+    }
+}
+
+/// The table decision for one qubit. `pattern` is the last round's site bits, or for
+/// a window qubit the window `last << width | previous`.
+fn flags(model: &GladiatorModel, class: &SiteClass, window: bool, pattern: u32) -> bool {
+    if window {
+        let previous = pattern & ((1 << class.width) - 1);
+        model.classify_two_round_class(class, previous, pattern >> class.width)
+    } else {
+        model.classify_class(class, pattern)
     }
 }
 
@@ -74,40 +114,49 @@ impl LeakagePolicy for GladiatorPolicy {
         let Some(last) = ctx.last_round() else {
             return LrcRequest::none();
         };
-        let current = self.extractor.patterns(&last.detectors);
-        // The two-round window is needed by the deferred variant and by qubits whose
-        // single-round table cannot flag anything (sparse boundary/corner sites).
-        let previous = if self.qubit_uses_window.iter().any(|&w| w) {
-            ctx.round_back(1).map(|r| self.extractor.patterns(&r.detectors))
-        } else {
-            None
-        };
+        let GladiatorPolicy {
+            extractor,
+            model,
+            qubit_classes,
+            qubit_uses_window,
+            any_window,
+            zero_flagged,
+            scratch,
+            use_mlr,
+            ..
+        } = self;
+        // The two-round window is read by the deferred variant and by qubits whose
+        // single-round table cannot flag anything (sparse boundary/corner sites); it
+        // holds the last round above the previous one.
+        let window = |q: DataQubitId| qubit_uses_window[q];
+        scratch.add_fired(extractor, &last.detectors, |q| {
+            Some(if window(q) { qubit_classes[q].width as u32 } else { 0 })
+        });
+        let previous = if *any_window { ctx.round_back(1) } else { None };
+        if let Some(previous) = previous {
+            scratch.add_fired(extractor, &previous.detectors, |q| window(q).then_some(0));
+        }
+        for &q in zero_flagged.iter() {
+            scratch.mark(q);
+        }
 
         let mut data = Vec::new();
-        for (q, &pattern) in current.iter().enumerate() {
-            let class = &self.qubit_classes[q];
-            if class.width == 0 {
-                continue;
-            }
-            let flagged = if self.qubit_uses_window[q] {
-                match &previous {
-                    Some(prev) => self.model.classify_two_round_class(class, prev[q], pattern),
-                    None => false,
-                }
-            } else {
-                self.model.classify_class(class, pattern)
-            };
-            if flagged {
+        scratch.drain(|q, pattern| {
+            // A window qubit flags nothing before two rounds of history exist.
+            if (previous.is_some() || !window(q))
+                && flags(model, &qubit_classes[q], window(q), pattern)
+            {
                 data.push(q);
             }
-        }
-        let ancilla = if self.use_mlr { mlr_ancilla_requests(last) } else { Vec::new() };
+        });
+        let ancilla = if *use_mlr { mlr_ancilla_requests(last) } else { Vec::new() };
         LrcRequest { data, ancilla }
     }
 
     fn reset(&mut self) {
         // All decisions derive from the per-round `PolicyContext`; the shared model,
-        // extractor and class tables are immutable, so there is no per-run state.
+        // extractor and class tables are immutable, and the scratch is all-zero
+        // between calls, so there is no per-run state.
     }
 }
 

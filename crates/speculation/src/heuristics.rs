@@ -5,7 +5,7 @@ use std::sync::Arc;
 use gladiator::labeling::eraser_flags;
 use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext, RoundRecord};
 
-use crate::patterns::PatternExtractor;
+use crate::patterns::{PatternExtractor, PatternScratch};
 
 /// Collects the parity qubits whose multi-level readout flagged leakage last round.
 pub(crate) fn mlr_ancilla_requests(record: &RoundRecord) -> Vec<usize> {
@@ -14,10 +14,12 @@ pub(crate) fn mlr_ancilla_requests(record: &RoundRecord) -> Vec<usize> {
 
 /// ERASER (Vittal et al., MICRO 2023): speculate data-qubit leakage whenever at least
 /// half of the adjacent parity bits flipped; optionally add MLR-triggered LRCs on
-/// parity qubits (the "+M" variant the paper compares against).
+/// parity qubits (the "+M" variant the paper compares against). A qubit none of
+/// whose sites flipped never meets the rule, so only fired neighbourhoods are read.
 #[derive(Debug, Clone)]
 pub struct EraserPolicy {
     extractor: Arc<PatternExtractor>,
+    scratch: PatternScratch,
     use_mlr: bool,
     name: &'static str,
 }
@@ -28,7 +30,8 @@ impl EraserPolicy {
     #[must_use]
     pub fn from_shared(extractor: Arc<PatternExtractor>, use_mlr: bool) -> Self {
         let name = if use_mlr { "eraser+m" } else { "eraser" };
-        EraserPolicy { extractor, use_mlr, name }
+        let scratch = PatternScratch::new(extractor.num_data());
+        EraserPolicy { extractor, scratch, use_mlr, name }
     }
 }
 
@@ -41,19 +44,21 @@ impl LeakagePolicy for EraserPolicy {
         let Some(last) = ctx.last_round() else {
             return LrcRequest::none();
         };
-        let patterns = self.extractor.patterns(&last.detectors);
-        let data = patterns
-            .iter()
-            .enumerate()
-            .filter(|&(q, &pattern)| eraser_flags(self.extractor.width(q), pattern))
-            .map(|(q, _)| q)
-            .collect();
+        let EraserPolicy { extractor, scratch, .. } = self;
+        scratch.add_fired(extractor, &last.detectors, |_| Some(0));
+        let mut data = Vec::new();
+        scratch.drain(|q, pattern| {
+            if eraser_flags(extractor.width(q), pattern) {
+                data.push(q);
+            }
+        });
         let ancilla = if self.use_mlr { mlr_ancilla_requests(last) } else { Vec::new() };
         LrcRequest { data, ancilla }
     }
 
     fn reset(&mut self) {
-        // Purely syndrome-driven; the shared extractor is immutable, no per-run state.
+        // Purely syndrome-driven; the shared extractor is immutable and the scratch is
+        // all-zero between calls, so there is no per-run state.
     }
 }
 
@@ -63,13 +68,15 @@ impl LeakagePolicy for EraserPolicy {
 #[derive(Debug, Clone)]
 pub struct MlrOnly {
     extractor: Arc<PatternExtractor>,
+    scratch: PatternScratch,
 }
 
 impl MlrOnly {
     /// Builds the policy around a prebuilt, shared extractor.
     #[must_use]
     pub fn from_shared(extractor: Arc<PatternExtractor>) -> Self {
-        MlrOnly { extractor }
+        let scratch = PatternScratch::new(extractor.num_data());
+        MlrOnly { extractor, scratch }
     }
 }
 
@@ -82,12 +89,10 @@ impl LeakagePolicy for MlrOnly {
         let Some(last) = ctx.last_round() else {
             return LrcRequest::none();
         };
-        let ancilla = mlr_ancilla_requests(last);
-        let site_flags = self.extractor.site_flags(&last.mlr_leak_flags);
-        let data = (0..self.extractor.num_data())
-            .filter(|&q| self.extractor.sites_of(q).iter().any(|&s| site_flags[s]))
-            .collect();
-        LrcRequest { data, ancilla }
+        self.scratch.add_fired(&self.extractor, &last.mlr_leak_flags, |_| Some(0));
+        let mut data = Vec::new();
+        self.scratch.drain(|q, _| data.push(q));
+        LrcRequest { data, ancilla: mlr_ancilla_requests(last) }
     }
 
     fn reset(&mut self) {

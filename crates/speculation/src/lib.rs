@@ -14,9 +14,16 @@
 //! | [`GladiatorPolicy`] | closed loop, offline pattern tables (optionally +M / -D) | §4 |
 //! | [`IdealOracle`] | oracle upper bound ("IDEAL") | §7.2 |
 //!
-//! All closed-loop policies consume the per-data-qubit syndrome patterns produced by
-//! the [`PatternExtractor`], which groups checks into physical parity sites and orders
-//! them by CNOT time exactly as the paper's data-parity adjacency generator does.
+//! The syndrome-driven policies (ERASER, MLR-only and the GLADIATOR variants) read
+//! per-data-qubit syndrome patterns through the [`PatternExtractor`], which groups
+//! checks into physical parity sites and orders them by CNOT time exactly as the
+//! paper's data-parity adjacency generator does. They plan sparsely, like the paper's
+//! hardware lookup: the extractor's inverse adjacency (check → site → adjacent
+//! qubits) takes them from a round's fired checks to the few qubits whose pattern is
+//! not all-zero, so a plan costs in proportion to detection events, not qubits.
+//! GLADIATOR also classifies the qubits whose own table flags the all-zero pattern,
+//! computed once per policy. The IDEAL oracle reads the ground-truth leak flags
+//! instead, and the open-loop policies read nothing.
 //!
 //! # Example
 //!

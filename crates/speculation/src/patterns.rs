@@ -1,4 +1,9 @@
 //! Per-data-qubit syndrome patterns (the paper's data-parity adjacency generator).
+//!
+//! The dense [`PatternExtractor::patterns`] builds every data qubit's pattern. The
+//! syndrome-driven policies plan sparsely instead: a `PatternScratch` walks the
+//! extractor's inverse adjacency (check → site → adjacent qubits) from the fired
+//! checks only, so a round costs in proportion to its detection events.
 
 use qec_codes::{CheckId, Code, DataQubitId, SiteId};
 
@@ -13,6 +18,11 @@ use qec_codes::{CheckId, Code, DataQubitId, SiteId};
 pub struct PatternExtractor {
     site_checks: Vec<Vec<CheckId>>,
     qubit_sites: Vec<Vec<SiteId>>,
+    /// The site of every check (inverse of `site_checks`).
+    check_site: Vec<SiteId>,
+    /// Every site's adjacent data qubits, ascending, each with the pattern bit the
+    /// site sets in it (inverse of `qubit_sites`).
+    site_qubits: Vec<Vec<(DataQubitId, u32)>>,
 }
 
 impl PatternExtractor {
@@ -22,10 +32,17 @@ impl PatternExtractor {
         let sites = code.parity_sites();
         let adjacency = code.site_adjacency();
         let site_checks = (0..sites.num_sites()).map(|s| sites.checks_of(s).to_vec()).collect();
-        let qubit_sites = (0..code.num_data())
+        let qubit_sites: Vec<Vec<SiteId>> = (0..code.num_data())
             .map(|q| adjacency.neighbors(q).iter().map(|e| e.site).collect())
             .collect();
-        PatternExtractor { site_checks, qubit_sites }
+        let check_site = (0..code.num_checks()).map(|c| sites.site_of(c)).collect();
+        let mut site_qubits = vec![Vec::new(); sites.num_sites()];
+        for (q, adjacent) in qubit_sites.iter().enumerate() {
+            for (bit, &site) in adjacent.iter().enumerate() {
+                site_qubits[site].push((q, bit as u32));
+            }
+        }
+        PatternExtractor { site_checks, qubit_sites, check_site, site_qubits }
     }
 
     /// Number of parity sites.
@@ -90,6 +107,60 @@ impl PatternExtractor {
                     .fold(0u32, |acc, (bit, &s)| acc | (u32::from(site_flags[s]) << bit))
             })
             .collect()
+    }
+}
+
+/// Scratch space of the sparse planners: a per-qubit pattern accumulator and a
+/// bitset of the qubits marked since the last [`PatternScratch::drain`].
+///
+/// Both are all-zero between plan calls, so a policy that owns one keeps no
+/// state across rounds or shots, and a walk allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct PatternScratch {
+    patterns: Vec<u32>,
+    marked: Vec<u64>,
+}
+
+impl PatternScratch {
+    /// Empty scratch for `num_data` data qubits.
+    pub(crate) fn new(num_data: usize) -> Self {
+        PatternScratch { patterns: vec![0; num_data], marked: vec![0; num_data.div_ceil(64)] }
+    }
+
+    /// Marks data qubit `q` for the next drain, leaving its pattern as it is.
+    pub(crate) fn mark(&mut self, q: DataQubitId) {
+        self.marked[q / 64] |= 1 << (q % 64);
+    }
+
+    /// ORs one round of per-check flags into the patterns of the data qubits next
+    /// to a fired site, and marks them. `shift(q)` places the round in `q`'s
+    /// pattern (site bit `i` lands on bit `i + shift`); `None` skips `q`.
+    pub(crate) fn add_fired(
+        &mut self,
+        extractor: &PatternExtractor,
+        per_check: &[bool],
+        shift: impl Fn(DataQubitId) -> Option<u32>,
+    ) {
+        for (_, &site) in per_check.iter().zip(&extractor.check_site).filter(|(&fired, _)| fired) {
+            for &(q, bit) in &extractor.site_qubits[site] {
+                if let Some(shift) = shift(q) {
+                    self.patterns[q] |= 1 << (bit + shift);
+                    self.mark(q);
+                }
+            }
+        }
+    }
+
+    /// Visits every marked qubit in ascending order with its accumulated pattern,
+    /// clearing both as it goes.
+    pub(crate) fn drain(&mut self, mut visit: impl FnMut(DataQubitId, u32)) {
+        for (word_index, word) in self.marked.iter_mut().enumerate() {
+            while *word != 0 {
+                let q = word_index * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                visit(q, std::mem::take(&mut self.patterns[q]));
+            }
+        }
     }
 }
 
