@@ -593,6 +593,10 @@ fn score_run(
 ///   metrics — divergence profile and decoded LER included — are bit-for-bit
 ///   what [`BatchEngine::run`] reports for a live run of that policy.
 ///
+/// On a `rayon::ThreadPool` worker (the daemon's) the pass runs inline on
+/// that worker with one policy set and one simulator; elsewhere it fans out
+/// over scoped threads. The bytes are the same either way.
+///
 /// `shared_checkpoints = true` evaluates the set together; every caller
 /// outside the tests passes it. `false` evaluates each candidate as its own
 /// set of one through the same code — the reference the sharing proptest

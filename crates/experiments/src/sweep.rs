@@ -22,7 +22,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::process::Command;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -557,18 +557,26 @@ impl SharedEngines {
 }
 
 /// `git describe --always --dirty` of the current checkout, or `"unknown"`
-/// when git (or the repository) is unavailable.
+/// when git (or the repository) is unavailable. Read once per process and
+/// cached in a `OnceLock`: every report, recording and daemon `version` answer
+/// of one process carries the same provenance, and only the first pays for
+/// spawning `git`.
 #[must_use]
 pub fn git_describe() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .and_then(|out| String::from_utf8(out.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 #[cfg(test)]

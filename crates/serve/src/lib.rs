@@ -13,7 +13,9 @@
 //! * [`server`] — a daemon speaking a newline-delimited JSON protocol, with
 //!   evaluation work fanned out on a persistent `rayon::ThreadPool` behind a
 //!   bounded admission queue (explicit `overloaded` backpressure instead of
-//!   stalling), and a hot-swappable corpus snapshot (the daemon watches
+//!   stalling). Each `eval` or `batch-eval` group runs inline on one pool
+//!   worker, so the daemon computes on exactly `pool_threads` threads. The
+//!   daemon serves a hot-swappable corpus snapshot (it watches
 //!   `manifest.json` and atomically swaps the cell index without dropping
 //!   connections). It holds an LRU-bounded in-memory cache of corpus cells
 //!   ([`cache`]) with their shared evaluation artifacts (calibrated
@@ -40,7 +42,9 @@
 //! `eval` row is byte-identical to the CLI's replay-report row for the same
 //! `corpus × cell × policy × mode × decode` — the e2e tests in
 //! `crates/cluster/tests/server.rs` pin exactly that, and the CI `serve-smoke`
-//! job additionally pins responses across `RAYON_NUM_THREADS=1` vs `4`.
+//! job additionally pins responses across pool widths (`RAYON_NUM_THREADS=1`
+//! vs `4`) and served rows against a `repro replay` fanned out over 4 scoped
+//! threads.
 //!
 //! The `repro` binary (moved on to `qec-cluster` so the CLI can host the
 //! `corpus shard`/`route` subcommands without a dependency cycle) remains the

@@ -7,7 +7,9 @@
 //! behind a bounded admission queue: when the in-flight evaluation weight
 //! would exceed `queue_limit`, the request is refused with an `overloaded`
 //! error on its own (surviving) connection rather than stalling everyone —
-//! explicit backpressure instead of collapse.
+//! explicit backpressure instead of collapse. Each job runs inline on its pool
+//! worker: `evaluate_cell_set`'s parallel iterator spawns no threads there, so
+//! the daemon computes on exactly `pool_threads` threads.
 //!
 //! The served corpus is a hot-swappable snapshot: the daemon stamps
 //! `manifest.json` (mtime + length) between requests and, when the stamp
@@ -45,7 +47,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Maximum corpus cells resident in the cache.
     pub cache_cells: usize,
-    /// Worker threads of the persistent evaluation pool. `0` means
+    /// Worker threads of the persistent evaluation pool, and so the daemon's
+    /// whole compute width: a served evaluation runs inline on its pool
+    /// worker, never on threads of its own. `0` means
     /// [`rayon::current_num_threads`] (so `RAYON_NUM_THREADS` governs it).
     pub pool_threads: usize,
     /// Hard connection limit: the size of the fixed connection-worker pool.
