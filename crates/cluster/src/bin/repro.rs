@@ -26,8 +26,9 @@
 //! at run time: a `replay --verify-live` mismatch or `corpus --verify`
 //! corruption; a `query` error response, failed batch item or unreachable
 //! daemon; an output file that cannot be written (one `repro: cannot write`
-//! line); or a `serve`, `route` or `corpus shard` runtime failure (a corpus,
-//! shard map or bind error). Everything else exits 0.
+//! line); a corpus cell that `replay` or `sweep --corpus` cannot load (one
+//! `repro <command>:` line); or a `serve`, `route` or `corpus shard` runtime
+//! failure (a corpus, shard map or bind error). Everything else exits 0.
 
 use std::fs;
 use std::io::Write as _;
@@ -42,15 +43,16 @@ use qec_experiments::adaptive::{
     resume_adaptive, run_adaptive, AdaptiveOutcome, AdaptiveSpec, ADAPTIVE_SCHEMA_VERSION,
 };
 use qec_experiments::replay::{
-    cell_key, extend_into_corpus, load_entry, record_into_corpus, replay_corpus_with_stats,
-    CellCheckpointStats, ExtendDisposition, ReplayMode, ReplayOptions, ReplayReport,
-    REPLAY_SCHEMA_VERSION,
+    cell_key, extend_into_corpus, load_entry, record_into_corpus, try_replay_corpus,
+    CellCheckpointStats, CorpusRunError, ExtendDisposition, ReplayMode, ReplayOptions,
+    ReplayReport, REPLAY_SCHEMA_VERSION,
 };
 use qec_experiments::report::{fmt_float, text_table, to_json};
 use qec_experiments::runners::{self, Scale};
 use qec_experiments::scenario::CodeFamily;
 use qec_experiments::sweep::{
-    git_describe, run_sweep, run_sweep_with_corpus, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION,
+    git_describe, run_sweep, try_run_sweep_with_corpus, SweepReport, SweepSpec,
+    SWEEP_SCHEMA_VERSION,
 };
 use qec_serve::client::ClientConfig;
 use qec_serve::{
@@ -178,8 +180,9 @@ commands:
   version   print version, git provenance and schema versions (also --version)
 
 exit status: 0 ok; 1 gate failure (replay --verify-live, corpus --verify), query
-error response or failed batch item, unwritable output file, or serve, route or
-corpus shard runtime failure; 2 usage error
+error response or failed batch item, unwritable output file, a corpus cell that
+replay or sweep --corpus cannot load (tampered manifest entry, corrupt or stale
+shard), or serve, route or corpus shard runtime failure; 2 usage error
 ";
 
 /// A usage error: the message is printed to stderr followed by the usage text.
@@ -429,6 +432,20 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, UsageError> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Lands a failed corpus run: a cell that fails to load (a tampered manifest
+/// entry, or a corrupt or stale shard) is a runtime error, as in `corpus
+/// --verify` — one `repro <command>: <message>` line and exit 1. Any other
+/// failure stays a usage error.
+fn corpus_failure(command: &str, error: CorpusRunError) -> Result<ExitCode, UsageError> {
+    match error {
+        CorpusRunError::Load(message) => {
+            eprintln!("repro {command}: {message}");
+            Ok(ExitCode::FAILURE)
+        }
+        CorpusRunError::Other(message) => Err(UsageError(message)),
+    }
+}
+
 /// Writes an output file, creating its parent directories. A failure is a
 /// runtime error, not a usage error (the flags were fine, the filesystem was
 /// not): it prints `repro: cannot write <path>: <error>` and yields exit 1,
@@ -629,8 +646,11 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     spec.expand().map_err(UsageError::new)?;
     let report = match &corpus_dir {
         Some(dir) => {
-            run_sweep_with_corpus(&spec, dir, record_policy, timing, replay_mode(closed_loop))
-                .map_err(UsageError::new)?
+            let mode = replay_mode(closed_loop);
+            match try_run_sweep_with_corpus(&spec, dir, record_policy, timing, mode) {
+                Ok(report) => report,
+                Err(error) => return corpus_failure("sweep", error),
+            }
         }
         None => run_sweep(&spec, timing).map_err(UsageError::new)?,
     };
@@ -866,8 +886,10 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     let out = args.path("--out")?;
     args.finish(0)?;
-    let (report, checkpoint_stats) =
-        replay_corpus_with_stats(&corpus_dir, &options).map_err(UsageError::new)?;
+    let (report, checkpoint_stats) = match try_replay_corpus(&corpus_dir, &options) {
+        Ok(replayed) => replayed,
+        Err(error) => return corpus_failure("replay", error),
+    };
     let summary = replay_summary(&report, &checkpoint_stats);
     let saved = format!("{} rows", report.results.len());
     let say = match deliver(out.as_deref(), &to_json(&report), &summary, &[], &saved) {

@@ -491,8 +491,63 @@ fn run_within(args: &[&str], deadline: Duration) -> Output {
     child.wait_with_output().expect("collect repro output")
 }
 
-/// A manifest entry claiming an even surface distance fails `corpus --verify`
-/// naming the distance, instead of panicking in the code constructor.
+/// Runs `replay` and a `sweep --corpus` over the grid of
+/// [`record_then_tamper_manifest`] against a corpus whose p = 1e-3 cell fails
+/// to load: each is a runtime error, one `repro <command>:` line naming
+/// `expected` and exit 1, with no usage text.
+#[track_caller]
+fn assert_corpus_load_failure(dir: &Path, expected: &str) {
+    let corpus = dir.to_str().unwrap();
+    let out = dir.join("sweep.json");
+    let sweep = [
+        "sweep",
+        "--grid",
+        "d=3",
+        "p=1e-3,2e-3",
+        "policy=gladiator+m",
+        "--shots",
+        "2",
+        "--rounds-per-distance",
+        "1",
+        "--no-timing",
+        "--corpus",
+        corpus,
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    for (command, args) in [("replay", &["replay", "--corpus", corpus][..]), ("sweep", &sweep)] {
+        let output = run_within(args, Duration::from_secs(120));
+        let stderr = stderr_of(&output);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.starts_with(&format!("repro {command}: ")), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    assert!(!out.exists(), "a failed sweep writes no report");
+}
+
+/// A shard with a flipped payload byte fails `replay` and `sweep --corpus`
+/// as it fails `corpus --verify`: a runtime error naming the CRC mismatch.
+#[test]
+fn replay_and_corpus_sweep_exit_1_on_a_corrupt_shard() {
+    let dir = tmp_dir("load-corrupt-shard");
+    record_then_tamper_manifest(&dir, |_, _| {});
+    let corpus = qec_trace::Corpus::open(&dir).unwrap();
+    let entry = corpus.entries().iter().find(|e| e.p == 1e-3).unwrap();
+    let shard = corpus.trace_path(entry);
+    // The last payload byte of the last shot block: it sits before that
+    // block's 4-byte CRC and the 7-byte end block.
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let last_shot_byte = bytes.len() - 12;
+    bytes[last_shot_byte] ^= 0x01;
+    std::fs::write(&shard, &bytes).unwrap();
+    assert_corpus_load_failure(&dir, "CRC mismatch in block 0x02");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A manifest entry claiming an even surface distance fails `corpus --verify`,
+/// `replay` and `sweep --corpus` naming the distance, instead of panicking in
+/// the code constructor.
 #[test]
 fn a_manifest_distance_no_code_admits_fails_corpus_verify() {
     let dir = tmp_dir("distance-4");
@@ -501,11 +556,13 @@ fn a_manifest_distance_no_code_admits_fails_corpus_verify() {
     assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
     let stderr = stderr_of(&output);
     assert!(stderr.contains("manifest says distance=4: surface does not admit size 4"), "{stderr}");
+    assert_corpus_load_failure(&dir, "manifest says distance=4: surface does not admit size 4");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A manifest entry claiming d=1001 for a d=3 shard is refused from the shard
-/// header, before the d=1001 code is built (which would take minutes).
+/// header, before the d=1001 code is built (which would take minutes), by
+/// `corpus --verify`, `replay` and `sweep --corpus` alike.
 #[test]
 fn a_manifest_distance_the_shard_does_not_hold_fails_corpus_verify_promptly() {
     let dir = tmp_dir("distance-1001");
@@ -514,12 +571,15 @@ fn a_manifest_distance_the_shard_does_not_hold_fails_corpus_verify_promptly() {
         run_within(&["corpus", dir.to_str().unwrap(), "--verify"], Duration::from_secs(120));
     assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
     let stderr = stderr_of(&output);
-    assert!(stderr.contains("distance=1001, whose code surface-d1001 does not match"), "{stderr}");
+    let expected = "distance=1001, whose code surface-d1001 does not match";
+    assert!(stderr.contains(expected), "{stderr}");
+    assert_corpus_load_failure(&dir, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A manifest entry whose file points at another cell's shard fails
-/// `corpus --verify` naming the error rate the shard was recorded with.
+/// `corpus --verify`, `replay` and `sweep --corpus` naming the error rate the
+/// shard was recorded with.
 #[test]
 fn a_manifest_entry_pointing_at_another_cells_shard_fails_corpus_verify() {
     let dir = tmp_dir("swapped-shard");
@@ -530,10 +590,9 @@ fn a_manifest_entry_pointing_at_another_cells_shard_fails_corpus_verify() {
     let output = run(&["corpus", dir.to_str().unwrap(), "--verify"]);
     assert_eq!(output.status.code(), Some(1), "stderr: {}", stderr_of(&output));
     let stderr = stderr_of(&output);
-    assert!(
-        stderr.contains("manifest says p=0.001, but the trace file was recorded with p=0.002"),
-        "{stderr}"
-    );
+    let expected = "manifest says p=0.001, but the trace file was recorded with p=0.002";
+    assert!(stderr.contains(expected), "{stderr}");
+    assert_corpus_load_failure(&dir, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

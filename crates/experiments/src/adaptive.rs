@@ -47,7 +47,7 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use qec_trace::wire::{read_block, write_block, Decoder, Encoder};
+use qec_trace::wire::{read_block, write_block, Decoder, Encoder, MAX_BLOCK_LEN};
 use qec_trace::{Corpus, TraceError};
 
 use crate::engine::BatchEngine;
@@ -481,7 +481,7 @@ pub fn read_checkpoint_state(dir: &Path) -> Result<CheckpointState, TraceError> 
     if magic != STATE_MAGIC {
         return Err(TraceError::Corrupt(format!("bad checkpoint magic {magic:02x?}")));
     }
-    let (tag, payload) = read_block(&mut reader)?;
+    let (tag, payload) = read_block(&mut reader, MAX_BLOCK_LEN)?;
     if tag != BLOCK_STATE {
         return Err(TraceError::Corrupt(format!(
             "expected checkpoint header block, got tag {tag:#04x}"
@@ -501,7 +501,7 @@ pub fn read_checkpoint_state(dir: &Path) -> Result<CheckpointState, TraceError> 
     dec.expect_finished()?;
     let mut cells = Vec::with_capacity(cell_count.min(1 << 16));
     for _ in 0..cell_count {
-        let (tag, payload) = read_block(&mut reader)?;
+        let (tag, payload) = read_block(&mut reader, MAX_BLOCK_LEN)?;
         if tag != BLOCK_CELL {
             return Err(TraceError::Corrupt(format!("expected cell block, got tag {tag:#04x}")));
         }
@@ -511,7 +511,7 @@ pub fn read_checkpoint_state(dir: &Path) -> Result<CheckpointState, TraceError> 
         dec.expect_finished()?;
         cells.push(CellTally { id, acc });
     }
-    let (tag, payload) = read_block(&mut reader)?;
+    let (tag, payload) = read_block(&mut reader, MAX_BLOCK_LEN)?;
     if tag != BLOCK_DONE {
         return Err(TraceError::Corrupt(format!("expected end block, got tag {tag:#04x}")));
     }

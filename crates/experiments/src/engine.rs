@@ -16,11 +16,12 @@
 //! One private shot loop simulates every shot; each public entry point only
 //! says what to keep of a shot's [`RunRecord`]: its metrics
 //! ([`BatchEngine::run`], [`BatchEngine::score_range`]), a caller's extraction
-//! ([`BatchEngine::map_records`]), or its stored projection, a [`ShotTrace`]
-//! ([`BatchEngine::trace_records_range`]). Several engines can share one factory
-//! and one decoder ([`BatchEngine::with_shared`]), which is how the sweep
-//! executor ([`crate::sweep::run_scenarios`]) lets every cell of a grid on one
-//! code, GLADIATOR+M and GLADIATOR-D+M alike, share a single offline model build.
+//! ([`BatchEngine::map_records`]), or the whole record with the shot's
+//! initial leak flags, a [`ShotTrace`] ([`BatchEngine::trace_records_range`]).
+//! Several engines can share one factory and one decoder
+//! ([`BatchEngine::with_shared`]), which is how the sweep executor
+//! ([`crate::sweep::run_scenarios`]) lets every cell of a grid on one code,
+//! GLADIATOR+M and GLADIATOR-D+M alike, share a single offline model build.
 //!
 //! # Seeding contract
 //!
@@ -226,9 +227,9 @@ impl BatchEngine {
     }
 
     /// Records the shots `start..end` (bounded by the spec's shot count) as
-    /// [`ShotTrace`]s, in shot order — the stored projection of each run
-    /// ([`ShotTrace::record`]). The shot-ordered return is what makes
-    /// serialized trace bytes independent of worker-thread count, and
+    /// [`ShotTrace`]s, in shot order — each run with the leak flags it
+    /// started from ([`ShotTrace::record`]). The shot-ordered return is what
+    /// makes serialized trace bytes independent of worker-thread count, and
     /// chunking cannot change them: shot `i` is a pure function of
     /// `seed + i`, whatever chunk it lands in.
     #[must_use]

@@ -7,10 +7,9 @@
 //! rounds, p, lr, shots, seed)` — through one writer that fills a temporary
 //! sibling shard and renames it into place, whether it records a cell from
 //! scratch ([`record_into_corpus`]) or grows a shorter recording of it
-//! ([`extend_into_corpus`]). The replay side reconstructs each shot's run
-//! bit-for-bit, drives any [`PolicyKind`]'s speculation against the recorded
-//! observables ([`qec_trace::ReplayContext`]), and scores it with
-//! [`RunMetrics::score_replay`].
+//! ([`extend_into_corpus`]). The replay side drives any [`PolicyKind`]'s
+//! speculation against each shot's recorded run ([`qec_trace::ReplayContext`])
+//! and scores it with [`RunMetrics::score_replay`].
 //!
 //! Replaying the policy that recorded a trace reproduces the live engine's
 //! FP/FN/DLP/LRC metrics (and, with decoding, the LER) **bit-for-bit** — the
@@ -663,7 +662,7 @@ pub fn evaluate_cell_set(
                 let Some(sim) = sim else {
                     let scored = instances.iter_mut().zip(&decoders).map(|(instance, &decoder)| {
                         let replay = ctx.replay_shot(trace, instance.as_mut());
-                        let metrics = score_run(cell, &replay.run, Some(&replay.planned), decoder);
+                        let metrics = score_run(cell, &trace.run, Some(&replay.planned), decoder);
                         (metrics, replay.divergence)
                     });
                     return Ok(scored.collect());
@@ -854,12 +853,50 @@ pub fn replay_corpus_with_stats(
     dir: &Path,
     options: &ReplayOptions,
 ) -> Result<(ReplayReport, Vec<CellCheckpointStats>), String> {
+    try_replay_corpus(dir, options).map_err(String::from)
+}
+
+/// Why a corpus replay or corpus sweep failed: a cell that fails
+/// [`load_entry`] is a fault of the corpus on disk, anything else a fault of
+/// the request. `repro` exits 1 on the first and 2 on the second.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CorpusRunError {
+    /// A cell failed [`load_entry`]: a tampered manifest entry, or a corrupt
+    /// or stale shard.
+    Load(String),
+    /// Any other failure, such as a missing or empty corpus, or a decoder
+    /// that cannot serve a cell.
+    Other(String),
+}
+
+impl From<String> for CorpusRunError {
+    fn from(message: String) -> Self {
+        CorpusRunError::Other(message)
+    }
+}
+
+impl From<CorpusRunError> for String {
+    fn from(error: CorpusRunError) -> Self {
+        match error {
+            CorpusRunError::Load(message) | CorpusRunError::Other(message) => message,
+        }
+    }
+}
+
+/// [`replay_corpus_with_stats`] with its failure typed by [`CorpusRunError`].
+///
+/// # Errors
+/// Same failure modes as [`replay_corpus`].
+pub fn try_replay_corpus(
+    dir: &Path,
+    options: &ReplayOptions,
+) -> Result<(ReplayReport, Vec<CellCheckpointStats>), CorpusRunError> {
     let corpus = Corpus::open_existing(dir).map_err(|e| e.to_string())?;
     if corpus.entries().is_empty() {
-        return Err(format!(
+        return Err(CorpusRunError::Other(format!(
             "corpus {} is empty — nothing to replay (record cells first)",
             dir.display()
-        ));
+        )));
     }
     // The decoder axis: empty ⇒ the single unlabeled legacy slot (union-find).
     // Duplicate selections collapse, preserving first-mention order.
@@ -877,7 +914,7 @@ pub fn replay_corpus_with_stats(
     let mut results = Vec::new();
     let mut cell_stats = Vec::new();
     for entry in corpus.entries() {
-        let cell = load_entry(&corpus, entry)?;
+        let cell = load_entry(&corpus, entry).map_err(CorpusRunError::Load)?;
         // Every selected backend must be able to serve every cell — checked
         // up front so a mismatch (e.g. the lookup table against d>3) is a
         // typed, actionable error before any replay work, never a panic or a

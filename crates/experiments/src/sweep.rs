@@ -32,7 +32,7 @@ use qec_decoder::{DecoderBackend, DecoderKind};
 
 use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::AggregateMetrics;
-use crate::replay::ReplayMode;
+use crate::replay::{CorpusRunError, ReplayMode};
 use crate::runners::Scale;
 use crate::scenario::{CodeFamily, Scenario};
 
@@ -349,6 +349,20 @@ pub fn run_sweep_with_corpus(
     timing: bool,
     mode: ReplayMode,
 ) -> Result<SweepReport, String> {
+    try_run_sweep_with_corpus(spec, corpus_dir, record_policy, timing, mode).map_err(String::from)
+}
+
+/// [`run_sweep_with_corpus`] with its failure typed by [`CorpusRunError`].
+///
+/// # Errors
+/// Same failure modes as [`run_sweep_with_corpus`].
+pub fn try_run_sweep_with_corpus(
+    spec: &SweepSpec,
+    corpus_dir: &std::path::Path,
+    record_policy: Option<PolicyKind>,
+    timing: bool,
+    mode: ReplayMode,
+) -> Result<SweepReport, CorpusRunError> {
     use crate::replay::{
         cell_key, evaluate_cell_set, load_entry, record_into_corpus, reproduces_live,
     };
@@ -378,34 +392,19 @@ pub fn run_sweep_with_corpus(
                 entry
             }
         };
-        let cell = load_entry(&corpus, &entry)?;
-        // The shared factory is calibrated from the scenario, so the header
-        // must describe exactly the scenario's execution.
-        if cell.header.rounds != scenario.rounds
-            || cell.header.shots != scenario.shots
-            || cell.header.noise.p != scenario.p
-            || cell.header.noise.leakage_ratio != scenario.leakage_ratio
-        {
-            return Err(format!(
-                "cell {key}: corpus trace was recorded with rounds={}, shots={}, p={:e}, \
-                 lr={:e} — delete the stale entry or use a fresh corpus directory",
-                cell.header.rounds,
-                cell.header.shots,
-                cell.header.noise.p,
-                cell.header.noise.leakage_ratio
-            ));
-        }
+        // `load_entry` refuses a shard whose recorded cell key is not `key`.
+        let cell = load_entry(&corpus, &entry).map_err(CorpusRunError::Load)?;
         // A cache hit recorded under a different policy would silently turn the
         // report's "recorded policy" cells into open-loop replays (and drop
         // their LER). Insist the corpus matches the sweep's recording policy.
         if cell.header.policy != recording_kind.label() {
-            return Err(format!(
+            return Err(CorpusRunError::Other(format!(
                 "cell {key}: corpus trace was recorded with policy `{}`, but this sweep records \
                  with `{}` — pass --record-policy {} or use a fresh corpus directory",
                 cell.header.policy,
                 recording_kind.label(),
                 cell.header.policy
-            ));
+            )));
         }
         let group = &scenarios[start..end];
         let group_start = Instant::now();

@@ -7,8 +7,8 @@
 //!    [`PolicyExperimentResult`]s (including across engine instances).
 //! 3. The offline GLADIATOR model is built exactly once per experiment and shared,
 //!    never once per shot.
-//! 4. A recorded shot is the run's stored projection: the engine's traces
-//!    reconstruct the engine's own runs bit for bit.
+//! 4. A recorded shot holds the engine's own run: encoded and decoded again,
+//!    the engine's traces reconstruct its runs bit for bit.
 
 use std::sync::Arc;
 
@@ -17,6 +17,7 @@ use leaky_sim::RunRecord;
 use qec_codes::{Check, Code};
 use qec_experiments::engine::BatchEngine;
 use qec_experiments::harness::{run_policy_experiment, simulate_shot, ExperimentSpec};
+use qec_trace::{code_fingerprint, ShotTrace, TraceHeader, TRACE_SCHEMA_VERSION};
 
 fn spec_for(kind: PolicyKind) -> ExperimentSpec {
     ExperimentSpec::quick(kind).with_shots(5).with_rounds(9).with_seed(4242)
@@ -113,9 +114,24 @@ fn seed_shifts_shift_the_whole_run() {
 #[test]
 fn recorded_traces_reconstruct_the_engine_runs_for_every_policy_kind() {
     for code in [Code::rotated_surface(3), Code::color_666(3)] {
-        let cnot_layers = code.checks().iter().map(Check::weight).max().unwrap_or(0);
         for kind in PolicyKind::ALL {
             let spec = spec_for(kind).with_shots(3);
+            let header = TraceHeader {
+                schema_version: TRACE_SCHEMA_VERSION,
+                generator: "batch engine test".to_string(),
+                git_describe: "unknown".to_string(),
+                code_name: code.name().to_string(),
+                code_fingerprint: code_fingerprint(&code),
+                num_data: code.num_data(),
+                num_checks: code.num_checks(),
+                cnot_layers: code.checks().iter().map(Check::weight).max().unwrap_or(0),
+                rounds: spec.rounds,
+                shots: spec.shots,
+                seed: spec.seed,
+                policy: kind.label().to_string(),
+                leakage_sampling: spec.leakage_sampling,
+                noise: spec.noise,
+            };
             let engine = BatchEngine::new(&code, &spec);
             let traces = engine.trace_records_range(0, spec.shots as u64);
             let runs = records(&engine);
@@ -123,7 +139,8 @@ fn recorded_traces_reconstruct_the_engine_runs_for_every_policy_kind() {
             for (shot, (trace, run)) in traces.iter().zip(&runs).enumerate() {
                 assert_eq!(trace.shot, shot as u64);
                 let what = format!("{} {kind:?} shot {shot}", code.name());
-                assert_eq!(&trace.to_run(&spec.noise, cnot_layers), run, "{what}");
+                let decoded = ShotTrace::decode(&trace.encode(), &header).unwrap();
+                assert_eq!(&decoded.run, run, "{what}");
             }
         }
     }

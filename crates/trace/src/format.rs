@@ -4,20 +4,22 @@
 //! (in shot order), then an end block carrying the shot count — every block
 //! tagged, length-prefixed and CRC-32 checksummed (see [`crate::wire`]).
 //!
-//! The recorded observables are exactly what a [`LeakagePolicy`] may consult
-//! (measurements, MLR heralds, applied LRC schedule) plus the hidden ground
-//! truth needed for scoring (leak flags) and decoding (final frames). Derivable
-//! fields are *not* stored: detectors are the XOR of consecutive measurement
-//! rounds, `data_leak_before` chains from the previous round's
-//! `data_leak_after`, and cycle times follow from the noise model's timing
-//! parameters — [`ShotTrace::to_run`] reconstructs all of them bit-for-bit.
+//! A [`ShotTrace`] holds the simulator's own [`RunRecord`] of the shot. Its
+//! block stores exactly what a [`LeakagePolicy`] may consult (measurements,
+//! MLR heralds, applied LRC schedule) plus the hidden ground truth needed for
+//! scoring (leak flags) and decoding (final frames). Derivable fields are
+//! *not* stored: [`ShotTrace::decode`] derives them once, as the shot is read
+//! — detectors are the XOR of consecutive measurement rounds,
+//! `data_leak_before` chains from the previous round's `data_leak_after`, and
+//! cycle times follow from the header's noise model — bit-for-bit what the
+//! live simulator returned.
 //!
 //! [`LeakagePolicy`]: leaky_sim::LeakagePolicy
 
 use leaky_sim::{LeakagePolicy, NoiseParams, RoundRecord, RunRecord, Simulator};
 use qec_codes::{CheckBasis, Code};
 
-use crate::wire::{Decoder, Encoder, TraceError};
+use crate::wire::{Decoder, Encoder, TraceError, MAX_BLOCK_LEN};
 
 /// Version of the `.qtr` schema; bump on any change to the byte layout, and on
 /// any change to how the simulator maps its RNG stream to noise events (a
@@ -234,30 +236,34 @@ impl TraceHeader {
             noise,
         })
     }
+
+    /// The largest shot block payload this header's sizes can encode: each
+    /// varint at 10 bytes, each LRC index sequence at its bound's entries and
+    /// each flag vector at `ceil(n / 8)` bytes, capped at [`MAX_BLOCK_LEN`].
+    /// The reader refuses any longer block before reading its payload.
+    #[must_use]
+    pub fn max_shot_block_len(&self) -> usize {
+        const VARINT: usize = 10;
+        let (data_bits, check_bits) = (self.num_data.div_ceil(8), self.num_checks.div_ceil(8));
+        let index_seq = |bound: usize| bound.checked_add(1)?.checked_mul(VARINT);
+        let sum = |parts: &[Option<usize>]| {
+            parts.iter().try_fold(0usize, |total, &part| total.checked_add(part?))
+        };
+        let round = sum(&[
+            Some(data_bits),
+            check_bits.checked_mul(3),
+            index_seq(self.num_data),
+            index_seq(self.num_checks),
+        ]);
+        let rounds = round.and_then(|round| round.checked_mul(self.rounds));
+        sum(&[Some(2 * VARINT), data_bits.checked_mul(3), check_bits.checked_mul(2), rounds])
+            .map_or(MAX_BLOCK_LEN, |len| len.min(MAX_BLOCK_LEN))
+    }
 }
 
-/// The stored observables and ground truth of one QEC round.
-///
-/// See the module docs for what is deliberately *not* stored (detectors,
-/// `data_leak_before`, cycle time — all derivable).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRound {
-    /// Raw parity measurements, indexed by check id.
-    pub measurements: Vec<bool>,
-    /// MLR leak heralds, indexed by check id.
-    pub mlr_leak_flags: Vec<bool>,
-    /// Data qubits that received an LRC this round (order preserved).
-    pub data_lrcs: Vec<usize>,
-    /// Parity qubits that received an LRC this round (order preserved).
-    pub ancilla_lrcs: Vec<usize>,
-    /// Ground truth: data leak flags at the end of the round.
-    pub data_leak_after: Vec<bool>,
-    /// Ground truth: ancilla leak flags at the end of the round.
-    pub ancilla_leak_after: Vec<bool>,
-}
-
-/// One complete recorded shot: initial leak flags, every round, final frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One complete recorded shot: the leak flags it started from and the
+/// simulator's own record of the run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShotTrace {
     /// Shot index within the recording run (RNG seed was `base_seed + shot`).
     pub shot: u64,
@@ -265,14 +271,8 @@ pub struct ShotTrace {
     pub initial_data_leak: Vec<bool>,
     /// Ancilla leak flags the shot started from.
     pub initial_ancilla_leak: Vec<bool>,
-    /// Per-round frames, in execution order.
-    pub rounds: Vec<TraceRound>,
-    /// Final X frame of every data qubit (after terminal depolarization).
-    pub final_data_x: Vec<bool>,
-    /// Final Z frame of every data qubit.
-    pub final_data_z: Vec<bool>,
-    /// The final round of perfect measurements, indexed by check id.
-    pub final_perfect_measurements: Vec<bool>,
+    /// The recorded run, bit-for-bit what the live simulator returned.
+    pub run: RunRecord,
 }
 
 impl ShotTrace {
@@ -289,97 +289,19 @@ impl ShotTrace {
         let initial_data_leak = sim.frames().data_leak_flags();
         let initial_ancilla_leak = sim.frames().ancilla_leak_flags();
         let run = sim.run_with_policy(policy, rounds);
-        ShotTrace::from_run(shot, initial_data_leak, initial_ancilla_leak, run)
+        ShotTrace { shot, initial_data_leak, initial_ancilla_leak, run }
     }
 
-    /// The stored projection of a run: moves every stored field out of `run`
-    /// and drops the derivable ones. [`ShotTrace::to_run`] is its inverse.
-    #[must_use]
-    pub fn from_run(
-        shot: u64,
-        initial_data_leak: Vec<bool>,
-        initial_ancilla_leak: Vec<bool>,
-        run: RunRecord,
-    ) -> Self {
-        let rounds = run
-            .rounds
-            .into_iter()
-            .map(|round| TraceRound {
-                measurements: round.measurements,
-                mlr_leak_flags: round.mlr_leak_flags,
-                data_lrcs: round.data_lrcs,
-                ancilla_lrcs: round.ancilla_lrcs,
-                data_leak_after: round.data_leak_after,
-                ancilla_leak_after: round.ancilla_leak_after,
-            })
-            .collect();
-        ShotTrace {
-            shot,
-            initial_data_leak,
-            initial_ancilla_leak,
-            rounds,
-            final_data_x: run.final_data_x,
-            final_data_z: run.final_data_z,
-            final_perfect_measurements: run.final_perfect_measurements,
-        }
-    }
-
-    /// Reconstructs the full [`RunRecord`] of the recorded shot, bit-for-bit
-    /// equal to what the live simulator returned: detectors are re-derived by
-    /// XORing consecutive measurement rounds, `data_leak_before` chains from
-    /// the initial flags through each round's `data_leak_after`, and cycle
-    /// times re-apply the recording noise model's timing formula.
-    #[must_use]
-    pub fn to_run(&self, noise: &NoiseParams, cnot_layers: usize) -> RunRecord {
-        let num_checks = self.final_perfect_measurements.len();
-        let mut prev_measurements = vec![false; num_checks];
-        let mut data_leak_before = self.initial_data_leak.clone();
-        let rounds = self
-            .rounds
-            .iter()
-            .enumerate()
-            .map(|(round, frame)| {
-                let detectors: Vec<bool> = frame
-                    .measurements
-                    .iter()
-                    .zip(&prev_measurements)
-                    .map(|(&m, &prev)| m ^ prev)
-                    .collect();
-                prev_measurements.clone_from(&frame.measurements);
-                let lrc_count = frame.data_lrcs.len() + frame.ancilla_lrcs.len();
-                let record = RoundRecord {
-                    round,
-                    measurements: frame.measurements.clone(),
-                    detectors,
-                    mlr_leak_flags: frame.mlr_leak_flags.clone(),
-                    data_lrcs: frame.data_lrcs.clone(),
-                    ancilla_lrcs: frame.ancilla_lrcs.clone(),
-                    data_leak_before: data_leak_before.clone(),
-                    data_leak_after: frame.data_leak_after.clone(),
-                    ancilla_leak_after: frame.ancilla_leak_after.clone(),
-                    cycle_time_ns: noise.round_ns(cnot_layers, lrc_count),
-                };
-                data_leak_before.clone_from(&frame.data_leak_after);
-                record
-            })
-            .collect();
-        RunRecord {
-            rounds,
-            final_data_x: self.final_data_x.clone(),
-            final_data_z: self.final_data_z.clone(),
-            final_perfect_measurements: self.final_perfect_measurements.clone(),
-        }
-    }
-
-    /// Encodes the shot into a block payload (sizes come from the header).
+    /// Encodes the stored fields of the shot into a block payload (sizes come
+    /// from the header; the derivable fields are dropped).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_varint(self.shot);
         enc.put_bits(&self.initial_data_leak);
         enc.put_bits(&self.initial_ancilla_leak);
-        enc.put_usize(self.rounds.len());
-        for round in &self.rounds {
+        enc.put_usize(self.run.rounds.len());
+        for round in &self.run.rounds {
             enc.put_bits(&round.measurements);
             enc.put_bits(&round.mlr_leak_flags);
             enc.put_index_seq(&round.data_lrcs);
@@ -387,13 +309,17 @@ impl ShotTrace {
             enc.put_bits(&round.data_leak_after);
             enc.put_bits(&round.ancilla_leak_after);
         }
-        enc.put_bits(&self.final_data_x);
-        enc.put_bits(&self.final_data_z);
-        enc.put_bits(&self.final_perfect_measurements);
+        enc.put_bits(&self.run.final_data_x);
+        enc.put_bits(&self.run.final_data_z);
+        enc.put_bits(&self.run.final_perfect_measurements);
         enc.into_bytes()
     }
 
-    /// Decodes a shot block payload recorded under `header`.
+    /// Decodes a shot block payload recorded under `header`, deriving each
+    /// round's index, detectors (this round's measurements XOR the previous
+    /// round's), `data_leak_before` (the initial flags, then the previous
+    /// round's `data_leak_after`) and cycle time (the header's noise model
+    /// over its CNOT layers and the round's LRCs).
     ///
     /// # Errors
     /// Fails on truncation, trailing bytes, out-of-range indices, or a round
@@ -410,31 +336,43 @@ impl ShotTrace {
                 header.rounds
             )));
         }
-        let rounds = (0..round_count)
-            .map(|_| {
-                Ok(TraceRound {
-                    measurements: dec.take_bits(header.num_checks)?,
-                    mlr_leak_flags: dec.take_bits(header.num_checks)?,
-                    data_lrcs: dec.take_index_seq(header.num_data)?,
-                    ancilla_lrcs: dec.take_index_seq(header.num_checks)?,
-                    data_leak_after: dec.take_bits(header.num_data)?,
-                    ancilla_leak_after: dec.take_bits(header.num_checks)?,
-                })
-            })
-            .collect::<Result<Vec<_>, TraceError>>()?;
-        let final_data_x = dec.take_bits(header.num_data)?;
-        let final_data_z = dec.take_bits(header.num_data)?;
-        let final_perfect_measurements = dec.take_bits(header.num_checks)?;
-        dec.expect_finished()?;
-        Ok(ShotTrace {
-            shot,
-            initial_data_leak,
-            initial_ancilla_leak,
+        let mut rounds: Vec<RoundRecord> = Vec::new();
+        for round in 0..round_count {
+            let measurements = dec.take_bits(header.num_checks)?;
+            let mlr_leak_flags = dec.take_bits(header.num_checks)?;
+            let data_lrcs = dec.take_index_seq(header.num_data)?;
+            let ancilla_lrcs = dec.take_index_seq(header.num_checks)?;
+            let data_leak_after = dec.take_bits(header.num_data)?;
+            let ancilla_leak_after = dec.take_bits(header.num_checks)?;
+            let (detectors, data_leak_before) = match rounds.last() {
+                Some(previous) => (
+                    measurements.iter().zip(&previous.measurements).map(|(&m, &p)| m ^ p).collect(),
+                    previous.data_leak_after.clone(),
+                ),
+                None => (measurements.clone(), initial_data_leak.clone()),
+            };
+            let lrcs = data_lrcs.len() + ancilla_lrcs.len();
+            rounds.push(RoundRecord {
+                round,
+                measurements,
+                detectors,
+                mlr_leak_flags,
+                data_lrcs,
+                ancilla_lrcs,
+                data_leak_before,
+                data_leak_after,
+                ancilla_leak_after,
+                cycle_time_ns: header.noise.round_ns(header.cnot_layers, lrcs),
+            });
+        }
+        let run = RunRecord {
             rounds,
-            final_data_x,
-            final_data_z,
-            final_perfect_measurements,
-        })
+            final_data_x: dec.take_bits(header.num_data)?,
+            final_data_z: dec.take_bits(header.num_data)?,
+            final_perfect_measurements: dec.take_bits(header.num_checks)?,
+        };
+        dec.expect_finished()?;
+        Ok(ShotTrace { shot, initial_data_leak, initial_ancilla_leak, run })
     }
 }
 
@@ -463,13 +401,9 @@ mod tests {
         }
     }
 
-    fn record_shot(seed: u64, rounds: usize) -> (ShotTrace, RunRecord) {
-        let code = Code::rotated_surface(3);
-        let noise = NoiseParams::default();
-        let mut sim = Simulator::new(&code, noise, seed);
-        let trace = ShotTrace::record(seed, &mut sim, &mut NeverLrc, rounds);
-        let run = Simulator::new(&code, noise, seed).run_with_policy(&mut NeverLrc, rounds);
-        (trace, run)
+    fn record_shot(seed: u64, rounds: usize) -> ShotTrace {
+        let mut sim = Simulator::new(&Code::rotated_surface(3), NoiseParams::default(), seed);
+        ShotTrace::record(seed, &mut sim, &mut NeverLrc, rounds)
     }
 
     #[test]
@@ -488,17 +422,48 @@ mod tests {
 
     #[test]
     fn recorded_shot_reconstructs_the_run_bit_for_bit() {
-        let (trace, run) = record_shot(42, 6);
-        let reconstructed = trace.to_run(&NoiseParams::default(), 4);
-        assert_eq!(reconstructed, run);
+        // Noisy and seeded with a leak, so detectors fire and leak flags
+        // chain between rounds from a non-trivial start.
+        let noise = NoiseParams::builder().physical_error_rate(0.05).leakage_ratio(1.0).build();
+        let header = TraceHeader { noise, ..sample_header() };
+        let code = Code::rotated_surface(3);
+        let start = || {
+            let mut sim = Simulator::new(&code, noise, 42);
+            sim.seed_random_data_leakage(1);
+            sim
+        };
+        let trace = ShotTrace::record(42, &mut start(), &mut NeverLrc, header.rounds);
+        let run = start().run_with_policy(&mut NeverLrc, header.rounds);
+        assert!(trace.initial_data_leak.contains(&true));
+        assert!(run.rounds.iter().any(|round| round.detectors.iter().filter(|&&d| d).count() > 1));
+        let decoded = ShotTrace::decode(&trace.encode(), &header).unwrap();
+        assert_eq!(decoded.run, run);
     }
 
     #[test]
     fn shot_codec_round_trips_through_the_header() {
         let header = sample_header();
-        let (trace, _) = record_shot(7, header.rounds);
+        let trace = record_shot(7, header.rounds);
         let decoded = ShotTrace::decode(&trace.encode(), &header).unwrap();
         assert_eq!(decoded, trace);
+    }
+
+    #[test]
+    fn shot_block_bound_follows_the_layout_and_saturates() {
+        let header = TraceHeader { rounds: 3, ..sample_header() };
+        // 9 data qubits and 8 checks: two varints, three 2-byte data and two
+        // 1-byte check flag vectors, and per round 2 + 3 flag bytes plus
+        // 10 + 9 varints of LRC indices.
+        assert_eq!(header.max_shot_block_len(), 20 + 6 + 2 + 3 * (5 + 190));
+        let trace = record_shot(7, header.rounds);
+        assert!(trace.encode().len() <= header.max_shot_block_len());
+        for overflowing in [
+            TraceHeader { rounds: usize::MAX, ..sample_header() },
+            TraceHeader { num_data: usize::MAX, ..sample_header() },
+            TraceHeader { num_checks: usize::MAX / 3, ..sample_header() },
+        ] {
+            assert_eq!(overflowing.max_shot_block_len(), MAX_BLOCK_LEN);
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   with provenance (generator, git describe, code fingerprint, bit-exact
 //!   noise model) followed by per-shot, per-round frames — bit-packed
 //!   syndromes, ground-truth leak flags, the applied LRC schedule and MLR
-//!   heralds — with varint encoding and a CRC-32 per block. A [`ShotTrace`] is
-//!   the stored projection of a simulator [`RunRecord`](leaky_sim::RunRecord)
-//!   ([`ShotTrace::from_run`]); derivable fields (detectors,
-//!   `data_leak_before`, cycle times) are reconstructed by its inverse,
-//!   [`ShotTrace::to_run`], not stored.
+//!   heralds — with varint encoding and a CRC-32 per block. A [`ShotTrace`]
+//!   holds the simulator's own [`RunRecord`](leaky_sim::RunRecord) of the
+//!   shot, the one round record of simulator, policies, trace and replay; its
+//!   derivable fields (detectors, `data_leak_before`, cycle times) are not
+//!   stored but derived once, as [`ShotTrace::decode`] reads the shot.
 //! * [`stream`] — streaming writer/reader over `std::io::{Write, Read}`,
 //!   flat-memory in the shot count; shots are framed in shot order so trace
 //!   bytes never depend on recording thread count.
@@ -52,9 +52,7 @@ pub use cluster::{CellAssignment, ClusterMap, ReplicaShard, CLUSTER_FILE, CLUSTE
 pub use corpus::{
     manifest_stamp, Corpus, CorpusEntry, CorpusManifest, ManifestStamp, MANIFEST_SCHEMA_VERSION,
 };
-pub use format::{
-    code_fingerprint, ShotTrace, TraceHeader, TraceRound, TRACE_MAGIC, TRACE_SCHEMA_VERSION,
-};
+pub use format::{code_fingerprint, ShotTrace, TraceHeader, TRACE_MAGIC, TRACE_SCHEMA_VERSION};
 pub use replay::{CheckpointPlan, ClosedLoopReplay, DivergenceProfile, ReplayContext, ShotReplay};
 pub use stream::{
     check_extends, open_trace_file, read_trace_file, read_trace_header, write_trace_file,

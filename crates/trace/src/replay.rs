@@ -2,8 +2,8 @@
 //! recorded execution, open-loop or closed-loop.
 //!
 //! **Open-loop** ([`ReplayContext::replay_shot`]) feeds the policy exactly the
-//! [`PolicyContext`] it would have seen live — the reconstructed round history,
-//! and the recorded ground-truth leak flags for oracle policies — and collects
+//! [`PolicyContext`] it would have seen live — the recorded round history, and
+//! the recorded ground-truth leak flags for oracle policies — and collects
 //! the LRC schedule it *plans* each round. Because every policy in this
 //! workspace is a deterministic function of its context, replaying the trace
 //! with the **same** policy that recorded it reproduces the recorded schedule
@@ -35,6 +35,7 @@
 //! [`Simulator::checkpoint`]: leaky_sim::Simulator::checkpoint
 //! [`Simulator::resume_with_policy`]: leaky_sim::Simulator::resume_with_policy
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use leaky_sim::{
@@ -47,11 +48,10 @@ use serde::{Deserialize, Serialize};
 use crate::format::{code_fingerprint, ShotTrace, TraceHeader};
 use crate::wire::TraceError;
 
-/// The outcome of replaying one shot against one policy.
+/// The outcome of replaying one shot against one policy; the run it is
+/// judged against is the trace's own ([`ShotTrace::run`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShotReplay {
-    /// The recorded run, reconstructed bit-for-bit ([`ShotTrace::to_run`]).
-    pub run: RunRecord,
     /// The LRC schedule the replayed policy planned for each round.
     pub planned: Vec<LrcRequest>,
     /// First round where the planned schedule differs from the recorded one,
@@ -72,17 +72,18 @@ impl ShotReplay {
 /// Its replay cost follows from the divergence round `d` alone: rounds `0..d`
 /// are force-re-executed from the trace and rounds `d..` run live.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClosedLoopReplay {
+pub struct ClosedLoopReplay<'t> {
     /// The candidate policy's run, **bit-for-bit** what a from-scratch live
     /// simulation of that policy on the recorded cell and shot seed returns.
-    /// When the shot never diverged this is the recorded run itself.
-    pub run: RunRecord,
+    /// When the shot never diverged this is the recorded run itself, borrowed
+    /// from the trace.
+    pub run: Cow<'t, RunRecord>,
     /// First round where the candidate's planned schedule differed from the
     /// recorded one; `None` when the whole shot was served from the trace.
     pub divergence: Option<usize>,
 }
 
-impl ClosedLoopReplay {
+impl ClosedLoopReplay<'_> {
     /// `true` when the candidate reproduced the recorded schedule exactly and
     /// the run was served entirely from the trace.
     #[must_use]
@@ -300,15 +301,14 @@ impl ReplayContext {
     /// The caller owns the policy's lifecycle: call [`LeakagePolicy::reset`]
     /// before each shot, exactly as the live batch engine does.
     ///
-    /// Round `r` hands the policy the history of rounds `0..r` (reconstructed
+    /// Round `r` hands the policy the history of rounds `0..r` (the recorded
     /// records), and ground truth equal to the leak flags at planning time:
     /// `data_leak_before` of round `r` and the previous round's
     /// `ancilla_leak_after` (the initial flags for round 0).
     #[must_use]
     pub fn replay_shot(&self, trace: &ShotTrace, policy: &mut dyn LeakagePolicy) -> ShotReplay {
-        let run = trace.to_run(&self.header.noise, self.header.cnot_layers);
-        let (planned, divergence) = self.plan_rounds(trace, &run, policy, false);
-        ShotReplay { run, planned, divergence }
+        let (planned, divergence) = self.plan_rounds(trace, policy, false);
+        ShotReplay { planned, divergence }
     }
 
     /// Builds a simulator compatible with [`ReplayContext::replay_shot_closed_loop`]:
@@ -353,14 +353,14 @@ impl ReplayContext {
     /// under this build's simulator, so exact counterfactuals are impossible
     /// (a stale corpus or a behavioral simulator change; re-record the
     /// corpus).
-    pub fn replay_shot_closed_loop(
+    pub fn replay_shot_closed_loop<'t>(
         &self,
-        trace: &ShotTrace,
+        trace: &'t ShotTrace,
         policies: &mut [&mut dyn LeakagePolicy],
         sim: &mut Simulator,
-    ) -> Result<Vec<ClosedLoopReplay>, TraceError> {
+    ) -> Result<Vec<ClosedLoopReplay<'t>>, TraceError> {
         self.check_simulator(sim)?;
-        let recorded = trace.to_run(&self.header.noise, self.header.cnot_layers);
+        let recorded = &trace.run;
         let total_rounds = recorded.rounds.len();
 
         // Open-loop detection for every candidate against the recorded
@@ -369,7 +369,7 @@ impl ReplayContext {
         let divergences: Vec<Option<(usize, LrcRequest)>> = policies
             .iter_mut()
             .map(|policy| {
-                let (mut plans, divergence) = self.plan_rounds(trace, &recorded, *policy, true);
+                let (mut plans, divergence) = self.plan_rounds(trace, *policy, true);
                 divergence.map(|round| (round, plans.pop().expect("a divergent drive ends on it")))
             })
             .collect();
@@ -393,14 +393,18 @@ impl ReplayContext {
             store.insert(max_round, sim.checkpoint());
         }
 
-        // Serve the divergent candidates in argument order. Forced rounds
-        // reproduced the trace bit-for-bit (verified above), so each
-        // candidate's resume history is the recorded prefix itself.
-        let served: Vec<Option<ClosedLoopReplay>> = policies
+        // Serve the candidates in argument order. A candidate that
+        // reproduces the recorded schedule at every round has, by induction,
+        // the recorded execution as its live run. Forced rounds reproduced the
+        // trace bit-for-bit (verified above), so each divergent candidate's
+        // resume history is the recorded prefix itself.
+        Ok(policies
             .iter_mut()
             .zip(divergences)
             .map(|(policy, divergence)| {
-                let (div_round, div_plan) = divergence?;
+                let Some((div_round, div_plan)) = divergence else {
+                    return ClosedLoopReplay { run: Cow::Borrowed(recorded), divergence: None };
+                };
                 let checkpoint = store.get(&div_round).expect("planned checkpoint must exist");
                 sim.restore(checkpoint);
                 if plan.serve(div_round) {
@@ -412,25 +416,7 @@ impl ReplayContext {
                 history.extend_from_slice(&recorded.rounds[..div_round]);
                 history.push(sim.run_round(&div_plan));
                 let run = sim.resume_with_policy(*policy, history, total_rounds);
-                Some(ClosedLoopReplay { run, divergence: Some(div_round) })
-            })
-            .collect();
-        // A candidate that reproduces the recorded schedule at every round
-        // has, by induction, the recorded execution as its live run; the last
-        // such candidate takes it without a copy.
-        let mut exact_left = served.iter().filter(|replay| replay.is_none()).count();
-        let mut recorded = Some(recorded);
-        Ok(served
-            .into_iter()
-            .map(|replay| {
-                replay.unwrap_or_else(|| {
-                    exact_left -= 1;
-                    let run = if exact_left == 0 { recorded.take() } else { recorded.clone() };
-                    ClosedLoopReplay {
-                        run: run.expect("the recorded run outlives every exact candidate"),
-                        divergence: None,
-                    }
-                })
+                ClosedLoopReplay { run: Cow::Owned(run), divergence: Some(div_round) }
             })
             .collect())
     }
@@ -458,10 +444,10 @@ impl ReplayContext {
     fn plan_rounds(
         &self,
         trace: &ShotTrace,
-        recorded: &RunRecord,
         policy: &mut dyn LeakagePolicy,
         stop_at_divergence: bool,
     ) -> (Vec<LrcRequest>, Option<usize>) {
+        let recorded = &trace.run;
         let mut planned = Vec::with_capacity(recorded.rounds.len());
         let mut divergence = None;
         for (round, record) in recorded.rounds.iter().enumerate() {
@@ -512,18 +498,17 @@ impl ReplayContext {
         trace: &ShotTrace,
         record: &leaky_sim::RoundRecord,
         sim: &mut Simulator,
-    ) -> Result<leaky_sim::RoundRecord, TraceError> {
+    ) -> Result<(), TraceError> {
         let request =
             LrcRequest { data: record.data_lrcs.clone(), ancilla: record.ancilla_lrcs.clone() };
-        let executed = sim.run_round(&request);
-        if &executed != record {
+        if sim.run_round(&request) != *record {
             return Err(TraceError::corrupt(format!(
                 "shot {}: forced re-execution of round {} does not reproduce the recorded \
                  round — the corpus predates a simulator behavior change; re-record it",
                 trace.shot, record.round
             )));
         }
-        Ok(executed)
+        Ok(())
     }
 }
 
@@ -557,7 +542,7 @@ mod tests {
             leakage_sampling: true,
             noise,
         };
-        assert_eq!(trace.to_run(&noise, header.cnot_layers), live_run(code, kind, &header, 0));
+        assert_eq!(trace.run, live_run(code, kind, &header, 0));
         (header, trace)
     }
 
@@ -571,7 +556,7 @@ mod tests {
             let replay = ctx.replay_shot(&trace, policy.as_mut());
             assert!(replay.is_exact(), "{kind:?} diverged at round {:?}", replay.divergence);
             // The planned schedule is exactly the recorded one.
-            for (plan, record) in replay.planned.iter().zip(&replay.run.rounds) {
+            for (plan, record) in replay.planned.iter().zip(&trace.run.rounds) {
                 assert_eq!(plan.data, record.data_lrcs, "{kind:?}");
                 assert_eq!(plan.ancilla, record.ancilla_lrcs, "{kind:?}");
             }
@@ -600,12 +585,12 @@ mod tests {
     }
 
     /// Closed-loop replays `policy` as a set of one.
-    fn replay_one(
+    fn replay_one<'t>(
         ctx: &ReplayContext,
-        trace: &ShotTrace,
+        trace: &'t ShotTrace,
         policy: &mut dyn LeakagePolicy,
         sim: &mut Simulator,
-    ) -> Result<ClosedLoopReplay, TraceError> {
+    ) -> Result<ClosedLoopReplay<'t>, TraceError> {
         let mut set = ctx.replay_shot_closed_loop(trace, &mut [policy], sim)?;
         Ok(set.pop().expect("one candidate, one replay"))
     }
@@ -620,7 +605,7 @@ mod tests {
             let mut policy = build_policy(kind, &code, &GladiatorConfig::default());
             let replay = replay_one(&ctx, &trace, policy.as_mut(), &mut sim).unwrap();
             let live = live_run(&code, kind, &header, trace.shot);
-            assert_eq!(replay.run, live, "{kind:?} counterfactual must be exact");
+            assert_eq!(*replay.run, live, "{kind:?} counterfactual must be exact");
             if kind == PolicyKind::GladiatorM {
                 assert!(replay.is_exact(), "recording policy must never diverge");
             }
@@ -685,7 +670,7 @@ mod tests {
         // Corrupt a recorded mid-run measurement: when the candidate diverges
         // *after* that round, the forced prefix re-execution must notice the
         // recorded round no longer reproduces.
-        trace.rounds[1].measurements[0] = !trace.rounds[1].measurements[0];
+        trace.run.rounds[1].measurements[0] = !trace.run.rounds[1].measurements[0];
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
         let err = replay_one(&ctx, &trace, &mut DivergeAt { fire_round: 3 }, &mut sim).unwrap_err();

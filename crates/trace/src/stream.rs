@@ -9,7 +9,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::format::{ShotTrace, TraceHeader, BLOCK_END, BLOCK_HEADER, BLOCK_SHOT, TRACE_MAGIC};
-use crate::wire::{read_block, write_block, Decoder, Encoder, TraceError};
+use crate::wire::{read_block, write_block, Decoder, Encoder, TraceError, MAX_BLOCK_LEN};
 
 /// Streaming `.qtr` writer: magic + header up front, one block per shot, end
 /// block on [`TraceWriter::finish`].
@@ -82,7 +82,7 @@ impl<R: Read> TraceReader<R> {
         if magic != TRACE_MAGIC {
             return Err(TraceError::corrupt(format!("bad magic {magic:02x?}")));
         }
-        let (tag, payload) = read_block(&mut inner)?;
+        let (tag, payload) = read_block(&mut inner, MAX_BLOCK_LEN)?;
         if tag != BLOCK_HEADER {
             return Err(TraceError::corrupt(format!("expected header block, got tag {tag:#04x}")));
         }
@@ -98,16 +98,18 @@ impl<R: Read> TraceReader<R> {
 
     /// Reads the next shot, or `None` after the end block. The end block's
     /// count is cross-checked against the shots actually read, and shots must
-    /// appear in order.
+    /// appear in order. A block longer than any shot the header's sizes can
+    /// encode ([`TraceHeader::max_shot_block_len`]) is refused before its
+    /// payload is read.
     ///
     /// # Errors
-    /// Fails on CRC mismatches, unknown tags, out-of-order shots, a wrong end
-    /// count, or I/O failures.
+    /// Fails on an oversized block, CRC mismatches, unknown tags, out-of-order
+    /// shots, a wrong end count, or I/O failures.
     pub fn next_shot(&mut self) -> Result<Option<ShotTrace>, TraceError> {
         if self.done {
             return Ok(None);
         }
-        let (tag, payload) = read_block(&mut self.inner)?;
+        let (tag, payload) = read_block(&mut self.inner, self.header.max_shot_block_len())?;
         match tag {
             BLOCK_SHOT => {
                 let shot = ShotTrace::decode(&payload, &self.header)?;

@@ -353,17 +353,22 @@ pub fn write_block<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<(), T
 }
 
 /// Reads one tagged block and verifies its CRC, returning `(tag, payload)`.
+/// A length prefix over `max_len` ([`MAX_BLOCK_LEN`] unless the caller knows
+/// a tighter bound) is refused before any payload byte is read.
 ///
 /// # Errors
-/// Fails on I/O errors, truncation, an over-long length prefix, or a CRC
+/// Fails on I/O errors, truncation, a length prefix over `max_len`, or a CRC
 /// mismatch.
-pub fn read_block<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), TraceError> {
+pub fn read_block<R: Read>(r: &mut R, max_len: usize) -> Result<(u8, Vec<u8>), TraceError> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
-    let len = usize::try_from(read_varint_io(r)?)
-        .ok()
-        .filter(|&len| len <= MAX_BLOCK_LEN)
-        .ok_or_else(|| TraceError::corrupt("block length out of range"))?;
+    let declared = read_varint_io(r)?;
+    let len = usize::try_from(declared).ok().filter(|&len| len <= max_len).ok_or_else(|| {
+        TraceError::corrupt(format!(
+            "block {:#04x} declares {declared} payload bytes, over its limit of {max_len}",
+            tag[0]
+        ))
+    })?;
     // The payload grows only as bytes arrive, so its allocation is bounded by
     // the input actually present, not by the declared length.
     let mut payload = Vec::with_capacity(len.min(BLOCK_PREALLOC));
@@ -459,17 +464,17 @@ mod tests {
     fn blocks_round_trip_and_detect_corruption() {
         let mut file = Vec::new();
         write_block(&mut file, 0x02, b"payload bytes").unwrap();
-        let (tag, payload) = read_block(&mut file.as_slice()).unwrap();
+        let (tag, payload) = read_block(&mut file.as_slice(), MAX_BLOCK_LEN).unwrap();
         assert_eq!(tag, 0x02);
         assert_eq!(payload, b"payload bytes");
         // Corrupt one payload byte: the CRC trailer must catch it.
         let mut damaged = file.clone();
         damaged[3] ^= 0x01;
-        let err = read_block(&mut damaged.as_slice()).unwrap_err();
+        let err = read_block(&mut damaged.as_slice(), MAX_BLOCK_LEN).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
         // Truncate: clean I/O error, not a panic.
         let truncated = &file[..file.len() - 2];
-        assert!(read_block(&mut &truncated[..]).is_err());
+        assert!(read_block(&mut &truncated[..], MAX_BLOCK_LEN).is_err());
     }
 
     /// A reader over a byte slice that records the largest buffer it is
@@ -493,7 +498,7 @@ mod tests {
         write_varint_io(&mut shard, MAX_BLOCK_LEN as u64).unwrap();
         shard.resize(16, 0xAB);
         let mut reader = RecordingReader { bytes: &shard, largest_request: 0 };
-        let err = read_block(&mut reader).unwrap_err();
+        let err = read_block(&mut reader, MAX_BLOCK_LEN).unwrap_err();
         assert!(
             matches!(&err, TraceError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
             "{err}"

@@ -2,11 +2,15 @@
 //! input must surface as a loud, typed [`TraceError`] — never a panic, never a
 //! silent skip or a silently short read.
 
+use std::io::Read;
+
 use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
 use qec_codes::Code;
+use qec_trace::format::{BLOCK_HEADER, BLOCK_SHOT};
+use qec_trace::wire::{write_block, MAX_BLOCK_LEN};
 use qec_trace::{
     code_fingerprint, Corpus, ShotTrace, TraceError, TraceHeader, TraceReader, TraceWriter,
-    TRACE_SCHEMA_VERSION,
+    TRACE_MAGIC, TRACE_SCHEMA_VERSION,
 };
 
 fn sample_header(code: &Code, shots: usize, rounds: usize) -> TraceHeader {
@@ -115,6 +119,49 @@ fn a_flipped_crc_trailer_byte_reports_a_crc_mismatch() {
         }
     };
     assert!(err.to_string().contains("CRC mismatch"), "{err}");
+}
+
+/// A reader over a byte slice that counts the bytes it hands out.
+struct CountingReader<'a> {
+    bytes: &'a [u8],
+    consumed: usize,
+}
+
+impl Read for CountingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.bytes.read(buf)?;
+        self.consumed += read;
+        Ok(read)
+    }
+}
+
+/// A complete, CRC-valid shot block one byte longer than any shot the
+/// header's sizes can encode is refused from its length prefix alone: the
+/// error names both lengths, and no byte past the prefix is read.
+#[test]
+fn an_oversized_shot_block_is_refused_before_its_payload_is_read() {
+    let header = sample_header(&Code::rotated_surface(3), 1, 3);
+    let limit = header.max_shot_block_len();
+    assert!(limit < MAX_BLOCK_LEN, "the header, not the global cap, bounds the block");
+    let mut bytes = TRACE_MAGIC.to_vec();
+    write_block(&mut bytes, BLOCK_HEADER, &header.encode()).unwrap();
+    write_block(&mut bytes, BLOCK_SHOT, &vec![0; limit + 1]).unwrap();
+    // The payload and its 4-byte CRC trailer close the stream.
+    let payload_start = bytes.len() - (limit + 1) - 4;
+
+    let mut counter = CountingReader { bytes: &bytes, consumed: 0 };
+    let mut reader = TraceReader::new(&mut counter).unwrap();
+    let err = reader.next_shot().unwrap_err();
+    assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "corrupt trace: block 0x02 declares {} payload bytes, over its limit of {limit}",
+            limit + 1
+        )
+    );
+    drop(reader);
+    assert_eq!(counter.consumed, payload_start, "nothing past the length prefix is read");
 }
 
 /// The error of opening a trace whose header carries `noise` under valid CRCs.

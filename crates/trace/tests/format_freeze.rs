@@ -18,7 +18,7 @@ use std::path::PathBuf;
 
 use leaky_sim::{policy::NeverLrc, NoiseParams, Simulator};
 use qec_codes::Code;
-use qec_trace::wire::{crc32, read_block};
+use qec_trace::wire::{crc32, read_block, MAX_BLOCK_LEN};
 use qec_trace::{
     code_fingerprint, ShotTrace, TraceHeader, TraceReader, TraceWriter, TRACE_MAGIC,
     TRACE_SCHEMA_VERSION,
@@ -92,7 +92,7 @@ fn fixture_is_byte_identical_to_a_fresh_recording() {
         let mut offset = TRACE_MAGIC.len();
         let mut crcs = Vec::new();
         while offset < bytes.len() {
-            let (tag, payload) = read_block(&mut &bytes[offset..]).unwrap();
+            let (tag, payload) = read_block(&mut &bytes[offset..], MAX_BLOCK_LEN).unwrap();
             // tag + varint length (< 128 for our payloads ⇒ len < 2^14) + payload + crc
             let len_bytes = if payload.len() < 128 { 1 } else { 2 };
             offset += 1 + len_bytes + payload.len() + 4;
@@ -129,7 +129,7 @@ fn fixture_layout_matches_the_documented_format() {
 
     let mut cursor = &bytes[4..];
     // Header block (0x01): CRC and every field pinned.
-    let (tag, payload) = read_block(&mut cursor).unwrap();
+    let (tag, payload) = read_block(&mut cursor, MAX_BLOCK_LEN).unwrap();
     assert_eq!(tag, 0x01, "first block is the header");
     assert_eq!(crc32(&payload), GOLDEN_HEADER_CRC, "header block CRC is pinned");
     let header = TraceHeader::decode(&payload).unwrap();
@@ -150,18 +150,18 @@ fn fixture_layout_matches_the_documented_format() {
 
     // Shot blocks (0x02), in shot order, CRCs pinned.
     for (shot, &golden_crc) in GOLDEN_SHOT_CRCS.iter().enumerate() {
-        let (tag, payload) = read_block(&mut cursor).unwrap();
+        let (tag, payload) = read_block(&mut cursor, MAX_BLOCK_LEN).unwrap();
         assert_eq!(tag, 0x02, "shot {shot} block tag");
         assert_eq!(crc32(&payload), golden_crc, "shot {shot} block CRC is pinned");
         let decoded = qec_trace::ShotTrace::decode(&payload, &header).unwrap();
         assert_eq!(decoded.shot, shot as u64, "shots are strictly in order");
-        assert_eq!(decoded.rounds.len(), header.rounds);
+        assert_eq!(decoded.run.rounds.len(), header.rounds);
         // Leakage sampling seeds exactly one leaked data qubit per shot.
         assert_eq!(decoded.initial_data_leak.iter().filter(|&&l| l).count(), 1);
     }
 
     // End block (0x03): varint shot count 2.
-    let (tag, payload) = read_block(&mut cursor).unwrap();
+    let (tag, payload) = read_block(&mut cursor, MAX_BLOCK_LEN).unwrap();
     assert_eq!(tag, 0x03, "last block is the end block");
     assert_eq!(payload, vec![2u8], "end payload is the varint shot count");
     assert_eq!(crc32(&payload), GOLDEN_END_CRC, "end block CRC is pinned");
