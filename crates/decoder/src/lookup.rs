@@ -153,20 +153,16 @@ impl LookupDecoder {
             "lookup decoder must cover one more layer than the noisy rounds"
         );
         let per_layer = self.checks.len();
+        // `checks` ascends, so a fired check's slot is its rank there.
+        let slot = |check: usize| self.checks.binary_search(&check).ok();
         let mut events = Vec::new();
-        for (r, round) in run.rounds.iter().enumerate() {
-            for (slot, &check) in self.checks.iter().enumerate() {
-                if round.detectors[check] {
-                    events.push(r * per_layer + slot);
-                }
-            }
+        for (r, round) in run.rounds().iter().enumerate() {
+            let fired = round.detectors().ones().filter_map(slot);
+            events.extend(fired.map(|slot| r * per_layer + slot));
         }
-        if let Some(last) = run.rounds.last() {
-            for (slot, &check) in self.checks.iter().enumerate() {
-                if run.final_perfect_measurements[check] ^ last.measurements[check] {
-                    events.push(run.num_rounds() * per_layer + slot);
-                }
-            }
+        if let Some(last) = run.rounds().last() {
+            let flips = run.final_perfect_measurements().differences(last.measurements());
+            events.extend(flips.filter_map(slot).map(|slot| run.num_rounds() * per_layer + slot));
         }
         events
     }
@@ -289,7 +285,7 @@ mod tests {
                 folded[event % per_layer] ^= true;
             }
             for (slot, &check) in decoder.checks().iter().enumerate() {
-                assert_eq!(folded[slot], run.final_perfect_measurements[check]);
+                assert_eq!(folded[slot], run.final_perfect_measurements().get(check));
             }
         }
     }

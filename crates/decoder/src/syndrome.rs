@@ -1,9 +1,9 @@
 //! Converting simulated runs into detection events and judging logical failure.
 
-use qec_codes::{Code, MatchingGraph};
+use qec_codes::{Code, DataQubitId, MatchingGraph};
 
 use crate::decoder::Correction;
-use leaky_sim::RunRecord;
+use leaky_sim::{Bits, RunRecord};
 
 /// Which logical memory experiment is being decoded.
 ///
@@ -33,24 +33,16 @@ pub fn detection_events(run: &RunRecord, graph: &MatchingGraph) -> Vec<usize> {
         run.num_rounds() + 1,
         "matching graph must have one more layer than the noisy rounds"
     );
+    // The fired checks of each layer, ascending; checks outside the graph's
+    // basis have no detector index and are skipped.
     let mut events = Vec::new();
-    for (r, round) in run.rounds.iter().enumerate() {
-        for &check in graph.checks() {
-            if round.detectors[check] {
-                events.push(graph.detector_index(r, check).expect("detector in range"));
-            }
-        }
+    for (r, round) in run.rounds().iter().enumerate() {
+        events.extend(round.detectors().ones().filter_map(|check| graph.detector_index(r, check)));
     }
     // Final perfect layer.
-    if let Some(last) = run.rounds.last() {
-        for &check in graph.checks() {
-            let flip = run.final_perfect_measurements[check] ^ last.measurements[check];
-            if flip {
-                events.push(
-                    graph.detector_index(run.num_rounds(), check).expect("final layer in range"),
-                );
-            }
-        }
+    if let Some(last) = run.rounds().last() {
+        let flips = run.final_perfect_measurements().differences(last.measurements());
+        events.extend(flips.filter_map(|check| graph.detector_index(run.num_rounds(), check)));
     }
     events
 }
@@ -65,28 +57,26 @@ pub fn logical_failure(
     basis: MemoryBasis,
 ) -> bool {
     match basis {
-        MemoryBasis::Z => {
-            // Residual X errors flip the logical-Z readout.
-            let mut frames = run.final_data_x.clone();
-            for &q in &correction.data_qubits {
-                frames[q] = !frames[q];
-            }
-            code.logical_z()
-                .first()
-                .map(|support| support.iter().filter(|&&q| frames[q]).count() % 2 == 1)
-                .unwrap_or(false)
-        }
-        MemoryBasis::X => {
-            let mut frames = run.final_data_z.clone();
-            for &q in &correction.data_qubits {
-                frames[q] = !frames[q];
-            }
-            code.logical_x()
-                .first()
-                .map(|support| support.iter().filter(|&&q| frames[q]).count() % 2 == 1)
-                .unwrap_or(false)
-        }
+        // Residual X errors flip the logical-Z readout.
+        MemoryBasis::Z => residual_flips(run.final_data_x(), code.logical_z(), correction),
+        MemoryBasis::X => residual_flips(run.final_data_z(), code.logical_x(), correction),
     }
+}
+
+/// `true` when the residual frame — `frames` with every correction qubit
+/// flipped — has odd parity on the first logical support. Over a support of
+/// distinct qubits that parity is the frames' parity on it plus the number of
+/// correction entries that land in it, so no corrected copy is built.
+fn residual_flips(
+    frames: Bits<'_>,
+    logicals: &[Vec<DataQubitId>],
+    correction: &Correction,
+) -> bool {
+    logicals.first().is_some_and(|support| {
+        let framed = support.iter().filter(|&&q| frames.get(q)).count();
+        let corrected = correction.data_qubits.iter().filter(|q| support.contains(q)).count();
+        (framed + corrected) % 2 == 1
+    })
 }
 
 #[cfg(test)]
@@ -118,7 +108,7 @@ mod tests {
         for seed in 0..5 {
             let (_, run, failed) = run_and_decode(3, 5, 0.0, seed);
             assert!(!failed);
-            assert!(run.final_data_x.iter().all(|&b| !b));
+            assert!(!run.final_data_x().any());
         }
     }
 
@@ -168,7 +158,7 @@ mod tests {
         let mut run = sim.run_with_policy(&mut NeverLrc, 2);
         // Manually plant a logical X string in the final frames.
         for &q in &code.logical_z()[0] {
-            run.final_data_x[q] = true;
+            run.finals_mut().final_data_x.set(q, true);
         }
         let failed = logical_failure(&code, &run, &Correction::default(), MemoryBasis::Z);
         assert!(failed);
@@ -185,7 +175,7 @@ mod tests {
         let mut sim = Simulator::new(&code, noise, 3);
         let mut run = sim.run_with_policy(&mut NeverLrc, 2);
         for &q in &code.logical_x()[0] {
-            run.final_data_z[q] = true;
+            run.finals_mut().final_data_z.set(q, true);
         }
         assert!(logical_failure(&code, &run, &Correction::default(), MemoryBasis::X));
         assert!(!logical_failure(&code, &run, &Correction::default(), MemoryBasis::Z));

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use leaky_sim::{LrcRequest, NoiseParams, RoundRecord, RunRecord};
+use leaky_sim::{LrcRequest, NoiseParams, RoundView, RunRecord};
 
 /// Per-shot speculation metrics extracted from one simulated run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,9 +39,9 @@ impl RunMetrics {
     #[must_use]
     pub fn score(run: &RunRecord, lrc_time_ns: f64) -> Self {
         let applied = run
-            .rounds
+            .rounds()
             .iter()
-            .map(|round| (&round.data_lrcs[..], round.ancilla_lrcs.len(), round.cycle_time_ns));
+            .map(|round| (round.data_lrcs(), round.ancilla_lrcs().len(), round.cycle_time_ns()));
         Self::tally(run, applied, lrc_time_ns)
     }
 
@@ -67,7 +67,7 @@ impl RunMetrics {
         noise: &NoiseParams,
         cnot_layers: usize,
     ) -> Self {
-        assert_eq!(planned.len(), run.rounds.len(), "one planned request per round");
+        assert_eq!(planned.len(), run.num_rounds(), "one planned request per round");
         let priced = planned.iter().map(|plan| {
             (&plan.data[..], plan.ancilla.len(), noise.round_ns(cnot_layers, plan.len()))
         });
@@ -76,7 +76,8 @@ impl RunMetrics {
 
     /// The one scoring loop: each round's `(data LRCs, parity LRC count,
     /// round time)` is judged against the run's ground-truth leak flags, in
-    /// round order, and the DLP fields are read off the run.
+    /// round order, and the DLP fields are read off the run. False negatives
+    /// walk the set leak flags only.
     fn tally<'a>(
         run: &RunRecord,
         schedule: impl Iterator<Item = (&'a [usize], usize, f64)>,
@@ -87,16 +88,12 @@ impl RunMetrics {
         let mut data_lrcs = 0usize;
         let mut ancilla_lrcs = 0usize;
         let mut total_time_ns = 0.0f64;
-        for (round, (data, ancilla, time_ns)) in run.rounds.iter().zip(schedule) {
+        for (round, (data, ancilla, time_ns)) in run.rounds().iter().zip(schedule) {
+            let leaked = round.data_leak_before();
             data_lrcs += data.len();
             ancilla_lrcs += ancilla;
-            false_positives += data.iter().filter(|&&q| !round.data_leak_before[q]).count();
-            false_negatives += round
-                .data_leak_before
-                .iter()
-                .enumerate()
-                .filter(|&(q, &leaked)| leaked && !data.contains(&q))
-                .count();
+            false_positives += data.iter().filter(|&&q| !leaked.get(q)).count();
+            false_negatives += leaked.ones().filter(|q| !data.contains(q)).count();
             total_time_ns += time_ns;
         }
         RunMetrics {
@@ -107,7 +104,7 @@ impl RunMetrics {
             ancilla_lrcs,
             average_dlp: run.average_data_leak_fraction(),
             final_dlp: run.final_data_leak_fraction(),
-            dlp_series: run.rounds.iter().map(RoundRecord::data_leak_fraction).collect(),
+            dlp_series: run.rounds().iter().map(RoundView::data_leak_fraction).collect(),
             total_time_ns,
             lrc_time_ns: lrc_time_ns * (data_lrcs + ancilla_lrcs) as f64,
             logical_error: None,

@@ -295,14 +295,15 @@ pub fn pattern_usage_histogram(
     let partials = engine.map_records(|_, run| {
         let mut with_leak = vec![0usize; 1 << width_of_interest];
         let mut without_leak = vec![0usize; 1 << width_of_interest];
-        for r in 1..run.rounds.len() {
-            let patterns = extractor.patterns(&run.rounds[r - 1].detectors);
-            for &q in &run.rounds[r].data_lrcs {
+        for r in 1..run.num_rounds() {
+            let patterns = extractor.patterns(run.round(r - 1).detectors());
+            let round = run.round(r);
+            for &q in round.data_lrcs() {
                 if extractor.width(q) != width_of_interest {
                     continue;
                 }
                 let pattern = patterns[q] as usize;
-                if run.rounds[r].data_leak_before[q] {
+                if round.data_leak_before().get(q) {
                     with_leak[pattern] += 1;
                 } else {
                     without_leak[pattern] += 1;
@@ -705,12 +706,9 @@ pub fn table6_mobility(scale: &Scale) -> Vec<Table6Row> {
             // tiny (regime, conditional) summaries flow back.
             let verdicts = BatchEngine::new(&code, &s).map_records(|_, run| {
                 let mut estimator = MobilityEstimator::new();
-                for r in 1..run.rounds.len() {
-                    estimator.observe_round(
-                        &run.rounds[r].data_lrcs,
-                        &run.rounds[r - 1].mlr_leak_flags,
-                        &adjacency,
-                    );
+                for r in 1..run.num_rounds() {
+                    let mlr = run.round(r - 1).mlr_leak_flags();
+                    estimator.observe_round(run.round(r).data_lrcs(), |c| mlr.get(c), &adjacency);
                 }
                 estimator
                     .classify()

@@ -52,12 +52,12 @@ impl MobilityEstimator {
     /// Records one round of observations.
     ///
     /// * `flagged_data` — data qubits the speculation policy flagged as leaked this round,
-    /// * `ancilla_mlr` — per-check MLR verdicts of the same round,
+    /// * `ancilla_mlr` — whether a check's MLR flagged its parity qubit in the same round,
     /// * `adjacency` — for every data qubit, the ids of its adjacent checks.
     pub fn observe_round(
         &mut self,
         flagged_data: &[usize],
-        ancilla_mlr: &[bool],
+        ancilla_mlr: impl Fn(usize) -> bool,
         adjacency: &[Vec<usize>],
     ) {
         for &q in flagged_data {
@@ -66,8 +66,7 @@ impl MobilityEstimator {
                 continue;
             }
             self.flagged_observations += 1;
-            let any_leaked =
-                neighbors.iter().any(|&c| ancilla_mlr.get(c).copied().unwrap_or(false));
+            let any_leaked = neighbors.iter().any(|&c| ancilla_mlr(c));
             if any_leaked {
                 self.flagged_with_leaked_neighbor += 1;
             }
@@ -125,8 +124,8 @@ mod tests {
         let mut est = MobilityEstimator::new();
         let adjacency = line_adjacency(4);
         for round in 0..100 {
-            let mlr = vec![round % 10 != 0, false, false, false];
-            est.observe_round(&[0], &mlr, &adjacency);
+            let mlr = [round % 10 != 0, false, false, false];
+            est.observe_round(&[0], |c| mlr[c], &adjacency);
         }
         assert_eq!(est.classify(), Some(MobilityRegime::High));
         assert!(est.conditional_probability().expect("has data") > 0.5);
@@ -137,8 +136,8 @@ mod tests {
         let mut est = MobilityEstimator::new();
         let adjacency = line_adjacency(4);
         for round in 0..100 {
-            let mlr = vec![round == 7, false, false, false];
-            est.observe_round(&[0], &mlr, &adjacency);
+            let mlr = [round == 7, false, false, false];
+            est.observe_round(&[0], |c| mlr[c], &adjacency);
         }
         assert_eq!(est.classify(), Some(MobilityRegime::Low));
     }
@@ -148,13 +147,13 @@ mod tests {
         let mut strict = MobilityEstimator::with_threshold(0.5);
         let adjacency = line_adjacency(2);
         for round in 0..10 {
-            strict.observe_round(&[0], &[round % 5 == 0, false], &adjacency);
+            strict.observe_round(&[0], |c| c == 0 && round % 5 == 0, &adjacency);
         }
         // 20% conditional probability: High at the default 5% threshold, Low at 50%.
         assert_eq!(strict.classify(), Some(MobilityRegime::Low));
         let mut default = MobilityEstimator::new();
         for round in 0..10 {
-            default.observe_round(&[0], &[round % 5 == 0, false], &adjacency);
+            default.observe_round(&[0], |c| c == 0 && round % 5 == 0, &adjacency);
         }
         assert_eq!(default.classify(), Some(MobilityRegime::High));
     }
@@ -163,7 +162,7 @@ mod tests {
     fn qubits_without_neighbors_are_ignored() {
         let mut est = MobilityEstimator::new();
         let adjacency = vec![vec![], vec![0]];
-        est.observe_round(&[0, 1], &[true], &adjacency);
+        est.observe_round(&[0, 1], |c| c == 0, &adjacency);
         assert_eq!(est.observations(), 1);
     }
 

@@ -1,21 +1,21 @@
 //! Pauli frames and leakage flags for all physical qubits of a code.
 
-use serde::{Deserialize, Serialize};
-
+use crate::bits::{BitVec, Bits};
 use crate::pauli::Pauli;
 use qec_codes::{CheckId, DataQubitId};
 
-/// Pauli frames (X/Z error components) and leak flags for every physical qubit.
+/// Pauli frames (X/Z error components) and leak flags for every physical qubit,
+/// each a packed [`BitVec`].
 ///
 /// Data qubits keep their frame across rounds; ancilla (parity) qubits are measured and
 /// reset every round so only their *leak* flag persists — their within-round frame is
 /// local to the round executor.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct QubitFrames {
-    data_x: Vec<bool>,
-    data_z: Vec<bool>,
-    data_leak: Vec<bool>,
-    ancilla_leak: Vec<bool>,
+    data_x: BitVec,
+    data_z: BitVec,
+    data_leak: BitVec,
+    ancilla_leak: BitVec,
 }
 
 // Hand-written so `clone_from` reuses the destination's allocations: checkpoint
@@ -45,10 +45,10 @@ impl QubitFrames {
     #[must_use]
     pub fn new(num_data: usize, num_ancilla: usize) -> Self {
         QubitFrames {
-            data_x: vec![false; num_data],
-            data_z: vec![false; num_data],
-            data_leak: vec![false; num_data],
-            ancilla_leak: vec![false; num_ancilla],
+            data_x: BitVec::new(num_data),
+            data_z: BitVec::new(num_data),
+            data_leak: BitVec::new(num_data),
+            ancilla_leak: BitVec::new(num_ancilla),
         }
     }
 
@@ -58,9 +58,7 @@ impl QubitFrames {
         for flags in
             [&mut self.data_x, &mut self.data_z, &mut self.data_leak, &mut self.ancilla_leak]
         {
-            for flag in flags.iter_mut() {
-                *flag = false;
-            }
+            flags.clear();
         }
     }
 
@@ -79,117 +77,92 @@ impl QubitFrames {
     /// Apply a Pauli to a data qubit's frame.
     pub fn apply_data_pauli(&mut self, q: DataQubitId, p: Pauli) {
         if p.has_x() {
-            self.data_x[q] = !self.data_x[q];
+            self.data_x.toggle(q);
         }
         if p.has_z() {
-            self.data_z[q] = !self.data_z[q];
+            self.data_z.toggle(q);
         }
     }
 
     /// X component of a data qubit's frame.
     #[must_use]
     pub fn data_has_x(&self, q: DataQubitId) -> bool {
-        self.data_x[q]
+        self.data_x.get(q)
     }
 
     /// Z component of a data qubit's frame.
     #[must_use]
     pub fn data_has_z(&self, q: DataQubitId) -> bool {
-        self.data_z[q]
+        self.data_z.get(q)
     }
 
     /// Current Pauli on a data qubit.
     #[must_use]
     pub fn data_pauli(&self, q: DataQubitId) -> Pauli {
-        Pauli::from_components(self.data_x[q], self.data_z[q])
+        Pauli::from_components(self.data_x.get(q), self.data_z.get(q))
     }
 
     /// Leak flag of a data qubit.
     #[must_use]
     pub fn data_leaked(&self, q: DataQubitId) -> bool {
-        self.data_leak[q]
+        self.data_leak.get(q)
     }
 
     /// Set the leak flag of a data qubit.
     pub fn set_data_leaked(&mut self, q: DataQubitId, leaked: bool) {
-        self.data_leak[q] = leaked;
+        self.data_leak.set(q, leaked);
     }
 
     /// Leak flag of an ancilla qubit (indexed by its check id).
     #[must_use]
     pub fn ancilla_leaked(&self, c: CheckId) -> bool {
-        self.ancilla_leak[c]
+        self.ancilla_leak.get(c)
     }
 
     /// Set the leak flag of an ancilla qubit.
     pub fn set_ancilla_leaked(&mut self, c: CheckId, leaked: bool) {
-        self.ancilla_leak[c] = leaked;
+        self.ancilla_leak.set(c, leaked);
     }
 
     /// Number of currently leaked data qubits.
     #[must_use]
     pub fn leaked_data_count(&self) -> usize {
-        self.data_leak.iter().filter(|&&l| l).count()
+        self.data_leak.count_ones()
     }
 
     /// Number of currently leaked ancilla qubits.
     #[must_use]
     pub fn leaked_ancilla_count(&self) -> usize {
-        self.ancilla_leak.iter().filter(|&&l| l).count()
+        self.ancilla_leak.count_ones()
     }
 
     /// `true` when any data or ancilla qubit is leaked.
     pub(crate) fn any_leaked(&self) -> bool {
-        self.data_leak.iter().chain(&self.ancilla_leak).any(|&leaked| leaked)
+        self.data_leak.any() || self.ancilla_leak.any()
     }
 
-    /// Snapshot of the data leak flags.
+    /// The data leak flags.
     #[must_use]
-    pub fn data_leak_flags(&self) -> Vec<bool> {
-        self.data_leak.clone()
+    pub fn data_leaks(&self) -> Bits<'_> {
+        self.data_leak.as_bits()
     }
 
-    /// Borrowed view of the data leak flags (allocation-free).
+    /// The ancilla leak flags.
     #[must_use]
-    pub fn data_leaks(&self) -> &[bool] {
-        &self.data_leak
+    pub fn ancilla_leaks(&self) -> Bits<'_> {
+        self.ancilla_leak.as_bits()
     }
 
-    /// Borrowed view of the ancilla leak flags (allocation-free).
+    /// The data X frames (bit-flip components).
     #[must_use]
-    pub fn ancilla_leaks(&self) -> &[bool] {
-        &self.ancilla_leak
+    pub fn data_x(&self) -> Bits<'_> {
+        self.data_x.as_bits()
     }
 
-    /// Snapshot of the ancilla leak flags.
+    /// The data Z frames (phase-flip components).
     #[must_use]
-    pub fn ancilla_leak_flags(&self) -> Vec<bool> {
-        self.ancilla_leak.clone()
-    }
-
-    /// Snapshot of the data X frames (bit-flip components).
-    #[must_use]
-    pub fn data_x_frames(&self) -> Vec<bool> {
-        self.data_x.clone()
-    }
-
-    /// Snapshot of the data Z frames (phase-flip components).
-    #[must_use]
-    pub fn data_z_frames(&self) -> Vec<bool> {
-        self.data_z.clone()
-    }
-
-    /// Parity of the X components over a set of data qubits (flips Z-type checks and
-    /// Z-basis logical measurements).
-    #[must_use]
-    pub fn x_parity(&self, support: &[DataQubitId]) -> bool {
-        support.iter().filter(|&&q| self.data_x[q]).count() % 2 == 1
-    }
-
-    /// Parity of the Z components over a set of data qubits.
-    #[must_use]
-    pub fn z_parity(&self, support: &[DataQubitId]) -> bool {
-        support.iter().filter(|&&q| self.data_z[q]).count() % 2 == 1
+    pub fn data_z(&self) -> Bits<'_> {
+        self.data_z.as_bits()
     }
 }
 
@@ -204,7 +177,7 @@ mod tests {
         assert_eq!(f.num_ancilla(), 3);
         assert_eq!(f.leaked_data_count(), 0);
         assert_eq!(f.leaked_ancilla_count(), 0);
-        assert!(!f.x_parity(&[0, 1, 2, 3, 4]));
+        assert!(!f.data_x().any() && !f.data_z().any());
     }
 
     #[test]
@@ -217,17 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn parities_track_supports() {
-        let mut f = QubitFrames::new(4, 0);
-        f.apply_data_pauli(1, Pauli::X);
-        f.apply_data_pauli(3, Pauli::Z);
-        assert!(f.x_parity(&[0, 1]));
-        assert!(!f.x_parity(&[0, 2]));
-        assert!(f.z_parity(&[3]));
-        assert!(!f.z_parity(&[1, 2]));
-    }
-
-    #[test]
     fn clone_from_matches_clone_and_reuses_capacity() {
         let mut src = QubitFrames::new(5, 3);
         src.apply_data_pauli(1, Pauli::X);
@@ -236,11 +198,12 @@ mod tests {
         src.set_ancilla_leaked(0, true);
 
         let mut dst = QubitFrames::new(5, 3);
-        let ptr_before = dst.data_x.as_ptr();
+        let ptr_before = dst.data_x.as_bits().words().as_ptr();
         dst.clone_from(&src);
         assert_eq!(dst, src);
         assert_eq!(dst, src.clone());
-        assert_eq!(dst.data_x.as_ptr(), ptr_before, "clone_from must reuse the allocation");
+        let ptr_after = dst.data_x.as_bits().words().as_ptr();
+        assert_eq!(ptr_after, ptr_before, "clone_from must reuse the allocation");
     }
 
     #[test]

@@ -16,9 +16,18 @@
 //!   extra depolarizing noise, possible re-leakage and added cycle latency.
 //!
 //! The simulator is *closed loop*: a [`LeakagePolicy`] (implemented in the
-//! `leakage-speculation` crate) inspects each round's [`RoundRecord`] and schedules the
-//! LRCs applied at the start of the next round, exactly like the leakage speculation
-//! block of Figure 2(c) in the paper.
+//! `leakage-speculation` crate) inspects the completed rounds of the shot's
+//! [`RunRecord`] and schedules the LRCs applied at the start of the next round,
+//! exactly like the leakage speculation block of Figure 2(c) in the paper.
+//!
+//! Every per-qubit and per-check flag — frames, leak flags, measurements,
+//! detectors — is packed one bit per entry into `u64` words ([`bits`]). A shot's
+//! [`RunRecord`] is one arena: every round's flags at a fixed stride in one word
+//! vector, its LRC indices in one vector and its cycle times in another
+//! ([`record`]). Rounds append in place, so a run reserved once for its round
+//! count allocates nothing per round, and policies, scoring, decoders and the
+//! trace codec read rounds through borrowed views ([`RoundView`]) and walk the
+//! set bits of a flag vector ([`Bits::ones`]).
 //!
 //! Fixed-probability noise is drawn per *event*, not per opportunity: each round
 //! starts one geometric-gap stream per distinct probability (`p`, `p_leak`,
@@ -44,12 +53,13 @@
 //! let noise = NoiseParams::builder().physical_error_rate(1e-3).leakage_ratio(0.1).build();
 //! let mut sim = Simulator::new(&code, noise, 42);
 //! let run = sim.run_with_policy(&mut NeverLrc, 10);
-//! assert_eq!(run.rounds.len(), 10);
+//! assert_eq!(run.num_rounds(), 10);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bits;
 pub mod device;
 pub mod frame;
 pub mod noise;
@@ -59,9 +69,10 @@ pub mod record;
 pub mod rounds;
 pub mod simulator;
 
+pub use bits::{BitVec, Bits, BitsMut};
 pub use frame::QubitFrames;
 pub use noise::{NoiseParams, NoiseParamsBuilder};
 pub use pauli::Pauli;
 pub use policy::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
-pub use record::{RoundRecord, RunRecord};
+pub use record::{FinalFlagsMut, RoundFlagsMut, RoundView, Rounds, RunRecord};
 pub use simulator::{Simulator, SimulatorCheckpoint};

@@ -10,7 +10,8 @@
 
 use qec_codes::{Code, DataQubitId};
 
-use crate::record::RoundRecord;
+use crate::bits::Bits;
+use crate::record::{RoundView, Rounds};
 
 /// Qubits scheduled to receive an LRC at the start of the upcoming round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,9 +56,9 @@ impl LrcRequest {
 #[derive(Debug, Clone, Copy)]
 pub struct GroundTruth<'a> {
     /// Current data-qubit leak flags.
-    pub data_leaked: &'a [bool],
+    pub data_leaked: Bits<'a>,
     /// Current ancilla leak flags.
-    pub ancilla_leaked: &'a [bool],
+    pub ancilla_leaked: Bits<'a>,
 }
 
 /// The information a policy may consult when planning LRCs for the next round.
@@ -65,8 +66,8 @@ pub struct GroundTruth<'a> {
 pub struct PolicyContext<'a> {
     /// Index of the upcoming round (0-based). When `round == 0` no observations exist yet.
     pub round: usize,
-    /// Records of all completed rounds, oldest first.
-    pub history: &'a [RoundRecord],
+    /// The completed rounds, oldest first (never a round not yet planned).
+    pub history: Rounds<'a>,
     /// Ground truth leak flags — only for oracle policies; honest policies must ignore it.
     pub ground_truth: GroundTruth<'a>,
 }
@@ -74,18 +75,14 @@ pub struct PolicyContext<'a> {
 impl<'a> PolicyContext<'a> {
     /// The most recent completed round, if any.
     #[must_use]
-    pub fn last_round(&self) -> Option<&'a RoundRecord> {
+    pub fn last_round(&self) -> Option<RoundView<'a>> {
         self.history.last()
     }
 
     /// The record `k` rounds before the most recent one (`k = 0` is the most recent).
     #[must_use]
-    pub fn round_back(&self, k: usize) -> Option<&'a RoundRecord> {
-        if k < self.history.len() {
-            Some(&self.history[self.history.len() - 1 - k])
-        } else {
-            None
-        }
+    pub fn round_back(&self, k: usize) -> Option<RoundView<'a>> {
+        self.history.get(self.history.len().checked_sub(k + 1)?)
     }
 }
 
@@ -131,6 +128,7 @@ impl LeakagePolicy for NeverLrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NoiseParams, QubitFrames, RunRecord, Simulator};
     use qec_codes::Code;
 
     #[test]
@@ -145,14 +143,14 @@ mod tests {
     #[test]
     fn never_lrc_schedules_nothing() {
         let code = Code::rotated_surface(3);
-        let data_leaked = vec![false; code.num_data()];
-        let ancilla_leaked = vec![false; code.num_checks()];
+        let run = RunRecord::new(code.num_data(), code.num_checks());
+        let leaks = QubitFrames::new(code.num_data(), code.num_checks());
         let ctx = PolicyContext {
             round: 0,
-            history: &[],
+            history: run.rounds(),
             ground_truth: GroundTruth {
-                data_leaked: &data_leaked,
-                ancilla_leaked: &ancilla_leaked,
+                data_leaked: leaks.data_leaks(),
+                ancilla_leaked: leaks.ancilla_leaks(),
             },
         };
         let mut policy = NeverLrc;
@@ -163,32 +161,20 @@ mod tests {
     #[test]
     fn round_back_indexes_from_most_recent() {
         let code = Code::rotated_surface(3);
-        let make = |round| RoundRecord {
-            round,
-            measurements: vec![],
-            detectors: vec![],
-            mlr_leak_flags: vec![],
-            data_lrcs: vec![],
-            ancilla_lrcs: vec![],
-            data_leak_before: vec![],
-            data_leak_after: vec![],
-            ancilla_leak_after: vec![],
-            cycle_time_ns: 0.0,
-        };
-        let history = vec![make(0), make(1), make(2)];
-        let data_leaked = vec![false; code.num_data()];
-        let ancilla_leaked = vec![false; code.num_checks()];
+        let run =
+            Simulator::new(&code, NoiseParams::default(), 1).run_with_policy(&mut NeverLrc, 3);
+        let leaks = QubitFrames::new(code.num_data(), code.num_checks());
         let ctx = PolicyContext {
             round: 3,
-            history: &history,
+            history: run.rounds(),
             ground_truth: GroundTruth {
-                data_leaked: &data_leaked,
-                ancilla_leaked: &ancilla_leaked,
+                data_leaked: leaks.data_leaks(),
+                ancilla_leaked: leaks.ancilla_leaks(),
             },
         };
-        assert_eq!(ctx.last_round().map(|r| r.round), Some(2));
-        assert_eq!(ctx.round_back(0).map(|r| r.round), Some(2));
-        assert_eq!(ctx.round_back(2).map(|r| r.round), Some(0));
+        assert_eq!(ctx.last_round().map(RoundView::round), Some(2));
+        assert_eq!(ctx.round_back(0).map(RoundView::round), Some(2));
+        assert_eq!(ctx.round_back(2).map(RoundView::round), Some(0));
         assert!(ctx.round_back(3).is_none());
     }
 }

@@ -30,10 +30,19 @@
 //! coin is drawn and readout draws nothing; and without faults a Z check's ancilla
 //! Z bit and an X check's ancilla X bit stay clear, so the CNOTs leave every data
 //! frame as it is. Each measurement is then the noiseless parity of its support and
-//! no MLR flag is raised, so the RNG position, the frames and the [`RoundRecord`]
+//! no MLR flag is raised, so the RNG position, the frames and the recorded round
 //! are those of the full loop by construction. The check comes after the LRC
 //! gadgets, which draw from the RNG and can re-leak a qubit; `data_leak_before` is
 //! still taken before them. The gate loop stays the one path for every other round.
+//!
+//! # Writing the round in place
+//!
+//! A round appends its flags to the caller's [`RunRecord`] arena
+//! ([`RunRecord::push_round`]) and writes them there: measurements and MLR
+//! flags bit by bit, detectors as the word XOR with the previous round's
+//! measurements, and leak snapshots as word copies of the frames. The
+//! within-round ancilla frames are scratch words the simulator keeps between
+//! rounds, so a round allocates nothing.
 
 use std::sync::Arc;
 
@@ -41,10 +50,10 @@ use rand::{Rng, RngCore};
 
 use qec_codes::{Check, CheckBasis, CheckId, Code, DataQubitId};
 
+use crate::bits::{BitVec, BitsMut};
 use crate::noise::NoiseParams;
 use crate::pauli::{random_two_qubit_error, Pauli};
-use crate::policy::LrcRequest;
-use crate::record::RoundRecord;
+use crate::record::RunRecord;
 use crate::simulator::Simulator;
 
 /// Survival function `t[k] = (1-q)^k`, `k = 0..=n`, of a Bernoulli(q) trial
@@ -167,32 +176,33 @@ impl<'t> RoundStreams<'t> {
 }
 
 /// Within-round Pauli frame of the ancilla (parity) qubits. Ancillas are measured and
-/// reset every round, so this state never outlives `execute_round`.
-#[derive(Debug, Clone)]
-struct AncillaFrames {
-    x: Vec<bool>,
-    z: Vec<bool>,
+/// reset every round, so this state never outlives `execute_round`; the simulator
+/// keeps the words between rounds only to reuse them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AncillaFrames {
+    x: BitVec,
+    z: BitVec,
 }
 
 impl AncillaFrames {
-    fn new(n: usize) -> Self {
-        AncillaFrames { x: vec![false; n], z: vec![false; n] }
+    pub(crate) fn new(n: usize) -> Self {
+        AncillaFrames { x: BitVec::new(n), z: BitVec::new(n) }
     }
 
     fn apply(&mut self, c: CheckId, p: Pauli) {
         if p.has_x() {
-            self.x[c] = !self.x[c];
+            self.x.toggle(c);
         }
         if p.has_z() {
-            self.z[c] = !self.z[c];
+            self.z.toggle(c);
         }
     }
 }
 
 impl Simulator {
     /// Executes one QEC round: LRCs → data noise → ancilla prep → CNOT layers →
-    /// readout, returning the observable record plus ground truth snapshots, and
-    /// advances the round counter.
+    /// readout, appends its observable record plus ground truth snapshots to
+    /// `run`, and advances the round counter.
     ///
     /// With `QUIET_GUARD` a quiet round (see the module docs) reads each check's
     /// noiseless parity and skips every loop after the LRCs; production always
@@ -200,68 +210,65 @@ impl Simulator {
     /// returned flag says whether the round took that branch.
     pub(crate) fn execute_round<const QUIET_GUARD: bool>(
         &mut self,
-        request: &LrcRequest,
-    ) -> (RoundRecord, bool) {
-        let noise = self.noise_params();
-        let num_checks = self.code().num_checks();
-        let round = self.round_index;
-
-        let data_leak_before = self.frames.data_leak_flags();
+        data_lrcs: &[DataQubitId],
+        ancilla_lrcs: &[CheckId],
+        run: &mut RunRecord,
+    ) -> bool {
+        let lrcs = data_lrcs.len() + ancilla_lrcs.len();
+        let cycle_time_ns = self.noise_params().round_ns(self.cnot_layers(), lrcs);
+        let mut flags = run.push_round(data_lrcs, ancilla_lrcs, cycle_time_ns);
+        flags.data_leak_before.copy_from(self.frames.data_leaks());
         let tables = Arc::clone(&self.round_tables);
         let mut streams = RoundStreams::start(&tables, &mut self.rng);
 
         // --- 1. Leakage-reduction circuits requested by the policy --------------------
-        for &q in &request.data {
+        for &q in data_lrcs {
             self.apply_data_lrc(q);
         }
-        for &c in &request.ancilla {
+        for &c in ancilla_lrcs {
             self.apply_ancilla_lrc(c);
         }
 
         // --- 2.–5. Noise, ancilla prep, CNOT layers and readout ------------------------
         let quiet = QUIET_GUARD && streams.all_quiet() && !self.frames.any_leaked();
-        let (measurements, mlr_leak_flags) = if quiet {
-            // Exact by construction: see "Quiet rounds" in the module docs.
-            (self.measure_ideal(), vec![false; num_checks])
+        if quiet {
+            // Exact by construction: see "Quiet rounds" in the module docs. The
+            // MLR flags stay clear.
+            self.measure_ideal_into(&mut flags.measurements);
         } else {
-            self.noisy_gates_and_readout(&mut streams)
-        };
+            self.noisy_gates_and_readout(
+                &mut streams,
+                &mut flags.measurements,
+                &mut flags.mlr_leak_flags,
+            );
+        }
 
         // Detectors: XOR against the previous round's raw measurements.
-        let mut detectors = vec![false; num_checks];
+        let measured = flags.measurements.as_bits().words();
+        let mut previous = self.prev_measurements.as_bits_mut();
+        for ((detector, &now), before) in
+            flags.detectors.words_mut().iter_mut().zip(measured).zip(previous.words_mut())
         {
-            let prev = self.previous_measurements();
-            for c in 0..num_checks {
-                detectors[c] = measurements[c] ^ prev[c];
-                prev[c] = measurements[c];
-            }
+            *detector = now ^ *before;
+            *before = now;
         }
         self.round_index += 1;
 
-        let record = RoundRecord {
-            round,
-            measurements,
-            detectors,
-            mlr_leak_flags,
-            data_lrcs: request.data.clone(),
-            ancilla_lrcs: request.ancilla.clone(),
-            data_leak_before,
-            data_leak_after: self.frames.data_leak_flags(),
-            ancilla_leak_after: self.frames.ancilla_leak_flags(),
-            cycle_time_ns: noise.round_ns(self.cnot_layers(), request.len()),
-        };
-        (record, quiet)
+        flags.data_leak_after.copy_from(self.frames.data_leaks());
+        flags.ancilla_leak_after.copy_from(self.frames.ancilla_leaks());
+        quiet
     }
 
     /// Steps 2–5 of a round that is not quiet: start-of-round data noise, ancilla
-    /// preparation, the CNOT layers and readout. Returns the raw measurements and
-    /// the MLR leak flags.
+    /// preparation, the CNOT layers and readout into the round's (clear)
+    /// measurements and MLR leak flags.
     fn noisy_gates_and_readout(
         &mut self,
         streams: &mut RoundStreams<'_>,
-    ) -> (Vec<bool>, Vec<bool>) {
+        measurements: &mut BitsMut<'_>,
+        mlr_leak_flags: &mut BitsMut<'_>,
+    ) {
         let noise = self.noise_params();
-        let num_checks = self.code().num_checks();
 
         // --- 2. Start-of-round data noise ---------------------------------------------
         for q in 0..self.code().num_data() {
@@ -275,7 +282,9 @@ impl Simulator {
         }
 
         // --- 3. Ancilla preparation ----------------------------------------------------
-        let mut ancilla = AncillaFrames::new(num_checks);
+        let mut ancilla = std::mem::take(&mut self.ancilla);
+        ancilla.x.clear();
+        ancilla.z.clear();
         let checks = self.shared_checks();
         for check in checks.iter() {
             if streams.p.fires(&mut self.rng) {
@@ -300,29 +309,27 @@ impl Simulator {
         }
 
         // --- 5. Readout ------------------------------------------------------------------
-        let mut measurements = vec![false; num_checks];
-        let mut mlr_leak_flags = vec![false; num_checks];
         for check in checks.iter() {
             let c = check.id;
             if self.frames.ancilla_leaked(c) {
                 // Leaked parity qubit: two-level readout yields a random bit.
-                measurements[c] = self.rng.gen_bool(0.5);
+                measurements.set(c, self.rng.gen_bool(0.5));
                 if noise.mlr_enabled {
                     let missed = noise.mlr_miss() > 0.0 && self.rng.gen_bool(noise.mlr_miss());
-                    mlr_leak_flags[c] = !missed;
+                    mlr_leak_flags.set(c, !missed);
                 }
             } else {
                 let ideal = match check.basis {
-                    CheckBasis::Z => ancilla.x[c],
-                    CheckBasis::X => ancilla.z[c],
+                    CheckBasis::Z => ancilla.x.get(c),
+                    CheckBasis::X => ancilla.z.get(c),
                 };
-                measurements[c] = ideal ^ streams.p.fires(&mut self.rng);
+                measurements.set(c, ideal ^ streams.p.fires(&mut self.rng));
                 if streams.false_flag.fires(&mut self.rng) {
-                    mlr_leak_flags[c] = true;
+                    mlr_leak_flags.set(c, true);
                 }
             }
         }
-        (measurements, mlr_leak_flags)
+        self.ancilla = ancilla;
     }
 
     /// One CNOT of the syndrome-extraction circuit between `check`'s ancilla and data
@@ -367,15 +374,15 @@ impl Simulator {
             CheckBasis::Z => {
                 // CNOT with data as control, ancilla as target.
                 if self.frames.data_has_x(q) {
-                    ancilla.x[check.id] = !ancilla.x[check.id];
+                    ancilla.x.toggle(check.id);
                 }
-                if ancilla.z[check.id] {
+                if ancilla.z.get(check.id) {
                     self.frames.apply_data_pauli(q, Pauli::Z);
                 }
             }
             CheckBasis::X => {
                 // CNOT with ancilla as control, data as target.
-                if ancilla.x[check.id] {
+                if ancilla.x.get(check.id) {
                     self.frames.apply_data_pauli(q, Pauli::X);
                 }
                 if self.frames.data_has_z(q) {
@@ -444,6 +451,7 @@ mod tests {
     use crate::frame::QubitFrames;
     use crate::noise::NoiseParams;
     use crate::policy::{LrcRequest, NeverLrc};
+    use crate::record::RunRecord;
     use crate::simulator::Simulator;
     use qec_codes::Code;
     use rand::SeedableRng;
@@ -464,8 +472,10 @@ mod tests {
         let mut sim = Simulator::new(&code, clean_noise(), 1);
         // inject an X error before the first round
         sim.frames.apply_data_pauli(4, Pauli::X);
-        let r0 = sim.run_round(&LrcRequest::none());
-        let r1 = sim.run_round(&LrcRequest::none());
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
+        sim.run_round(&[], &[], &mut run);
+        sim.run_round(&[], &[], &mut run);
+        let (r0, r1) = (run.round(0), run.round(1));
         let adjacent_z: Vec<usize> = code
             .checks_of(qec_codes::CheckBasis::Z)
             .filter(|c| c.support.contains(&4))
@@ -474,8 +484,8 @@ mod tests {
         assert_eq!(adjacent_z.len(), 2);
         // Detected in the first round, silent afterwards (detectors are differences).
         for &c in &adjacent_z {
-            assert!(r0.detectors[c], "check {c} should fire in round 0");
-            assert!(!r1.detectors[c], "check {c} should be silent in round 1");
+            assert!(r0.detectors().get(c), "check {c} should fire in round 0");
+            assert!(!r1.detectors().get(c), "check {c} should be silent in round 1");
         }
     }
 
@@ -488,13 +498,16 @@ mod tests {
         sim.inject_ancilla_leakage(0);
         let mut ones = 0usize;
         let rounds = 400;
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
         for _ in 0..rounds {
-            let record = sim.run_round(&LrcRequest::none());
-            if record.measurements[0] {
+            sim.run_round(&[], &[], &mut run);
+        }
+        for record in run.rounds() {
+            if record.measurements().get(0) {
                 ones += 1;
             }
             // With zero miss probability the MLR flag must always fire for a leaked ancilla.
-            assert!(record.mlr_leak_flags[0]);
+            assert!(record.mlr_leak_flags().get(0));
         }
         let rate = ones as f64 / rounds as f64;
         assert!((rate - 0.5).abs() < 0.1, "leaked ancilla readout should be random, got {rate}");
@@ -511,11 +524,13 @@ mod tests {
             .build();
         let mut sim = Simulator::new(&code, noise, 8);
         sim.inject_data_leakage(4);
-        let record = sim.run_round(&LrcRequest::none());
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
+        sim.run_round(&[], &[], &mut run);
         // With mobility 1.0 every adjacent ancilla must end up leaked.
         let adjacency = code.data_adjacency();
         for entry in adjacency.neighbors(4) {
-            assert!(record.ancilla_leak_after[entry.check], "check {} not leaked", entry.check);
+            let leaked = run.round(0).ancilla_leak_after().get(entry.check);
+            assert!(leaked, "check {} not leaked", entry.check);
         }
     }
 
@@ -524,9 +539,10 @@ mod tests {
         let code = Code::rotated_surface(3);
         let noise = clean_noise();
         let mut sim = Simulator::new(&code, noise, 2);
-        let record = sim.run_round(&LrcRequest { data: vec![0, 1, 2], ancilla: vec![0] });
-        assert_eq!(record.lrc_count(), 4);
-        assert_eq!(record.leaked_data_count(), 0);
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
+        sim.run_round(&[0, 1, 2], &[0], &mut run);
+        assert_eq!(run.round(0).lrc_count(), 4);
+        assert_eq!(run.round(0).leaked_data_count(), 0);
     }
 
     #[test]
@@ -534,10 +550,12 @@ mod tests {
         let code = Code::rotated_surface(3);
         let noise = clean_noise();
         let mut sim = Simulator::new(&code, noise, 2);
-        let quiet = sim.run_round(&LrcRequest::none());
-        let busy = sim.run_round(&LrcRequest { data: vec![0, 1, 2, 3], ancilla: vec![] });
-        assert!(busy.cycle_time_ns > quiet.cycle_time_ns);
-        let delta = busy.cycle_time_ns - quiet.cycle_time_ns;
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
+        sim.run_round(&[], &[], &mut run);
+        sim.run_round(&[0, 1, 2, 3], &[], &mut run);
+        let (quiet, busy) = (run.round(0), run.round(1));
+        assert!(busy.cycle_time_ns() > quiet.cycle_time_ns());
+        let delta = busy.cycle_time_ns() - quiet.cycle_time_ns();
         assert!((delta - 4.0 * noise.lrc_time_ns).abs() < 1e-9);
     }
 
@@ -549,7 +567,7 @@ mod tests {
         let count_detections = |noise: NoiseParams| -> usize {
             let mut sim = Simulator::new(&code, noise, 99);
             let run = sim.run_with_policy(&mut NeverLrc, 50);
-            run.rounds.iter().map(|r| r.detectors.iter().filter(|&&d| d).count()).sum()
+            run.rounds().iter().map(|r| r.detectors().count_ones()).sum()
         };
         assert!(count_detections(high) > 10 * count_detections(low).max(1));
     }
@@ -632,10 +650,11 @@ mod tests {
             .build();
         let mut sim = Simulator::new(&code, noise, 12);
         let rounds = 4000;
-        let flagged: usize = (0..rounds)
-            .map(|_| sim.run_round(&LrcRequest::none()))
-            .map(|r| r.mlr_leak_flags.iter().filter(|&&f| f).count())
-            .sum();
+        let mut run = RunRecord::with_capacity(code.num_data(), code.num_checks(), rounds);
+        for _ in 0..rounds {
+            sim.run_round(&[], &[], &mut run);
+        }
+        let flagged: usize = run.rounds().iter().map(|r| r.mlr_leak_flags().count_ones()).sum();
         let trials = (rounds * code.num_checks()) as f64;
         let (mean, sigma) = (trials * 0.01, (trials * 0.01 * 0.99).sqrt());
         assert!((flagged as f64 - mean).abs() <= 5.0 * sigma, "{flagged} flags, expected {mean}");
@@ -690,13 +709,17 @@ mod tests {
                 fast.reseed_for_shot(1000, i as u64, true);
                 let mut reference = fast.clone();
                 let mut requests = ChaCha8Rng::seed_from_u64(i as u64);
+                let mut fast_run = RunRecord::new(code.num_data(), code.num_checks());
+                let mut reference_run = fast_run.clone();
                 for round in 0..12 {
                     let request = random_request(fast.frames(), &mut requests);
-                    let (record, quiet) = fast.execute_round::<true>(&request);
-                    let (expected, guarded) = reference.execute_round::<false>(&request);
+                    let (data, ancilla) = (&request.data, &request.ancilla);
+                    let quiet = fast.execute_round::<true>(data, ancilla, &mut fast_run);
+                    let guarded =
+                        reference.execute_round::<false>(data, ancilla, &mut reference_run);
                     let at = format!("{} {noise:?} round {round}", code.name());
                     assert!(!guarded, "the reference compiles the quiet guard out");
-                    assert_eq!(record, expected, "{at}");
+                    assert_eq!(fast_run.round(round), reference_run.round(round), "{at}");
                     assert_eq!(fast.frames(), reference.frames(), "{at}");
                     assert_eq!(fast.rng.get_word_pos(), reference.rng.get_word_pos(), "{at}");
                     assert_eq!(fast.checkpoint(), reference.checkpoint(), "{at}");

@@ -5,13 +5,14 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qec_codes::{CheckBasis, Code, DataQubitId};
+use qec_codes::{CheckBasis, CheckId, Code, DataQubitId};
 
+use crate::bits::{BitVec, BitsMut};
 use crate::frame::QubitFrames;
 use crate::noise::NoiseParams;
-use crate::policy::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
-use crate::record::{RoundRecord, RunRecord};
-use crate::rounds::RoundTables;
+use crate::policy::{GroundTruth, LeakagePolicy, PolicyContext};
+use crate::record::RunRecord;
+use crate::rounds::{AncillaFrames, RoundTables};
 
 /// Leakage-aware Pauli-frame simulator for one logical qubit of a CSS code.
 ///
@@ -24,12 +25,15 @@ pub struct Simulator {
     noise: NoiseParams,
     pub(crate) frames: QubitFrames,
     pub(crate) rng: ChaCha8Rng,
-    prev_measurements: Vec<bool>,
+    pub(crate) prev_measurements: BitVec,
     pub(crate) round_index: usize,
     cnot_layers: usize,
     /// Survival tables of the round executor's gap streams (immutable, shared by
     /// clones).
     pub(crate) round_tables: Arc<RoundTables>,
+    /// The round executor's within-round ancilla frames, kept between rounds
+    /// only so a round allocates nothing.
+    pub(crate) ancilla: AncillaFrames,
 }
 
 /// A snapshot of every piece of [`Simulator`] state that varies within a run:
@@ -47,7 +51,7 @@ pub struct Simulator {
 pub struct SimulatorCheckpoint {
     frames: QubitFrames,
     rng: ChaCha8Rng,
-    prev_measurements: Vec<bool>,
+    prev_measurements: BitVec,
     round_index: usize,
 }
 
@@ -70,10 +74,11 @@ impl Simulator {
             noise,
             frames: QubitFrames::new(code.num_data(), code.num_checks()),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            prev_measurements: vec![false; code.num_checks()],
+            prev_measurements: BitVec::new(code.num_checks()),
             round_index: 0,
             cnot_layers,
             round_tables: Arc::new(RoundTables::new(code, &noise)),
+            ancilla: AncillaFrames::new(code.num_checks()),
         }
     }
 
@@ -133,9 +138,7 @@ impl Simulator {
     /// the RNG state (so consecutive runs explore different randomness).
     pub fn reset_state(&mut self) {
         self.frames.clear();
-        for m in &mut self.prev_measurements {
-            *m = false;
-        }
+        self.prev_measurements.clear();
         self.round_index = 0;
     }
 
@@ -196,14 +199,21 @@ impl Simulator {
         self.round_index = checkpoint.round_index;
     }
 
-    /// Executes a single QEC round, applying the requested LRCs first.
-    pub fn run_round(&mut self, request: &LrcRequest) -> RoundRecord {
-        self.execute_round::<true>(request).0
+    /// Executes a single QEC round, applying the given LRCs first, and appends
+    /// it to `run`.
+    pub fn run_round(
+        &mut self,
+        data_lrcs: &[DataQubitId],
+        ancilla_lrcs: &[CheckId],
+        run: &mut RunRecord,
+    ) {
+        self.execute_round::<true>(data_lrcs, ancilla_lrcs, run);
     }
 
     /// Runs `rounds` QEC rounds closed-loop with `policy`, then finalizes the run
     /// (returning leaked qubits to the computational subspace and appending a round of
-    /// perfect measurements for decoding).
+    /// perfect measurements for decoding). The run is reserved once for all its
+    /// rounds.
     ///
     /// # Panics
     /// Panics when the simulator has already executed rounds this run (a shot
@@ -216,15 +226,16 @@ impl Simulator {
         policy: &mut P,
         rounds: usize,
     ) -> RunRecord {
-        self.resume_with_policy(policy, Vec::with_capacity(rounds), rounds)
+        let run = RunRecord::with_capacity(self.code.num_data(), self.code.num_checks(), rounds);
+        self.resume_with_policy(policy, run, rounds)
     }
 
-    /// Resumes a partially executed shot closed-loop with `policy`: `history`
-    /// must hold exactly the rounds this simulator has already executed (the
-    /// checkpoint), and the remaining `history.len()..total_rounds` rounds are
+    /// Resumes a partially executed shot closed-loop with `policy`: `run` must
+    /// hold exactly the rounds this simulator has already executed (the
+    /// checkpoint), and the remaining `run.num_rounds()..total_rounds` rounds are
     /// planned and executed live, after which the run is finalized as usual.
     ///
-    /// With an empty history this *is* [`Simulator::run_with_policy`]. With a
+    /// With an empty run this *is* [`Simulator::run_with_policy`]. With a
     /// non-empty one it is the divergence-repair entry point of closed-loop
     /// trace replay: re-execute the recorded prefix with [`Simulator::run_round`]
     /// (forced schedule, no policy), then hand the simulator to this method and
@@ -232,37 +243,37 @@ impl Simulator {
     /// frames, same RNG stream position, same history fed to every plan.
     ///
     /// # Panics
-    /// Panics when `history.len()` disagrees with [`Simulator::rounds_executed`]
+    /// Panics when `run.num_rounds()` disagrees with [`Simulator::rounds_executed`]
     /// (the checkpoint would be inconsistent with the simulator state).
     pub fn resume_with_policy<P: LeakagePolicy + ?Sized>(
         &mut self,
         policy: &mut P,
-        mut history: Vec<RoundRecord>,
+        mut run: RunRecord,
         total_rounds: usize,
     ) -> RunRecord {
         assert_eq!(
             self.round_index,
-            history.len(),
+            run.num_rounds(),
             "resume checkpoint must describe exactly the rounds already executed"
         );
-        for round in history.len()..total_rounds {
+        for round in run.num_rounds()..total_rounds {
             let request = policy.plan_lrcs(&PolicyContext {
                 round,
-                history: &history,
+                history: run.rounds(),
                 ground_truth: GroundTruth {
                     data_leaked: self.frames.data_leaks(),
                     ancilla_leaked: self.frames.ancilla_leaks(),
                 },
             });
-            history.push(self.run_round(&request));
+            self.run_round(&request.data, &request.ancilla, &mut run);
         }
-        self.finalize_run(history)
+        self.finalize_run(run)
     }
 
     /// Finalizes a run: leaked data qubits are depolarized back into the computational
     /// subspace (their state after a terminal reset is random) and a final round of
     /// noiseless measurements is recorded for the decoder.
-    fn finalize_run(&mut self, rounds: Vec<RoundRecord>) -> RunRecord {
+    fn finalize_run(&mut self, mut run: RunRecord) -> RunRecord {
         use rand::Rng;
         for q in 0..self.code.num_data() {
             if self.frames.data_leaked(q) {
@@ -275,26 +286,37 @@ impl Simulator {
                 self.frames.set_data_leaked(q, false);
             }
         }
-        let final_perfect_measurements = self.measure_ideal();
-        RunRecord {
-            rounds,
-            final_data_x: self.frames.data_x_frames(),
-            final_data_z: self.frames.data_z_frames(),
-            final_perfect_measurements,
-        }
+        let mut finals = run.finals_mut();
+        finals.final_data_x.copy_from(self.frames.data_x());
+        finals.final_data_z.copy_from(self.frames.data_z());
+        self.measure_ideal_into(&mut finals.final_perfect_measurements);
+        run
     }
 
     /// Noiseless measurement of every check against the current data frames.
     #[must_use]
-    pub fn measure_ideal(&self) -> Vec<bool> {
-        self.code
-            .checks()
-            .iter()
-            .map(|check| match check.basis {
-                CheckBasis::Z => self.frames.x_parity(&check.support),
-                CheckBasis::X => self.frames.z_parity(&check.support),
-            })
-            .collect()
+    pub fn measure_ideal(&self) -> BitVec {
+        let mut measurements = BitVec::new(self.code.num_checks());
+        self.measure_ideal_into(&mut measurements.as_bits_mut());
+        measurements
+    }
+
+    /// [`Simulator::measure_ideal`] into `out`, one flag per check, a word of
+    /// checks at a time (check ids are their positions in the check list).
+    pub(crate) fn measure_ideal_into(&self, out: &mut BitsMut<'_>) {
+        let (x, z) = (self.frames.data_x().words(), self.frames.data_z().words());
+        let parity = |frame: &[u64], support: &[DataQubitId]| {
+            support.iter().fold(0, |acc, &q| acc ^ frame[q / 64] >> (q % 64)) & 1
+        };
+        for (word, checks) in out.words_mut().iter_mut().zip(self.checks.chunks(64)) {
+            *word = checks.iter().enumerate().fold(0, |acc, (bit, check)| {
+                let frame = match check.basis {
+                    CheckBasis::Z => x,
+                    CheckBasis::X => z,
+                };
+                acc | parity(frame, &check.support) << bit
+            });
+        }
     }
 
     /// `true` when the residual error (after any external correction has been XORed
@@ -309,13 +331,13 @@ impl Simulator {
         correction_x: &[DataQubitId],
         correction_z: &[DataQubitId],
     ) -> bool {
-        let mut x_frames = self.frames.data_x_frames();
+        let mut x_frames = BitVec::from(self.frames.data_x());
         for &q in correction_x {
-            x_frames[q] = !x_frames[q];
+            x_frames.toggle(q);
         }
-        let mut z_frames = self.frames.data_z_frames();
+        let mut z_frames = BitVec::from(self.frames.data_z());
         for &q in correction_z {
-            z_frames[q] = !z_frames[q];
+            z_frames.toggle(q);
         }
         // Residual X errors flip a Z-basis logical readout (logical Z support);
         // residual Z errors flip an X-basis readout (logical X support).
@@ -323,19 +345,15 @@ impl Simulator {
             .code
             .logical_z()
             .first()
-            .map(|support| support.iter().filter(|&&q| x_frames[q]).count() % 2 == 1)
+            .map(|support| support.iter().filter(|&&q| x_frames.get(q)).count() % 2 == 1)
             .unwrap_or(false);
         let x_logical_flip = self
             .code
             .logical_x()
             .first()
-            .map(|support| support.iter().filter(|&&q| z_frames[q]).count() % 2 == 1)
+            .map(|support| support.iter().filter(|&&q| z_frames.get(q)).count() % 2 == 1)
             .unwrap_or(false);
         z_logical_flip || x_logical_flip
-    }
-
-    pub(crate) fn previous_measurements(&mut self) -> &mut Vec<bool> {
-        &mut self.prev_measurements
     }
 
     /// Cheaply cloneable handle to the code's checks, used by the round executor to
@@ -390,8 +408,8 @@ mod tests {
         sim.reset_state();
         assert_eq!(sim.rounds_executed(), 0);
         assert_eq!(sim.frames().leaked_data_count(), 0);
-        assert!(sim.frames().data_x_frames().iter().all(|&b| !b));
-        assert!(sim.measure_ideal().iter().all(|&m| !m));
+        assert!(!sim.frames().data_x().any());
+        assert!(!sim.measure_ideal().any());
     }
 
     #[test]
@@ -431,15 +449,11 @@ mod tests {
             // closed-loop: the result must be the full run, bit for bit.
             let mut sim = Simulator::new(&code, noise, 0);
             sim.reseed_for_shot(77, 0, true);
-            let mut history = Vec::new();
-            for record in &full.rounds[..split] {
-                let request = LrcRequest {
-                    data: record.data_lrcs.clone(),
-                    ancilla: record.ancilla_lrcs.clone(),
-                };
-                let executed = sim.run_round(&request);
-                assert_eq!(&executed, record, "forced prefix must reproduce round {split}");
-                history.push(executed);
+            let mut history = RunRecord::new(code.num_data(), code.num_checks());
+            for record in full.rounds().prefix(split) {
+                sim.run_round(record.data_lrcs(), record.ancilla_lrcs(), &mut history);
+                let executed = history.round(record.round());
+                assert_eq!(executed, record, "forced prefix must reproduce round {split}");
             }
             let resumed = sim.resume_with_policy(&mut NeverLrc, history, rounds);
             assert_eq!(resumed, full, "split at round {split}");
@@ -459,13 +473,9 @@ mod tests {
         for split in [0usize, 1, 7, rounds] {
             let mut sim = Simulator::new(&code, noise, 0);
             sim.reseed_for_shot(99, 0, true);
-            let mut history = Vec::new();
-            for record in &full.rounds[..split] {
-                let request = LrcRequest {
-                    data: record.data_lrcs.clone(),
-                    ancilla: record.ancilla_lrcs.clone(),
-                };
-                history.push(sim.run_round(&request));
+            let mut history = RunRecord::new(code.num_data(), code.num_checks());
+            for record in full.rounds().prefix(split) {
+                sim.run_round(record.data_lrcs(), record.ancilla_lrcs(), &mut history);
             }
             let checkpoint = sim.checkpoint();
             assert_eq!(checkpoint.round_index(), split);
@@ -511,8 +521,9 @@ mod tests {
         // Three rounds executed but the simulator was never reset: an empty
         // history is a lie about the checkpoint.
         let mut fresh = Simulator::new(&code, NoiseParams::default(), 1);
-        let _ = fresh.run_round(&LrcRequest::none());
-        let _ = fresh.resume_with_policy(&mut NeverLrc, run.rounds, 5);
+        let mut one = RunRecord::new(code.num_data(), code.num_checks());
+        fresh.run_round(&[], &[], &mut one);
+        let _ = fresh.resume_with_policy(&mut NeverLrc, run, 5);
     }
 
     #[test]
@@ -533,13 +544,13 @@ mod tests {
             .mlr_false_flag(0.0)
             .build();
         let run = Simulator::new(&code, noise, 7).run_with_policy(&mut NeverLrc, 30);
-        for round in &run.rounds {
-            assert!(round.detectors.iter().all(|&d| !d), "unexpected detection event");
+        for round in run.rounds() {
+            assert!(!round.detectors().any(), "unexpected detection event");
             assert_eq!(round.leaked_data_count(), 0);
             assert_eq!(round.lrc_count(), 0);
         }
-        assert!(run.final_data_x.iter().all(|&b| !b));
-        assert!(run.final_perfect_measurements.iter().all(|&m| !m));
+        assert!(!run.final_data_x().any());
+        assert!(!run.final_perfect_measurements().any());
     }
 
     #[test]
@@ -554,8 +565,8 @@ mod tests {
         let mut sim = Simulator::new(&code, noise, 9);
         sim.inject_data_leakage(4);
         let run = sim.run_with_policy(&mut NeverLrc, 10);
-        for round in &run.rounds {
-            assert!(round.data_leak_after[4], "leak must persist with no LRC and no decay");
+        for round in run.rounds() {
+            assert!(round.data_leak_after().get(4), "leak must persist with no LRC and no decay");
         }
     }
 
@@ -576,10 +587,10 @@ mod tests {
         let adjacent: Vec<usize> = adjacency.pattern_checks(4);
         let mut flips = 0usize;
         let mut total = 0usize;
-        for round in &run.rounds {
+        for round in run.rounds() {
             for &c in &adjacent {
                 total += 1;
-                if round.detectors[c] {
+                if round.detectors().get(c) {
                     flips += 1;
                 }
             }
@@ -598,11 +609,13 @@ mod tests {
         let mut sim = Simulator::new(&code, noise, 3);
         sim.inject_data_leakage(0);
         assert!(sim.frames().data_leaked(0));
-        let record = sim.run_round(&LrcRequest { data: vec![0], ancilla: vec![] });
-        assert_eq!(record.data_lrcs, vec![0]);
+        let mut run = RunRecord::new(code.num_data(), code.num_checks());
+        sim.run_round(&[0], &[], &mut run);
+        let record = run.round(0);
+        assert_eq!(record.data_lrcs(), [0]);
         assert!(!sim.frames().data_leaked(0), "LRC must clear the leak flag");
-        assert!(record.data_leak_before[0]);
-        assert!(!record.data_leak_after[0]);
+        assert!(record.data_leak_before().get(0));
+        assert!(!record.data_leak_after().get(0));
     }
 
     #[test]
@@ -627,7 +640,7 @@ mod tests {
         let mut sim = Simulator::new(&code, noise, 5);
         sim.frames.apply_data_pauli(4, crate::pauli::Pauli::X);
         let syndrome = sim.measure_ideal();
-        let triggered: Vec<usize> = (0..code.num_checks()).filter(|&c| syndrome[c]).collect();
+        let triggered: Vec<usize> = syndrome.as_bits().ones().collect();
         // The centre qubit of d=3 touches exactly two Z checks.
         assert_eq!(triggered.len(), 2);
         for c in triggered {

@@ -129,12 +129,12 @@ impl LeakagePolicy for GladiatorPolicy {
         // single-round table cannot flag anything (sparse boundary/corner sites); it
         // holds the last round above the previous one.
         let window = |q: DataQubitId| qubit_uses_window[q];
-        scratch.add_fired(extractor, &last.detectors, |q| {
+        scratch.add_fired(extractor, last.detectors(), |q| {
             Some(if window(q) { qubit_classes[q].width as u32 } else { 0 })
         });
         let previous = if *any_window { ctx.round_back(1) } else { None };
         if let Some(previous) = previous {
-            scratch.add_fired(extractor, &previous.detectors, |q| window(q).then_some(0));
+            scratch.add_fired(extractor, previous.detectors(), |q| window(q).then_some(0));
         }
         for &q in zero_flagged.iter() {
             scratch.mark(q);
@@ -207,10 +207,10 @@ mod tests {
         sim.inject_data_leakage(4);
         let run = sim.run_with_policy(policy.as_mut(), 40);
         assert!(
-            run.rounds.iter().any(|r| r.data_lrcs.contains(&4)),
+            run.rounds().iter().any(|r| r.data_lrcs().contains(&4)),
             "GLADIATOR should speculate the leaked centre qubit within a few rounds"
         );
-        assert_eq!(run.rounds.last().expect("rounds").leaked_data_count(), 0);
+        assert_eq!(run.rounds().last().expect("rounds").leaked_data_count(), 0);
     }
 
     #[test]
@@ -245,9 +245,9 @@ mod tests {
         sim.inject_data_leakage(9);
         let run = sim.run_with_policy(policy.as_mut(), 30);
         // No decision can be made before two rounds of history exist.
-        assert!(run.rounds[0].data_lrcs.is_empty());
+        assert!(run.round(0).data_lrcs().is_empty());
         assert!(
-            run.rounds.iter().any(|r| r.data_lrcs.contains(&9)),
+            run.rounds().iter().any(|r| r.data_lrcs().contains(&9)),
             "GLADIATOR-D should speculate the injected color-code leak"
         );
     }

@@ -3,13 +3,13 @@
 use std::sync::Arc;
 
 use gladiator::labeling::eraser_flags;
-use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext, RoundRecord};
+use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext, RoundView};
 
 use crate::patterns::{PatternExtractor, PatternScratch};
 
 /// Collects the parity qubits whose multi-level readout flagged leakage last round.
-pub(crate) fn mlr_ancilla_requests(record: &RoundRecord) -> Vec<usize> {
-    record.mlr_leak_flags.iter().enumerate().filter_map(|(c, &flag)| flag.then_some(c)).collect()
+pub(crate) fn mlr_ancilla_requests(record: RoundView<'_>) -> Vec<usize> {
+    record.mlr_leak_flags().ones().collect()
 }
 
 /// ERASER (Vittal et al., MICRO 2023): speculate data-qubit leakage whenever at least
@@ -45,7 +45,7 @@ impl LeakagePolicy for EraserPolicy {
             return LrcRequest::none();
         };
         let EraserPolicy { extractor, scratch, .. } = self;
-        scratch.add_fired(extractor, &last.detectors, |_| Some(0));
+        scratch.add_fired(extractor, last.detectors(), |_| Some(0));
         let mut data = Vec::new();
         scratch.drain(|q, pattern| {
             if eraser_flags(extractor.width(q), pattern) {
@@ -89,7 +89,7 @@ impl LeakagePolicy for MlrOnly {
         let Some(last) = ctx.last_round() else {
             return LrcRequest::none();
         };
-        self.scratch.add_fired(&self.extractor, &last.mlr_leak_flags, |_| Some(0));
+        self.scratch.add_fired(&self.extractor, last.mlr_leak_flags(), |_| Some(0));
         let mut data = Vec::new();
         self.scratch.drain(|q, _| data.push(q));
         LrcRequest { data, ancilla: mlr_ancilla_requests(last) }
@@ -138,10 +138,10 @@ mod tests {
         let mut sim = Simulator::new(&code, quiet_noise(), 5);
         sim.inject_data_leakage(4);
         let run = sim.run_with_policy(policy.as_mut(), 30);
-        let lrcs_on_centre: usize = run.rounds.iter().filter(|r| r.data_lrcs.contains(&4)).count();
+        let lrcs_on_centre = run.rounds().iter().filter(|r| r.data_lrcs().contains(&4)).count();
         assert!(lrcs_on_centre >= 1, "ERASER should eventually speculate the leaked centre qubit");
         // Once reset (and with all noise off) the leak must not return.
-        assert_eq!(run.rounds.last().expect("rounds").leaked_data_count(), 0);
+        assert_eq!(run.rounds().last().expect("rounds").leaked_data_count(), 0);
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         let noise = NoiseParams::default();
         let mut sim = Simulator::new(&code, noise, 9);
         let run = sim.run_with_policy(policy.as_mut(), 20);
-        assert!(run.rounds.iter().all(|r| r.ancilla_lrcs.is_empty()));
+        assert!(run.rounds().iter().all(|r| r.ancilla_lrcs().is_empty()));
         assert_eq!(policy.name(), "eraser");
     }
 
@@ -163,13 +163,13 @@ mod tests {
         sim.inject_ancilla_leakage(0);
         let run = sim.run_with_policy(policy.as_mut(), 3);
         // Flagged in round 0, reset at the start of round 1.
-        assert!(run.rounds[0].mlr_leak_flags[0]);
-        assert!(run.rounds[1].ancilla_lrcs.contains(&0));
+        assert!(run.round(0).mlr_leak_flags().get(0));
+        assert!(run.round(1).ancilla_lrcs().contains(&0));
         let neighbourhood: Vec<usize> = code.check(0).support.clone();
         for q in neighbourhood {
-            assert!(run.rounds[1].data_lrcs.contains(&q));
+            assert!(run.round(1).data_lrcs().contains(&q));
         }
-        assert!(!run.rounds[1].ancilla_leak_after[0]);
+        assert!(!run.round(1).ancilla_leak_after().get(0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Oracle speculation: the paper's "IDEAL" upper bound.
 
-use leaky_sim::{LeakagePolicy, LrcRequest, PolicyContext};
+use leaky_sim::{GroundTruth, LeakagePolicy, LrcRequest, PolicyContext};
 
 /// Oracle policy with perfect knowledge of the hidden leak flags: it resets exactly the
 /// leaked qubits, every round. Used as the lower bound on leakage population and LRC
@@ -22,21 +22,8 @@ impl LeakagePolicy for IdealOracle {
     }
 
     fn plan_lrcs(&mut self, ctx: &PolicyContext<'_>) -> LrcRequest {
-        let data = ctx
-            .ground_truth
-            .data_leaked
-            .iter()
-            .enumerate()
-            .filter_map(|(q, &leaked)| leaked.then_some(q))
-            .collect();
-        let ancilla = ctx
-            .ground_truth
-            .ancilla_leaked
-            .iter()
-            .enumerate()
-            .filter_map(|(c, &leaked)| leaked.then_some(c))
-            .collect();
-        LrcRequest { data, ancilla }
+        let GroundTruth { data_leaked, ancilla_leaked } = ctx.ground_truth;
+        LrcRequest { data: data_leaked.ones().collect(), ancilla: ancilla_leaked.ones().collect() }
     }
 
     fn reset(&mut self) {
@@ -65,14 +52,14 @@ mod tests {
         sim.inject_ancilla_leakage(3);
         let mut policy = IdealOracle::new();
         let run = sim.run_with_policy(&mut policy, 3);
-        let first = &run.rounds[0];
-        let mut data = first.data_lrcs.clone();
+        let first = run.round(0);
+        let mut data = first.data_lrcs().to_vec();
         data.sort_unstable();
         assert_eq!(data, vec![0, 7]);
-        assert_eq!(first.ancilla_lrcs, vec![3]);
+        assert_eq!(first.ancilla_lrcs(), [3]);
         // With no further leakage sources, later rounds request nothing.
-        assert!(run.rounds[1].data_lrcs.is_empty());
-        assert_eq!(run.rounds.last().expect("rounds").leaked_data_count(), 0);
+        assert!(run.round(1).data_lrcs().is_empty());
+        assert_eq!(run.rounds().last().expect("rounds").leaked_data_count(), 0);
     }
 
     #[test]

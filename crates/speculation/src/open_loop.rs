@@ -90,9 +90,9 @@ mod tests {
         let mut policy = AlwaysLrc::new(&code);
         let mut sim = Simulator::new(&code, NoiseParams::default(), 1);
         let run = sim.run_with_policy(&mut policy, 5);
-        for round in &run.rounds {
-            assert_eq!(round.data_lrcs.len(), code.num_data());
-            assert_eq!(round.ancilla_lrcs.len(), code.num_checks());
+        for round in run.rounds() {
+            assert_eq!(round.data_lrcs().len(), code.num_data());
+            assert_eq!(round.ancilla_lrcs().len(), code.num_checks());
         }
     }
 
@@ -103,7 +103,8 @@ mod tests {
         let groups = code.interaction_graph().greedy_coloring().num_colors();
         let mut sim = Simulator::new(&code, NoiseParams::default(), 2);
         let run = sim.run_with_policy(policy.as_mut(), groups);
-        let mut covered: Vec<usize> = run.rounds.iter().flat_map(|r| r.data_lrcs.clone()).collect();
+        let mut covered: Vec<usize> =
+            run.rounds().iter().flat_map(|r| r.data_lrcs().to_vec()).collect();
         covered.sort_unstable();
         covered.dedup();
         assert_eq!(covered.len(), code.num_data());
@@ -116,9 +117,9 @@ mod tests {
         let mut policy = staggered(&code);
         let mut sim = Simulator::new(&code, NoiseParams::default(), 3);
         let run = sim.run_with_policy(policy.as_mut(), 8);
-        for round in &run.rounds {
-            for (i, &a) in round.data_lrcs.iter().enumerate() {
-                for &b in &round.data_lrcs[i + 1..] {
+        for round in run.rounds() {
+            for (i, &a) in round.data_lrcs().iter().enumerate() {
+                for &b in &round.data_lrcs()[i + 1..] {
                     assert!(!graph.neighbors(a).contains(&b), "{a} and {b} reset together");
                 }
             }

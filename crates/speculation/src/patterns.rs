@@ -5,6 +5,7 @@
 //! extractor's inverse adjacency (check → site → adjacent qubits) from the fired
 //! checks only, so a round costs in proportion to its detection events.
 
+use leaky_sim::Bits;
 use qec_codes::{CheckId, Code, DataQubitId, SiteId};
 
 /// Turns a round's raw detector vector into the per-data-qubit syndrome patterns the
@@ -84,19 +85,16 @@ impl PatternExtractor {
         &self.site_checks[site]
     }
 
-    /// Collapses a per-check boolean vector (detector flips or MLR flags) into a
-    /// per-site vector: a site fires when any of its checks does.
+    /// Collapses per-check flags (detector flips or MLR flags) into a per-site
+    /// vector: a site fires when any of its checks does.
     #[must_use]
-    pub fn site_flags(&self, per_check: &[bool]) -> Vec<bool> {
-        self.site_checks
-            .iter()
-            .map(|checks| checks.iter().any(|&c| per_check.get(c).copied().unwrap_or(false)))
-            .collect()
+    pub fn site_flags(&self, per_check: Bits<'_>) -> Vec<bool> {
+        self.site_checks.iter().map(|checks| checks.iter().any(|&c| per_check.get(c))).collect()
     }
 
     /// Per-data-qubit syndrome patterns for one round of detector flips.
     #[must_use]
-    pub fn patterns(&self, detectors: &[bool]) -> Vec<u32> {
+    pub fn patterns(&self, detectors: Bits<'_>) -> Vec<u32> {
         let site_flags = self.site_flags(detectors);
         self.qubit_sites
             .iter()
@@ -133,16 +131,17 @@ impl PatternScratch {
     }
 
     /// ORs one round of per-check flags into the patterns of the data qubits next
-    /// to a fired site, and marks them. `shift(q)` places the round in `q`'s
-    /// pattern (site bit `i` lands on bit `i + shift`); `None` skips `q`.
+    /// to a fired site, and marks them, walking the set flags only. `shift(q)`
+    /// places the round in `q`'s pattern (site bit `i` lands on bit `i + shift`);
+    /// `None` skips `q`.
     pub(crate) fn add_fired(
         &mut self,
         extractor: &PatternExtractor,
-        per_check: &[bool],
+        per_check: Bits<'_>,
         shift: impl Fn(DataQubitId) -> Option<u32>,
     ) {
-        for (_, &site) in per_check.iter().zip(&extractor.check_site).filter(|(&fired, _)| fired) {
-            for &(q, bit) in &extractor.site_qubits[site] {
+        for check in per_check.ones() {
+            for &(q, bit) in &extractor.site_qubits[extractor.check_site[check]] {
                 if let Some(shift) = shift(q) {
                     self.patterns[q] |= 1 << (bit + shift);
                     self.mark(q);
@@ -167,6 +166,7 @@ impl PatternScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_sim::BitVec;
     use qec_codes::Code;
 
     #[test]
@@ -184,13 +184,13 @@ mod tests {
         let ex = PatternExtractor::new(&code);
         // Flip every check adjacent to qubit 4 -> its pattern must be all ones; qubits
         // not adjacent to any flipped check keep pattern 0.
-        let mut detectors = vec![false; code.num_checks()];
+        let mut detectors = BitVec::new(code.num_checks());
         for &site in ex.sites_of(4) {
             for &check in ex.checks_of_site(site) {
-                detectors[check] = true;
+                detectors.set(check, true);
             }
         }
-        let patterns = ex.patterns(&detectors);
+        let patterns = ex.patterns(detectors.as_bits());
         assert_eq!(patterns[4], (1 << ex.width(4)) - 1);
         let untouched: Vec<usize> = (0..code.num_data())
             .filter(|&q| ex.sites_of(q).iter().all(|s| !ex.sites_of(4).contains(s)))
@@ -209,9 +209,9 @@ mod tests {
         let site = 0;
         let checks = ex.checks_of_site(site);
         assert_eq!(checks.len(), 2);
-        let mut detectors = vec![false; code.num_checks()];
-        detectors[checks[1]] = true;
-        let flags = ex.site_flags(&detectors);
+        let mut detectors = BitVec::new(code.num_checks());
+        detectors.set(checks[1], true);
+        let flags = ex.site_flags(detectors.as_bits());
         assert!(flags[site]);
         assert_eq!(flags.iter().filter(|&&f| f).count(), 1);
     }
@@ -231,7 +231,7 @@ mod tests {
     fn empty_detectors_give_zero_patterns() {
         let code = Code::rotated_surface(5);
         let ex = PatternExtractor::new(&code);
-        let patterns = ex.patterns(&vec![false; code.num_checks()]);
+        let patterns = ex.patterns(BitVec::new(code.num_checks()).as_bits());
         assert!(patterns.iter().all(|&p| p == 0));
     }
 }

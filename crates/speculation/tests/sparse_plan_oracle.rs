@@ -10,7 +10,7 @@ use std::sync::Arc;
 use gladiator::labeling::eraser_flags;
 use gladiator::{GladiatorConfig, GladiatorModel, SiteClass};
 use leakage_speculation::{PatternExtractor, PolicyFactory, PolicyKind};
-use leaky_sim::{LeakagePolicy, LrcRequest, NoiseParams, PolicyContext, RoundRecord, Simulator};
+use leaky_sim::{LeakagePolicy, LrcRequest, NoiseParams, PolicyContext, RoundView, Simulator};
 use qec_codes::{Code, DataQubitId};
 
 /// The seven policies that plan from the syndrome.
@@ -24,8 +24,8 @@ const SYNDROME_DRIVEN: [PolicyKind; 7] = [
     PolicyKind::GladiatorDM,
 ];
 
-fn mlr_requests(record: &RoundRecord) -> Vec<usize> {
-    record.mlr_leak_flags.iter().enumerate().filter_map(|(c, &flag)| flag.then_some(c)).collect()
+fn mlr_requests(record: RoundView<'_>) -> Vec<usize> {
+    record.mlr_leak_flags().iter().enumerate().filter_map(|(c, flag)| flag.then_some(c)).collect()
 }
 
 /// Reference planners: every data qubit's pattern, every round.
@@ -85,9 +85,9 @@ impl Dense {
         };
         match self {
             Dense::Gladiator { model, extractor, classes, uses_window, use_mlr } => {
-                let current = extractor.patterns(&last.detectors);
+                let current = extractor.patterns(last.detectors());
                 let previous = if uses_window.iter().any(|&w| w) {
-                    ctx.round_back(1).map(|r| extractor.patterns(&r.detectors))
+                    ctx.round_back(1).map(|r| extractor.patterns(r.detectors()))
                 } else {
                     None
                 };
@@ -113,7 +113,7 @@ impl Dense {
                 LrcRequest { data, ancilla }
             }
             Dense::Eraser { extractor, use_mlr } => {
-                let patterns = extractor.patterns(&last.detectors);
+                let patterns = extractor.patterns(last.detectors());
                 let data = patterns
                     .iter()
                     .enumerate()
@@ -125,7 +125,7 @@ impl Dense {
             }
             Dense::MlrOnly { extractor } => {
                 let ancilla = mlr_requests(last);
-                let site_flags = extractor.site_flags(&last.mlr_leak_flags);
+                let site_flags = extractor.site_flags(last.mlr_leak_flags());
                 let data = (0..extractor.num_data())
                     .filter(|&q| extractor.sites_of(q).iter().any(|&s| site_flags[s]))
                     .collect();

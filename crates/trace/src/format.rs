@@ -9,17 +9,18 @@
 //! MLR heralds, applied LRC schedule) plus the hidden ground truth needed for
 //! scoring (leak flags) and decoding (final frames). Derivable fields are
 //! *not* stored: [`ShotTrace::decode`] derives them once, as the shot is read
-//! — detectors are the XOR of consecutive measurement rounds,
-//! `data_leak_before` chains from the previous round's `data_leak_after`, and
-//! cycle times follow from the header's noise model — bit-for-bit what the
-//! live simulator returned.
+//! — detectors are the XOR of consecutive measurement rounds and
+//! `data_leak_before` a copy of the previous round's `data_leak_after`, both a
+//! word at a time, and cycle times follow from the header's noise model —
+//! bit-for-bit what the live simulator returned. Flag vectors move between the
+//! run's packed words and the payload's bytes whole ([`crate::wire`]).
 //!
 //! [`LeakagePolicy`]: leaky_sim::LeakagePolicy
 
-use leaky_sim::{LeakagePolicy, NoiseParams, RoundRecord, RunRecord, Simulator};
+use leaky_sim::{BitVec, LeakagePolicy, NoiseParams, RunRecord, Simulator};
 use qec_codes::{CheckBasis, Code};
 
-use crate::wire::{Decoder, Encoder, TraceError, MAX_BLOCK_LEN};
+use crate::wire::{Decoder, Encoder, PackedBits, TraceError, MAX_BLOCK_LEN};
 
 /// Version of the `.qtr` schema; bump on any change to the byte layout, and on
 /// any change to how the simulator maps its RNG stream to noise events (a
@@ -259,6 +260,18 @@ impl TraceHeader {
         sum(&[Some(2 * VARINT), data_bits.checked_mul(3), check_bits.checked_mul(2), rounds])
             .map_or(MAX_BLOCK_LEN, |len| len.min(MAX_BLOCK_LEN))
     }
+
+    /// The shortest shot block payload this header's sizes can encode: each
+    /// varint at one byte, every LRC index sequence empty and each flag vector
+    /// at `ceil(n / 8)` bytes; `None` past `usize`. A decoder that checks a
+    /// payload against it allocates in proportion to the payload, whatever
+    /// sizes the header declares.
+    fn min_shot_block_len(&self) -> Option<usize> {
+        let (data_bits, check_bits) = (self.num_data.div_ceil(8), self.num_checks.div_ceil(8));
+        let round = check_bits.checked_mul(3)?.checked_add(data_bits)?.checked_add(2)?;
+        let finals = data_bits.checked_mul(3)?.checked_add(check_bits.checked_mul(2)?)?;
+        round.checked_mul(self.rounds)?.checked_add(finals)?.checked_add(2)
+    }
 }
 
 /// One complete recorded shot: the leak flags it started from and the
@@ -268,9 +281,9 @@ pub struct ShotTrace {
     /// Shot index within the recording run (RNG seed was `base_seed + shot`).
     pub shot: u64,
     /// Data leak flags the shot started from (non-trivial under leakage sampling).
-    pub initial_data_leak: Vec<bool>,
+    pub initial_data_leak: BitVec,
     /// Ancilla leak flags the shot started from.
-    pub initial_ancilla_leak: Vec<bool>,
+    pub initial_ancilla_leak: BitVec,
     /// The recorded run, bit-for-bit what the live simulator returned.
     pub run: RunRecord,
 }
@@ -286,8 +299,8 @@ impl ShotTrace {
         policy: &mut P,
         rounds: usize,
     ) -> Self {
-        let initial_data_leak = sim.frames().data_leak_flags();
-        let initial_ancilla_leak = sim.frames().ancilla_leak_flags();
+        let initial_data_leak = BitVec::from(sim.frames().data_leaks());
+        let initial_ancilla_leak = BitVec::from(sim.frames().ancilla_leaks());
         let run = sim.run_with_policy(policy, rounds);
         ShotTrace { shot, initial_data_leak, initial_ancilla_leak, run }
     }
@@ -298,37 +311,39 @@ impl ShotTrace {
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_varint(self.shot);
-        enc.put_bits(&self.initial_data_leak);
-        enc.put_bits(&self.initial_ancilla_leak);
-        enc.put_usize(self.run.rounds.len());
-        for round in &self.run.rounds {
-            enc.put_bits(&round.measurements);
-            enc.put_bits(&round.mlr_leak_flags);
-            enc.put_index_seq(&round.data_lrcs);
-            enc.put_index_seq(&round.ancilla_lrcs);
-            enc.put_bits(&round.data_leak_after);
-            enc.put_bits(&round.ancilla_leak_after);
+        enc.put_bits(self.initial_data_leak.as_bits());
+        enc.put_bits(self.initial_ancilla_leak.as_bits());
+        enc.put_usize(self.run.num_rounds());
+        for round in self.run.rounds() {
+            enc.put_bits(round.measurements());
+            enc.put_bits(round.mlr_leak_flags());
+            enc.put_index_seq(round.data_lrcs());
+            enc.put_index_seq(round.ancilla_lrcs());
+            enc.put_bits(round.data_leak_after());
+            enc.put_bits(round.ancilla_leak_after());
         }
-        enc.put_bits(&self.run.final_data_x);
-        enc.put_bits(&self.run.final_data_z);
-        enc.put_bits(&self.run.final_perfect_measurements);
+        enc.put_bits(self.run.final_data_x());
+        enc.put_bits(self.run.final_data_z());
+        enc.put_bits(self.run.final_perfect_measurements());
         enc.into_bytes()
     }
 
     /// Decodes a shot block payload recorded under `header`, deriving each
-    /// round's index, detectors (this round's measurements XOR the previous
-    /// round's), `data_leak_before` (the initial flags, then the previous
-    /// round's `data_leak_after`) and cycle time (the header's noise model
-    /// over its CNOT layers and the round's LRCs).
+    /// round's index (its position), detectors (this round's measurements XOR
+    /// the previous round's), `data_leak_before` (the initial flags, then the
+    /// previous round's `data_leak_after`) and cycle time (the header's noise
+    /// model over its CNOT layers and the round's LRCs).
     ///
     /// # Errors
-    /// Fails on truncation, trailing bytes, out-of-range indices, or a round
-    /// count that disagrees with the header.
+    /// Fails on truncation, trailing bytes, out-of-range indices, a payload
+    /// shorter than the header's sizes allow, or a round count that disagrees
+    /// with the header.
     pub fn decode(payload: &[u8], header: &TraceHeader) -> Result<Self, TraceError> {
+        let (num_data, num_checks) = (header.num_data, header.num_checks);
         let mut dec = Decoder::new(payload);
         let shot = dec.take_varint()?;
-        let initial_data_leak = dec.take_bits(header.num_data)?;
-        let initial_ancilla_leak = dec.take_bits(header.num_checks)?;
+        let initial_data = dec.take_bits(num_data)?;
+        let initial_ancilla = dec.take_bits(num_checks)?;
         let round_count = dec.take_usize()?;
         if round_count != header.rounds {
             return Err(TraceError::corrupt(format!(
@@ -336,41 +351,52 @@ impl ShotTrace {
                 header.rounds
             )));
         }
-        let mut rounds: Vec<RoundRecord> = Vec::new();
-        for round in 0..round_count {
-            let measurements = dec.take_bits(header.num_checks)?;
-            let mlr_leak_flags = dec.take_bits(header.num_checks)?;
-            let data_lrcs = dec.take_index_seq(header.num_data)?;
-            let ancilla_lrcs = dec.take_index_seq(header.num_checks)?;
-            let data_leak_after = dec.take_bits(header.num_data)?;
-            let ancilla_leak_after = dec.take_bits(header.num_checks)?;
-            let (detectors, data_leak_before) = match rounds.last() {
-                Some(previous) => (
-                    measurements.iter().zip(&previous.measurements).map(|(&m, &p)| m ^ p).collect(),
-                    previous.data_leak_after.clone(),
-                ),
-                None => (measurements.clone(), initial_data_leak.clone()),
-            };
-            let lrcs = data_lrcs.len() + ancilla_lrcs.len();
-            rounds.push(RoundRecord {
-                round,
-                measurements,
-                detectors,
-                mlr_leak_flags,
-                data_lrcs,
-                ancilla_lrcs,
-                data_leak_before,
-                data_leak_after,
-                ancilla_leak_after,
-                cycle_time_ns: header.noise.round_ns(header.cnot_layers, lrcs),
-            });
+        if header.min_shot_block_len().map_or(true, |least| payload.len() < least) {
+            return Err(TraceError::corrupt(format!(
+                "shot {shot}: a {}-byte block cannot hold {round_count} rounds of {num_data} \
+                 data qubits and {num_checks} checks",
+                payload.len()
+            )));
         }
-        let run = RunRecord {
-            rounds,
-            final_data_x: dec.take_bits(header.num_data)?,
-            final_data_z: dec.take_bits(header.num_data)?,
-            final_perfect_measurements: dec.take_bits(header.num_checks)?,
-        };
+        let mut initial_data_leak = BitVec::new(num_data);
+        initial_data.unpack_into(&mut initial_data_leak.as_bits_mut());
+        let mut initial_ancilla_leak = BitVec::new(num_checks);
+        initial_ancilla.unpack_into(&mut initial_ancilla_leak.as_bits_mut());
+        let mut run = RunRecord::with_capacity(num_data, num_checks, round_count);
+        // What the next round derives from: the stored data leaks after the
+        // previous round (the initial flags before round 0) and the previous
+        // round's measurements (none before round 0).
+        let mut previous_after = initial_data;
+        let mut previous_measurements: Option<PackedBits<'_>> = None;
+        for _ in 0..round_count {
+            let measurements = dec.take_bits(num_checks)?;
+            let mlr_leak_flags = dec.take_bits(num_checks)?;
+            let data_lrcs = dec.take_index_seq(num_data)?;
+            let ancilla_lrcs = dec.take_index_seq(num_checks)?;
+            let data_leak_after = dec.take_bits(num_data)?;
+            let ancilla_leak_after = dec.take_bits(num_checks)?;
+            let lrcs = data_lrcs.len() + ancilla_lrcs.len();
+            let cycle_time_ns = header.noise.round_ns(header.cnot_layers, lrcs);
+            let mut flags = run.push_round(&data_lrcs, &ancilla_lrcs, cycle_time_ns);
+            measurements.unpack_into(&mut flags.measurements);
+            mlr_leak_flags.unpack_into(&mut flags.mlr_leak_flags);
+            data_leak_after.unpack_into(&mut flags.data_leak_after);
+            ancilla_leak_after.unpack_into(&mut flags.ancilla_leak_after);
+            previous_after.unpack_into(&mut flags.data_leak_before);
+            if let Some(previous) = previous_measurements {
+                previous.unpack_into(&mut flags.detectors);
+            }
+            let measured = flags.measurements.as_bits().words();
+            for (detector, &now) in flags.detectors.words_mut().iter_mut().zip(measured) {
+                *detector ^= now;
+            }
+            previous_after = data_leak_after;
+            previous_measurements = Some(measurements);
+        }
+        let mut finals = run.finals_mut();
+        dec.take_bits(num_data)?.unpack_into(&mut finals.final_data_x);
+        dec.take_bits(num_data)?.unpack_into(&mut finals.final_data_z);
+        dec.take_bits(num_checks)?.unpack_into(&mut finals.final_perfect_measurements);
         dec.expect_finished()?;
         Ok(ShotTrace { shot, initial_data_leak, initial_ancilla_leak, run })
     }
@@ -434,8 +460,8 @@ mod tests {
         };
         let trace = ShotTrace::record(42, &mut start(), &mut NeverLrc, header.rounds);
         let run = start().run_with_policy(&mut NeverLrc, header.rounds);
-        assert!(trace.initial_data_leak.contains(&true));
-        assert!(run.rounds.iter().any(|round| round.detectors.iter().filter(|&&d| d).count() > 1));
+        assert!(trace.initial_data_leak.any());
+        assert!(run.rounds().iter().any(|round| round.detectors().count_ones() > 1));
         let decoded = ShotTrace::decode(&trace.encode(), &header).unwrap();
         assert_eq!(decoded.run, run);
     }

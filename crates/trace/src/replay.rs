@@ -361,7 +361,7 @@ impl ReplayContext {
     ) -> Result<Vec<ClosedLoopReplay<'t>>, TraceError> {
         self.check_simulator(sim)?;
         let recorded = &trace.run;
-        let total_rounds = recorded.rounds.len();
+        let total_rounds = recorded.num_rounds();
 
         // Open-loop detection for every candidate against the recorded
         // observables (pure replay, no simulation). A divergent drive ends on
@@ -384,11 +384,22 @@ impl ReplayContext {
         let mut store: BTreeMap<usize, SimulatorCheckpoint> = BTreeMap::new();
         if let Some(max_round) = plan.max_round() {
             self.reseed_checked(trace, sim)?;
-            for (round, record) in recorded.rounds[..max_round].iter().enumerate() {
-                if plan.needs(round) {
-                    store.insert(round, sim.checkpoint());
+            let mut forced =
+                RunRecord::with_capacity(self.header.num_data, self.header.num_checks, max_round);
+            for record in recorded.rounds().prefix(max_round) {
+                if plan.needs(record.round()) {
+                    store.insert(record.round(), sim.checkpoint());
                 }
-                self.force_round(trace, record, sim)?;
+                sim.run_round(record.data_lrcs(), record.ancilla_lrcs(), &mut forced);
+                if forced.round(record.round()) != record {
+                    return Err(TraceError::corrupt(format!(
+                        "shot {}: forced re-execution of round {} does not reproduce the \
+                         recorded round — the corpus predates a simulator behavior change; \
+                         re-record it",
+                        trace.shot,
+                        record.round()
+                    )));
+                }
             }
             store.insert(max_round, sim.checkpoint());
         }
@@ -412,10 +423,10 @@ impl ReplayContext {
                 }
                 // The divergence round executes the plan the policy already
                 // made, then the remaining rounds run fully closed-loop.
-                let mut history = Vec::with_capacity(total_rounds);
-                history.extend_from_slice(&recorded.rounds[..div_round]);
-                history.push(sim.run_round(&div_plan));
-                let run = sim.resume_with_policy(*policy, history, total_rounds);
+                let mut run =
+                    RunRecord::from_prefix(recorded.rounds().prefix(div_round), total_rounds);
+                sim.run_round(&div_plan.data, &div_plan.ancilla, &mut run);
+                let run = sim.resume_with_policy(*policy, run, total_rounds);
                 ClosedLoopReplay { run: Cow::Owned(run), divergence: Some(div_round) }
             })
             .collect())
@@ -447,23 +458,25 @@ impl ReplayContext {
         policy: &mut dyn LeakagePolicy,
         stop_at_divergence: bool,
     ) -> (Vec<LrcRequest>, Option<usize>) {
-        let recorded = &trace.run;
-        let mut planned = Vec::with_capacity(recorded.rounds.len());
+        let recorded = trace.run.rounds();
+        let mut planned = Vec::with_capacity(recorded.len());
         let mut divergence = None;
-        for (round, record) in recorded.rounds.iter().enumerate() {
-            let ancilla_leaked = if round == 0 {
-                &trace.initial_ancilla_leak
-            } else {
-                &recorded.rounds[round - 1].ancilla_leak_after
+        for (round, record) in recorded.iter().enumerate() {
+            let ancilla_leaked = match round {
+                0 => trace.initial_ancilla_leak.as_bits(),
+                _ => trace.run.round(round - 1).ancilla_leak_after(),
             };
             let ctx = PolicyContext {
                 round,
-                history: &recorded.rounds[..round],
-                ground_truth: GroundTruth { data_leaked: &record.data_leak_before, ancilla_leaked },
+                history: recorded.prefix(round),
+                ground_truth: GroundTruth {
+                    data_leaked: record.data_leak_before(),
+                    ancilla_leaked,
+                },
             };
             let plan = policy.plan_lrcs(&ctx);
             let first_divergence = divergence.is_none()
-                && (plan.data != record.data_lrcs || plan.ancilla != record.ancilla_lrcs);
+                && (plan.data != record.data_lrcs() || plan.ancilla != record.ancilla_lrcs());
             planned.push(plan);
             if first_divergence {
                 divergence = Some(round);
@@ -479,33 +492,13 @@ impl ReplayContext {
     /// the recorded initial leak flags reproduce.
     fn reseed_checked(&self, trace: &ShotTrace, sim: &mut Simulator) -> Result<(), TraceError> {
         sim.reseed_for_shot(self.header.seed, trace.shot, self.header.leakage_sampling);
-        if sim.frames().data_leaks() != trace.initial_data_leak.as_slice()
-            || sim.frames().ancilla_leaks() != trace.initial_ancilla_leak.as_slice()
+        if sim.frames().data_leaks() != trace.initial_data_leak.as_bits()
+            || sim.frames().ancilla_leaks() != trace.initial_ancilla_leak.as_bits()
         {
             return Err(TraceError::corrupt(format!(
                 "shot {}: reseeding does not reproduce the recorded initial leak flags — the \
                  trace was not recorded under this build's seeding contract",
                 trace.shot
-            )));
-        }
-        Ok(())
-    }
-
-    /// Force-executes one recorded round and verifies the simulator reproduces
-    /// it bit-for-bit.
-    fn force_round(
-        &self,
-        trace: &ShotTrace,
-        record: &leaky_sim::RoundRecord,
-        sim: &mut Simulator,
-    ) -> Result<(), TraceError> {
-        let request =
-            LrcRequest { data: record.data_lrcs.clone(), ancilla: record.ancilla_lrcs.clone() };
-        if sim.run_round(&request) != *record {
-            return Err(TraceError::corrupt(format!(
-                "shot {}: forced re-execution of round {} does not reproduce the recorded \
-                 round — the corpus predates a simulator behavior change; re-record it",
-                trace.shot, record.round
             )));
         }
         Ok(())
@@ -556,9 +549,9 @@ mod tests {
             let replay = ctx.replay_shot(&trace, policy.as_mut());
             assert!(replay.is_exact(), "{kind:?} diverged at round {:?}", replay.divergence);
             // The planned schedule is exactly the recorded one.
-            for (plan, record) in replay.planned.iter().zip(&trace.run.rounds) {
-                assert_eq!(plan.data, record.data_lrcs, "{kind:?}");
-                assert_eq!(plan.ancilla, record.ancilla_lrcs, "{kind:?}");
+            for (plan, record) in replay.planned.iter().zip(trace.run.rounds()) {
+                assert_eq!(plan.data, record.data_lrcs(), "{kind:?}");
+                assert_eq!(plan.ancilla, record.ancilla_lrcs(), "{kind:?}");
             }
         }
     }
@@ -626,8 +619,8 @@ mod tests {
         assert_eq!(replay.divergence, Some(0));
         // Always-LRC diverges immediately: the whole shot is re-simulated,
         // and every executed round carries the full schedule.
-        for round in &replay.run.rounds {
-            assert_eq!(round.data_lrcs.len(), code.num_data());
+        for round in replay.run.rounds() {
+            assert_eq!(round.data_lrcs().len(), code.num_data());
         }
     }
 
@@ -670,7 +663,7 @@ mod tests {
         // Corrupt a recorded mid-run measurement: when the candidate diverges
         // *after* that round, the forced prefix re-execution must notice the
         // recorded round no longer reproduces.
-        trace.run.rounds[1].measurements[0] = !trace.run.rounds[1].measurements[0];
+        trace.run.round_mut(1).measurements.toggle(0);
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
         let err = replay_one(&ctx, &trace, &mut DivergeAt { fire_round: 3 }, &mut sim).unwrap_err();
@@ -683,7 +676,7 @@ mod tests {
         let (header, mut trace) = record(&code, PolicyKind::NoLrc, 13, 6);
         // Flip an initial leak flag: reseeding through the contract can no
         // longer reproduce the recorded starting state.
-        trace.initial_data_leak[0] = !trace.initial_data_leak[0];
+        trace.initial_data_leak.toggle(0);
         let ctx = ReplayContext::new(&code, &header).unwrap();
         let mut sim = ctx.make_simulator();
         let err = replay_one(&ctx, &trace, &mut DivergeAt { fire_round: 2 }, &mut sim).unwrap_err();

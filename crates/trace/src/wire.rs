@@ -1,5 +1,10 @@
 //! Low-level wire primitives of the `.qtr` format: LEB128 varints, bit-packed
-//! boolean sequences, CRC-32 checksums and the tagged, checksummed block frame.
+//! flag vectors, CRC-32 checksums and the tagged, checksummed block frame.
+//!
+//! A flag vector of `len` flags is stored LSB-first in `ceil(len / 8)` bytes:
+//! flag `i` is bit `i % 8` of byte `i / 8`. Those are exactly the leading
+//! little-endian bytes of the vector's packed `u64` words ([`leaky_sim::bits`]),
+//! so the codec copies words to bytes and back without visiting single flags.
 //!
 //! Block payloads are assembled in memory by an [`Encoder`] and consumed by a
 //! [`Decoder`]; the framing layer ([`write_block`] / [`read_block`]) streams
@@ -8,6 +13,8 @@
 
 use std::fmt;
 use std::io::{Read, Write};
+
+use leaky_sim::{Bits, BitsMut};
 
 /// Errors produced while encoding, decoding or framing trace data.
 #[derive(Debug)]
@@ -131,18 +138,17 @@ impl Encoder {
         self.buf.extend_from_slice(value.as_bytes());
     }
 
-    /// Appends a boolean sequence bit-packed LSB-first, 8 flags per byte. The
-    /// length is *not* stored — the decoder must know it (it always does: flag
-    /// vectors are sized by the code in the trace header).
-    pub fn put_bits(&mut self, bits: &[bool]) {
-        for chunk in bits.chunks(8) {
-            let mut byte = 0u8;
-            for (i, &bit) in chunk.iter().enumerate() {
-                if bit {
-                    byte |= 1 << i;
-                }
-            }
-            self.buf.push(byte);
+    /// Appends a flag vector as the leading `ceil(len / 8)` little-endian bytes
+    /// of its words. The length is *not* stored — the decoder must know it (it
+    /// always does: flag vectors are sized by the code in the trace header).
+    pub fn put_bits(&mut self, bits: Bits<'_>) {
+        let bytes = bits.len().div_ceil(8);
+        let (whole, rest) = (bytes / 8, bytes % 8);
+        for word in &bits.words()[..whole] {
+            self.buf.extend_from_slice(&word.to_le_bytes());
+        }
+        if rest > 0 {
+            self.buf.extend_from_slice(&bits.words()[whole].to_le_bytes()[..rest]);
         }
     }
 
@@ -241,11 +247,13 @@ impl<'a> Decoder<'a> {
             .map_err(|_| TraceError::corrupt("string is not valid UTF-8"))
     }
 
-    /// Reads `len` bit-packed booleans (the inverse of [`Encoder::put_bits`]).
+    /// Reads the bytes of a `len`-flag vector (the inverse of
+    /// [`Encoder::put_bits`]); [`PackedBits::unpack_into`] copies them into
+    /// words.
     ///
     /// # Errors
     /// Fails on truncation or non-zero padding bits in the final byte.
-    pub fn take_bits(&mut self, len: usize) -> Result<Vec<bool>, TraceError> {
+    pub fn take_bits(&mut self, len: usize) -> Result<PackedBits<'a>, TraceError> {
         let bytes = self.take(len.div_ceil(8))?;
         if len % 8 != 0 {
             let padding = bytes[bytes.len() - 1] >> (len % 8);
@@ -253,7 +261,7 @@ impl<'a> Decoder<'a> {
                 return Err(TraceError::corrupt("non-zero padding in bit-packed sequence"));
             }
         }
-        Ok((0..len).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+        Ok(PackedBits { bytes, len })
     }
 
     /// Reads a length-prefixed index sequence, checking each index < `bound`.
@@ -294,6 +302,41 @@ impl<'a> Decoder<'a> {
                 "{} trailing bytes after payload",
                 self.bytes.len() - self.pos
             )))
+        }
+    }
+}
+
+/// A flag vector as read from a payload: `ceil(len / 8)` bytes whose padding
+/// bits are zero (see [`Decoder::take_bits`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PackedBits<'a> {
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl PackedBits<'_> {
+    /// Number of flags.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for a zero-length vector.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Copies the flags into `out`, eight bytes to a word.
+    ///
+    /// # Panics
+    /// Panics when `out` holds a different number of flags.
+    pub fn unpack_into(self, out: &mut BitsMut<'_>) {
+        assert_eq!(out.len(), self.len, "unpacking flags into a vector of another length");
+        for (word, chunk) in out.words_mut().iter_mut().zip(self.bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *word = u64::from_le_bytes(le);
         }
     }
 }
@@ -392,6 +435,7 @@ pub fn read_block<R: Read>(r: &mut R, max_len: usize) -> Result<(u8, Vec<u8>), T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_sim::BitVec;
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {
@@ -424,15 +468,19 @@ mod tests {
 
     #[test]
     fn bit_packing_round_trips_and_rejects_dirty_padding() {
-        let bits: Vec<bool> = (0..19).map(|i| i % 3 == 0).collect();
+        // 83 flags: one whole word and a part-filled second one, whose last
+        // byte holds three flags and five padding bits.
+        let bits: BitVec = (0..83).map(|i| i % 3 == 0).collect();
         let mut enc = Encoder::new();
-        enc.put_bits(&bits);
+        enc.put_bits(bits.as_bits());
         let mut bytes = enc.into_bytes();
-        assert_eq!(bytes.len(), 3);
-        assert_eq!(Decoder::new(&bytes).take_bits(19).unwrap(), bits);
+        assert_eq!(bytes.len(), 11);
+        let mut decoded = BitVec::new(83);
+        Decoder::new(&bytes).take_bits(83).unwrap().unpack_into(&mut decoded.as_bits_mut());
+        assert_eq!(decoded, bits);
         // Flip a padding bit: decode must refuse.
-        bytes[2] |= 0x80;
-        assert!(Decoder::new(&bytes).take_bits(19).is_err());
+        bytes[10] |= 0x80;
+        assert!(Decoder::new(&bytes).take_bits(83).is_err());
     }
 
     #[test]

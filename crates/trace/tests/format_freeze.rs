@@ -155,9 +155,9 @@ fn fixture_layout_matches_the_documented_format() {
         assert_eq!(crc32(&payload), golden_crc, "shot {shot} block CRC is pinned");
         let decoded = qec_trace::ShotTrace::decode(&payload, &header).unwrap();
         assert_eq!(decoded.shot, shot as u64, "shots are strictly in order");
-        assert_eq!(decoded.run.rounds.len(), header.rounds);
+        assert_eq!(decoded.run.num_rounds(), header.rounds);
         // Leakage sampling seeds exactly one leaked data qubit per shot.
-        assert_eq!(decoded.initial_data_leak.iter().filter(|&&l| l).count(), 1);
+        assert_eq!(decoded.initial_data_leak.count_ones(), 1);
     }
 
     // End block (0x03): varint shot count 2.

@@ -1,7 +1,11 @@
-//! Property-based round-trip coverage of the `.qtr` wire primitives.
+//! Property-based round-trip coverage of the `.qtr` wire primitives, and a
+//! shot round trip on a code whose flag vectors span several words.
 
+use leaky_sim::{BitVec, NoiseParams, Simulator};
 use proptest::prelude::*;
+use qec_codes::Code;
 use qec_trace::wire::{crc32, Decoder, Encoder};
+use qec_trace::{code_fingerprint, ShotTrace, TraceHeader, TRACE_SCHEMA_VERSION};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -20,15 +24,28 @@ proptest! {
         prop_assert!(dec.finished());
     }
 
-    /// Bit-packed boolean sequences of arbitrary length round trip exactly.
+    /// Packed flag vectors of any length up to five words round trip
+    /// exactly through the word-level codec: flag `i` is bit `i % 8` of byte
+    /// `i / 8`, and a set padding bit in the last byte is refused.
     #[test]
-    fn bitpack_round_trips_any_length(len in 0usize..200, seed in any::<u64>()) {
-        let bits: Vec<bool> = (0..len).map(|i| (seed >> (i % 64)) & 1 == 1).collect();
+    fn bitpack_round_trips_any_length(len in 0usize..300, seed in any::<u64>()) {
+        let flags: Vec<bool> =
+            (0..len).map(|i| (seed.rotate_left(i as u32 / 64) >> (i % 64)) & 1 == 1).collect();
+        let bits: BitVec = flags.iter().copied().collect();
         let mut enc = Encoder::new();
-        enc.put_bits(&bits);
-        let bytes = enc.into_bytes();
+        enc.put_bits(bits.as_bits());
+        let mut bytes = enc.into_bytes();
         prop_assert_eq!(bytes.len(), len.div_ceil(8));
-        prop_assert_eq!(Decoder::new(&bytes).take_bits(len).unwrap(), bits);
+        for (i, &flag) in flags.iter().enumerate() {
+            prop_assert_eq!(bytes[i / 8] >> (i % 8) & 1 == 1, flag);
+        }
+        let mut decoded = BitVec::new(len);
+        Decoder::new(&bytes).take_bits(len).unwrap().unpack_into(&mut decoded.as_bits_mut());
+        prop_assert_eq!(&decoded, &bits);
+        if len % 8 != 0 {
+            *bytes.last_mut().unwrap() |= 0x80;
+            prop_assert!(Decoder::new(&bytes).take_bits(len).is_err());
+        }
     }
 
     /// f64 payloads are bit-exact, including negative zero and subnormals.
@@ -67,4 +84,54 @@ proptest! {
         damaged[bit / 8] ^= 1 << (bit % 8);
         prop_assert_ne!(crc32(&bytes), crc32(&damaged));
     }
+}
+
+/// A recorded shot on hgp l=3 (225 data qubits and 216 checks: four words per
+/// flag vector, and a part-filled last byte) decodes back to the live run.
+#[test]
+fn a_multi_word_shot_round_trips_through_the_codec() {
+    let code = Code::hgp(3);
+    assert_eq!((code.num_data(), code.num_checks()), (225, 216));
+    let noise = NoiseParams::builder().physical_error_rate(5e-3).leakage_ratio(1.0).build();
+    let rounds = 6;
+    let header = TraceHeader {
+        schema_version: TRACE_SCHEMA_VERSION,
+        generator: "roundtrip test".to_string(),
+        git_describe: "unknown".to_string(),
+        code_name: code.name().to_string(),
+        code_fingerprint: code_fingerprint(&code),
+        num_data: code.num_data(),
+        num_checks: code.num_checks(),
+        cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
+        rounds,
+        shots: 1,
+        seed: 3,
+        policy: "always-lrc".to_string(),
+        leakage_sampling: true,
+        noise,
+    };
+    let start = || {
+        let mut sim = Simulator::new(&code, noise, 0);
+        sim.reseed_for_shot(header.seed, 0, true);
+        sim
+    };
+    let mut policy = leakage_speculation::build_policy(
+        leakage_speculation::PolicyKind::AlwaysLrc,
+        &code,
+        &gladiator::GladiatorConfig::default(),
+    );
+    let trace = ShotTrace::record(0, &mut start(), policy.as_mut(), rounds);
+    policy.reset();
+    let live = start().run_with_policy(policy.as_mut(), rounds);
+    // Flags set in every word of both check- and data-indexed vectors.
+    let last = live.round(rounds - 1);
+    assert!(last.measurements().words().iter().all(|&word| word != 0));
+    assert!(live.final_data_x().words().iter().all(|&word| word != 0));
+    assert!(trace.initial_data_leak.any());
+
+    let payload = trace.encode();
+    assert!(payload.len() <= header.max_shot_block_len());
+    let decoded = ShotTrace::decode(&payload, &header).unwrap();
+    assert_eq!(decoded.run, live);
+    assert_eq!(decoded, trace);
 }

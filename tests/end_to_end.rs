@@ -28,7 +28,7 @@ fn injected_leakage_is_found_and_cleared_by_every_speculative_policy() {
             kind.label()
         );
         assert!(
-            run.rounds.iter().any(|r| r.data_lrcs.contains(&4)),
+            run.rounds().iter().any(|r| r.data_lrcs().contains(&4)),
             "{} never reset the leaked qubit",
             kind.label()
         );
@@ -117,8 +117,8 @@ fn all_four_code_families_run_closed_loop_with_gladiator() {
         let run = sim.run_with_policy(policy.as_mut(), 25);
         assert_eq!(run.num_rounds(), 25, "{}", code.name());
         // Sanity: the run produced detector data of the right shape every round.
-        for round in &run.rounds {
-            assert_eq!(round.detectors.len(), code.num_checks());
+        for round in run.rounds() {
+            assert_eq!(round.detectors().len(), code.num_checks());
         }
     }
 }

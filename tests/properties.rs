@@ -22,7 +22,7 @@ proptest! {
         let decoder = UnionFindDecoder::new(graph);
         let correction = decoder.decode(&detection_events(&run, decoder.graph()));
         // Applying the correction on top of the final frames must silence every Z check.
-        let mut frames = run.final_data_x.clone();
+        let mut frames = run.final_data_x().to_vec();
         for &q in &correction.data_qubits {
             frames[q] = !frames[q];
         }
@@ -53,9 +53,9 @@ proptest! {
         let mut policy = build_policy(PolicyKind::Ideal, &code, &GladiatorConfig::default());
         let mut sim = Simulator::new(&code, noise, seed);
         let run = sim.run_with_policy(policy.as_mut(), 30);
-        for round in &run.rounds {
-            for &q in &round.data_lrcs {
-                prop_assert!(round.data_leak_before[q], "oracle reset a healthy qubit {q}");
+        for round in run.rounds() {
+            for &q in round.data_lrcs() {
+                prop_assert!(round.data_leak_before().get(q), "oracle reset a healthy qubit {q}");
             }
         }
     }
@@ -70,11 +70,11 @@ proptest! {
         let mut policy = build_policy(kind, &code, &GladiatorConfig::default());
         let mut sim = Simulator::new(&code, noise, seed);
         let run = sim.run_with_policy(policy.as_mut(), 8);
-        for round in &run.rounds {
-            for &q in &round.data_lrcs {
+        for round in run.rounds() {
+            for &q in round.data_lrcs() {
                 prop_assert!(q < code.num_data());
             }
-            for &c in &round.ancilla_lrcs {
+            for &c in round.ancilla_lrcs() {
                 prop_assert!(c < code.num_checks());
             }
         }
