@@ -1440,7 +1440,7 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
             let result = runners::fig3_device_characterization(scale);
             println!("leaked-CNOT bit-flip probability: {}", fmt_float(result.leaked_cnot_bitflip));
             println!(
-                "leakage population after 40 CNOTs: with injection {}, without {}",
+                "leakage population after 40 rounds: with injection {}, without {}",
                 fmt_float(*result.accumulation_with_injection.last().unwrap_or(&0.0)),
                 fmt_float(*result.accumulation_without_injection.last().unwrap_or(&0.0)),
             );

@@ -3,19 +3,21 @@
 //! Every runner accepts a [`Scale`] so the same code path serves three purposes:
 //! unit/integration tests (`Scale::smoke`), the default `repro run` scale
 //! (`Scale::quick`), and full paper-scale reproduction runs (`Scale::paper`). In a
-//! release build on 2 vCPUs all 16 experiments take about 0.05 s at smoke scale and
-//! 0.3 s at quick scale; the 15–20 h of CPU time for paper scale is the artifact's
-//! figure, not a measurement of this code. Results are serializable and can be
-//! rendered as text tables via [`crate::report`].
+//! release build on 2 vCPUs all 16 experiments take about 0.06 s at smoke scale and
+//! 0.3 s at quick scale, of which Figure 3 takes 0.04 s and 0.2 s; the 15–20 h of
+//! CPU time for paper scale is the artifact's figure, not a measurement of this
+//! code. Results are serializable and can be rendered as text tables via
+//! [`crate::report`].
 //!
 //! The eleven policy grids (Figures 1, 4(b) and 9–14, Tables 2, 4 and 5) declare
 //! their cells as [`Scenario`]s and run on the sweep executor, [`run_scenarios`],
 //! which shares each code's policy factory and decoder across cells. They are
 //! scenario lists rather than [`crate::sweep::SweepSpec`]s: several take their round
 //! count from the uncapped paper distance, which no `rounds_per_distance × d`
-//! expresses, and each keeps its own row order. The other five run the device model
-//! (Figure 3), reduce every shot's record to pattern histograms (Figures 5 and 8),
-//! count LUTs (Table 3), or set a leakage mobility no scenario expresses (Table 6).
+//! expresses, and each keeps its own row order. The other five read one check of a
+//! shot's record or turn leakage sampling off (Figure 3, on the same round executor),
+//! reduce every shot's record to pattern histograms (Figures 5 and 8), count LUTs
+//! (Table 3), or set a leakage mobility no scenario expresses (Table 6).
 
 use serde::{Deserialize, Serialize};
 
@@ -28,8 +30,8 @@ use leakage_speculation::PolicyKind::{
     self, AlwaysLrc, Eraser, EraserM, Gladiator, GladiatorD, GladiatorDM, GladiatorM, Ideal,
     MlrOnly, NoLrc, Staggered,
 };
-use leaky_sim::{device::DeviceModel, NoiseParams};
-use qec_codes::Code;
+use leaky_sim::NoiseParams;
+use qec_codes::{CheckBasis, Code};
 
 use crate::engine::BatchEngine;
 use crate::harness::{ExperimentSpec, PolicyExperimentResult};
@@ -51,7 +53,7 @@ pub struct Scale {
 
 impl Scale {
     /// Tiny scale for unit and integration tests: all 16 experiments take about
-    /// 0.05 s (release build, 2 vCPU).
+    /// 0.06 s (release build, 2 vCPU).
     #[must_use]
     pub fn smoke() -> Self {
         Scale { shots: 4, rounds_factor: 0.02, max_distance: 5, seed: 7 }
@@ -170,35 +172,51 @@ pub fn fig1_headline(scale: &Scale) -> Vec<PolicyExperimentResult> {
 }
 
 // ---------------------------------------------------------------------------------
-// Figure 3: device-level leakage characterization (IBM substitution).
+// Figure 3: the leaked CNOT read back through the round executor (IBM substitution).
 // ---------------------------------------------------------------------------------
 
-/// Result of the device-model characterization of Figure 3.
+/// Figure 3 as the simulator's round executor reproduces it on surface d = 3.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig3Result {
-    /// Probability of reading |1⟩ on the target of a CNOT with a leaked control.
+    /// Fraction of 1-round shots in which the first Z check of the leaked data
+    /// qubit, the target of that qubit's CNOT, reads |1⟩.
     pub leaked_cnot_bitflip: f64,
-    /// Leakage population after each of `k` CNOTs with an injected leak.
+    /// Data-leakage population after each of 40 rounds without LRCs, starting
+    /// from one leaked data qubit.
     pub accumulation_with_injection: Vec<f64>,
-    /// Leakage population after each of `k` CNOTs without injection.
+    /// Data-leakage population after each of 40 rounds without LRCs or an
+    /// injected leak.
     pub accumulation_without_injection: Vec<f64>,
 }
 
-/// Reproduces Figure 3(a)/(c): leaked-CNOT bit-flip probability and leakage
-/// accumulation over repeated CNOTs (10 000 shots in the paper).
+/// Reproduces Figure 3(a)/(c)/(d) (10 000 shots in the paper) on surface d = 3
+/// with no LRCs, through the same round executor as every other figure.
+/// Figure 3(a) seeds one leaked data qubit and reads, after one round, the first
+/// Z check it controls a CNOT into. Figure 3(c)/(d) are 40-round data-leakage
+/// populations with and without that seeded leak.
 #[must_use]
 pub fn fig3_device_characterization(scale: &Scale) -> Fig3Result {
+    let code = Code::rotated_surface(3);
     let shots = (scale.shots * 500).max(2_000);
-    let model = DeviceModel::new(default_noise(1e-3, 0.1));
+    let no_lrc = |rounds, seed, leakage_sampling| ExperimentSpec {
+        shots,
+        seed,
+        leakage_sampling,
+        ..spec(NoLrc, default_noise(1e-3, 0.1), rounds, scale)
+    };
+    let ones = BatchEngine::new(&code, &no_lrc(1, scale.seed, true)).map_records(|_, run| {
+        let round = run.round(0);
+        let leaked = round.data_leak_before().ones().next().expect("one sampled leak");
+        let target = code.checks_of(CheckBasis::Z).find(|c| c.support.contains(&leaked));
+        round.measurements().get(target.expect("every data qubit has a Z check").id)
+    });
+    let dlp = |seed, leakage_sampling| {
+        BatchEngine::new(&code, &no_lrc(40, seed, leakage_sampling)).run().metrics.dlp_series
+    };
     Fig3Result {
-        leaked_cnot_bitflip: model.leaked_control_cnot(shots, scale.seed).p_target_one,
-        accumulation_with_injection: model.leakage_accumulation(40, true, shots, scale.seed + 1),
-        accumulation_without_injection: model.leakage_accumulation(
-            40,
-            false,
-            shots,
-            scale.seed + 2,
-        ),
+        leaked_cnot_bitflip: ones.iter().filter(|&&one| one).count() as f64 / shots as f64,
+        accumulation_with_injection: dlp(scale.seed + 1, true),
+        accumulation_without_injection: dlp(scale.seed + 2, false),
     }
 }
 
@@ -755,6 +773,11 @@ mod tests {
         let with = result.accumulation_with_injection.last().copied().unwrap_or(0.0);
         let without = result.accumulation_without_injection.last().copied().unwrap_or(1.0);
         assert!(with > without);
+        // With no LRCs the seeded leak persists and spreads through the leaked CNOTs.
+        let curve = &result.accumulation_with_injection;
+        let mean = |rounds: &[f64]| rounds.iter().sum::<f64>() / rounds.len() as f64;
+        assert!(mean(&curve[curve.len() - 10..]) >= mean(&curve[..10]));
+        assert!(with > 5.0 * without, "with injection {with}, without {without}");
     }
 
     #[test]

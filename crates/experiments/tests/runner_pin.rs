@@ -45,7 +45,7 @@ fn smoke_scale_outputs_are_pinned() {
         &Scale::smoke(),
         &[
             ("fig1", 0x113f_ea28_899c_b1ca),
-            ("fig3", 0x2568_c94d_9505_25eb),
+            ("fig3", 0x875d_64c1_c3f3_9658),
             ("fig4b", 0x040c_aca2_e119_4550),
             ("fig5", 0xeccd_891e_1041_dd28),
             ("fig8", 0x5014_02b0_91c2_6a00),
@@ -70,7 +70,7 @@ fn quick_scale_outputs_are_pinned() {
         &Scale::quick(),
         &[
             ("fig1", 0xeae5_2d7f_e040_912c),
-            ("fig3", 0x356a_b345_f6a0_fd7a),
+            ("fig3", 0x07e1_1752_e952_f6b1),
             ("fig4b", 0xaeb5_d441_4882_9a6b),
             ("fig5", 0x9bc4_3422_a48d_8621),
             ("fig8", 0x41b0_54f1_b807_2e96),

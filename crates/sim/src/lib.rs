@@ -8,8 +8,10 @@
 //! * data depolarization and environment-induced leakage at the start of every round,
 //! * two-qubit depolarizing noise and gate-induced leakage on every CNOT,
 //! * malfunctioning CNOTs when an operand is leaked — a uniformly random Pauli on the
-//!   healthy operand (the 50 % bit-flip signature measured on IBM hardware) or, with
-//!   probability `mobility`, leakage transport to that operand,
+//!   healthy operand or, with probability `mobility`, leakage transport to that
+//!   operand. The ≈50 % bit flip is an input calibrated by the paper's IBM
+//!   measurement (Section 2.3): Figure 3(a) reads it back through this executor
+//!   rather than predicting it,
 //! * readout and reset errors, with optional **multi-level readout (MLR)** whose
 //!   leaked-state misclassification is `mlr·p`,
 //! * SWAP-based **leakage-reduction circuits (LRCs)** that clear leakage at the cost of
@@ -60,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bits;
-pub mod device;
 pub mod frame;
 pub mod noise;
 pub mod pauli;

@@ -1,12 +1,11 @@
 //! Single-qubit Pauli operators as tracked by the frame simulator.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Mul;
 
 /// A single-qubit Pauli operator (phases are irrelevant for frame simulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Pauli {
     /// Identity.
     #[default]

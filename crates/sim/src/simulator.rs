@@ -319,43 +319,6 @@ impl Simulator {
         }
     }
 
-    /// `true` when the residual error (after any external correction has been XORed
-    /// into `correction_x` / `correction_z`) anticommutes with the first logical
-    /// operator of the corresponding type, i.e. a logical error occurred.
-    ///
-    /// `correction_x` marks data qubits whose X frame the decoder flips;
-    /// `correction_z` the Z frames. Either may be empty to skip that basis.
-    #[must_use]
-    pub fn logical_error(
-        &self,
-        correction_x: &[DataQubitId],
-        correction_z: &[DataQubitId],
-    ) -> bool {
-        let mut x_frames = BitVec::from(self.frames.data_x());
-        for &q in correction_x {
-            x_frames.toggle(q);
-        }
-        let mut z_frames = BitVec::from(self.frames.data_z());
-        for &q in correction_z {
-            z_frames.toggle(q);
-        }
-        // Residual X errors flip a Z-basis logical readout (logical Z support);
-        // residual Z errors flip an X-basis readout (logical X support).
-        let z_logical_flip = self
-            .code
-            .logical_z()
-            .first()
-            .map(|support| support.iter().filter(|&&q| x_frames.get(q)).count() % 2 == 1)
-            .unwrap_or(false);
-        let x_logical_flip = self
-            .code
-            .logical_x()
-            .first()
-            .map(|support| support.iter().filter(|&&q| z_frames.get(q)).count() % 2 == 1)
-            .unwrap_or(false);
-        z_logical_flip || x_logical_flip
-    }
-
     /// Cheaply cloneable handle to the code's checks, used by the round executor to
     /// avoid borrowing `self` while mutating frames.
     pub(crate) fn shared_checks(&self) -> std::sync::Arc<Vec<qec_codes::Check>> {
@@ -616,21 +579,6 @@ mod tests {
         assert!(!sim.frames().data_leaked(0), "LRC must clear the leak flag");
         assert!(record.data_leak_before().get(0));
         assert!(!record.data_leak_after().get(0));
-    }
-
-    #[test]
-    fn logical_error_detects_a_logical_x_string() {
-        let code = Code::rotated_surface(3);
-        let noise = NoiseParams::builder().physical_error_rate(0.0).leakage_ratio(0.0).build();
-        let mut sim = Simulator::new(&code, noise, 5);
-        // Apply a full logical Z-support X string manually: flips the Z-basis readout.
-        let logical = code.logical_z()[0].clone();
-        for &q in &logical {
-            sim.frames.apply_data_pauli(q, crate::pauli::Pauli::X);
-        }
-        assert!(sim.logical_error(&[], &[]));
-        // Correcting exactly that string removes the logical error.
-        assert!(!sim.logical_error(&logical, &[]));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use leaky_sim::{
-    GroundTruth, LeakagePolicy, LrcRequest, PolicyContext, RunRecord, Simulator,
+    GroundTruth, LeakagePolicy, LrcRequest, PolicyContext, RoundView, RunRecord, Simulator,
     SimulatorCheckpoint,
 };
 use qec_codes::Code;
@@ -307,7 +307,11 @@ impl ReplayContext {
     /// `ancilla_leak_after` (the initial flags for round 0).
     #[must_use]
     pub fn replay_shot(&self, trace: &ShotTrace, policy: &mut dyn LeakagePolicy) -> ShotReplay {
-        let (planned, divergence) = self.plan_rounds(trace, policy, false);
+        let planned: Vec<LrcRequest> = plans(trace, policy).collect();
+        let divergence = planned
+            .iter()
+            .zip(trace.run.rounds())
+            .position(|(plan, record)| leaves_schedule(plan, record));
         ShotReplay { planned, divergence }
     }
 
@@ -364,13 +368,16 @@ impl ReplayContext {
         let total_rounds = recorded.num_rounds();
 
         // Open-loop detection for every candidate against the recorded
-        // observables (pure replay, no simulation). A divergent drive ends on
-        // the divergent plan; the policy's state has advanced past it.
+        // observables (pure replay, no simulation). A divergent drive stops on
+        // the divergent plan and keeps only it; the policy has planned exactly
+        // the rounds up to and including that one.
         let divergences: Vec<Option<(usize, LrcRequest)>> = policies
             .iter_mut()
             .map(|policy| {
-                let (mut plans, divergence) = self.plan_rounds(trace, *policy, true);
-                divergence.map(|round| (round, plans.pop().expect("a divergent drive ends on it")))
+                plans(trace, *policy)
+                    .zip(recorded.rounds())
+                    .find(|(plan, record)| leaves_schedule(plan, *record))
+                    .map(|(plan, record)| (record.round(), plan))
             })
             .collect();
         let mut plan = CheckpointPlan::new(
@@ -447,47 +454,6 @@ impl ReplayContext {
         Ok(())
     }
 
-    /// The per-round drive both replay modes share: hands `policy` the
-    /// [`PolicyContext`] it would have seen live at each recorded round and
-    /// collects its plans, noting the first round whose plan leaves the
-    /// recorded schedule. With `stop_at_divergence` the drive ends on that
-    /// round, so the divergent plan is the last one returned.
-    fn plan_rounds(
-        &self,
-        trace: &ShotTrace,
-        policy: &mut dyn LeakagePolicy,
-        stop_at_divergence: bool,
-    ) -> (Vec<LrcRequest>, Option<usize>) {
-        let recorded = trace.run.rounds();
-        let mut planned = Vec::with_capacity(recorded.len());
-        let mut divergence = None;
-        for (round, record) in recorded.iter().enumerate() {
-            let ancilla_leaked = match round {
-                0 => trace.initial_ancilla_leak.as_bits(),
-                _ => trace.run.round(round - 1).ancilla_leak_after(),
-            };
-            let ctx = PolicyContext {
-                round,
-                history: recorded.prefix(round),
-                ground_truth: GroundTruth {
-                    data_leaked: record.data_leak_before(),
-                    ancilla_leaked,
-                },
-            };
-            let plan = policy.plan_lrcs(&ctx);
-            let first_divergence = divergence.is_none()
-                && (plan.data != record.data_lrcs() || plan.ancilla != record.ancilla_lrcs());
-            planned.push(plan);
-            if first_divergence {
-                divergence = Some(round);
-                if stop_at_divergence {
-                    break;
-                }
-            }
-        }
-        (planned, divergence)
-    }
-
     /// Reseeds `sim` through the recorded `seed + shot` contract and verifies
     /// the recorded initial leak flags reproduce.
     fn reseed_checked(&self, trace: &ShotTrace, sim: &mut Simulator) -> Result<(), TraceError> {
@@ -503,6 +469,34 @@ impl ReplayContext {
         }
         Ok(())
     }
+}
+
+/// The per-round drive both replay modes share, as a lazy iterator: item `r` is
+/// the plan `policy` makes from the [`PolicyContext`] it would have seen live at
+/// recorded round `r` (see [`ReplayContext::replay_shot`]). The policy plans a
+/// round only when the iterator reaches it.
+fn plans<'a>(
+    trace: &'a ShotTrace,
+    policy: &'a mut dyn LeakagePolicy,
+) -> impl Iterator<Item = LrcRequest> + 'a {
+    let recorded = trace.run.rounds();
+    recorded.iter().map(move |record| {
+        let round = record.round();
+        let ancilla_leaked = match round {
+            0 => trace.initial_ancilla_leak.as_bits(),
+            _ => trace.run.round(round - 1).ancilla_leak_after(),
+        };
+        policy.plan_lrcs(&PolicyContext {
+            round,
+            history: recorded.prefix(round),
+            ground_truth: GroundTruth { data_leaked: record.data_leak_before(), ancilla_leaked },
+        })
+    })
+}
+
+/// `true` when `plan` differs from the LRC schedule `record` executed.
+fn leaves_schedule(plan: &LrcRequest, record: RoundView<'_>) -> bool {
+    plan.data != record.data_lrcs() || plan.ancilla != record.ancilla_lrcs()
 }
 
 #[cfg(test)]
@@ -654,6 +648,35 @@ mod tests {
                 LrcRequest::none()
             }
         }
+    }
+
+    /// Test wrapper: logs the round of every plan its policy is asked for.
+    struct Logged<P> {
+        inner: P,
+        rounds: Vec<usize>,
+    }
+
+    impl<P: LeakagePolicy> LeakagePolicy for Logged<P> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn plan_lrcs(&mut self, ctx: &PolicyContext<'_>) -> LrcRequest {
+            self.rounds.push(ctx.round);
+            self.inner.plan_lrcs(ctx)
+        }
+    }
+
+    #[test]
+    fn a_divergent_candidate_plans_every_round_exactly_once() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 9, 10);
+        let ctx = ReplayContext::new(&code, &header).unwrap();
+        let mut sim = ctx.make_simulator();
+        let mut policy = Logged { inner: DivergeAt { fire_round: 4 }, rounds: Vec::new() };
+        let replay = replay_one(&ctx, &trace, &mut policy, &mut sim).unwrap();
+        assert_eq!(replay.divergence, Some(4));
+        // Detection stops on round 4's plan, and the resume plans rounds 5..10.
+        assert_eq!(policy.rounds, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
