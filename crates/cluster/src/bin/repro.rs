@@ -200,7 +200,7 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         None => Err(UsageError::new("missing command")),
         Some("--help" | "-h" | "help") => {
-            print!("{USAGE}");
+            let _ = std::io::stdout().write_all(USAGE.as_bytes());
             Ok(ExitCode::SUCCESS)
         }
         Some("--version" | "-V" | "version") => cmd_version(&args[1..]),
@@ -421,13 +421,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, UsageError> {
         selected = EXPERIMENTS.to_vec();
     }
     for name in selected {
-        println!("=== {name} ===");
+        emit(&format!("=== {name} ==="));
         let payload = run_one(name, &scale).expect("experiment names were validated above");
         let path = out_dir.join(format!("{name}.json"));
         if let Err(code) = write_output(&path, payload.as_bytes()) {
             return Ok(code);
         }
-        println!("(saved {})\n", path.display());
+        emit(&format!("(saved {})\n", path.display()));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1381,13 +1381,13 @@ fn fetch_all_keys(client: &mut Client) -> Result<Vec<String>, String> {
 
 fn cmd_version(args: &[String]) -> Result<ExitCode, UsageError> {
     Args::new("version", args).finish(0)?;
-    println!("repro {} ({})", env!("CARGO_PKG_VERSION"), git_describe());
-    println!("sweep report schema:    {SWEEP_SCHEMA_VERSION}");
-    println!("adaptive checkpoint:    {ADAPTIVE_SCHEMA_VERSION}");
-    println!("replay report schema:   {REPLAY_SCHEMA_VERSION}");
-    println!("trace (.qtr) schema:    {}", qec_trace::TRACE_SCHEMA_VERSION);
-    println!("corpus manifest schema: {}", qec_trace::MANIFEST_SCHEMA_VERSION);
-    println!("serve protocol:         {PROTOCOL_VERSION}");
+    emit(&format!("repro {} ({})", env!("CARGO_PKG_VERSION"), git_describe()));
+    emit(&format!("sweep report schema:    {SWEEP_SCHEMA_VERSION}"));
+    emit(&format!("adaptive checkpoint:    {ADAPTIVE_SCHEMA_VERSION}"));
+    emit(&format!("replay report schema:   {REPLAY_SCHEMA_VERSION}"));
+    emit(&format!("trace (.qtr) schema:    {}", qec_trace::TRACE_SCHEMA_VERSION));
+    emit(&format!("corpus manifest schema: {}", qec_trace::MANIFEST_SCHEMA_VERSION));
+    emit(&format!("serve protocol:         {PROTOCOL_VERSION}"));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1397,9 +1397,9 @@ fn cmd_version(args: &[String]) -> Result<ExitCode, UsageError> {
 
 fn cmd_list(args: &[String]) -> Result<ExitCode, UsageError> {
     Args::new("list", args).finish(0)?;
-    println!("experiments: {}", EXPERIMENTS.join(", "));
-    println!("policies:    {}", PolicyKind::ALL.map(PolicyKind::label).join(", "));
-    println!("codes:       {}", CodeFamily::ALL.map(CodeFamily::label).join(", "));
+    emit(&format!("experiments: {}", EXPERIMENTS.join(", ")));
+    emit(&format!("policies:    {}", PolicyKind::ALL.map(PolicyKind::label).join(", ")));
+    emit(&format!("codes:       {}", CodeFamily::ALL.map(CodeFamily::label).join(", ")));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1433,17 +1433,20 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
     match name {
         "fig1" => {
             let results = runners::fig1_headline(scale);
-            println!("{}", policy_table(&results));
+            emit(&policy_table(&results));
             Some(to_json(&results))
         }
         "fig3" => {
             let result = runners::fig3_device_characterization(scale);
-            println!("leaked-CNOT bit-flip probability: {}", fmt_float(result.leaked_cnot_bitflip));
-            println!(
+            emit(&format!(
+                "leaked-CNOT bit-flip probability: {}",
+                fmt_float(result.leaked_cnot_bitflip)
+            ));
+            emit(&format!(
                 "leakage population after 40 rounds: with injection {}, without {}",
                 fmt_float(*result.accumulation_with_injection.last().unwrap_or(&0.0)),
                 fmt_float(*result.accumulation_without_injection.last().unwrap_or(&0.0)),
-            );
+            ));
             Some(to_json(&result))
         }
         "fig4b" => {
@@ -1468,13 +1471,13 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!("{}", text_table(&["policy", "width", "flagged"], &rows));
+            emit(&text_table(&["policy", "width", "flagged"], &rows));
             print_patterns(&usage);
             Some(to_json(&(counts, usage)))
         }
         "fig9" => {
             let results = runners::fig9_speculation_accuracy(scale);
-            println!("{}", policy_table(&results));
+            emit(&policy_table(&results));
             Some(to_json(&results))
         }
         "fig10" => {
@@ -1492,7 +1495,7 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
             print_ler(&rows);
             for policy in ["eraser+m", "gladiator+m"] {
                 let lambda = runners::suppression_factor(&rows, policy);
-                println!("suppression factor {policy}: {lambda:?}");
+                emit(&format!("suppression factor {policy}: {lambda:?}"));
             }
             Some(to_json(&rows))
         }
@@ -1514,12 +1517,12 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!("{}", text_table(&["d", "policy", "avg DLP", "data LRCs"], &table));
+            emit(&text_table(&["d", "policy", "avg DLP", "data LRCs"], &table));
             Some(to_json(&rows))
         }
         "table2" => {
             let results = runners::table2_efficacy(scale);
-            println!("{}", policy_table(&results));
+            emit(&policy_table(&results));
             Some(to_json(&results))
         }
         "table3" => {
@@ -1535,7 +1538,7 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!("{}", text_table(&["d", "GLADIATOR LUTs", "ERASER LUTs", "reduction"], &rows));
+            emit(&text_table(&["d", "GLADIATOR LUTs", "ERASER LUTs", "reduction"], &rows));
             Some(to_json(&reports))
         }
         "table4" => {
@@ -1552,10 +1555,10 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!(
-                "{}",
-                text_table(&["policy", "lr", "p", "equilibrium DLP", "inaccuracy/round"], &table)
-            );
+            emit(&text_table(
+                &["policy", "lr", "p", "equilibrium DLP", "inaccuracy/round"],
+                &table,
+            ));
             Some(to_json(&rows))
         }
         "table5" => {
@@ -1571,10 +1574,7 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!(
-                "{}",
-                text_table(&["code", "LRC red.", "DLP red.", "cycle-time red."], &table)
-            );
+            emit(&text_table(&["code", "LRC red.", "DLP red.", "cycle-time red."], &table));
             Some(to_json(&rows))
         }
         "table6" => {
@@ -1590,10 +1590,7 @@ fn run_one(name: &str, scale: &Scale) -> Option<String> {
                     ]
                 })
                 .collect();
-            println!(
-                "{}",
-                text_table(&["mobility", "true regime", "accuracy", "estimate"], &table)
-            );
+            emit(&text_table(&["mobility", "true regime", "accuracy", "estimate"], &table));
             Some(to_json(&rows))
         }
         _ => None,
@@ -1613,7 +1610,7 @@ fn print_ler(rows: &[runners::LerRow]) {
             ]
         })
         .collect();
-    println!("{}", text_table(&["policy", "d", "p", "LER", "LRC/round"], &table));
+    emit(&text_table(&["policy", "d", "p", "LER", "LRC/round"], &table));
 }
 
 fn print_dlp(rows: &[runners::DlpSeriesRow]) {
@@ -1630,7 +1627,7 @@ fn print_dlp(rows: &[runners::DlpSeriesRow]) {
             ]
         })
         .collect();
-    println!("{}", text_table(&["code", "policy", "lr", "final DLP", "LRC/round"], &table));
+    emit(&text_table(&["code", "policy", "lr", "final DLP", "LRC/round"], &table));
 }
 
 fn print_patterns(rows: &[runners::PatternUsageRow]) {
@@ -1646,7 +1643,7 @@ fn print_patterns(rows: &[runners::PatternUsageRow]) {
             ]
         })
         .collect();
-    println!("{}", text_table(&["policy", "pattern", "LRCs (leaked)", "LRCs (healthy)"], &table));
+    emit(&text_table(&["policy", "pattern", "LRCs (leaked)", "LRCs (healthy)"], &table));
 }
 
 #[cfg(test)]

@@ -688,6 +688,29 @@ fn an_unwritable_out_path_exits_1_with_a_one_line_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reader that stops early (`repro run | head -1`) closes `run`'s stdout:
+/// the tables are dropped, but `run` neither panics nor stops before writing
+/// every report, and exits 0.
+#[test]
+fn run_with_a_closed_stdout_exits_0_and_writes_every_report() {
+    let dir = tmp_dir("run-closed-stdout");
+    let out = dir.to_str().unwrap();
+    let mut child = repro(&["run", "--scale", "smoke", "--out", out, "fig1", "fig3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro run");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("wait for repro run");
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    for name in ["fig1", "fig3"] {
+        assert!(dir.join(format!("{name}.json")).is_file(), "{name}.json not written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn report_shard_file(dir: &Path) -> PathBuf {
     let shards = dir.join("shards");
     let sub = std::fs::read_dir(&shards).unwrap().next().unwrap().unwrap().path();

@@ -33,7 +33,7 @@
 //! * [`adaptive`] — confidence-targeted shot allocation over a sweep grid
 //!   ([`adaptive::run_adaptive`]), checkpointed at every round boundary so a
 //!   resumed run ([`adaptive::resume_adaptive`]) renders a byte-identical report.
-//! * [`replay`] — corpus-backed evaluation over `qec-trace`: record each policy-free
+//! * [`replay`] — the replay engine over `qec-trace` corpora: record each policy-free
 //!   scenario cell once ([`replay::record_into_corpus`], or grow a shorter
 //!   recording with [`replay::extend_into_corpus`]), then evaluate candidate
 //!   policy sets against it through one evaluator ([`replay::evaluate_cell_set`],
@@ -82,8 +82,8 @@ pub use harness::{run_policy_experiment, ExperimentSpec, PolicyExperimentResult}
 pub use metrics::{AggregateMetrics, MetricsAccumulator, RunMetrics};
 pub use replay::{
     evaluate_cell, evaluate_cell_set, evaluation_row, replay_corpus, replay_corpus_with_stats,
-    CellCheckpointStats, CellReplay, CheckpointStats, LoadedCell, ReplayCellResult, ReplayMode,
-    ReplayOptions, ReplayReport,
+    CellCheckpointStats, CellReplay, CheckpointStats, DivergenceProfile, LoadedCell,
+    ReplayCellResult, ReplayMode, ReplayOptions, ReplayReport,
 };
 pub use scenario::{CodeFamily, Scenario};
 pub use sweep::{

@@ -8,8 +8,8 @@
 //! sibling shard and renames it into place, whether it records a cell from
 //! scratch ([`record_into_corpus`]) or grows a shorter recording of it
 //! ([`extend_into_corpus`]). The replay side drives any [`PolicyKind`]'s
-//! speculation against each shot's recorded run ([`qec_trace::ReplayContext`])
-//! and scores it with [`RunMetrics::score_replay`].
+//! speculation against each shot's recorded run and scores it with
+//! [`RunMetrics::score_replay`].
 //!
 //! Replaying the policy that recorded a trace reproduces the live engine's
 //! FP/FN/DLP/LRC metrics (and, with decoding, the LER) **bit-for-bit** — the
@@ -22,13 +22,15 @@
 //!
 //! [`ReplayMode::ClosedLoop`] repairs that: each shot replays until each
 //! candidate's first divergence, then exact simulator state is reconstructed
-//! from the trace and the recorded `seed + shot` contract — one forced prefix
-//! pass per shot, checkpointed for the whole candidate set — and each
+//! from the trace and the recorded `seed + shot` contract
+//! ([`Simulator::reseed_for_shot`]) — one forced pass of the recorded prefix
+//! per shot, verified round by round against the trace and checkpointed
+//! ([`Simulator::checkpoint`]) for the whole candidate set — and each
 //! divergent candidate's suffix is re-simulated live
-//! ([`qec_trace::ReplayContext::replay_shot_closed_loop`]). Closed-loop
-//! metrics — including DLP and the decoded LER, for *every* candidate policy
-//! — are **bit-for-bit** a from-scratch live simulation of that policy on the
-//! same cell and seeds (the exact-counterfactual contract, pinned by
+//! ([`Simulator::resume_with_policy`]). Closed-loop metrics — including DLP
+//! and the decoded LER, for *every* candidate policy — are **bit-for-bit** a
+//! from-scratch live simulation of that policy on the same cell and seeds (the
+//! exact-counterfactual contract, pinned by
 //! `crates/experiments/tests/closed_loop.rs`), while non-divergent shots never
 //! touch the simulator and divergent shots skip all prefix policy evaluation.
 //! Per-round [`DivergenceProfile`]s report where shots diverged and how much
@@ -40,6 +42,7 @@
 //! set of one. `repro replay`, corpus-backed sweeps and the `qec-serve` daemon
 //! all evaluate through it.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -50,13 +53,15 @@ use serde::{Deserialize, Serialize};
 
 use gladiator::GladiatorConfig;
 use leakage_speculation::{PolicyFactory, PolicyKind};
-use leaky_sim::{LeakagePolicy, LrcRequest, RunRecord};
+use leaky_sim::{
+    GroundTruth, LeakagePolicy, LrcRequest, PolicyContext, RoundView, RunRecord, Simulator,
+    SimulatorCheckpoint,
+};
 use qec_codes::Code;
 use qec_decoder::{logical_failure, DecoderBackend, DecoderKind, MemoryBasis};
 use qec_trace::{
-    check_extends, code_fingerprint, open_trace_file, CheckpointPlan, Corpus, CorpusEntry,
-    DivergenceProfile, ReplayContext, ShotTrace, TraceError, TraceHeader, TraceWriter,
-    TRACE_SCHEMA_VERSION,
+    check_extends, code_fingerprint, open_trace_file, Corpus, CorpusEntry, ShotTrace, TraceError,
+    TraceHeader, TraceWriter, TRACE_SCHEMA_VERSION,
 };
 
 use crate::engine::{build_backend, BatchEngine};
@@ -484,6 +489,109 @@ pub struct CellReplay {
     pub profile: Option<DivergenceProfile>,
 }
 
+/// Per-round divergence statistics of closed-loop replaying one policy against
+/// one recorded cell: where shots first left the recorded schedule, and how
+/// much re-simulation the repairs cost.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DivergenceProfile {
+    /// Shots replayed.
+    pub shots: usize,
+    /// Rounds per shot.
+    pub rounds: usize,
+    /// Shots whose planned schedule left the recorded one at some round.
+    pub divergent_shots: usize,
+    /// `first_divergence[r]` = number of shots whose *first* divergence was
+    /// round `r` (length [`DivergenceProfile::rounds`]; sums to
+    /// [`DivergenceProfile::divergent_shots`]).
+    pub first_divergence: Vec<usize>,
+    /// Total rounds re-simulated under candidate schedules across all shots
+    /// (post-divergence suffixes: the counterfactual rounds).
+    pub resimulated_rounds: u64,
+    /// Total pre-divergence rounds force-re-executed to rebuild simulator
+    /// state across all shots. Full simulation cost, no policy planning;
+    /// `restored_rounds + resimulated_rounds == divergent_shots · rounds`.
+    pub restored_rounds: u64,
+}
+
+impl DivergenceProfile {
+    /// An empty profile for `rounds`-round shots.
+    #[must_use]
+    pub fn new(rounds: usize) -> Self {
+        DivergenceProfile {
+            shots: 0,
+            rounds,
+            divergent_shots: 0,
+            first_divergence: vec![0; rounds],
+            resimulated_rounds: 0,
+            restored_rounds: 0,
+        }
+    }
+
+    /// Folds one shot described by its first divergence round `d` (`None`
+    /// for an exact shot): a divergent shot re-simulates its `rounds − d`
+    /// suffix rounds and restores its `d` prefix rounds.
+    ///
+    /// # Panics
+    /// Panics when the divergence round is outside the profile's round range.
+    pub fn add(&mut self, divergence: Option<usize>) {
+        self.shots += 1;
+        if let Some(round) = divergence {
+            self.divergent_shots += 1;
+            self.first_divergence[round] += 1;
+            self.resimulated_rounds += (self.rounds - round) as u64;
+            self.restored_rounds += round as u64;
+        }
+    }
+
+    /// Shots that never diverged (served entirely from the trace).
+    #[must_use]
+    pub fn exact_shots(&self) -> usize {
+        self.shots - self.divergent_shots
+    }
+
+    /// Cumulative divergence counts by round: entry `r` is the number of shots
+    /// that had diverged by the end of round `r`. Monotone non-decreasing,
+    /// ending at [`DivergenceProfile::divergent_shots`].
+    #[must_use]
+    pub fn cumulative_divergent(&self) -> Vec<usize> {
+        let mut total = 0usize;
+        self.first_divergence
+            .iter()
+            .map(|&count| {
+                total += count;
+                total
+            })
+            .collect()
+    }
+
+    /// Fraction of all rounds whose outcomes are counterfactual (re-simulated
+    /// under the candidate's own schedule, post-divergence). This measures
+    /// *divergence depth*, not cost — forced prefix restoration is excluded.
+    #[must_use]
+    pub fn resimulated_fraction(&self) -> f64 {
+        let total = (self.shots * self.rounds) as u64;
+        if total == 0 {
+            return 0.0;
+        }
+        self.resimulated_rounds as f64 / total as f64
+    }
+
+    /// Fraction of all rounds that touched the simulator during replay —
+    /// forced prefix restoration plus the live suffix — i.e. the honest
+    /// simulation-cost measure (`0.0` = pure replay, `1.0` = every round of
+    /// every shot re-executed). Because each divergent shot pays its full
+    /// round count (prefix + suffix), this equals the divergent-shot
+    /// fraction.
+    #[must_use]
+    pub fn simulated_fraction(&self) -> f64 {
+        let total = (self.shots * self.rounds) as u64;
+        if total == 0 {
+            return 0.0;
+        }
+        (self.resimulated_rounds + self.restored_rounds) as f64 / total as f64
+    }
+}
+
 /// Checkpoint-sharing economics of evaluating one cell's policy set — the
 /// out-of-band cost accounting of closed-loop replay. Deliberately **not**
 /// part of [`ReplayCellResult`]/[`ReplayReport`]: how a candidate set is
@@ -516,18 +624,19 @@ impl CheckpointStats {
     }
 
     /// Folds one closed-loop shot, given each candidate's first divergence
-    /// round, through its [`CheckpointPlan`]: the shot pays a forced pass
-    /// when any candidate diverged, runs it to the deepest divergence round,
-    /// resumes one suffix per divergent candidate and holds one checkpoint
-    /// per distinct divergence round.
+    /// round: the shot pays a forced pass when any candidate diverged, runs
+    /// it to the deepest divergence round, resumes one suffix per divergent
+    /// candidate and holds one checkpoint per distinct divergence round.
     fn add_shot(&mut self, divergences: &[Option<usize>]) {
-        let plan = CheckpointPlan::new(divergences);
-        if let Some(deepest) = plan.max_round() {
+        let rounds = || divergences.iter().flatten();
+        if let Some(&deepest) = rounds().max() {
             self.forced_passes += 1;
             self.forced_rounds += deepest as u64;
         }
-        self.suffixes += divergences.iter().flatten().count() as u64;
-        self.peak_checkpoints = self.peak_checkpoints.max(plan.distinct_rounds() as u64);
+        self.suffixes += rounds().count() as u64;
+        let distinct =
+            rounds().enumerate().filter(|&(i, round)| !rounds().take(i).any(|r| r == round));
+        self.peak_checkpoints = self.peak_checkpoints.max(distinct.count() as u64);
     }
 }
 
@@ -580,21 +689,22 @@ fn score_run(
 /// decoding that candidate); a decoder is used only where
 /// [`reproduces_live`] holds.
 ///
-/// One parallel pass over the cell's shots, aggregated in shot order:
+/// One parallel pass over the cell's shots, aggregated in shot order. Every
+/// candidate is reset before each shot, as the live engine resets it.
 ///
 /// * [`ReplayMode::OpenLoop`] drives every candidate against the recorded
-///   observables ([`ReplayContext::replay_shot`]) and scores its planned
-///   schedule with [`RunMetrics::score_replay`]. The recording policy
-///   reproduces the live engine's metrics bit-for-bit.
+///   observables and scores its planned schedule with
+///   [`RunMetrics::score_replay`]. The recording policy reproduces the live
+///   engine's metrics bit-for-bit.
 /// * [`ReplayMode::ClosedLoop`] serves the whole set per shot from one
-///   forced prefix pass and shared checkpoints
-///   ([`ReplayContext::replay_shot_closed_loop`]), so every candidate's
+///   forced prefix pass and shared checkpoints, so every candidate's
 ///   metrics — divergence profile and decoded LER included — are bit-for-bit
 ///   what [`BatchEngine::run`] reports for a live run of that policy.
 ///
 /// On a `rayon::ThreadPool` worker (the daemon's) the pass runs inline on
-/// that worker with one policy set and one simulator; elsewhere it fans out
-/// over scoped threads. The bytes are the same either way.
+/// that worker with one policy set and one simulator, built from the cell's
+/// header; elsewhere it fans out over scoped threads. The bytes are the same
+/// either way.
 ///
 /// `shared_checkpoints = true` evaluates the set together; every caller
 /// outside the tests passes it. `false` evaluates each candidate as its own
@@ -638,12 +748,26 @@ pub fn evaluate_cell_set(
         }
         return Ok((replays, stats));
     }
+    let (code, header) = (&cell.code, &cell.header);
+    let fingerprint = code_fingerprint(code);
+    if fingerprint != header.code_fingerprint
+        || code.num_data() != header.num_data
+        || code.num_checks() != header.num_checks
+    {
+        let message = format!(
+            "code `{}` (fingerprint {fingerprint:#018x}) does not match the trace's `{}` \
+             (fingerprint {:#018x})",
+            code.name(),
+            header.code_name,
+            header.code_fingerprint
+        );
+        return Err(TraceError::Corrupt(message).to_string());
+    }
     let decoders: Vec<Option<&dyn DecoderBackend>> = policies
         .iter()
         .zip(decoders)
         .map(|(&policy, &decoder)| decoder.filter(|_| reproduces_live(cell, policy, mode)))
         .collect();
-    let ctx = ReplayContext::new(&cell.code, &cell.header).map_err(|e| e.to_string())?;
     let closed_loop = mode == ReplayMode::ClosedLoop;
     /// Per shot, every candidate's metrics and first divergence round.
     type ShotOutcome = Result<Vec<(RunMetrics, Option<usize>)>, String>;
@@ -652,7 +776,8 @@ pub fn evaluate_cell_set(
         .map_init(
             || {
                 let instances: Vec<_> = policies.iter().map(|&p| factory.build(p)).collect();
-                (instances, closed_loop.then(|| ctx.make_simulator()))
+                let sim = closed_loop.then(|| Simulator::new(code, header.noise, header.seed));
+                (instances, sim)
             },
             |(instances, sim), shot| {
                 let trace = &cell.shots[shot];
@@ -661,19 +786,15 @@ pub fn evaluate_cell_set(
                 }
                 let Some(sim) = sim else {
                     let scored = instances.iter_mut().zip(&decoders).map(|(instance, &decoder)| {
-                        let replay = ctx.replay_shot(trace, instance.as_mut());
-                        let metrics = score_run(cell, &trace.run, Some(&replay.planned), decoder);
-                        (metrics, replay.divergence)
+                        let (planned, divergence) = open_loop_shot(trace, instance.as_mut());
+                        (score_run(cell, &trace.run, Some(&planned), decoder), divergence)
                     });
                     return Ok(scored.collect());
                 };
-                let mut refs: Vec<&mut dyn LeakagePolicy> =
-                    instances.iter_mut().map(|p| p.as_mut() as _).collect();
-                let replays = ctx
-                    .replay_shot_closed_loop(trace, &mut refs, sim)
-                    .map_err(|e| e.to_string())?;
-                let scored = replays.iter().zip(&decoders).map(|(replay, &decoder)| {
-                    (score_run(cell, &replay.run, None, decoder), replay.divergence)
+                let runs =
+                    closed_loop_shot(header, trace, instances, sim).map_err(|e| e.to_string())?;
+                let scored = runs.iter().zip(&decoders).map(|((run, divergence), &decoder)| {
+                    (score_run(cell, run, None, decoder), *divergence)
                 });
                 Ok(scored.collect())
             },
@@ -684,7 +805,7 @@ pub fn evaluate_cell_set(
     let mut runs: Vec<Vec<RunMetrics>> =
         policies.iter().map(|_| Vec::with_capacity(cell.shots.len())).collect();
     let mut profiles: Vec<DivergenceProfile> =
-        policies.iter().map(|_| DivergenceProfile::new(cell.header.rounds)).collect();
+        policies.iter().map(|_| DivergenceProfile::new(header.rounds)).collect();
     for outcome in per_shot {
         let scored = outcome?;
         if closed_loop {
@@ -723,6 +844,145 @@ pub fn evaluate_cell(
 ) -> Result<CellReplay, String> {
     let (mut replays, _) = evaluate_cell_set(cell, factory, &[policy], &[decoder], mode, true)?;
     Ok(replays.pop().expect("one candidate, one replay"))
+}
+
+/// The per-round drive both modes share, as a lazy iterator: item `r` is the
+/// plan `policy` makes from the [`PolicyContext`] it would have seen live at
+/// recorded round `r` — the history of rounds `0..r`, and ground truth equal
+/// to the leak flags at planning time (`data_leak_before` of round `r` and the
+/// previous round's `ancilla_leak_after`, the initial flags for round 0). The
+/// policy plans a round only when the iterator reaches it.
+fn plans<'a>(
+    trace: &'a ShotTrace,
+    policy: &'a mut dyn LeakagePolicy,
+) -> impl Iterator<Item = LrcRequest> + 'a {
+    let recorded = trace.run.rounds();
+    recorded.iter().map(move |record| {
+        let round = record.round();
+        let ancilla_leaked = match round {
+            0 => trace.initial_ancilla_leak.as_bits(),
+            _ => trace.run.round(round - 1).ancilla_leak_after(),
+        };
+        policy.plan_lrcs(&PolicyContext {
+            round,
+            history: recorded.prefix(round),
+            ground_truth: GroundTruth { data_leaked: record.data_leak_before(), ancilla_leaked },
+        })
+    })
+}
+
+/// `true` when `plan` differs from the LRC schedule `record` executed.
+fn leaves_schedule(plan: &LrcRequest, record: RoundView<'_>) -> bool {
+    plan.data != record.data_lrcs() || plan.ancilla != record.ancilla_lrcs()
+}
+
+/// Open-loop replay of one shot: the schedule `policy` plans for every
+/// round, and the first round where it leaves the recorded one (`None` when
+/// replaying the recording policy itself).
+fn open_loop_shot(
+    trace: &ShotTrace,
+    policy: &mut dyn LeakagePolicy,
+) -> (Vec<LrcRequest>, Option<usize>) {
+    let planned: Vec<LrcRequest> = plans(trace, policy).collect();
+    let divergence = planned
+        .iter()
+        .zip(trace.run.rounds())
+        .position(|(plan, record)| leaves_schedule(plan, record));
+    (planned, divergence)
+}
+
+/// One candidate's closed-loop outcome for a shot: its run, borrowed from the
+/// trace when it never left the recorded schedule, and its first divergence
+/// round.
+type ClosedLoopRun<'t> = (Cow<'t, RunRecord>, Option<usize>);
+
+/// Closed-loop replay of one shot against a candidate set, returned in
+/// argument order. Each candidate is driven open-loop until its plan first
+/// leaves the recorded schedule; it has then planned exactly the rounds up to
+/// and including that one, and keeps only the divergent plan. When any
+/// candidate diverged, `sim` is reseeded through the recorded `seed + shot`
+/// contract and force-runs the recorded schedule to the deepest divergence
+/// round, each round checked against the trace bit-for-bit, taking one
+/// checkpoint per distinct divergence round. Each divergent candidate then
+/// restores its checkpoint, executes its divergent plan and runs the rest of
+/// the shot live.
+///
+/// Every run is bit-for-bit what a from-scratch live run of that candidate
+/// on the cell and shot seed returns: a candidate's prefix schedule *is* the
+/// recorded one, so the forced pass consumes the RNG stream its live run
+/// would have, and the checkpoint at round `r` is the state that run reaches
+/// there. Sharing the pass across the set therefore cannot change any run.
+/// `sim` must be built from the header's code and noise model; its per-run
+/// state is overwritten, so one simulator serves any number of shots.
+///
+/// # Errors
+/// Fails when reseeding or a forced round does not reproduce the recorded
+/// shot: the corpus predates a change of the simulator or of its seeding
+/// contract, and must be re-recorded.
+fn closed_loop_shot<'t>(
+    header: &TraceHeader,
+    trace: &'t ShotTrace,
+    policies: &mut [Box<dyn LeakagePolicy + Send>],
+    sim: &mut Simulator,
+) -> Result<Vec<ClosedLoopRun<'t>>, TraceError> {
+    let recorded = &trace.run;
+    let divergences: Vec<Option<(usize, LrcRequest)>> = policies
+        .iter_mut()
+        .map(|policy| {
+            plans(trace, policy.as_mut())
+                .zip(recorded.rounds())
+                .find(|(plan, record)| leaves_schedule(plan, *record))
+                .map(|(plan, record)| (record.round(), plan))
+        })
+        .collect();
+    let diverges_at = |round| divergences.iter().flatten().any(|&(at, _)| at == round);
+
+    // No candidate diverged ⇒ no pass: the whole set is served from the trace.
+    let mut checkpoints: Vec<(usize, SimulatorCheckpoint)> = Vec::new();
+    if let Some(deepest) = divergences.iter().flatten().map(|&(round, _)| round).max() {
+        sim.reseed_for_shot(header.seed, trace.shot, header.leakage_sampling);
+        if sim.frames().data_leaks() != trace.initial_data_leak.as_bits()
+            || sim.frames().ancilla_leaks() != trace.initial_ancilla_leak.as_bits()
+        {
+            return Err(TraceError::Corrupt(format!(
+                "shot {}: reseeding does not reproduce the recorded initial leak flags — the \
+                 trace was not recorded under this build's seeding contract",
+                trace.shot
+            )));
+        }
+        let mut forced = RunRecord::with_capacity(header.num_data, header.num_checks, deepest);
+        for record in recorded.rounds().prefix(deepest) {
+            if diverges_at(record.round()) {
+                checkpoints.push((record.round(), sim.checkpoint()));
+            }
+            sim.run_round(record.data_lrcs(), record.ancilla_lrcs(), &mut forced);
+            if forced.round(record.round()) != record {
+                return Err(TraceError::Corrupt(format!(
+                    "shot {}: forced re-execution of round {} does not reproduce the recorded \
+                     round — the corpus predates a simulator behavior change; re-record it",
+                    trace.shot,
+                    record.round()
+                )));
+            }
+        }
+        checkpoints.push((deepest, sim.checkpoint()));
+    }
+
+    // Forced rounds reproduced the trace, so each divergent candidate's
+    // history is the recorded prefix itself.
+    let total_rounds = recorded.num_rounds();
+    let runs = policies.iter_mut().zip(divergences).map(|(policy, divergence)| {
+        let Some((round, plan)) = divergence else {
+            return (Cow::Borrowed(recorded), None);
+        };
+        let (_, checkpoint) =
+            checkpoints.iter().find(|&&(at, _)| at == round).expect("one per divergence round");
+        sim.restore(checkpoint);
+        let mut run = RunRecord::from_prefix(recorded.rounds().prefix(round), total_rounds);
+        sim.run_round(&plan.data, &plan.ancilla, &mut run);
+        (Cow::Owned(sim.resume_with_policy(policy.as_mut(), run, total_rounds)), Some(round))
+    });
+    Ok(runs.collect())
 }
 
 /// Builds the report row for one evaluated pairing. Shared by
@@ -975,7 +1235,300 @@ pub fn try_replay_corpus(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use leakage_speculation::build_policy;
+    use leaky_sim::NoiseParams;
+
+    fn record(code: &Code, kind: PolicyKind, seed: u64, rounds: usize) -> (TraceHeader, ShotTrace) {
+        let noise = NoiseParams::default();
+        let mut policy = policy(kind, code);
+        let mut sim = Simulator::new(code, noise, seed);
+        sim.seed_random_data_leakage(1);
+        let trace = ShotTrace::record(0, &mut sim, policy.as_mut(), rounds);
+        let header = TraceHeader {
+            schema_version: TRACE_SCHEMA_VERSION,
+            generator: "replay test".to_string(),
+            git_describe: "unknown".to_string(),
+            code_name: code.name().to_string(),
+            code_fingerprint: code_fingerprint(code),
+            num_data: code.num_data(),
+            num_checks: code.num_checks(),
+            cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
+            rounds,
+            shots: 1,
+            seed,
+            policy: kind.label().to_string(),
+            leakage_sampling: true,
+            noise,
+        };
+        assert_eq!(trace.run, live_run(code, kind, &header, 0));
+        (header, trace)
+    }
+
+    fn policy(kind: PolicyKind, code: &Code) -> Box<dyn LeakagePolicy + Send> {
+        build_policy(kind, code, &GladiatorConfig::default())
+    }
+
+    #[test]
+    fn replaying_the_recording_policy_is_exact_for_every_kind() {
+        let code = Code::rotated_surface(3);
+        for kind in PolicyKind::ALL {
+            let (_, trace) = record(&code, kind, 17, 10);
+            let (planned, divergence) = open_loop_shot(&trace, policy(kind, &code).as_mut());
+            assert!(divergence.is_none(), "{kind:?} diverged at round {divergence:?}");
+            // The planned schedule is exactly the recorded one.
+            for (plan, record) in planned.iter().zip(trace.run.rounds()) {
+                assert_eq!(plan.data, record.data_lrcs(), "{kind:?}");
+                assert_eq!(plan.ancilla, record.ancilla_lrcs(), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replaying_a_different_policy_reports_divergence() {
+        let code = Code::rotated_surface(3);
+        let (_, trace) = record(&code, PolicyKind::NoLrc, 3, 12);
+        // Always-LRC plans a full schedule every round; the no-lrc trace recorded none.
+        let (planned, divergence) =
+            open_loop_shot(&trace, policy(PolicyKind::AlwaysLrc, &code).as_mut());
+        assert_eq!(divergence, Some(0));
+        assert_eq!(planned[0].len(), code.num_data() + code.num_checks());
+    }
+
+    /// From-scratch live run of `kind` on the recorded cell/seed — the oracle
+    /// closed-loop replay must match bit-for-bit.
+    fn live_run(code: &Code, kind: PolicyKind, header: &TraceHeader, shot: u64) -> RunRecord {
+        let mut policy = policy(kind, code);
+        let mut sim = Simulator::new(code, header.noise, 0);
+        sim.reseed_for_shot(header.seed, shot, header.leakage_sampling);
+        sim.run_with_policy(policy.as_mut(), header.rounds)
+    }
+
+    /// The evaluator's closed-loop simulator for a recorded cell.
+    fn simulator(code: &Code, header: &TraceHeader) -> Simulator {
+        Simulator::new(code, header.noise, header.seed)
+    }
+
+    /// Closed-loop replays `policy` as a set of one.
+    fn replay_one<'t>(
+        header: &TraceHeader,
+        trace: &'t ShotTrace,
+        policy: Box<dyn LeakagePolicy + Send>,
+        sim: &mut Simulator,
+    ) -> Result<ClosedLoopRun<'t>, TraceError> {
+        let mut set = closed_loop_shot(header, trace, &mut [policy], sim)?;
+        Ok(set.pop().expect("one candidate, one replay"))
+    }
+
+    #[test]
+    fn closed_loop_replay_is_bit_identical_to_a_live_run_for_every_candidate() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::GladiatorM, 23, 12);
+        let mut sim = simulator(&code, &header);
+        for kind in PolicyKind::ALL {
+            let (run, divergence) =
+                replay_one(&header, &trace, policy(kind, &code), &mut sim).unwrap();
+            let live = live_run(&code, kind, &header, trace.shot);
+            assert_eq!(*run, live, "{kind:?} counterfactual must be exact");
+            if kind == PolicyKind::GladiatorM {
+                assert!(divergence.is_none(), "recording policy must never diverge");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_loop_divergence_round_matches_open_loop_detection() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 9, 10);
+        let mut sim = simulator(&code, &header);
+        let (_, open_loop) = open_loop_shot(&trace, policy(PolicyKind::AlwaysLrc, &code).as_mut());
+        let (run, divergence) =
+            replay_one(&header, &trace, policy(PolicyKind::AlwaysLrc, &code), &mut sim).unwrap();
+        assert_eq!(divergence, open_loop);
+        assert_eq!(divergence, Some(0));
+        // Always-LRC diverges immediately: the whole shot is re-simulated,
+        // and every executed round carries the full schedule.
+        for round in run.rounds() {
+            assert_eq!(round.data_lrcs().len(), code.num_data());
+        }
+    }
+
+    /// Test policy: schedules nothing until `fire_round`, then requests one LRC
+    /// — so against a no-lrc trace the first divergence lands exactly there.
+    struct DivergeAt {
+        fire_round: usize,
+    }
+
+    impl LeakagePolicy for DivergeAt {
+        fn name(&self) -> &str {
+            "diverge-at"
+        }
+        fn plan_lrcs(&mut self, ctx: &PolicyContext<'_>) -> LrcRequest {
+            if ctx.round >= self.fire_round {
+                LrcRequest { data: vec![0], ancilla: vec![] }
+            } else {
+                LrcRequest::none()
+            }
+        }
+    }
+
+    /// Test wrapper: logs the round of every plan its policy is asked for.
+    struct Logged<P> {
+        inner: P,
+        rounds: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl<P: LeakagePolicy> LeakagePolicy for Logged<P> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn plan_lrcs(&mut self, ctx: &PolicyContext<'_>) -> LrcRequest {
+            self.rounds.lock().unwrap().push(ctx.round);
+            self.inner.plan_lrcs(ctx)
+        }
+    }
+
+    #[test]
+    fn a_divergent_candidate_plans_every_round_exactly_once() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 9, 10);
+        let mut sim = simulator(&code, &header);
+        let rounds = Arc::new(Mutex::new(Vec::new()));
+        let policy = Logged { inner: DivergeAt { fire_round: 4 }, rounds: Arc::clone(&rounds) };
+        let (_, divergence) = replay_one(&header, &trace, Box::new(policy), &mut sim).unwrap();
+        assert_eq!(divergence, Some(4));
+        // Detection stops on round 4's plan, and the resume plans rounds 5..10.
+        assert_eq!(*rounds.lock().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn closed_loop_replay_detects_a_trace_that_does_not_reproduce() {
+        let code = Code::rotated_surface(3);
+        let (header, mut trace) = record(&code, PolicyKind::NoLrc, 31, 8);
+        // Corrupt a recorded mid-run measurement: when the candidate diverges
+        // *after* that round, the forced prefix re-execution must notice the
+        // recorded round no longer reproduces.
+        trace.run.round_mut(1).measurements.toggle(0);
+        let mut sim = simulator(&code, &header);
+        let diverge = Box::new(DivergeAt { fire_round: 3 });
+        let err = replay_one(&header, &trace, diverge, &mut sim).unwrap_err();
+        assert!(err.to_string().contains("does not reproduce"), "{err}");
+    }
+
+    #[test]
+    fn closed_loop_replay_detects_corrupt_initial_leak_flags() {
+        let code = Code::rotated_surface(3);
+        let (header, mut trace) = record(&code, PolicyKind::NoLrc, 13, 6);
+        // Flip an initial leak flag: reseeding through the contract can no
+        // longer reproduce the recorded starting state.
+        trace.initial_data_leak.toggle(0);
+        let mut sim = simulator(&code, &header);
+        let diverge = Box::new(DivergeAt { fire_round: 2 });
+        let err = replay_one(&header, &trace, diverge, &mut sim).unwrap_err();
+        assert!(err.to_string().contains("seeding contract"), "{err}");
+    }
+
+    #[test]
+    fn shared_replay_matches_sets_of_one_for_every_kind() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::GladiatorM, 23, 12);
+        let mut sim = simulator(&code, &header);
+
+        // Sets-of-one oracle results, one fresh policy per kind.
+        let solo: Vec<ClosedLoopRun> = PolicyKind::ALL
+            .iter()
+            .map(|&kind| replay_one(&header, &trace, policy(kind, &code), &mut sim).unwrap())
+            .collect();
+
+        // The whole set served from shared checkpoints in one call.
+        let mut candidates: Vec<_> =
+            PolicyKind::ALL.iter().map(|&kind| policy(kind, &code)).collect();
+        let shared = closed_loop_shot(&header, &trace, &mut candidates, &mut sim).unwrap();
+
+        assert_eq!(shared.len(), solo.len());
+        for ((replay, oracle), kind) in shared.iter().zip(&solo).zip(PolicyKind::ALL) {
+            assert_eq!(replay, oracle, "{kind:?} must be bit-identical to its set of one");
+        }
+        assert!(
+            shared.iter().any(|(_, divergence)| divergence.is_some()),
+            "the set must share a pass"
+        );
+    }
+
+    #[test]
+    fn shared_replay_of_exact_candidates_never_touches_the_simulator() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 7, 8);
+        let mut sim = simulator(&code, &header);
+        let mut set = vec![policy(PolicyKind::NoLrc, &code), policy(PolicyKind::NoLrc, &code)];
+        let shared = closed_loop_shot(&header, &trace, &mut set, &mut sim).unwrap();
+        assert!(shared.iter().all(|(_, divergence)| divergence.is_none()));
+        assert_eq!(sim.rounds_executed(), 0, "no simulation for an all-exact set");
+    }
+
+    #[test]
+    fn shared_replay_dedups_checkpoints_by_divergence_round() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 19, 10);
+        let mut sim = simulator(&code, &header);
+        // Four candidates, three distinct divergence rounds (3, 3, 6, 0) plus
+        // one exact candidate.
+        let diverge =
+            |fire_round| -> Box<dyn LeakagePolicy + Send> { Box::new(DivergeAt { fire_round }) };
+        let mut set =
+            vec![diverge(3), diverge(3), diverge(6), diverge(0), policy(PolicyKind::NoLrc, &code)];
+        let shared = closed_loop_shot(&header, &trace, &mut set, &mut sim).unwrap();
+        let divergences: Vec<Option<usize>> = shared.iter().map(|&(_, d)| d).collect();
+        assert_eq!(divergences, vec![Some(3), Some(3), Some(6), Some(0), None]);
+        // Same-round candidates must be bit-identical to their solo replays.
+        for (index, fire_round) in [(0usize, 3usize), (1, 3), (2, 6), (3, 0)] {
+            let solo = replay_one(&header, &trace, diverge(fire_round), &mut sim).unwrap();
+            assert_eq!(shared[index], solo, "candidate {index}");
+        }
+    }
+
+    #[test]
+    fn divergence_profile_invariants_hold() {
+        let mut profile = DivergenceProfile::new(5);
+        for divergence in [None, Some(2), Some(0), Some(2), None, Some(4)] {
+            profile.add(divergence);
+        }
+        assert_eq!(profile.shots, 6);
+        assert_eq!(profile.divergent_shots, 4);
+        assert_eq!(profile.exact_shots(), 2);
+        assert_eq!(profile.first_divergence, vec![1, 0, 2, 0, 1]);
+        assert_eq!(profile.first_divergence.iter().sum::<usize>(), profile.divergent_shots);
+        let cumulative = profile.cumulative_divergent();
+        assert!(cumulative.windows(2).all(|w| w[0] <= w[1]), "cumulative must be monotone");
+        assert_eq!(cumulative.last(), Some(&profile.divergent_shots));
+        assert_eq!(profile.resimulated_rounds, (5 - 2) as u64 + 5 + 3 + 1);
+        // Divergence rounds 2, 0, 2, 4 ⇒ restored prefixes of those lengths.
+        assert_eq!(profile.restored_rounds, 8);
+        // Every divergent shot pays its full round count on the simulator.
+        assert_eq!(
+            profile.resimulated_rounds + profile.restored_rounds,
+            (profile.divergent_shots * profile.rounds) as u64
+        );
+        assert!((profile.resimulated_fraction() - 12.0 / 30.0).abs() < 1e-12);
+        assert!((profile.simulated_fraction() - 20.0 / 30.0).abs() < 1e-12);
+        assert!((DivergenceProfile::new(0).resimulated_fraction()).abs() < 1e-12);
+        assert!((DivergenceProfile::new(0).simulated_fraction()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn evaluate_cell_rejects_the_wrong_code() {
+        let code = Code::rotated_surface(3);
+        let (header, trace) = record(&code, PolicyKind::NoLrc, 1, 4);
+        let other = Code::rotated_surface(5);
+        let factory = Arc::new(PolicyFactory::new(&other, &GladiatorConfig::default()));
+        let cell = LoadedCell { header, shots: vec![trace], code: other };
+        for mode in [ReplayMode::OpenLoop, ReplayMode::ClosedLoop] {
+            let err = evaluate_cell(&cell, &factory, PolicyKind::NoLrc, None, mode).unwrap_err();
+            assert!(err.contains("does not match"), "{err}");
+        }
+    }
 
     #[test]
     fn checkpoint_stats_follow_from_the_divergence_rounds() {

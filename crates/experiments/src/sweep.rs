@@ -32,7 +32,7 @@ use qec_decoder::{DecoderBackend, DecoderKind};
 
 use crate::engine::{build_backend, BatchEngine};
 use crate::metrics::AggregateMetrics;
-use crate::replay::{CorpusRunError, ReplayMode};
+use crate::replay::{CorpusRunError, DivergenceProfile, ReplayMode};
 use crate::runners::Scale;
 use crate::scenario::{CodeFamily, Scenario};
 
@@ -248,7 +248,7 @@ pub struct SweepCell {
     /// where the policy's shots first left the recorded schedule and how much
     /// re-simulation the divergence repairs cost. `None` for fully simulated
     /// and open-loop cells.
-    pub divergence_profile: Option<qec_trace::DivergenceProfile>,
+    pub divergence_profile: Option<DivergenceProfile>,
     /// Wall-clock time of the cell in milliseconds; exactly `0.0` when the
     /// sweep ran with timing disabled (determinism-comparison mode).
     pub wall_time_ms: f64,
@@ -327,7 +327,7 @@ pub fn run_sweep(spec: &SweepSpec, timing: bool) -> Result<SweepReport, String> 
 ///   the recorded seed contract, so **every** cell (DLP and LER included) is
 ///   bit-for-bit what a fully simulated sweep of that policy would report,
 ///   at replay cost for non-divergent shots. Cells carry per-round
-///   [`qec_trace::DivergenceProfile`]s.
+///   [`DivergenceProfile`]s.
 ///
 /// Each recorded cell's whole policy group is evaluated as one candidate set
 /// ([`crate::replay::evaluate_cell_set`]); in closed-loop mode divergent

@@ -1,22 +1,30 @@
 //! Heap allocations of the shot pipeline, counted: simulating a round and
-//! planning its LRCs allocate at most once per round on average.
+//! planning its LRCs allocate at most once per round on average, and a
+//! closed-loop replay of a recorded cell stays within its measured budget.
 //!
 //! The record of a shot is one arena reserved once per run, frames and the
 //! round executor's scratch are packed words reused across rounds, and the
-//! sparse planners allocate only the LRC request they return. This test runs
-//! the four cells of the sweep-live benchmark workload (surface d=5 and d=7 ×
-//! `gladiator+m` and `eraser+m`, p=1e-3, lr=0.1, 6·d rounds) shot by shot
-//! through `reseed_for_shot` and `run_with_policy` on the test thread, and
-//! counts every allocation that thread makes. It is its own test binary
-//! because it installs a counting global allocator.
+//! sparse planners allocate only the LRC request they return. The first test
+//! runs the four cells of the sweep-live benchmark workload (surface d=5 and
+//! d=7 × `gladiator+m` and `eraser+m`, p=1e-3, lr=0.1, 6·d rounds) shot by
+//! shot through `reseed_for_shot` and `run_with_policy` on the test thread,
+//! and counts every allocation that thread makes. The second counts one
+//! closed-loop `evaluate_cell_set` call on a cell shaped like the
+//! replay-closed workload's. This is its own test binary because it installs
+//! a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use leakage_speculation::{PolicyFactory, PolicyKind};
 use leaky_sim::Simulator;
-use qec_experiments::scenario::CodeFamily;
+use qec_experiments::replay::{
+    calibration_for, evaluate_cell_set, record_cell, LoadedCell, ReplayMode,
+};
+use qec_experiments::scenario::{CodeFamily, Scenario};
 use qec_experiments::sweep::SweepSpec;
+use rayon::ThreadPool;
 
 thread_local! {
     /// Allocations made by this thread; other test-harness threads keep their own.
@@ -108,5 +116,56 @@ fn simulating_and_planning_a_round_allocates_at_most_once_on_average() {
     assert!(
         per_round <= 1.0,
         "{counted} allocations over {rounds} rounds: {per_round:.3} per round"
+    );
+}
+
+/// Allocations of the closed-loop evaluation below: 3,890 while the per-shot
+/// replay engine lived in `qec-trace`, 3,663 once it moved next to
+/// `evaluate_cell_set`. The budget holds the count at the former.
+const CLOSED_LOOP_BUDGET: u64 = 3_890;
+
+#[test]
+fn closed_loop_replay_of_a_recorded_cell_stays_within_its_allocation_budget() {
+    let scenario = Scenario {
+        code: CodeFamily::Surface,
+        distance: 5,
+        rounds: 30,
+        p: 1e-3,
+        leakage_ratio: 0.1,
+        policy: PolicyKind::GladiatorM,
+        shots: 48,
+        seed: 1,
+        decode: false,
+        decoder: None,
+    };
+    let candidates =
+        [PolicyKind::GladiatorM, PolicyKind::EraserM, PolicyKind::GladiatorDM, PolicyKind::MlrOnly];
+    let (header, shots) = record_cell(&scenario, scenario.policy, "allocation budget");
+    let cell = LoadedCell { header, shots, code: scenario.build_code() };
+    let factory = Arc::new(PolicyFactory::new(&cell.code, &calibration_for(&cell.header)));
+    // The factory builds its offline artifacts once, on first use: not per call.
+    for kind in candidates {
+        let _ = factory.build(kind);
+    }
+    // The only job of a one-worker pool: the evaluator runs inline on the
+    // counted worker thread instead of fanning out.
+    let job = move || {
+        let before = allocations();
+        let evaluated = evaluate_cell_set(
+            &cell,
+            &factory,
+            &candidates,
+            &[None; 4],
+            ReplayMode::ClosedLoop,
+            true,
+        );
+        (allocations() - before, evaluated)
+    };
+    let (counted, evaluated) = ThreadPool::new(1).execute_ordered(vec![job]).remove(0);
+    let (_, stats) = evaluated.expect("the recorded cell replays");
+    assert!(stats.forced_passes > 0, "the cell must exercise the forced pass: {stats:?}");
+    assert!(
+        counted <= CLOSED_LOOP_BUDGET,
+        "{counted} allocations, over the budget of {CLOSED_LOOP_BUDGET}"
     );
 }

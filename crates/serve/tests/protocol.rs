@@ -4,13 +4,13 @@
 //! suite before it can ship.
 
 use qec_experiments::metrics::AggregateMetrics;
-use qec_experiments::ReplayCellResult;
+use qec_experiments::{DivergenceProfile, ReplayCellResult};
 use qec_serve::{
     parse_request, parse_response, request_line, response_line, BatchItem, CellStat, ErrorCode,
     EvalResult, EvalSpec, Request, RequestKind, Response, ResponseKind, ServerStats, VerifiedCell,
     VersionInfo, WireError, PROTOCOL_VERSION,
 };
-use qec_trace::{CorpusEntry, DivergenceProfile};
+use qec_trace::CorpusEntry;
 
 fn sample_entry() -> CorpusEntry {
     CorpusEntry {

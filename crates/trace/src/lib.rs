@@ -18,25 +18,18 @@
 //! * [`stream`] — streaming writer/reader over `std::io::{Write, Read}`,
 //!   flat-memory in the shot count; shots are framed in shot order so trace
 //!   bytes never depend on recording thread count.
-//! * [`replay`] — drives any [`LeakagePolicy`](leaky_sim::LeakagePolicy)
-//!   against the recorded observables, with per-round divergence detection
-//!   against the recorded schedule. Open-loop replay never re-simulates;
-//!   closed-loop replay repairs each candidate's first divergence by
-//!   reconstructing exact simulator state (recorded seed contract + one forced
-//!   prefix pass per shot, shared by the candidate set) and re-simulating the
-//!   suffix, yielding every candidate's run bit-for-bit as a from-scratch live
-//!   simulation would. Each candidate's outcome is its run plus its first
-//!   divergence round, from which all replay accounting follows
-//!   ([`DivergenceProfile::add`], [`CheckpointPlan`]). Same-policy replay
-//!   reproduces the live engine's decisions (and hence metrics) bit-for-bit
-//!   either way.
 //! * [`corpus`] — a sharded corpus directory (`shards/<hh>/<hash>.qtr`) with a
 //!   JSON manifest keyed by policy-free cell keys, so sweeps simulate each
 //!   cell once and replay every policy against it.
 //!
-//! The experiment-level integration (recording via the batch engine, metric
-//! scoring, corpus-backed sweeps, the `repro record|replay|corpus`
-//! subcommands) lives in `qec-experiments`.
+//! The replay engine and the experiment-level integration live in
+//! `qec-experiments`: recording via the batch engine, the one replay
+//! evaluator (`evaluate_cell_set`: open-loop scoring of any
+//! [`LeakagePolicy`](leaky_sim::LeakagePolicy) against the recorded
+//! observables, and closed-loop divergence repair that reseeds through the
+//! header's `seed + shot` contract and force-runs the recorded prefix),
+//! metric scoring, corpus-backed sweeps and the `repro record|replay|corpus`
+//! subcommands.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,7 +37,6 @@
 pub mod cluster;
 pub mod corpus;
 pub mod format;
-pub mod replay;
 pub mod stream;
 pub mod wire;
 
@@ -53,7 +45,6 @@ pub use corpus::{
     manifest_stamp, Corpus, CorpusEntry, CorpusManifest, ManifestStamp, MANIFEST_SCHEMA_VERSION,
 };
 pub use format::{code_fingerprint, ShotTrace, TraceHeader, TRACE_MAGIC, TRACE_SCHEMA_VERSION};
-pub use replay::{CheckpointPlan, ClosedLoopReplay, DivergenceProfile, ReplayContext, ShotReplay};
 pub use stream::{
     check_extends, open_trace_file, read_trace_file, read_trace_header, write_trace_file,
     TraceReader, TraceWriter,
