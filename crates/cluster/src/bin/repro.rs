@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use leakage_speculation::PolicyKind;
 use qec_cluster::{shard_corpus, Router, RouterConfig, ShardOptions};
+use qec_codes::CodeFamily;
 use qec_decoder::DecoderKind;
 use qec_experiments::adaptive::{
     resume_adaptive, run_adaptive, AdaptiveOutcome, AdaptiveSpec, ADAPTIVE_SCHEMA_VERSION,
@@ -49,7 +50,6 @@ use qec_experiments::replay::{
 };
 use qec_experiments::report::{fmt_float, text_table, to_json};
 use qec_experiments::runners::{self, Scale};
-use qec_experiments::scenario::CodeFamily;
 use qec_experiments::sweep::{
     git_describe, run_sweep, try_run_sweep_with_corpus, SweepReport, SweepSpec,
     SWEEP_SCHEMA_VERSION,

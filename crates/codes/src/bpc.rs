@@ -18,7 +18,7 @@
 //! data-qubit degree 6 — the same sparse, irregular syndrome regime (7-bit speculation
 //! patterns, Appendix B.2) as the paper's BPC code.
 
-use crate::code::{Check, CheckBasis, Code, CodeFamily};
+use crate::code::{Code, CodeFamily};
 use crate::linalg::BinaryMatrix;
 
 /// Builds the `ℓ×ℓ` circulant matrix whose first row has ones at the given shifts.
@@ -59,38 +59,7 @@ impl Code {
         let b = circulant(l, b_shifts);
         let hx = a.hstack(&b);
         let hz = b.transposed().hstack(&a.transposed());
-        let product = hx.multiply(&hz.transposed());
-        assert!(product.is_zero(), "two-block circulant construction must commute");
-
-        let num_data = 2 * l;
-        let mut checks = Vec::with_capacity(2 * l);
-        for r in 0..l {
-            checks.push(Check {
-                id: checks.len(),
-                basis: CheckBasis::X,
-                support: hx.row_support(r),
-                position: (r as f64, 0.0),
-            });
-        }
-        for r in 0..l {
-            checks.push(Check {
-                id: checks.len(),
-                basis: CheckBasis::Z,
-                support: hz.row_support(r),
-                position: (r as f64, 1.0),
-            });
-        }
-        Code::from_parts(
-            CodeFamily::Bpc,
-            name.into(),
-            design_distance,
-            num_data,
-            checks,
-            vec![],
-            vec![],
-            vec![],
-        )
-        .expect("two-block circulant code is valid CSS")
+        Code::from_css_matrices(CodeFamily::Bpc, name.into(), design_distance, &hx, &hz)
     }
 
     /// Builds the default BPC stand-in of cyclic size `l` (must be a positive multiple
@@ -100,8 +69,8 @@ impl Code {
     /// Panics if `l` is not a positive multiple of 7.
     #[must_use]
     pub fn bpc(l: usize) -> Code {
-        assert!(l > 0 && l % 7 == 0, "BPC construction requires l to be a positive multiple of 7");
-        Code::bpc_from_polynomials(l, &[0, 1, 3], &[0, 4, 5], 4, format!("bpc-l{l}"))
+        let name = CodeFamily::Bpc.checked_name(l);
+        Code::bpc_from_polynomials(l, &[0, 1, 3], &[0, 4, 5], 4, name)
     }
 }
 
@@ -145,8 +114,9 @@ mod tests {
     #[test]
     fn bpc_data_degree_is_six() {
         let code = Code::bpc(21);
-        let adj = code.data_adjacency();
-        assert_eq!(adj.degree_classes(), vec![6]);
+        for q in 0..code.num_data() {
+            assert_eq!(code.checks().iter().filter(|c| c.support.contains(&q)).count(), 6);
+        }
     }
 
     #[test]

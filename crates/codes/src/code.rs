@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::adjacency::DataAdjacency;
 use crate::graph::InteractionGraph;
+use crate::linalg::BinaryMatrix;
 
 /// Identifier of a data qubit within a [`Code`] (dense index `0..num_data`).
 pub type DataQubitId = usize;
@@ -14,7 +14,7 @@ pub type DataQubitId = usize;
 pub type CheckId = usize;
 
 /// The Pauli basis of a stabilizer check in a CSS code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CheckBasis {
     /// X-type check: detects Z (phase-flip) errors on its support.
     X,
@@ -48,7 +48,7 @@ impl fmt::Display for CheckBasis {
 /// the `i`-th entry is entangled with the ancilla at time step `i` of the
 /// syndrome-extraction circuit. This ordering is what determines which syndrome bits a
 /// mid-round fault (or a leakage event) can still influence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Check {
     /// Dense index of the check within its code.
     pub id: CheckId,
@@ -66,36 +66,112 @@ impl Check {
     pub fn weight(&self) -> usize {
         self.support.len()
     }
-
-    /// Time step (0-based) at which this check's ancilla interacts with `qubit`,
-    /// or `None` if the qubit is not in the support.
-    #[must_use]
-    pub fn time_of(&self, qubit: DataQubitId) -> Option<usize> {
-        self.support.iter().position(|&q| q == qubit)
-    }
 }
 
-/// The code family a [`Code`] instance belongs to.
+/// The code families the workspace constructs, keyed for sweep grids.
+///
+/// Each family has one size parameter: the distance of a surface or color
+/// code, the circulant size `l` of an HGP or BPC code. [`CodeFamily::build`]
+/// is the one place a family and a size become a [`Code`], and
+/// [`CodeFamily::code_name`] names the result without building it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CodeFamily {
-    /// Rotated surface code (2d²−1 qubits for distance d).
-    RotatedSurface,
-    /// Triangular 6.6.6 color code ((3d²+1)/4 data qubits).
-    Color666,
-    /// Hypergraph-product code of two classical seeds.
+    /// Rotated surface code; the size parameter is the (odd) distance `d ≥ 3`.
+    Surface,
+    /// Triangular 6.6.6 color code; the size parameter is the (odd) distance `d ≥ 3`.
+    Color,
+    /// Hypergraph-product code from a quasi-cyclic LDPC seed; the size
+    /// parameter is the seed circulant size `l ≥ 2`.
     Hgp,
-    /// Balanced-product cyclic (two-block circulant) code.
+    /// Balanced-product cyclic (two-block circulant) code; the size parameter
+    /// is the circulant size `l`, a positive multiple of 7.
     Bpc,
+}
+
+impl CodeFamily {
+    /// Every family, in sweep-grid listing order.
+    pub const ALL: [CodeFamily; 4] =
+        [CodeFamily::Surface, CodeFamily::Color, CodeFamily::Hgp, CodeFamily::Bpc];
+
+    /// The lowercase name used in grids, reports and scenario ids.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            CodeFamily::Surface => "surface",
+            CodeFamily::Color => "color",
+            CodeFamily::Hgp => "hgp",
+            CodeFamily::Bpc => "bpc",
+        }
+    }
+
+    /// Parses a grid label back into a family (inverse of [`CodeFamily::label`]).
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<CodeFamily> {
+        CodeFamily::ALL.iter().copied().find(|family| family.label() == label)
+    }
+
+    /// Checks that `size` is a valid size parameter for this family.
+    ///
+    /// # Errors
+    /// Returns a message naming the constraint the size violates.
+    pub fn validate_size(self, size: usize) -> Result<(), String> {
+        let ok = match self {
+            CodeFamily::Surface | CodeFamily::Color => size >= 3 && size % 2 == 1,
+            CodeFamily::Hgp => size >= 2,
+            CodeFamily::Bpc => size > 0 && size % 7 == 0,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} does not admit size {size} (surface/color need odd d >= 3, \
+                 hgp needs l >= 2, bpc needs a positive multiple of 7)",
+                self.label()
+            ))
+        }
+    }
+
+    /// The name of the instance [`CodeFamily::build`] returns at `size`,
+    /// without building it.
+    #[must_use]
+    pub fn code_name(self, size: usize) -> String {
+        let prefix = match self {
+            CodeFamily::Surface | CodeFamily::Color => 'd',
+            CodeFamily::Hgp | CodeFamily::Bpc => 'l',
+        };
+        format!("{}-{prefix}{size}", self.label())
+    }
+
+    /// [`CodeFamily::code_name`] of a size a constructor is about to build.
+    ///
+    /// # Panics
+    /// Panics with the [`CodeFamily::validate_size`] message when `size` is invalid.
+    pub(crate) fn checked_name(self, size: usize) -> String {
+        if let Err(message) = self.validate_size(size) {
+            panic!("{message}");
+        }
+        self.code_name(size)
+    }
+
+    /// Builds the concrete code instance of this family at `size`.
+    ///
+    /// # Panics
+    /// Panics when `size` violates the family's constraint; call
+    /// [`CodeFamily::validate_size`] first for a recoverable check.
+    #[must_use]
+    pub fn build(self, size: usize) -> Code {
+        match self {
+            CodeFamily::Surface => Code::rotated_surface(size),
+            CodeFamily::Color => Code::color_666(size),
+            CodeFamily::Hgp => Code::hgp(size),
+            CodeFamily::Bpc => Code::bpc(size),
+        }
+    }
 }
 
 impl fmt::Display for CodeFamily {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodeFamily::RotatedSurface => write!(f, "surface"),
-            CodeFamily::Color666 => write!(f, "color"),
-            CodeFamily::Hgp => write!(f, "hgp"),
-            CodeFamily::Bpc => write!(f, "bpc"),
-        }
+        f.write_str(self.label())
     }
 }
 
@@ -104,7 +180,7 @@ impl fmt::Display for CodeFamily {
 /// Instances are produced by the family constructors ([`Code::rotated_surface`],
 /// [`Code::color_666`], [`Code::hgp`], [`Code::bpc`]); the struct itself is
 /// family-agnostic and is what the simulator, speculation policies and decoder consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Code {
     pub(crate) family: CodeFamily,
     pub(crate) name: String,
@@ -214,12 +290,6 @@ impl Code {
         crate::BinaryMatrix::from_rows(self.num_data, &rows)
     }
 
-    /// Per-data-qubit adjacency (which checks touch it, in time order).
-    #[must_use]
-    pub fn data_adjacency(&self) -> DataAdjacency {
-        DataAdjacency::new(self)
-    }
-
     /// Data-qubit interaction graph (qubits adjacent when they share a check),
     /// used for the staggered open-loop LRC schedule.
     #[must_use]
@@ -227,10 +297,11 @@ impl Code {
         InteractionGraph::new(self)
     }
 
-    /// Maximum number of checks any single data qubit touches.
+    /// CNOT layers of one syndrome-extraction round: the maximum check weight,
+    /// since support entry `t` of every check runs in layer `t`.
     #[must_use]
-    pub fn max_data_degree(&self) -> usize {
-        self.data_adjacency().degrees().iter().copied().max().unwrap_or(0)
+    pub fn cnot_layers(&self) -> usize {
+        self.checks.iter().map(Check::weight).max().unwrap_or(0)
     }
 
     /// `true` when every pair of X and Z checks overlaps on an even number of data
@@ -322,6 +393,40 @@ impl Code {
         code.validate()?;
         Ok(code)
     }
+
+    /// Assembles a CSS code without logicals or positions from its X and Z
+    /// parity-check matrices: each non-empty row becomes one check (X rows
+    /// first) whose support, in ascending column order, doubles as the CNOT
+    /// schedule.
+    ///
+    /// # Panics
+    /// Panics if the matrices act on different qubits or yield an invalid code
+    /// (e.g. non-commuting stabilizers).
+    pub(crate) fn from_css_matrices(
+        family: CodeFamily,
+        name: String,
+        distance: usize,
+        hx: &BinaryMatrix,
+        hz: &BinaryMatrix,
+    ) -> Code {
+        assert_eq!(hx.cols(), hz.cols(), "Hx and Hz must act on the same qubits");
+        let mut checks = Vec::with_capacity(hx.rows() + hz.rows());
+        for (matrix, basis, y) in [(hx, CheckBasis::X, 0.0), (hz, CheckBasis::Z, 1.0)] {
+            for r in 0..matrix.rows() {
+                let support = matrix.row_support(r);
+                if !support.is_empty() {
+                    checks.push(Check {
+                        id: checks.len(),
+                        basis,
+                        support,
+                        position: (r as f64, y),
+                    });
+                }
+            }
+        }
+        Code::from_parts(family, name, distance, hx.cols(), checks, vec![], vec![], vec![])
+            .expect("CSS matrices with Hx·Hzᵀ = 0 yield a valid code")
+    }
 }
 
 impl fmt::Display for Code {
@@ -345,7 +450,7 @@ mod tests {
     fn toy_code() -> Code {
         // Four-qubit [[4,2,2]] code: X1X2X3X4 and Z1Z2Z3Z4.
         Code::from_parts(
-            CodeFamily::RotatedSurface,
+            CodeFamily::Surface,
             "toy-422",
             2,
             4,
@@ -381,10 +486,22 @@ mod tests {
     }
 
     #[test]
-    fn check_time_of_reports_schedule_position() {
-        let code = toy_code();
-        assert_eq!(code.check(0).time_of(2), Some(2));
-        assert_eq!(code.check(0).time_of(9), None);
+    fn family_labels_round_trip() {
+        for family in CodeFamily::ALL {
+            assert_eq!(CodeFamily::from_label(family.label()), Some(family));
+        }
+        assert_eq!(CodeFamily::from_label("steane"), None);
+    }
+
+    #[test]
+    fn size_validation_matches_constructor_constraints() {
+        assert!(CodeFamily::Surface.validate_size(5).is_ok());
+        assert!(CodeFamily::Surface.validate_size(4).is_err());
+        assert!(CodeFamily::Color.validate_size(1).is_err());
+        assert!(CodeFamily::Hgp.validate_size(2).is_ok());
+        assert!(CodeFamily::Hgp.validate_size(1).is_err());
+        assert!(CodeFamily::Bpc.validate_size(14).is_ok());
+        assert!(CodeFamily::Bpc.validate_size(10).is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl Code {
     /// Panics if `d` is even or smaller than 3.
     #[must_use]
     pub fn color_666(d: usize) -> Code {
-        assert!(d >= 3 && d % 2 == 1, "triangular color code requires odd d >= 3, got {d}");
+        let name = CodeFamily::Color.checked_name(d);
         let max_row = 3 * (d - 1) / 2;
 
         // Assign dense indices to data-qubit sites.
@@ -99,8 +99,8 @@ impl Code {
         debug_assert_eq!(bottom.len(), d, "bottom edge of color code must hold d qubits");
 
         Code::from_parts(
-            CodeFamily::Color666,
-            format!("color-d{d}"),
+            CodeFamily::Color,
+            name,
             d,
             num_data,
             checks,
@@ -176,16 +176,17 @@ mod tests {
         }
     }
 
+    /// The number of X checks (equivalently faces) on each data qubit.
+    fn x_degrees(code: &Code) -> Vec<usize> {
+        (0..code.num_data())
+            .map(|q| code.checks_of(CheckBasis::X).filter(|c| c.support.contains(&q)).count())
+            .collect()
+    }
+
     #[test]
     fn data_degree_per_basis_is_at_most_three() {
         let code = Code::color_666(7);
-        let adj = code.data_adjacency();
-        for q in 0..code.num_data() {
-            let x_deg = adj
-                .neighbors(q)
-                .iter()
-                .filter(|e| code.check(e.check).basis == CheckBasis::X)
-                .count();
+        for (q, &x_deg) in x_degrees(&code).iter().enumerate() {
             assert!((1..=3).contains(&x_deg), "qubit {q} X degree {x_deg}");
         }
     }
@@ -193,20 +194,16 @@ mod tests {
     #[test]
     fn corner_qubits_touch_a_single_face() {
         let code = Code::color_666(5);
-        let adj = code.data_adjacency();
-        let per_basis_degrees: Vec<usize> = (0..code.num_data())
-            .map(|q| {
-                adj.neighbors(q)
-                    .iter()
-                    .filter(|e| code.check(e.check).basis == CheckBasis::X)
-                    .count()
-            })
-            .collect();
+        let per_basis_degrees = x_degrees(&code);
         // The paper (Fig. 8a) notes corner qubits yield 1-bit patterns and edge qubits
         // 2-bit patterns; make sure those degree classes actually occur.
         assert!(per_basis_degrees.contains(&1), "no corner (degree-1) qubits found");
         assert!(per_basis_degrees.contains(&2), "no edge (degree-2) qubits found");
         assert!(per_basis_degrees.contains(&3), "no bulk (degree-3) qubits found");
+        let mut classes = per_basis_degrees;
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes, vec![1, 2, 3]);
     }
 
     proptest! {

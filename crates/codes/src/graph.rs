@@ -7,12 +7,10 @@
 //! a stabilizer check, which also covers the "diagonal" neighbours of the surface-code
 //! layout) and a deterministic greedy colouring.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{Code, DataQubitId};
 
 /// Undirected interaction graph over the data qubits of a code.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InteractionGraph {
     adjacency: Vec<Vec<DataQubitId>>,
 }
@@ -95,7 +93,7 @@ impl InteractionGraph {
 
 /// A proper colouring of the data qubits; colour groups are the round-robin LRC groups
 /// of the staggered policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
     colors: Vec<usize>,
     num_colors: usize,

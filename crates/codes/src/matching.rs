@@ -14,12 +14,10 @@
 //!
 //! The union-find decoder in `qec-decoder` consumes this graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{CheckBasis, CheckId, Code, DataQubitId};
 
 /// A node of the space–time decoding graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpaceTimeNode {
     /// Detector for `check` in QEC round `round`.
     Detector {
@@ -33,7 +31,7 @@ pub enum SpaceTimeNode {
 }
 
 /// An edge of the decoding graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchingEdge {
     /// First endpoint (dense node index as used by [`MatchingGraph`]).
     pub a: usize,
@@ -45,7 +43,7 @@ pub struct MatchingEdge {
 
 /// Space–time decoding graph for one check basis of a code over a fixed number of
 /// rounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchingGraph {
     basis: CheckBasis,
     rounds: usize,

@@ -8,7 +8,6 @@
 //! identical supports into [`ParitySites`] and exposes the per-data-qubit site
 //! adjacency that pattern extraction and the GLADIATOR offline model operate on.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::code::{CheckId, Code, DataQubitId};
@@ -17,7 +16,7 @@ use crate::code::{CheckId, Code, DataQubitId};
 pub type SiteId = usize;
 
 /// The partition of a code's checks into physical parity sites.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParitySites {
     site_of_check: Vec<SiteId>,
     checks_of_site: Vec<Vec<CheckId>>,
@@ -71,7 +70,7 @@ impl ParitySites {
 
 /// One adjacency record of the site adjacency: data qubit interacts with `site` first
 /// at CNOT time step `time`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SiteAdjEntry {
     /// The adjacent parity site.
     pub site: SiteId,
@@ -81,7 +80,7 @@ pub struct SiteAdjEntry {
 
 /// For every data qubit, its adjacent parity sites in time order — the pattern-bit
 /// layout used by the speculation policies and the GLADIATOR offline model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteAdjacency {
     per_qubit: Vec<Vec<SiteAdjEntry>>,
 }

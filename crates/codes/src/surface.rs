@@ -44,7 +44,7 @@ impl Code {
     /// Panics if `d` is even or smaller than 3.
     #[must_use]
     pub fn rotated_surface(d: usize) -> Code {
-        assert!(d >= 3 && d % 2 == 1, "rotated surface code requires odd d >= 3, got {d}");
+        let name = CodeFamily::Surface.checked_name(d);
 
         let mut checks = Vec::new();
         for ar in 0..=d {
@@ -93,8 +93,8 @@ impl Code {
         let data_positions = (0..d * d).map(|q| ((q % d) as f64, (q / d) as f64)).collect();
 
         Code::from_parts(
-            CodeFamily::RotatedSurface,
-            format!("surface-d{d}"),
+            CodeFamily::Surface,
+            name,
             d,
             d * d,
             checks,
@@ -173,25 +173,32 @@ mod tests {
     #[test]
     fn every_data_qubit_touches_between_two_and_four_checks() {
         let code = Code::rotated_surface(5);
-        let adj = code.data_adjacency();
-        for q in 0..code.num_data() {
-            let deg = adj.neighbors(q).len();
+        let degrees: Vec<usize> = (0..code.num_data())
+            .map(|q| code.checks().iter().filter(|c| c.support.contains(&q)).count())
+            .collect();
+        for (q, &deg) in degrees.iter().enumerate() {
             assert!((2..=4).contains(&deg), "qubit {q} degree {deg}");
         }
-        assert_eq!(code.max_data_degree(), 4);
+        assert_eq!(degrees.iter().max(), Some(&4));
+        let mut classes = degrees.clone();
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(classes, vec![2, 3, 4]);
+        // Bulk should dominate at weight 4.
+        let bulk = degrees.iter().filter(|&&deg| deg == 4).count();
+        assert!(bulk >= 9, "expected at least (d-2)^2 bulk qubits, got {bulk}");
     }
 
     #[test]
     fn bulk_data_qubits_touch_two_checks_of_each_basis() {
         let d = 7;
         let code = Code::rotated_surface(d);
-        let adj = code.data_adjacency();
         // interior qubit away from all boundaries
         let q = data_index(d, 3, 3);
         let mut x = 0;
         let mut z = 0;
-        for entry in adj.neighbors(q) {
-            match code.check(entry.check).basis {
+        for check in code.checks().iter().filter(|c| c.support.contains(&q)) {
+            match check.basis {
                 CheckBasis::X => x += 1,
                 CheckBasis::Z => z += 1,
             }

@@ -6,8 +6,12 @@
 //! basis, support (in CNOT order) and position bits; both logical supports;
 //! and the bits of every data-qubit position. A change that moves a code on
 //! purpose updates the digest and says why in CHANGES.md.
+//!
+//! A second test checks that [`CodeFamily::build`] returns an instance of its
+//! family named by [`CodeFamily::code_name`], the name a corpus manifest is
+//! checked against before the code is built.
 
-use qec_codes::{CheckBasis, Code};
+use qec_codes::{CheckBasis, Code, CodeFamily};
 
 /// 64-bit FNV-1a over little-endian words and string bytes.
 struct Fnv(u64);
@@ -85,4 +89,17 @@ fn every_family_constructs_the_pinned_codes() {
         hash.code(&code);
     }
     assert_eq!(hash.0, 0xf79d_bd8d_0576_d6bd, "family digest: {:#018x}", hash.0);
+}
+
+#[test]
+fn every_family_builds_the_code_it_names() {
+    for family in CodeFamily::ALL {
+        let sizes: Vec<usize> =
+            (0..).filter(|&size| family.validate_size(size).is_ok()).take(4).collect();
+        for size in sizes {
+            let code = family.build(size);
+            assert_eq!(code.name(), family.code_name(size), "{family} size {size}");
+            assert_eq!(code.family(), family, "{family} size {size}");
+        }
+    }
 }

@@ -137,7 +137,7 @@ impl DecoderKind {
     pub fn supports(self, family: CodeFamily, distance: usize) -> Result<(), String> {
         match self {
             DecoderKind::UnionFind => match family {
-                CodeFamily::RotatedSurface => Ok(()),
+                CodeFamily::Surface => Ok(()),
                 other => Err(format!(
                     "decoder `uf` needs a matchable code and `{other}` is not \
                      (data qubits touch more than two same-basis checks); \
@@ -145,8 +145,8 @@ impl DecoderKind {
                 )),
             },
             DecoderKind::Lookup => match family {
-                CodeFamily::RotatedSurface | CodeFamily::Color666 if distance == 3 => Ok(()),
-                CodeFamily::RotatedSurface | CodeFamily::Color666 => Err(format!(
+                CodeFamily::Surface | CodeFamily::Color if distance == 3 => Ok(()),
+                CodeFamily::Surface | CodeFamily::Color => Err(format!(
                     "decoder `lookup` is exact only at distance 3 \
                      (got {family} d={distance}); use `uf` for larger distances"
                 )),
@@ -218,12 +218,12 @@ mod tests {
     #[test]
     fn supports_matrix() {
         use CodeFamily::*;
-        assert!(DecoderKind::UnionFind.supports(RotatedSurface, 5).is_ok());
-        assert!(DecoderKind::UnionFind.supports(Color666, 3).is_err());
+        assert!(DecoderKind::UnionFind.supports(Surface, 5).is_ok());
+        assert!(DecoderKind::UnionFind.supports(Color, 3).is_err());
         assert!(DecoderKind::UnionFind.supports(Hgp, 4).is_err());
-        assert!(DecoderKind::Lookup.supports(RotatedSurface, 3).is_ok());
-        assert!(DecoderKind::Lookup.supports(Color666, 3).is_ok());
-        let err = DecoderKind::Lookup.supports(RotatedSurface, 5).unwrap_err();
+        assert!(DecoderKind::Lookup.supports(Surface, 3).is_ok());
+        assert!(DecoderKind::Lookup.supports(Color, 3).is_ok());
+        let err = DecoderKind::Lookup.supports(Surface, 5).unwrap_err();
         assert!(err.contains("distance 3"), "unhelpful error: {err}");
         let err = DecoderKind::Lookup.supports(Bpc, 7).unwrap_err();
         assert!(err.contains("surface and color"), "unhelpful error: {err}");

@@ -53,7 +53,7 @@ impl LookupDecoder {
     /// color code — the only families/sizes the table is enumerated for.
     pub fn build(code: &Code, layers: usize) -> Result<Self, String> {
         match code.family() {
-            CodeFamily::RotatedSurface | CodeFamily::Color666 if code.distance() == 3 => {}
+            CodeFamily::Surface | CodeFamily::Color if code.distance() == 3 => {}
             family => {
                 return Err(format!(
                     "lookup decoder supports only surface/color at d=3, \

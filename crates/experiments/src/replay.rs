@@ -161,7 +161,7 @@ fn recording_engine(
         code_fingerprint: code_fingerprint(&code),
         num_data: code.num_data(),
         num_checks: code.num_checks(),
-        cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
+        cnot_layers: code.cnot_layers(),
         rounds: spec.rounds,
         shots: spec.shots,
         seed: spec.seed,
@@ -627,9 +627,9 @@ impl CheckpointStats {
     /// round: the shot pays a forced pass when any candidate diverged, runs
     /// it to the deepest divergence round, resumes one suffix per divergent
     /// candidate and holds one checkpoint per distinct divergence round.
-    fn add_shot(&mut self, divergences: &[Option<usize>]) {
-        let rounds = || divergences.iter().flatten();
-        if let Some(&deepest) = rounds().max() {
+    fn add_shot(&mut self, divergences: impl Iterator<Item = Option<usize>> + Clone) {
+        let rounds = || divergences.clone().flatten();
+        if let Some(deepest) = rounds().max() {
             self.forced_passes += 1;
             self.forced_rounds += deepest as u64;
         }
@@ -809,7 +809,7 @@ pub fn evaluate_cell_set(
     for outcome in per_shot {
         let scored = outcome?;
         if closed_loop {
-            stats.add_shot(&scored.iter().map(|&(_, divergence)| divergence).collect::<Vec<_>>());
+            stats.add_shot(scored.iter().map(|&(_, divergence)| divergence));
         }
         for (index, (metrics, divergence)) in scored.into_iter().enumerate() {
             profiles[index].add(divergence);
@@ -1255,7 +1255,7 @@ mod tests {
             code_fingerprint: code_fingerprint(code),
             num_data: code.num_data(),
             num_checks: code.num_checks(),
-            cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
+            cnot_layers: code.cnot_layers(),
             rounds,
             shots: 1,
             seed,
@@ -1535,7 +1535,7 @@ mod tests {
         // Candidates diverging at rounds 3, 3, 6 and 0, plus one exact one:
         // one pass forced to round 6, four suffixes, three distinct rounds.
         let mut stats = CheckpointStats::default();
-        stats.add_shot(&[Some(3), Some(3), Some(6), Some(0), None]);
+        stats.add_shot([Some(3), Some(3), Some(6), Some(0), None].into_iter());
         let expected = CheckpointStats {
             forced_passes: 1,
             forced_rounds: 6,
@@ -1544,10 +1544,10 @@ mod tests {
         };
         assert_eq!(stats, expected);
         // An all-exact shot forces nothing and keeps the high-water mark.
-        stats.add_shot(&[None, None]);
+        stats.add_shot([None, None].into_iter());
         assert_eq!(stats, expected);
         let mut exact = CheckpointStats::default();
-        exact.add_shot(&[None, None, None]);
+        exact.add_shot([None, None, None].into_iter());
         assert_eq!(exact, CheckpointStats::default());
     }
 }

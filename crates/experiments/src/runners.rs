@@ -700,10 +700,13 @@ pub struct Table6Row {
 pub fn table6_mobility(scale: &Scale) -> Vec<Table6Row> {
     let d = scale.distance(7);
     let code = Code::rotated_surface(d);
-    let adjacency: Vec<Vec<usize>> = {
-        let adj = code.data_adjacency();
-        (0..code.num_data()).map(|q| adj.pattern_checks(q)).collect()
-    };
+    // Each data qubit's checks; the estimator only asks whether any is flagged.
+    let mut adjacency = vec![Vec::new(); code.num_data()];
+    for check in code.checks() {
+        for &q in &check.support {
+            adjacency[q].push(check.id);
+        }
+    }
     let rounds = scale.rounds(300).max(20);
     [1.0f64, 2.5, 5.0, 6.0, 9.0]
         .iter()

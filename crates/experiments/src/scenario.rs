@@ -7,6 +7,10 @@
 //! ([`crate::sweep::SweepSpec`]), the `repro` binary parses them from JSON or
 //! grid flags, and [`crate::sweep::run_scenarios`] executes batches of them on
 //! the [`crate::engine::BatchEngine`] with shared artifacts.
+//!
+//! The family is [`qec_codes::CodeFamily`], re-exported here: qec-codes checks,
+//! names and builds every family's instances, so a scenario, a sweep grid and a
+//! corpus manifest name a code the way its constructor does.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,106 +18,10 @@ use gladiator::GladiatorConfig;
 use leakage_speculation::PolicyKind;
 use leaky_sim::NoiseParams;
 use qec_codes::Code;
+pub use qec_codes::CodeFamily;
 use qec_decoder::DecoderKind;
 
 use crate::harness::ExperimentSpec;
-
-/// The code families the workspace can construct, keyed for sweep grids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CodeFamily {
-    /// Rotated surface code; the size parameter is the (odd) distance `d ≥ 3`.
-    Surface,
-    /// Triangular 6.6.6 color code; the size parameter is the (odd) distance `d ≥ 3`.
-    Color,
-    /// Hypergraph-product code from a quasi-cyclic LDPC seed; the size
-    /// parameter is the seed circulant size `l ≥ 2`.
-    Hgp,
-    /// Bivariate-polynomial (BPC) qLDPC code; the size parameter is the
-    /// circulant size `l`, a positive multiple of 7.
-    Bpc,
-}
-
-impl CodeFamily {
-    /// Every family, in sweep-grid listing order.
-    pub const ALL: [CodeFamily; 4] =
-        [CodeFamily::Surface, CodeFamily::Color, CodeFamily::Hgp, CodeFamily::Bpc];
-
-    /// The lowercase name used in grids, reports and scenario ids.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CodeFamily::Surface => "surface",
-            CodeFamily::Color => "color",
-            CodeFamily::Hgp => "hgp",
-            CodeFamily::Bpc => "bpc",
-        }
-    }
-
-    /// Parses a grid label back into a family (inverse of [`CodeFamily::label`]).
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<CodeFamily> {
-        CodeFamily::ALL.iter().copied().find(|family| family.label() == label)
-    }
-
-    /// Checks that `size` is a valid size parameter for this family.
-    ///
-    /// # Errors
-    /// Returns a message naming the constraint the size violates.
-    pub fn validate_size(self, size: usize) -> Result<(), String> {
-        let ok = match self {
-            CodeFamily::Surface | CodeFamily::Color => size >= 3 && size % 2 == 1,
-            CodeFamily::Hgp => size >= 2,
-            CodeFamily::Bpc => size > 0 && size % 7 == 0,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} does not admit size {size} (surface/color need odd d >= 3, \
-                 hgp needs l >= 2, bpc needs a positive multiple of 7)",
-                self.label()
-            ))
-        }
-    }
-
-    /// The [`qec_codes::CodeFamily`] this grid family constructs, used for
-    /// decoder-backend compatibility checks.
-    #[must_use]
-    pub fn qec_family(self) -> qec_codes::CodeFamily {
-        match self {
-            CodeFamily::Surface => qec_codes::CodeFamily::RotatedSurface,
-            CodeFamily::Color => qec_codes::CodeFamily::Color666,
-            CodeFamily::Hgp => qec_codes::CodeFamily::Hgp,
-            CodeFamily::Bpc => qec_codes::CodeFamily::Bpc,
-        }
-    }
-
-    /// The name of the instance [`CodeFamily::build`] returns at `size`,
-    /// without building it.
-    #[must_use]
-    pub(crate) fn code_name(self, size: usize) -> String {
-        let prefix = match self {
-            CodeFamily::Surface | CodeFamily::Color => 'd',
-            CodeFamily::Hgp | CodeFamily::Bpc => 'l',
-        };
-        format!("{}-{prefix}{size}", self.label())
-    }
-
-    /// Builds the concrete code instance of this family at `size`.
-    ///
-    /// # Panics
-    /// Panics when `size` violates the family's constraint; call
-    /// [`CodeFamily::validate_size`] first for a recoverable check.
-    #[must_use]
-    pub fn build(self, size: usize) -> Code {
-        match self {
-            CodeFamily::Surface => Code::rotated_surface(size),
-            CodeFamily::Color => Code::color_666(size),
-            CodeFamily::Hgp => Code::hgp(size),
-            CodeFamily::Bpc => Code::bpc(size),
-        }
-    }
-}
 
 /// One fully-specified Monte-Carlo workload cell.
 ///
@@ -220,7 +128,7 @@ impl Scenario {
         // A decoding cell without a selection decodes on union-find, which
         // must be able to serve it just like an explicit choice.
         if let Some(kind) = self.decoder.or(self.decode.then_some(DecoderKind::UnionFind)) {
-            kind.supports(self.code.qec_family(), self.distance)
+            kind.supports(self.code, self.distance)
                 .map_err(|e| format!("decoder `{}` cannot serve this cell: {e}", kind.label()))?;
         }
         Ok(())
@@ -284,40 +192,6 @@ mod tests {
   "decode": true,
   "decoder": "lookup"
 }"#;
-
-    #[test]
-    fn family_labels_round_trip() {
-        for family in CodeFamily::ALL {
-            assert_eq!(CodeFamily::from_label(family.label()), Some(family));
-        }
-        assert_eq!(CodeFamily::from_label("steane"), None);
-    }
-
-    #[test]
-    fn size_validation_matches_constructor_constraints() {
-        assert!(CodeFamily::Surface.validate_size(5).is_ok());
-        assert!(CodeFamily::Surface.validate_size(4).is_err());
-        assert!(CodeFamily::Color.validate_size(1).is_err());
-        assert!(CodeFamily::Hgp.validate_size(2).is_ok());
-        assert!(CodeFamily::Hgp.validate_size(1).is_err());
-        assert!(CodeFamily::Bpc.validate_size(14).is_ok());
-        assert!(CodeFamily::Bpc.validate_size(10).is_err());
-    }
-
-    #[test]
-    fn every_family_builds_its_smallest_instance() {
-        for (family, size) in [
-            (CodeFamily::Surface, 3),
-            (CodeFamily::Color, 3),
-            (CodeFamily::Hgp, 2),
-            (CodeFamily::Bpc, 7),
-        ] {
-            family.validate_size(size).unwrap();
-            let code = family.build(size);
-            assert!(code.name().starts_with(family.label()), "{}", code.name());
-            assert_eq!(family.code_name(size), code.name());
-        }
-    }
 
     #[test]
     fn spec_lowering_calibrates_the_gladiator_model() {

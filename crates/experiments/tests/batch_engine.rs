@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use leakage_speculation::PolicyKind;
 use leaky_sim::RunRecord;
-use qec_codes::{Check, Code};
+use qec_codes::Code;
 use qec_experiments::engine::BatchEngine;
 use qec_experiments::harness::{run_policy_experiment, simulate_shot, ExperimentSpec};
 use qec_trace::{code_fingerprint, ShotTrace, TraceHeader, TRACE_SCHEMA_VERSION};
@@ -124,7 +124,7 @@ fn recorded_traces_reconstruct_the_engine_runs_for_every_policy_kind() {
                 code_fingerprint: code_fingerprint(&code),
                 num_data: code.num_data(),
                 num_checks: code.num_checks(),
-                cnot_layers: code.checks().iter().map(Check::weight).max().unwrap_or(0),
+                cnot_layers: code.cnot_layers(),
                 rounds: spec.rounds,
                 shots: spec.shots,
                 seed: spec.seed,

@@ -67,7 +67,6 @@ impl Simulator {
     /// Creates a simulator for `code` under `noise`, seeded deterministically.
     #[must_use]
     pub fn new(code: &Code, noise: NoiseParams, seed: u64) -> Self {
-        let cnot_layers = code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0);
         Simulator {
             code: code.clone(),
             checks: std::sync::Arc::new(code.checks().to_vec()),
@@ -76,7 +75,7 @@ impl Simulator {
             rng: ChaCha8Rng::seed_from_u64(seed),
             prev_measurements: BitVec::new(code.num_checks()),
             round_index: 0,
-            cnot_layers,
+            cnot_layers: code.cnot_layers(),
             round_tables: Arc::new(RoundTables::new(code, &noise)),
             ancilla: AncillaFrames::new(code.num_checks()),
         }
@@ -546,8 +545,8 @@ mod tests {
         // centre qubit of d=3 touches four checks
         sim.inject_data_leakage(4);
         let run = sim.run_with_policy(&mut NeverLrc, 200);
-        let adjacency = code.data_adjacency();
-        let adjacent: Vec<usize> = adjacency.pattern_checks(4);
+        let adjacent: Vec<usize> =
+            code.checks().iter().filter(|c| c.support.contains(&4)).map(|c| c.id).collect();
         let mut flips = 0usize;
         let mut total = 0usize;
         for round in run.rounds() {

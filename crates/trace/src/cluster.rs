@@ -17,11 +17,11 @@
 //! meaning or shape of an existing field bumps [`CLUSTER_SCHEMA_VERSION`].
 //! See `docs/CLUSTER.md` for the full schema and versioning rules.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::corpus::{Corpus, CorpusEntry, CorpusManifest};
+use crate::corpus::{Corpus, CorpusManifest};
 use crate::wire::TraceError;
 
 /// Version of the cluster shard-map schema; bump when the JSON shape changes.
@@ -53,7 +53,7 @@ pub struct CellAssignment {
     /// The corpus cell key.
     pub key: String,
     /// `Corpus::cell_hash(key)` as 16 lowercase hex digits (matches
-    /// [`CorpusEntry::hash`]).
+    /// [`crate::corpus::CorpusEntry::hash`]).
     pub hash: String,
     /// Index into [`ClusterMap::replicas`] of the owning replica.
     pub replica: usize,
@@ -159,12 +159,6 @@ impl ClusterMap {
         Ok((map, sub_manifests))
     }
 
-    /// The owning replica index for `key`, if the map holds it.
-    #[must_use]
-    pub fn replica_of(&self, key: &str) -> Option<usize> {
-        self.assignments.iter().find(|a| a.key == key).map(|a| a.replica)
-    }
-
     /// Total cells across all replicas.
     #[must_use]
     pub fn cells(&self) -> usize {
@@ -260,33 +254,12 @@ impl ClusterMap {
         std::fs::write(path, json)?;
         Ok(())
     }
-
-    /// The absolute sub-corpus directory of `replica`, resolving the map's
-    /// relative `dir` against the directory holding `cluster_path`.
-    #[must_use]
-    pub fn replica_dir(cluster_path: &Path, replica: &ReplicaShard) -> PathBuf {
-        cluster_path.parent().unwrap_or_else(|| Path::new(".")).join(&replica.dir)
-    }
-}
-
-impl CorpusManifest {
-    /// The subset of this manifest whose entries satisfy `keep`, preserving
-    /// order. The building block behind sharding: each replica's sub-manifest
-    /// is a subset of the source manifest, entry objects copied verbatim (so
-    /// a routed `list-cells` merge can reproduce the unsharded listing
-    /// byte-for-byte).
-    #[must_use]
-    pub fn subset(&self, mut keep: impl FnMut(&CorpusEntry) -> bool) -> CorpusManifest {
-        CorpusManifest {
-            schema_version: self.schema_version,
-            entries: self.entries.iter().filter(|entry| keep(entry)).cloned().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::CorpusEntry;
 
     fn entry(key: &str) -> CorpusEntry {
         let hash = Corpus::cell_hash(key);
@@ -348,12 +321,10 @@ mod tests {
         // Every cell is owned by exactly the replica whose sub-manifest holds it.
         for assignment in &map.assignments {
             assert!(subs[assignment.replica].entries.iter().any(|e| e.key == assignment.key));
-            assert_eq!(map.replica_of(&assignment.key), Some(assignment.replica));
         }
         // Assignments preserve source-manifest order.
         let assigned: Vec<&str> = map.assignments.iter().map(|a| a.key.as_str()).collect();
         assert_eq!(assigned, refs);
-        assert_eq!(map.replica_of("no-such-cell"), None);
     }
 
     #[test]
@@ -419,22 +390,11 @@ mod tests {
         map.save(&path).unwrap();
         let loaded = ClusterMap::load(&path).unwrap();
         assert_eq!(loaded, map);
-        assert_eq!(ClusterMap::replica_dir(&path, &loaded.replicas[1]), dir.join("replica-1"));
         // A tampered file fails validation on load, not at first use.
         let text =
             std::fs::read_to_string(&path).unwrap().replace("\"replica\": 0", "\"replica\": 9");
         std::fs::write(&path, text).unwrap();
         assert!(ClusterMap::load(&path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_subset_preserves_order_and_objects() {
-        let manifest = manifest(&["a", "b", "c", "d"]);
-        let subset = manifest.subset(|entry| entry.key != "b");
-        assert_eq!(subset.schema_version, manifest.schema_version);
-        let keys: Vec<&str> = subset.entries.iter().map(|e| e.key.as_str()).collect();
-        assert_eq!(keys, ["a", "c", "d"]);
-        assert_eq!(subset.entries[0], manifest.entries[0]);
     }
 }

@@ -102,7 +102,7 @@ fn a_multi_word_shot_round_trips_through_the_codec() {
         code_fingerprint: code_fingerprint(&code),
         num_data: code.num_data(),
         num_checks: code.num_checks(),
-        cnot_layers: code.checks().iter().map(qec_codes::Check::weight).max().unwrap_or(0),
+        cnot_layers: code.cnot_layers(),
         rounds,
         shots: 1,
         seed: 3,
