@@ -94,10 +94,12 @@ fn every_family_constructs_the_pinned_codes() {
 #[test]
 fn every_family_builds_the_code_it_names() {
     for family in CodeFamily::ALL {
+        // The four smallest valid sizes, so each family's smallest instance is included.
         let sizes: Vec<usize> =
             (0..).filter(|&size| family.validate_size(size).is_ok()).take(4).collect();
         for size in sizes {
             let code = family.build(size);
+            assert!(code.name().starts_with(family.label()), "{}", code.name());
             assert_eq!(code.name(), family.code_name(size), "{family} size {size}");
             assert_eq!(code.family(), family, "{family} size {size}");
         }
