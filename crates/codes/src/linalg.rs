@@ -137,6 +137,29 @@ impl BinaryMatrix {
         }
     }
 
+    /// Matrix product `self * other` over GF(2).
+    ///
+    /// # Panics
+    /// Panics when the inner dimensions disagree.
+    #[must_use]
+    pub fn multiply(&self, other: &BinaryMatrix) -> BinaryMatrix {
+        assert_eq!(self.cols, other.rows, "dimension mismatch in GF(2) product");
+        let mut out = BinaryMatrix::zeros(self.rows, other.cols);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                if self.get(i, k) {
+                    // out.row(i) ^= other.row(k)
+                    let dst = i * out.words_per_row;
+                    let src = k * other.words_per_row;
+                    for w in 0..out.words_per_row {
+                        out.data[dst + w] ^= other.data[src + w];
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Transposed copy.
     #[must_use]
     pub fn transposed(&self) -> BinaryMatrix {
@@ -149,6 +172,12 @@ impl BinaryMatrix {
             }
         }
         out
+    }
+
+    /// `true` when every entry is zero.
+    #[must_use]
+    pub fn is_zero(&self) -> bool {
+        self.data.iter().all(|&w| w == 0)
     }
 
     /// Parity (mod-2 sum) of the product of a row of `self` with a sparse vector given
@@ -231,6 +260,17 @@ mod tests {
         let m = BinaryMatrix::from_rows(4, &[vec![0, 1], vec![1, 2], vec![0, 2]]);
         // third row is the sum of the first two
         assert_eq!(m.rank(), 2);
+    }
+
+    #[test]
+    fn multiply_matches_manual_example() {
+        let a = BinaryMatrix::from_rows(2, &[vec![0, 1], vec![1]]);
+        let b = BinaryMatrix::from_rows(3, &[vec![0], vec![0, 2]]);
+        let c = a.multiply(&b);
+        // row0 = (1,1) * B = [1,0,0] ^ [1,0,1] = [0,0,1]
+        assert_eq!(c.row_support(0), vec![2]);
+        // row1 = (0,1) * B = [1,0,1]
+        assert_eq!(c.row_support(1), vec![0, 2]);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! and the bits of every data-qubit position. A change that moves a code on
 //! purpose updates the digest and says why in CHANGES.md.
 //!
-//! A second test checks that [`CodeFamily::build`] returns an instance of its
-//! family named by [`CodeFamily::code_name`], the name a corpus manifest is
-//! checked against before the code is built.
+//! A second test lists each family's four smallest valid sizes, checks that
+//! [`CodeFamily::validate_size`] accepts exactly those up to the largest, and
+//! that [`CodeFamily::build`] returns an instance of its family named by
+//! [`CodeFamily::code_name`], the name a corpus manifest is checked against
+//! before the code is built.
 
 use qec_codes::{CheckBasis, Code, CodeFamily};
 
@@ -93,13 +95,21 @@ fn every_family_constructs_the_pinned_codes() {
 
 #[test]
 fn every_family_builds_the_code_it_names() {
-    for family in CodeFamily::ALL {
-        // The four smallest valid sizes, so each family's smallest instance is included.
-        let sizes: Vec<usize> =
-            (0..).filter(|&size| family.validate_size(size).is_ok()).take(4).collect();
+    // Each family's four smallest valid sizes, in `CodeFamily::ALL` order.
+    let valid_sizes = [
+        (CodeFamily::Surface, [3, 5, 7, 9]),
+        (CodeFamily::Color, [3, 5, 7, 9]),
+        (CodeFamily::Hgp, [2, 3, 4, 5]),
+        (CodeFamily::Bpc, [7, 14, 21, 28]),
+    ];
+    assert_eq!(valid_sizes.map(|(family, _)| family), CodeFamily::ALL);
+    for (family, sizes) in valid_sizes {
+        for size in 0..=sizes[3] {
+            let valid = family.validate_size(size).is_ok();
+            assert_eq!(valid, sizes.contains(&size), "{family} size {size}");
+        }
         for size in sizes {
             let code = family.build(size);
-            assert!(code.name().starts_with(family.label()), "{}", code.name());
             assert_eq!(code.name(), family.code_name(size), "{family} size {size}");
             assert_eq!(code.family(), family, "{family} size {size}");
         }
