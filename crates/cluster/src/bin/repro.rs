@@ -44,15 +44,14 @@ use qec_experiments::adaptive::{
     resume_adaptive, run_adaptive, AdaptiveOutcome, AdaptiveSpec, ADAPTIVE_SCHEMA_VERSION,
 };
 use qec_experiments::replay::{
-    cell_key, extend_into_corpus, load_entry, record_into_corpus, try_replay_corpus,
+    cell_key, extend_into_corpus, load_entry, record_into_corpus, replay_corpus_with_stats,
     CellCheckpointStats, CorpusRunError, ExtendDisposition, ReplayMode, ReplayOptions,
     ReplayReport, REPLAY_SCHEMA_VERSION,
 };
 use qec_experiments::report::{fmt_float, text_table, to_json};
 use qec_experiments::runners::{self, Scale};
 use qec_experiments::sweep::{
-    git_describe, run_sweep, try_run_sweep_with_corpus, SweepReport, SweepSpec,
-    SWEEP_SCHEMA_VERSION,
+    git_describe, run_sweep, run_sweep_with_corpus, SweepReport, SweepSpec, SWEEP_SCHEMA_VERSION,
 };
 use qec_serve::client::ClientConfig;
 use qec_serve::{
@@ -647,7 +646,7 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, UsageError> {
     let report = match &corpus_dir {
         Some(dir) => {
             let mode = replay_mode(closed_loop);
-            match try_run_sweep_with_corpus(&spec, dir, record_policy, timing, mode) {
+            match run_sweep_with_corpus(&spec, dir, record_policy, timing, mode) {
                 Ok(report) => report,
                 Err(error) => return corpus_failure("sweep", error),
             }
@@ -886,7 +885,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, UsageError> {
     };
     let out = args.path("--out")?;
     args.finish(0)?;
-    let (report, checkpoint_stats) = match try_replay_corpus(&corpus_dir, &options) {
+    let (report, checkpoint_stats) = match replay_corpus_with_stats(&corpus_dir, &options) {
         Ok(replayed) => replayed,
         Err(error) => return corpus_failure("replay", error),
     };

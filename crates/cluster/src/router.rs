@@ -24,7 +24,9 @@
 //!   back to the original index. Entries round-trip through the vendored
 //!   serde stack, whose f64 formatting is shortest-round-trip and whose
 //!   objects preserve field order, so a reassembled row is byte-identical to
-//!   the monolithic daemon's row for the same pairing;
+//!   the monolithic daemon's row for the same pairing. Unless a whole
+//!   sub-batch was refused, an all-or-nothing batch is rendered by the
+//!   daemon's own [`all_or_nothing`];
 //! * `list-cells` merges per-replica listings back into **source-manifest
 //!   order** (the shard map records every assignment in that order), which
 //!   is byte-identical to the unsharded daemon's listing;
@@ -50,8 +52,8 @@ use std::time::Duration;
 use qec_serve::client::{Client, ClientConfig};
 use qec_serve::front::{Answer, Front};
 use qec_serve::protocol::{
-    parse_response, request_line, BatchItem, ErrorCode, EvalSpec, Request, RequestKind,
-    ResponseKind, ServerStats, VersionInfo, WireError, PROTOCOL_VERSION,
+    all_or_nothing, parse_response, request_line, BatchItem, ErrorCode, EvalSpec, Request,
+    RequestKind, ResponseKind, ServerStats, VersionInfo, WireError, PROTOCOL_VERSION,
 };
 use qec_trace::cluster::ClusterMap;
 use qec_trace::{Corpus, CorpusEntry};
@@ -282,13 +284,11 @@ fn route_request(state: &Router, id: Option<u64>, request: RequestKind) -> Answe
         RequestKind::Stats => aggregate_stats(state).into(),
         RequestKind::ListCells => merge_list_cells(state).into(),
         // Cell-addressed solo requests: raw pass-through to the owner.
-        RequestKind::StatCell { ref key } | RequestKind::VerifyCell { ref key } => {
-            let key = key.clone();
-            route_solo(state, id, request, &key)
-        }
-        RequestKind::Eval(ref spec) => {
-            let key = spec.key.clone();
-            route_solo(state, id, request, &key)
+        RequestKind::StatCell { ref key }
+        | RequestKind::VerifyCell { ref key }
+        | RequestKind::Eval(EvalSpec { ref key, .. }) => {
+            let owner = owner_of(state, key);
+            forward_raw(state, owner, id, request)
         }
         RequestKind::BatchEval { evals, per_item } => route_batch(state, id, evals, per_item),
     }
@@ -307,23 +307,40 @@ fn note_fanout(state: &Router, replicas_touched: u64) {
     state.fanout_hwm.fetch_max(replicas_touched, Ordering::Relaxed);
 }
 
-/// The typed refusal for an unreachable replica. `context` names the request
-/// so batch items can carry their index prefix.
+/// The typed refusal for an unreachable replica.
 fn unavailable(message: String) -> WireError {
     WireError::new(ErrorCode::Unavailable, format!("{message} — unreachable after bounded retry"))
 }
 
-/// Routes a single-cell request raw: the replica sees the client's own
-/// correlation id and its response line is returned verbatim, so routed
+/// Forwards a request owned by one replica raw: the replica sees the client's
+/// own correlation id and its response line is returned verbatim, so routed
 /// bytes are daemon bytes by construction.
-fn route_solo(state: &Router, id: Option<u64>, request: RequestKind, key: &str) -> Answer {
+fn forward_raw(
+    state: &Router,
+    owner: &ReplicaSlot,
+    id: Option<u64>,
+    request: RequestKind,
+) -> Answer {
     note_fanout(state, 1);
-    let owner = owner_of(state, key);
-    let line = request_line(&Request { id, request });
-    match owner.call_raw(&line) {
+    match owner.call_raw(&request_line(&Request { id, request })) {
         Ok(raw) => Answer::Raw(raw),
         Err(message) => ResponseKind::Error(unavailable(message)).into(),
     }
+}
+
+/// Sends `kind` to every replica concurrently; the answers come back in
+/// replica order.
+fn fan_out(state: &Router, kind: &RequestKind) -> Vec<Result<ResponseKind, String>> {
+    note_fanout(state, state.replicas.len() as u64);
+    let jobs: Vec<_> = state
+        .replicas
+        .iter()
+        .map(|slot| {
+            let (slot, kind) = (Arc::clone(slot), kind.clone());
+            move || slot.call(kind)
+        })
+        .collect();
+    state.pool.execute_ordered(jobs)
 }
 
 /// Aggregated `stats`: sums (and maxes, for the high-water marks) across the
@@ -331,17 +348,8 @@ fn route_solo(state: &Router, id: Option<u64>, request: RequestKind, key: &str) 
 /// cannot be reached is simply absent from the aggregate — visible as
 /// `replicas_up < N` and a bumped `replica_errors`, never an error response.
 fn aggregate_stats(state: &Router) -> ResponseKind {
-    note_fanout(state, state.replicas.len() as u64);
-    let jobs: Vec<_> = state
-        .replicas
-        .iter()
-        .map(|slot| {
-            let slot = Arc::clone(slot);
-            move || slot.call(RequestKind::Stats)
-        })
-        .collect();
     let mut total = ServerStats::default();
-    for outcome in state.pool.execute_ordered(jobs) {
+    for outcome in fan_out(state, &RequestKind::Stats) {
         let Ok(ResponseKind::Stats(stats)) = outcome else { continue };
         total.requests += stats.requests;
         total.evals += stats.evals;
@@ -381,17 +389,8 @@ fn aggregate_stats(state: &Router) -> ResponseKind {
 /// to the unsharded daemon's listing. A complete listing needs every replica,
 /// so any unreachable one fails the whole request with a typed `unavailable`.
 fn merge_list_cells(state: &Router) -> ResponseKind {
-    note_fanout(state, state.replicas.len() as u64);
-    let jobs: Vec<_> = state
-        .replicas
-        .iter()
-        .map(|slot| {
-            let slot = Arc::clone(slot);
-            move || slot.call(RequestKind::ListCells)
-        })
-        .collect();
     let mut by_key: Vec<(String, CorpusEntry)> = Vec::with_capacity(state.map.cells());
-    for outcome in state.pool.execute_ordered(jobs) {
+    for outcome in fan_out(state, &RequestKind::ListCells) {
         match outcome {
             Ok(ResponseKind::Cells(cells)) => {
                 by_key.extend(cells.into_iter().map(|entry| (entry.key.clone(), entry)));
@@ -453,16 +452,10 @@ fn route_batch(
     }
     if distinct.len() <= 1 {
         // One owner (or an empty batch): the whole request passes through raw
-        // with the client's own id and `per_item` flag — byte-identical to
-        // the daemon by construction, including refusal shapes.
-        note_fanout(state, 1);
+        // with the client's own id and `per_item` flag, refusal shapes
+        // included.
         let owner = &state.replicas[distinct.first().copied().unwrap_or(0)];
-        let line =
-            request_line(&Request { id, request: RequestKind::BatchEval { evals, per_item } });
-        return match owner.call_raw(&line) {
-            Ok(raw) => Answer::Raw(raw),
-            Err(message) => ResponseKind::Error(unavailable(message)).into(),
-        };
+        return forward_raw(state, owner, id, RequestKind::BatchEval { evals, per_item });
     }
     note_fanout(state, distinct.len() as u64);
     // Per-owner sub-batches, original order preserved within each owner.
@@ -509,7 +502,7 @@ fn route_batch(
     // Reassemble in original request order, rewriting per-item error index
     // prefixes from sub-batch positions to original positions.
     let mut items: Vec<Option<BatchItem>> = (0..evals.len()).map(|_| None).collect();
-    let mut whole_errors: Vec<WireError> = Vec::new();
+    let mut refusal: Option<WireError> = None;
     for ((_, indices), outcome) in sub_batches.iter().zip(sub_outcomes) {
         match outcome {
             Ok(sub_items) => {
@@ -530,30 +523,19 @@ fn route_batch(
                     item_error.message = format!("evals[{orig}]: {}", item_error.message);
                     items[orig] = Some(BatchItem::Error(item_error));
                 }
-                whole_errors.push(error);
+                refusal.get_or_insert(error);
             }
         }
     }
     let items: Vec<BatchItem> =
         items.into_iter().map(|item| item.expect("every index answered")).collect();
-    if per_item == Some(true) {
-        return ResponseKind::BatchItems(items).into();
+    match (per_item, refusal) {
+        (Some(true), _) => ResponseKind::BatchItems(items).into(),
+        // A whole-sub-batch refusal (shed or unreachable replica) refuses an
+        // all-or-nothing batch, as the daemon's admission would.
+        (_, Some(error)) => ResponseKind::Error(error).into(),
+        (_, None) => all_or_nothing(items).into(),
     }
-    // Legacy all-or-nothing reassembly: a whole-sub-batch refusal (shed or
-    // unreachable replica) refuses the whole batch, as the daemon's admission
-    // would; otherwise the first failing item (in request order) carries its
-    // indexed error, matching the daemon's fail-fast/collect semantics.
-    if let Some(error) = whole_errors.into_iter().next() {
-        return ResponseKind::Error(error).into();
-    }
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
-        match item.into_result() {
-            Ok(result) => results.push(result),
-            Err(error) => return ResponseKind::Error(error).into(),
-        }
-    }
-    ResponseKind::Batch(results).into()
 }
 
 /// Rewrites a per-item error message's `evals[j]: ` prefix (the daemon indexes

@@ -91,8 +91,20 @@ struct Cluster {
 }
 
 fn start_cluster(name: &str, config: &RouterConfig) -> Cluster {
+    start_cluster_with(name, config, |_, _| {})
+}
+
+/// [`start_cluster`], with `tamper` applied to the recorded corpus (given its
+/// directory and keys) before it is sharded, so the replicas and the
+/// monolithic daemon serve the same bytes.
+fn start_cluster_with(
+    name: &str,
+    config: &RouterConfig,
+    tamper: impl FnOnce(&Path, &[String]),
+) -> Cluster {
     let corpus_dir = tmp_dir(&format!("{name}-corpus"));
     let keys = record_split_corpus(&corpus_dir);
+    tamper(&corpus_dir, &keys);
     let out_dir = tmp_dir(&format!("{name}-sharded"));
     let map = shard_corpus(&corpus_dir, &out_dir, 2, &ShardOptions::default()).unwrap();
     let replicas: Vec<Daemon> = map
@@ -179,17 +191,20 @@ fn admitted_client(addr: &str) -> Client {
 }
 
 /// Sends the same raw request lines to the router and the monolithic daemon,
-/// asserting every response line is byte-identical. Both sides see the same
-/// per-connection, per-cell request sequence, so cache `cached` flags evolve
-/// identically by construction.
-fn assert_byte_identical(cluster: &Cluster, lines: &[String]) {
+/// asserting every response line is byte-identical, and returns the lines.
+/// Both sides see the same per-connection, per-cell request sequence, so
+/// cache `cached` flags evolve identically by construction.
+fn assert_byte_identical(cluster: &Cluster, lines: &[String]) -> Vec<String> {
     let mut routed = Client::connect(&cluster.router_addr).unwrap();
     let mut mono = Client::connect(&cluster.monolithic.addr).unwrap();
+    let mut answers = Vec::new();
     for line in lines {
         let via_router = routed.send_raw(line).unwrap();
         let via_mono = mono.send_raw(line).unwrap();
         assert_eq!(via_router, via_mono, "routed bytes must equal monolithic bytes for {line}");
+        answers.push(via_mono);
     }
+    answers
 }
 
 // ---------------------------------------------------------------------------------
@@ -326,6 +341,55 @@ fn routed_error_bytes_match_monolithic() {
         }),
     ];
     assert_byte_identical(&cluster, &lines);
+    cluster.shutdown();
+}
+
+/// An all-or-nothing batch is rendered from its per-item outcomes on both
+/// sides: every pairing is resolved and evaluated, and the first failing one
+/// in request order is reported, whichever stage it failed at. Case (a): an
+/// unresolvable replica-0 pairing ahead of a good replica-1 pairing still
+/// loads the replica-1 cell, so the next `eval` of it is `cached` on both
+/// sides. Case (b): a closed-loop pairing on a stale replica-0 shard ahead of
+/// an unresolvable replica-1 pairing reports the evaluation failure at
+/// `evals[0]` on both sides.
+#[test]
+fn routed_all_or_nothing_failures_are_byte_identical_to_monolithic() {
+    let stale_owner = |keys: &[String]| -> String {
+        keys.iter().find(|key| ClusterMap::assign(Corpus::cell_hash(key), 2) == 0).unwrap().clone()
+    };
+    // Flip shot 0's first initial data-leak flag: `always-lrc` diverges at
+    // round 0 in every shot, so the forced pass's reseed check fails.
+    let cluster = start_cluster_with("all-or-nothing", &RouterConfig::default(), |dir, keys| {
+        let corpus = Corpus::open(dir).unwrap();
+        let path = corpus.trace_path(corpus.lookup(&stale_owner(keys)).unwrap());
+        let (header, mut shots) = qec_trace::read_trace_file(&path).unwrap();
+        shots[0].initial_data_leak.toggle(0);
+        qec_trace::write_trace_file(&path, &header, &shots).unwrap();
+    });
+    let (stale, other) = (stale_owner(&cluster.keys), cluster.key_owned_by(1).to_string());
+    let closed_loop =
+        EvalSpec { mode: Some("closed-loop".to_string()), ..eval_spec(&stale, "always-lrc") };
+    let batch = |evals: Vec<EvalSpec>| {
+        request_line(&Request {
+            id: Some(1),
+            request: RequestKind::BatchEval { evals, per_item: None },
+        })
+    };
+    let lines = vec![
+        batch(vec![eval_spec(&stale, "frobnicate"), eval_spec(&other, "ideal")]),
+        request_line(&Request {
+            id: Some(2),
+            request: RequestKind::Eval(eval_spec(&other, "ideal")),
+        }),
+        batch(vec![closed_loop, eval_spec(&other, "frobnicate")]),
+    ];
+    let answers = assert_byte_identical(&cluster, &lines);
+    let response = |line: &str| parse_response(line).unwrap().response;
+    let ResponseKind::Eval(result) = response(&answers[1]) else { panic!("{}", answers[1]) };
+    assert!(result.cached, "case (a) must have loaded the replica-1 cell");
+    let ResponseKind::Error(error) = response(&answers[2]) else { panic!("{}", answers[2]) };
+    assert_eq!(error.code, ErrorCode::CorruptCorpus, "{error}");
+    assert!(error.message.starts_with("evals[0]: "), "{error}");
     cluster.shutdown();
 }
 

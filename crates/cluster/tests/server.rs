@@ -431,11 +431,12 @@ fn per_item_batches_isolate_failures_and_preserve_order() {
     assert!(results[0].is_ok() && results[2].is_ok(), "good pairings stay Ok");
     assert_eq!(results[1].as_ref().unwrap_err().code, ErrorCode::UnknownPolicy);
     assert_eq!(results[3].as_ref().unwrap_err().code, ErrorCode::UnknownCell);
-    // The `evals` counter counts successes only: 2 per-item + 2 solo + 2 typed.
+    // The `evals` counter counts successes only: 2 per-item + 2 solo + 2
+    // all-or-nothing (its good pairings are evaluated too) + 2 typed.
     let ResponseKind::Stats(stats) = client.request(RequestKind::Stats).unwrap() else {
         panic!("stats");
     };
-    assert_eq!(stats.evals, 6, "stats: {stats:?}");
+    assert_eq!(stats.evals, 8, "stats: {stats:?}");
     shutdown(&addr);
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -736,7 +736,7 @@ fn drive(
     // Finalize: a pure function of the checkpointed tallies, so an
     // interrupted run's resumed report and the uninterrupted report are the
     // same bytes.
-    let codes: Vec<String> = scenarios.iter().map(|s| s.build_code().name().to_string()).collect();
+    let codes: Vec<String> = scenarios.iter().map(|s| s.code.code_name(s.distance)).collect();
     let mut converged = 0usize;
     let mut ceilinged = 0usize;
     let mut shots_allocated = 0u64;

@@ -37,7 +37,7 @@
 //!   scenario cell once ([`replay::record_into_corpus`], or grow a shorter
 //!   recording with [`replay::extend_into_corpus`]), then evaluate candidate
 //!   policy sets against it through one evaluator ([`replay::evaluate_cell_set`],
-//!   with [`replay::evaluate_cell`] its set of one, and [`replay::replay_corpus`]
+//!   with [`replay::evaluate_cell`] its set of one, and [`replay::replay_corpus_with_stats`]
 //!   over a whole corpus): open-loop against the recorded observables, with
 //!   bit-for-bit fidelity for the recording policy — or **closed-loop**
 //!   ([`replay::ReplayMode::ClosedLoop`]), which repairs each shot's first
@@ -81,7 +81,7 @@ pub use engine::BatchEngine;
 pub use harness::{run_policy_experiment, ExperimentSpec, PolicyExperimentResult};
 pub use metrics::{AggregateMetrics, MetricsAccumulator, RunMetrics};
 pub use replay::{
-    evaluate_cell, evaluate_cell_set, evaluation_row, replay_corpus, replay_corpus_with_stats,
+    evaluate_cell, evaluate_cell_set, evaluation_row, replay_corpus_with_stats,
     CellCheckpointStats, CellReplay, CheckpointStats, DivergenceProfile, LoadedCell,
     ReplayCellResult, ReplayMode, ReplayOptions, ReplayReport,
 };

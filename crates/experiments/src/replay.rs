@@ -43,6 +43,7 @@
 //! all evaluate through it.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -986,11 +987,11 @@ fn closed_loop_shot<'t>(
 }
 
 /// Builds the report row for one evaluated pairing. Shared by
-/// [`replay_corpus`] and the daemon so the two serializations of the same
-/// evaluation cannot drift apart (`live_match` starts as `None`; verification
-/// paths fill it in afterwards). `decoder` is the explicitly selected backend,
-/// or `None` for the unlabeled legacy default (union-find) — rows without a
-/// selection keep their pre-backend bytes.
+/// [`replay_corpus_with_stats`] and the daemon so the two serializations of
+/// the same evaluation cannot drift apart (`live_match` starts as `None`;
+/// verification paths fill it in afterwards). `decoder` is the explicitly
+/// selected backend, or `None` for the unlabeled legacy default (union-find)
+/// — rows without a selection keep their pre-backend bytes.
 #[must_use]
 pub fn evaluation_row(
     key: &str,
@@ -1069,7 +1070,7 @@ pub struct ReplayReport {
     pub results: Vec<ReplayCellResult>,
 }
 
-/// Options of [`replay_corpus`].
+/// Options of [`replay_corpus_with_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplayOptions {
     /// Policies to replay against every cell; empty ⇒ each cell's recording
@@ -1094,28 +1095,6 @@ pub struct ReplayOptions {
     pub mode: ReplayMode,
 }
 
-/// Replays policies against every cell of the corpus at `dir`, in the mode
-/// requested by `options` (see [`ReplayMode`]).
-///
-/// # Errors
-/// Returns a message when the corpus is empty, or when the corpus, a trace
-/// file, or a policy label cannot be loaded.
-pub fn replay_corpus(dir: &Path, options: &ReplayOptions) -> Result<ReplayReport, String> {
-    replay_corpus_with_stats(dir, options).map(|(report, _)| report)
-}
-
-/// [`replay_corpus`] plus each cell's out-of-band [`CheckpointStats`] (for
-/// CLI summaries — never part of the report).
-///
-/// # Errors
-/// Same failure modes as [`replay_corpus`].
-pub fn replay_corpus_with_stats(
-    dir: &Path,
-    options: &ReplayOptions,
-) -> Result<(ReplayReport, Vec<CellCheckpointStats>), String> {
-    try_replay_corpus(dir, options).map_err(String::from)
-}
-
 /// Why a corpus replay or corpus sweep failed: a cell that fails
 /// [`load_entry`] is a fault of the corpus on disk, anything else a fault of
 /// the request. `repro` exits 1 on the first and 2 on the second.
@@ -1135,19 +1114,30 @@ impl From<String> for CorpusRunError {
     }
 }
 
-impl From<CorpusRunError> for String {
-    fn from(error: CorpusRunError) -> Self {
-        match error {
-            CorpusRunError::Load(message) | CorpusRunError::Other(message) => message,
+impl fmt::Display for CorpusRunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CorpusRunError::Load(message) | CorpusRunError::Other(message) => f.write_str(message),
         }
     }
 }
 
-/// [`replay_corpus_with_stats`] with its failure typed by [`CorpusRunError`].
+impl From<CorpusRunError> for String {
+    fn from(error: CorpusRunError) -> Self {
+        error.to_string()
+    }
+}
+
+/// Replays policies against every cell of the corpus at `dir`, in the mode
+/// requested by `options` (see [`ReplayMode`]), and returns the report with
+/// each cell's out-of-band [`CheckpointStats`] (for CLI summaries — never
+/// part of the report).
 ///
 /// # Errors
-/// Same failure modes as [`replay_corpus`].
-pub fn try_replay_corpus(
+/// [`CorpusRunError::Load`] when a cell fails [`load_entry`];
+/// [`CorpusRunError::Other`] when the corpus is missing or empty, a decoder
+/// cannot serve a cell, or a policy label cannot be resolved.
+pub fn replay_corpus_with_stats(
     dir: &Path,
     options: &ReplayOptions,
 ) -> Result<(ReplayReport, Vec<CellCheckpointStats>), CorpusRunError> {

@@ -105,14 +105,23 @@ impl Scenario {
         id
     }
 
-    /// Checks every field for consistency (size constraint, probabilities,
-    /// non-zero shot and round counts, and a decoder — selected, or union-find
-    /// when `decode` is set without one — that can serve the code).
+    /// Checks every field for consistency (size constraint and the family's
+    /// size cap, probabilities, non-zero shot and round counts, and a
+    /// decoder — selected, or union-find when `decode` is set without one —
+    /// that can serve the code).
     ///
     /// # Errors
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         self.code.validate_size(self.distance)?;
+        let cap = max_size(self.code);
+        if self.distance > cap {
+            return Err(format!(
+                "{} does not admit size {} (its cap is {cap})",
+                self.code.label(),
+                self.distance
+            ));
+        }
         if !(self.p > 0.0 && self.p <= 1.0) {
             return Err(format!("p = {} is not in (0, 1]", self.p));
         }
@@ -132,6 +141,19 @@ impl Scenario {
                 .map_err(|e| format!("decoder `{}` cannot serve this cell: {e}", kind.label()))?;
         }
         Ok(())
+    }
+}
+
+/// The largest size a scenario may ask of `family`. Every size the
+/// repository uses fits (paper scale reaches surface and color d = 17, hgp
+/// l = 3 and bpc l = 21), and each cap builds in under a second; an
+/// unbounded size from a grid or spec could spin for minutes building a code
+/// (a d = 1001 surface code has over a million data qubits).
+fn max_size(family: CodeFamily) -> usize {
+    match family {
+        CodeFamily::Surface | CodeFamily::Color => 101,
+        CodeFamily::Hgp => 16,
+        CodeFamily::Bpc => 700,
     }
 }
 
@@ -283,5 +305,16 @@ mod tests {
         assert!(Scenario { shots: 0, ..sample() }.validate().is_err());
         assert!(Scenario { rounds: 0, ..sample() }.validate().is_err());
         assert!(Scenario { leakage_ratio: -1.0, ..sample() }.validate().is_err());
+        for (code, cap, next) in [
+            (CodeFamily::Surface, 101, 103),
+            (CodeFamily::Color, 101, 103),
+            (CodeFamily::Hgp, 16, 17),
+            (CodeFamily::Bpc, 700, 707),
+        ] {
+            let cell = Scenario { code, decode: false, ..sample() };
+            assert!(Scenario { distance: cap, ..cell }.validate().is_ok(), "{code} {cap}");
+            let err = Scenario { distance: next, ..cell }.validate().unwrap_err();
+            assert!(err.contains(&format!("its cap is {cap}")), "{err}");
+        }
     }
 }

@@ -340,23 +340,11 @@ pub fn run_sweep(spec: &SweepSpec, timing: bool) -> Result<SweepReport, String> 
 /// counts, exactly like [`run_sweep`].
 ///
 /// # Errors
-/// Returns a message when the spec fails to expand or the corpus cannot be
-/// read or written.
+/// [`CorpusRunError::Load`] when a cell fails
+/// [`load_entry`](crate::replay::load_entry); [`CorpusRunError::Other`] when
+/// the spec fails to expand, or the corpus cannot be read or written, or it
+/// was recorded under another policy.
 pub fn run_sweep_with_corpus(
-    spec: &SweepSpec,
-    corpus_dir: &std::path::Path,
-    record_policy: Option<PolicyKind>,
-    timing: bool,
-    mode: ReplayMode,
-) -> Result<SweepReport, String> {
-    try_run_sweep_with_corpus(spec, corpus_dir, record_policy, timing, mode).map_err(String::from)
-}
-
-/// [`run_sweep_with_corpus`] with its failure typed by [`CorpusRunError`].
-///
-/// # Errors
-/// Same failure modes as [`run_sweep_with_corpus`].
-pub fn try_run_sweep_with_corpus(
     spec: &SweepSpec,
     corpus_dir: &std::path::Path,
     record_policy: Option<PolicyKind>,
@@ -642,6 +630,7 @@ mod tests {
         assert!(SweepSpec { policies: vec![], ..tiny_spec() }.expand().is_err());
         assert!(SweepSpec { error_rates: vec![f64::NAN], ..tiny_spec() }.expand().is_err());
         assert!(SweepSpec { distances: vec![4], ..tiny_spec() }.expand().is_err());
+        assert!(SweepSpec { distances: vec![1001], ..tiny_spec() }.expand().is_err());
         assert!(SweepSpec { shots: 0, ..tiny_spec() }.expand().is_err());
         assert_eq!(SweepSpec { distances: vec![], ..tiny_spec() }.cell_count(), 0);
     }

@@ -19,7 +19,7 @@ use qec_decoder::DecoderBackend;
 use qec_experiments::engine::build_backend;
 use qec_experiments::replay::{
     calibration_for, evaluate_cell, evaluate_cell_set, record_cell, record_into_corpus,
-    replay_corpus, spec_from_header, CellReplay, LoadedCell, ReplayMode, ReplayOptions,
+    replay_corpus_with_stats, spec_from_header, CellReplay, LoadedCell, ReplayMode, ReplayOptions,
 };
 use qec_experiments::report::to_json;
 use qec_experiments::sweep::{run_sweep, run_sweep_with_corpus, SweepSpec};
@@ -265,7 +265,7 @@ fn closed_loop_corpus_sweep_matches_a_fully_simulated_sweep_for_every_policy() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `replay_corpus` in closed-loop mode live-verifies **every** pairing (the
+/// `replay_corpus_with_stats` in closed-loop mode live-verifies **every** pairing (the
 /// CLI's `replay --closed-loop --verify-live` gate) and reports profiles.
 #[test]
 fn closed_loop_replay_corpus_live_verifies_every_policy() {
@@ -282,7 +282,7 @@ fn closed_loop_replay_corpus_live_verifies_every_policy() {
         verify_live: true,
         mode: ReplayMode::ClosedLoop,
     };
-    let report = replay_corpus(&dir, &options).unwrap();
+    let report = replay_corpus_with_stats(&dir, &options).unwrap().0;
     assert_eq!(report.replay_mode, "closed-loop");
     assert_eq!(report.results.len(), 3);
     for row in &report.results {
@@ -309,7 +309,7 @@ fn replaying_an_empty_corpus_is_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
     let corpus = Corpus::open(&dir).unwrap();
     corpus.save().unwrap();
-    let err = replay_corpus(&dir, &ReplayOptions::default()).unwrap_err();
+    let err = replay_corpus_with_stats(&dir, &ReplayOptions::default()).unwrap_err().to_string();
     assert!(err.contains("empty"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,8 +13,8 @@ use leakage_speculation::{PolicyFactory, PolicyKind};
 use qec_experiments::engine::build_backend;
 use qec_experiments::replay::{
     calibration_for, cell_key, evaluate_cell, extend_into_corpus, load_entry, record_cell,
-    record_into_corpus, replay_corpus, spec_from_header, ExtendDisposition, LoadedCell, ReplayMode,
-    ReplayOptions,
+    record_into_corpus, replay_corpus_with_stats, spec_from_header, ExtendDisposition, LoadedCell,
+    ReplayMode, ReplayOptions,
 };
 use qec_experiments::sweep::{run_sweep, run_sweep_with_corpus, SweepSpec};
 use qec_experiments::{BatchEngine, CodeFamily, Scenario};
@@ -166,7 +166,7 @@ fn spec_from_header_reproduces_the_recording_spec() {
     assert_eq!(spec, scenario.to_spec());
 }
 
-/// `replay_corpus` with live verification confirms every exact pairing, and
+/// `replay_corpus_with_stats` with live verification confirms every exact pairing, and
 /// cross-policy replay reports open-loop speculation scores with divergence.
 #[test]
 fn replay_corpus_verifies_live_and_scores_cross_policy_speculation() {
@@ -183,7 +183,7 @@ fn replay_corpus_verifies_live_and_scores_cross_policy_speculation() {
         verify_live: true,
         mode: ReplayMode::OpenLoop,
     };
-    let report = replay_corpus(&dir, &options).unwrap();
+    let report = replay_corpus_with_stats(&dir, &options).unwrap().0;
     assert_eq!(report.results.len(), 3);
 
     let exact = &report.results[0];
@@ -281,7 +281,9 @@ fn corpus_sweep_rejects_stale_cells_with_different_shot_counts() {
     corpus.insert(entry);
     corpus.save().unwrap();
     let bigger = SweepSpec { shots: 5, ..spec };
-    let err = run_sweep_with_corpus(&bigger, &dir, None, false, ReplayMode::OpenLoop).unwrap_err();
+    let err = run_sweep_with_corpus(&bigger, &dir, None, false, ReplayMode::OpenLoop)
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("recorded with"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -297,7 +299,9 @@ fn corpus_sweep_rejects_cells_recorded_under_a_different_policy() {
     let _ =
         run_sweep_with_corpus(&spec, &dir, Some(PolicyKind::Ideal), false, ReplayMode::OpenLoop)
             .unwrap();
-    let err = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop).unwrap_err();
+    let err = run_sweep_with_corpus(&spec, &dir, None, false, ReplayMode::OpenLoop)
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("recorded with policy `ideal`"), "{err}");
     assert!(err.contains("--record-policy"), "{err}");
     // Passing the matching recording policy replays the cached cells fine.
@@ -313,7 +317,7 @@ fn corpus_sweep_rejects_cells_recorded_under_a_different_policy() {
 #[test]
 fn replaying_a_nonexistent_corpus_is_an_error() {
     let dir = tmp_dir("missing"); // created by nobody
-    let err = replay_corpus(&dir, &ReplayOptions::default()).unwrap_err();
+    let err = replay_corpus_with_stats(&dir, &ReplayOptions::default()).unwrap_err().to_string();
     assert!(err.contains("not a corpus"), "{err}");
 }
 
@@ -327,7 +331,6 @@ fn replaying_a_nonexistent_corpus_is_an_error() {
 #[test]
 fn cross_decoder_closed_loop_rows_match_from_scratch_live_runs_for_every_policy() {
     use qec_decoder::DecoderKind;
-    use qec_experiments::replay::replay_corpus_with_stats;
 
     let dir = tmp_dir("oracle");
     let mut corpus = Corpus::open(&dir).unwrap();

@@ -221,7 +221,8 @@ pub struct ServerStats {
     /// `cell × policy` evaluations successfully computed (batch members
     /// counted individually).
     pub evals: u64,
-    /// `batch-eval` requests answered with a `batch` response.
+    /// `batch-eval` requests answered with a `batch` or `batch-items`
+    /// response.
     pub batch_evals: u64,
     /// Evaluations that found their cell already resident (no corpus I/O).
     pub cache_hits: u64,
@@ -372,6 +373,18 @@ impl From<Result<EvalResult, WireError>> for BatchItem {
             Ok(result) => BatchItem::Eval(result),
             Err(error) => BatchItem::Error(error),
         }
+    }
+}
+
+/// The all-or-nothing `batch-eval` answer rendered from its per-item entries:
+/// the first failing pairing's error in request order, or `batch` with every
+/// result. The daemon and the router's split-batch reassembly both answer
+/// through it, so routed and monolithic answers agree by construction.
+#[must_use]
+pub fn all_or_nothing(items: Vec<BatchItem>) -> ResponseKind {
+    match items.into_iter().map(BatchItem::into_result).collect() {
+        Ok(results) => ResponseKind::Batch(results),
+        Err(error) => ResponseKind::Error(error),
     }
 }
 

@@ -2,7 +2,12 @@
 //! evaluations, served through the shared connection front end
 //! ([`crate::front`]).
 //!
-//! Evaluation work (solo `eval`, `batch-eval` groups, `verify-cell` re-reads)
+//! Every served evaluation answer renders one evaluation pass over the
+//! request's pairings: `eval` its single outcome, `batch-eval` its
+//! index-prefixed outcomes as `batch-items` or [`all_or_nothing`], the
+//! rendering the router's split-batch reassembly uses too.
+//!
+//! Evaluation work (`eval` and `batch-eval` groups, `verify-cell` re-reads)
 //! runs on a persistent [`rayon::ThreadPool`] shared by all connections,
 //! behind a bounded admission queue: when the in-flight evaluation weight
 //! would exceed `queue_limit`, the request is refused with an `overloaded`
@@ -35,8 +40,8 @@ use qec_trace::{manifest_stamp, read_trace_header, Corpus, CorpusEntry, Manifest
 use crate::cache::{CachedCell, CellCache};
 use crate::front::Front;
 use crate::protocol::{
-    BatchItem, CellStat, ErrorCode, EvalResult, EvalSpec, RequestKind, ResponseKind, ServerStats,
-    VerifiedCell, VersionInfo, WireError,
+    all_or_nothing, BatchItem, CellStat, ErrorCode, EvalResult, EvalSpec, RequestKind,
+    ResponseKind, ServerStats, VerifiedCell, VersionInfo, WireError,
 };
 
 /// Server construction options.
@@ -361,35 +366,47 @@ fn handle_request(state: &Server, request: RequestKind) -> ResponseKind {
         }
         RequestKind::Eval(spec) => {
             let Some(slot) = try_enqueue(state, 1) else { return overloaded(state, 1) };
-            let outcome = match prepare_eval(&snapshot, &spec) {
-                Ok(prepared) => state
-                    .pool
-                    .execute_ordered(vec![move || compute_evals(&[prepared]).0])
-                    .pop()
-                    .and_then(|mut outcomes| outcomes.pop())
-                    .expect("one job, one result"),
-                Err(error) => Err(error),
-            };
+            let outcome =
+                evaluate(state, &snapshot, &[spec]).pop().expect("one pairing, one outcome");
             drop(slot);
             match outcome {
-                Ok(result) => {
-                    state.evals.fetch_add(1, Ordering::Relaxed);
-                    ResponseKind::Eval(result)
-                }
+                Ok(result) => ResponseKind::Eval(result),
                 Err(error) => ResponseKind::Error(error),
             }
         }
         RequestKind::BatchEval { evals, per_item } => {
+            if evals.is_empty() {
+                return ResponseKind::Error(WireError::new(
+                    ErrorCode::BadRequest,
+                    "batch-eval with no evals",
+                ));
+            }
             let weight = evals.len() as u64;
             let Some(slot) = try_enqueue(state, weight) else {
                 return overloaded(state, weight);
             };
-            let outcome = batch_eval(state, &snapshot, &evals, per_item.unwrap_or(false));
+            let items: Vec<BatchItem> = evaluate(state, &snapshot, &evals)
+                .into_iter()
+                .enumerate()
+                .map(|(index, outcome)| {
+                    outcome
+                        .map_err(|mut error| {
+                            error.message = format!("evals[{index}]: {}", error.message);
+                            error
+                        })
+                        .into()
+                })
+                .collect();
             drop(slot);
-            match outcome {
-                Ok(response) => response,
-                Err(error) => ResponseKind::Error(error),
+            let response = if per_item == Some(true) {
+                ResponseKind::BatchItems(items)
+            } else {
+                all_or_nothing(items)
+            };
+            if !matches!(response, ResponseKind::Error(_)) {
+                state.batch_evals.fetch_add(1, Ordering::Relaxed);
             }
+            response
         }
     }
 }
@@ -574,59 +591,27 @@ fn compute_evals(
     }
 }
 
-/// `batch-eval`: resolve every pairing sequentially (deterministic cache
-/// traffic), group closed-loop pairings that target the same cell into one
-/// candidate set (one forced prefix pass per divergent shot instead of one
-/// per candidate), then fan the groups — every other pairing a group of one —
-/// out on the persistent pool. Results come back in request order and are
-/// byte-identical to ungrouped evaluation.
-///
-/// Two answer shapes, chosen by the request's `per_item` flag:
-///
-/// * **legacy all-or-nothing** (absent/`false`): an unresolvable pairing
-///   fails the whole request before anything later is resolved or evaluated,
-///   and a compute-stage failure (e.g. a stale corpus under closed-loop
-///   repair) discards the sibling results; either way the error names the
-///   offending index.
-/// * **per-item** (`true`): every pairing is resolved and evaluated
-///   independently; the answer carries one result-or-typed-error entry per
-///   pairing, in request order — one bad pairing no longer poisons the batch.
-fn batch_eval(
+/// The one evaluation pass behind every served `eval` and `batch-eval`
+/// answer. Every pairing is resolved in request order, and one that fails to
+/// resolve does not stop later ones. Closed-loop pairings that target the
+/// same cell form one candidate set (one forced prefix pass per divergent
+/// shot instead of one per candidate); every other pairing is a set of one.
+/// The sets run on the persistent pool, and each pairing's outcome comes back
+/// in request order, byte-identical to ungrouped evaluation. Only sets of two
+/// or more advance the sharing counters; `evals` counts the successes.
+fn evaluate(
     state: &Server,
     snapshot: &CorpusSnapshot,
     evals: &[EvalSpec],
-    per_item: bool,
-) -> Result<ResponseKind, WireError> {
-    if evals.is_empty() {
-        return Err(WireError::new(ErrorCode::BadRequest, "batch-eval with no evals"));
-    }
-    let indexed = |index: usize| {
-        move |mut error: WireError| {
-            error.message = format!("evals[{index}]: {}", error.message);
-            error
-        }
-    };
-    // Resolve sequentially. Legacy mode keeps the historical fail-fast: the
-    // first unresolvable pairing refuses the batch before anything after it
-    // is resolved (so its cache traffic is exactly the pre-per-item one).
-    let mut prepared: Vec<(usize, Result<PreparedEval, WireError>)> =
-        Vec::with_capacity(evals.len());
-    for (index, spec) in evals.iter().enumerate() {
-        let outcome = prepare_eval(snapshot, spec).map_err(indexed(index));
-        if let (false, Err(error)) = (per_item, &outcome) {
-            return Err(error.clone());
-        }
-        prepared.push((index, outcome));
-    }
+) -> Vec<Result<EvalResult, WireError>> {
     let mut outcomes: Vec<Option<Result<EvalResult, WireError>>> =
         (0..evals.len()).map(|_| None).collect();
-    // Partition into same-cell closed-loop candidate sets and solo members.
     // Only closed-loop pairings are groupable (`Some(key)`); open-loop
     // pairings stay solo (`None`) even when they target the same cell.
     type EvalGroup = (Option<String>, Vec<(usize, PreparedEval)>);
     let mut groups: Vec<EvalGroup> = Vec::new();
-    for (index, outcome) in prepared {
-        let p = match outcome {
+    for (index, spec) in evals.iter().enumerate() {
+        let p = match prepare_eval(snapshot, spec) {
             Ok(p) => p,
             Err(error) => {
                 outcomes[index] = Some(Err(error));
@@ -649,41 +634,24 @@ fn batch_eval(
                 let (indices, members): (Vec<usize>, Vec<PreparedEval>) =
                     members.into_iter().unzip();
                 let (outcomes, stats) = compute_evals(&members);
-                // A set of one shares nothing: only groups of two or more
-                // advance the sharing counters.
                 let stats = if members.len() > 1 { stats } else { CheckpointStats::default() };
-                let indexed_outcomes: Vec<(usize, Result<EvalResult, WireError>)> = indices
-                    .into_iter()
-                    .zip(outcomes)
-                    .map(|(index, outcome)| (index, outcome.map_err(indexed(index))))
-                    .collect();
-                (indexed_outcomes, stats)
+                (indices, outcomes, stats)
             }
         })
         .collect();
-    for (group_outcomes, stats) in state.pool.execute_ordered(jobs) {
+    for (indices, group_outcomes, stats) in state.pool.execute_ordered(jobs) {
         state.shared_passes.fetch_add(stats.forced_passes, Ordering::Relaxed);
         state.suffixes_served.fetch_add(stats.suffixes, Ordering::Relaxed);
         state.peak_checkpoints.fetch_max(stats.peak_checkpoints, Ordering::Relaxed);
-        for (index, outcome) in group_outcomes {
+        for (index, outcome) in indices.into_iter().zip(group_outcomes) {
             outcomes[index] = Some(outcome);
         }
     }
     let outcomes: Vec<Result<EvalResult, WireError>> =
         outcomes.into_iter().map(|outcome| outcome.expect("every index answered")).collect();
-    // `evals` counts successfully computed pairings (matching the single-eval
-    // path, which only counts successes); `batch_evals` counts batches that
-    // were answered with a `batch` or `batch-items` response.
     let successes = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
     state.evals.fetch_add(successes as u64, Ordering::Relaxed);
-    if per_item {
-        state.batch_evals.fetch_add(1, Ordering::Relaxed);
-        Ok(ResponseKind::BatchItems(outcomes.into_iter().map(BatchItem::from).collect()))
-    } else {
-        let results = outcomes.into_iter().collect::<Result<Vec<EvalResult>, WireError>>()?;
-        state.batch_evals.fetch_add(1, Ordering::Relaxed);
-        Ok(ResponseKind::Batch(results))
-    }
+    outcomes
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 
 use qec_experiments::metrics::AggregateMetrics;
 use qec_experiments::{DivergenceProfile, ReplayCellResult};
+use qec_serve::protocol::all_or_nothing;
 use qec_serve::{
     parse_request, parse_response, request_line, response_line, BatchItem, CellStat, ErrorCode,
     EvalResult, EvalSpec, Request, RequestKind, Response, ResponseKind, ServerStats, VerifiedCell,
@@ -295,6 +296,27 @@ fn batch_items_convert_cleanly_to_results() {
     assert_eq!(err.into_result().unwrap_err().code, ErrorCode::UnknownCell);
     let from: BatchItem = Err::<EvalResult, _>(WireError::new(ErrorCode::Internal, "x")).into();
     assert!(matches!(from, BatchItem::Error(_)));
+}
+
+#[test]
+fn all_or_nothing_answers_the_first_error_in_request_order_or_every_result() {
+    let ok = |cached| BatchItem::Eval(EvalResult { cached, result: sample_row() });
+    let err = |code, message| BatchItem::Error(WireError::new(code, message));
+    assert_eq!(
+        all_or_nothing(vec![ok(true), ok(false)]),
+        ResponseKind::Batch(vec![
+            EvalResult { cached: true, result: sample_row() },
+            EvalResult { cached: false, result: sample_row() },
+        ])
+    );
+    assert_eq!(
+        all_or_nothing(vec![
+            ok(true),
+            err(ErrorCode::CorruptCorpus, "evals[1]: stale"),
+            err(ErrorCode::UnknownPolicy, "evals[2]: nope"),
+        ]),
+        ResponseKind::Error(WireError::new(ErrorCode::CorruptCorpus, "evals[1]: stale"))
+    );
 }
 
 #[test]
