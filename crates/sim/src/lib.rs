@@ -38,12 +38,14 @@
 //! bytes on every platform; the mapping from RNG stream to noise events is part
 //! of the `.qtr` trace schema.
 //!
-//! A *quiet* round, one in which no stream fires and no qubit is leaked after the
-//! LRC step, cannot change a frame or draw past its first gaps, so the executor
-//! reads each check's noiseless parity instead of running the gate loop. The bytes
-//! and the RNG position are those of the full loop by construction (the argument is
-//! in [`rounds`]); at the paper's operating point most rounds of a mitigated run are
-//! quiet, so a round costs in proportion to its noise events.
+//! A *leak-free* round, one with no qubit leaked after the LRC step and no leak
+//! event, propagates its frames linearly and asks every trial in a fixed order, so
+//! the executor walks its noise events instead of running the gate loop: it reads
+//! each check's noiseless parity and applies each event's effect as the event
+//! fires. The bytes and the RNG position are those of the full loop by
+//! construction (the argument is in [`rounds`]); at the paper's operating point
+//! most rounds of a mitigated run are leak-free, and most of those have no event
+//! at all, so such a round costs its noiseless readout plus its few events.
 //!
 //! # Example
 //!

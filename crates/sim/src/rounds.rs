@@ -20,20 +20,43 @@
 //! bit-identical logarithms, and the `seed + shot` contract promises identical
 //! bytes on every build.
 //!
-//! # Quiet rounds
+//! # Leak-free rounds
 //!
-//! A round is *quiet* when, after its LRC step, the first gap of all three streams
-//! is `NO_EVENT` and no data or ancilla qubit is leaked. A quiet round reads each
-//! check's noiseless parity ([`Simulator::measure_ideal`]) and skips the data-noise,
-//! preparation, CNOT and readout loops. That is exact: with every first gap at
-//! `NO_EVENT` no trial of the round fires; with no leaked operand no leaked-gate
-//! coin is drawn and readout draws nothing; and without faults a Z check's ancilla
-//! Z bit and an X check's ancilla X bit stay clear, so the CNOTs leave every data
-//! frame as it is. Each measurement is then the noiseless parity of its support and
-//! no MLR flag is raised, so the RNG position, the frames and the recorded round
-//! are those of the full loop by construction. The check comes after the LRC
-//! gadgets, which draw from the RNG and can re-leak a qubit; `data_leak_before` is
-//! still taken before them. The gate loop stays the one path for every other round.
+//! The syndrome-extraction circuit is written once, as the flat arrays of a
+//! `Schedule` built with the simulator: each check's basis and support, every
+//! CNOT in loop order (layer by layer, check by check) and each data qubit's
+//! CNOTs in that order. The gate loop walks its CNOT list.
+//!
+//! A round is *leak-free* when, after its LRC step, no data or ancilla qubit is
+//! leaked and the first gap of the leak stream is `NO_EVENT`. Such a round runs as
+//! an event walk instead of the gate loop, and the two agree by construction:
+//!
+//! * **The same draws in the same order.** No leak trial fires, so no qubit leaks
+//!   during the round: every gate is healthy, draws no leaked-gate coin and asks
+//!   its `p` trial, and every readout asks its `p` and false-flag trials. The `p`
+//!   stream's trials are therefore a fixed sequence (data noise, preparation, the
+//!   CNOTs in loop order, readout) and the walk steps through its events by trial
+//!   index. At each event it draws the next gap and then the event's Pauli, as
+//!   `GapStream::fires` and its caller do. At readout it merges in the
+//!   false-flag stream's events, check by check, with a check's `p` trial first.
+//! * **Linear frame propagation.** Healthy CNOTs act on the Pauli frames by XOR,
+//!   so a round's measurements are the noiseless parity of its frames plus the sum
+//!   of each event's effect, and its data frames are the start plus each event's
+//!   data change. The walk applies data-noise events to the frames, reads the
+//!   noiseless parity, and then applies each later event's effect as it fires. A
+//!   preparation or readout fault flips its check. A CNOT fault's data X (or Z)
+//!   flips the Z (or X) checks whose CNOT on that qubit comes later in loop order
+//!   (two CNOTs of one layer can share a qubit), and stays in the frame. Its
+//!   ancilla part flips its own check, or, for a Z check's ancilla Z or an X
+//!   check's ancilla X, lands on each of the check's later support qubits at that
+//!   qubit's CNOT, where it acts as a data fault. Without faults a Z check's
+//!   ancilla Z and an X check's ancilla X stay clear, so the gates change no data
+//!   frame, and that kickback is the only way an ancilla fault reaches one.
+//!
+//! A round with no event is the walk's zero-event case: its noiseless readout. The
+//! check comes after the LRC gadgets, which draw from the RNG and can re-leak a
+//! qubit; `data_leak_before` is still taken before them. The gate loop stays the
+//! one path for a round with a leaked qubit or a leak event.
 //!
 //! # Writing the round in place
 //!
@@ -48,7 +71,7 @@ use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
-use qec_codes::{Check, CheckBasis, CheckId, Code, DataQubitId};
+use qec_codes::{CheckBasis, CheckId, Code, DataQubitId};
 
 use crate::bits::{BitVec, BitsMut};
 use crate::noise::NoiseParams;
@@ -123,10 +146,147 @@ impl<'t> GapStream<'t> {
             true
         }
     }
+
+    /// The event walk's step: after the event at trial `at` fires, draws the
+    /// next gap as [`GapStream::fires`] does and returns the trial of the next
+    /// event, or [`NO_EVENT`].
+    #[inline]
+    fn next_event<R: RngCore + ?Sized>(&self, at: usize, rng: &mut R) -> usize {
+        match self.table.draw_gap(rng) {
+            NO_EVENT => NO_EVENT,
+            gap => at + 1 + gap,
+        }
+    }
+}
+
+/// One CNOT of the schedule, between `check`'s ancilla and data qubit `qubit`.
+#[derive(Debug, Clone, Copy)]
+struct Cnot {
+    check: CheckId,
+    qubit: DataQubitId,
+    /// This CNOT's index in [`Schedule::check_cnots`].
+    check_slot: usize,
+    /// This CNOT's index in [`Schedule::qubit_cnots`].
+    qubit_slot: usize,
+}
+
+/// A check of the schedule: its basis and where its entries end in the flat
+/// arrays (each starts where the previous check's ends).
+#[derive(Debug)]
+struct CheckRow {
+    basis: CheckBasis,
+    /// End of this check's CNOTs in [`Schedule::check_cnots`].
+    cnots_end: usize,
+    /// End of this check's support words in [`Schedule::support_words`].
+    words_end: usize,
+}
+
+/// The syndrome-extraction circuit as flat arrays, in a fixed number of
+/// allocations: the one place its loop order is written (see "Leak-free rounds"
+/// in the module docs).
+#[derive(Debug)]
+struct Schedule {
+    /// Every check, by id.
+    checks: Vec<CheckRow>,
+    /// Every CNOT in loop order: layer by layer, and check by check within a
+    /// layer (layer `t` holds the `t`-th support qubit of each check).
+    cnots: Vec<Cnot>,
+    /// Each check's CNOTs (indices into `cnots`) in support order.
+    check_cnots: Vec<usize>,
+    /// Each data qubit's CNOTs (indices into `cnots`) in loop order.
+    qubit_cnots: Vec<usize>,
+    /// End of each data qubit's CNOTs in `qubit_cnots`.
+    qubit_ends: Vec<usize>,
+    /// Each check's support as `(frame word, bit mask)` pairs.
+    support_words: Vec<(usize, u64)>,
+}
+
+impl Schedule {
+    fn new(code: &Code) -> Self {
+        let total: usize = code.checks().iter().map(|check| check.weight()).sum();
+        let mut checks = Vec::with_capacity(code.num_checks());
+        let mut support_words = Vec::with_capacity(total);
+        let mut cnots_end = 0;
+        for (c, check) in code.checks().iter().enumerate() {
+            assert_eq!(check.id, c, "check ids are positions in the check list");
+            let start = support_words.len();
+            for &q in &check.support {
+                let (word, bit) = (q / 64, 1 << (q % 64));
+                match support_words[start..].iter_mut().find(|(w, _)| *w == word) {
+                    Some((_, mask)) => *mask |= bit,
+                    None => support_words.push((word, bit)),
+                }
+            }
+            cnots_end += check.weight();
+            checks.push(CheckRow { basis: check.basis, cnots_end, words_end: support_words.len() });
+        }
+        let mut cnots = Vec::with_capacity(total);
+        let mut check_cnots = vec![0; total];
+        for t in 0..code.cnot_layers() {
+            for (c, check) in code.checks().iter().enumerate() {
+                if let Some(&qubit) = check.support.get(t) {
+                    let check_slot = checks[c].cnots_end - check.weight() + t;
+                    check_cnots[check_slot] = cnots.len();
+                    cnots.push(Cnot { check: c, qubit, check_slot, qubit_slot: 0 });
+                }
+            }
+        }
+        // A counting sort by qubit that keeps loop order: `qubit_ends` holds
+        // each qubit's start, then advances to its end as its CNOTs are placed.
+        let mut qubit_ends = vec![0; code.num_data()];
+        for cnot in &cnots {
+            qubit_ends[cnot.qubit] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut qubit_ends {
+            (*slot, start) = (start, start + *slot);
+        }
+        let mut qubit_cnots = vec![0; total];
+        for (k, cnot) in cnots.iter_mut().enumerate() {
+            cnot.qubit_slot = qubit_ends[cnot.qubit];
+            qubit_cnots[cnot.qubit_slot] = k;
+            qubit_ends[cnot.qubit] += 1;
+        }
+        Schedule { checks, cnots, check_cnots, qubit_cnots, qubit_ends, support_words }
+    }
+
+    fn num_data(&self) -> usize {
+        self.qubit_ends.len()
+    }
+
+    /// Writes each check's parity of the data frames `x` (Z checks) and `z` (X
+    /// checks) into `out`, a word of checks at a time.
+    fn read_parities(&self, x: &[u64], z: &[u64], out: &mut BitsMut<'_>) {
+        let mut start = 0;
+        for (word, rows) in out.words_mut().iter_mut().zip(self.checks.chunks(64)) {
+            *word = rows.iter().enumerate().fold(0, |acc, (bit, row)| {
+                let frame = match row.basis {
+                    CheckBasis::Z => x,
+                    CheckBasis::X => z,
+                };
+                let support = self.support_words[start..row.words_end]
+                    .iter()
+                    .fold(0, |support, &(w, mask)| support ^ frame[w] & mask);
+                start = row.words_end;
+                acc | u64::from(support.count_ones() & 1) << bit
+            });
+        }
+    }
+}
+
+/// `true` when `p` on a `basis` check's ancilla flips its readout, and when `p`
+/// on a data qubit flips the `basis` checks whose CNOT on it comes later: X is
+/// seen by Z checks and Z by X checks.
+fn flips(basis: CheckBasis, p: Pauli) -> bool {
+    match basis {
+        CheckBasis::Z => p.has_x(),
+        CheckBasis::X => p.has_z(),
+    }
 }
 
 /// The survival tables of a simulator's three round streams, sized from the
-/// code by the number of trials each stream can be asked per round.
+/// code by the number of trials each stream can be asked per round, and the
+/// schedule the round executor walks.
 #[derive(Debug)]
 pub(crate) struct RoundTables {
     /// `p`: data depolarization, ancilla preparation, CNOT depolarization and
@@ -136,17 +296,19 @@ pub(crate) struct RoundTables {
     leak: SurvivalTable,
     /// `mlr_false_flag` on healthy ancillas (`q = 0` without MLR).
     false_flag: SurvivalTable,
+    schedule: Schedule,
 }
 
 impl RoundTables {
     pub(crate) fn new(code: &Code, noise: &NoiseParams) -> Self {
-        let (data, checks) = (code.num_data(), code.num_checks());
-        let cnots: usize = code.checks().iter().map(Check::weight).sum();
+        let schedule = Schedule::new(code);
+        let (data, checks, cnots) = (code.num_data(), code.num_checks(), schedule.cnots.len());
         let false_flag = if noise.mlr_enabled { noise.mlr_false_flag } else { 0.0 };
         RoundTables {
             p: SurvivalTable::new(noise.p, data + 2 * checks + cnots),
             leak: SurvivalTable::new(noise.p_leak(), data + checks + cnots),
             false_flag: SurvivalTable::new(false_flag, checks),
+            schedule,
         }
     }
 }
@@ -167,11 +329,6 @@ impl<'t> RoundStreams<'t> {
             leak: GapStream::start(&tables.leak, rng),
             false_flag: GapStream::start(&tables.false_flag, rng),
         }
-    }
-
-    /// `true` when no trial of any stream fires for the rest of the round.
-    fn all_quiet(&self) -> bool {
-        [self.p.gap, self.leak.gap, self.false_flag.gap] == [NO_EVENT; 3]
     }
 }
 
@@ -204,16 +361,16 @@ impl Simulator {
     /// readout, appends its observable record plus ground truth snapshots to
     /// `run`, and advances the round counter.
     ///
-    /// With `QUIET_GUARD` a quiet round (see the module docs) reads each check's
-    /// noiseless parity and skips every loop after the LRCs; production always
-    /// compiles the guard in, and only the test reference compiles it out. The
-    /// returned flag says whether the round took that branch.
-    pub(crate) fn execute_round<const QUIET_GUARD: bool>(
+    /// With `EVENT_WALK` a leak-free round (see the module docs) runs as an event
+    /// walk instead of the gate loop; production always compiles the walk in,
+    /// and only the test reference compiles it out. Returns the number of noise
+    /// events the walk applied, or `None` when the round ran the gate loop.
+    pub(crate) fn execute_round<const EVENT_WALK: bool>(
         &mut self,
         data_lrcs: &[DataQubitId],
         ancilla_lrcs: &[CheckId],
         run: &mut RunRecord,
-    ) -> bool {
+    ) -> Option<usize> {
         let lrcs = data_lrcs.len() + ancilla_lrcs.len();
         let cycle_time_ns = self.noise_params().round_ns(self.cnot_layers(), lrcs);
         let mut flags = run.push_round(data_lrcs, ancilla_lrcs, cycle_time_ns);
@@ -230,18 +387,23 @@ impl Simulator {
         }
 
         // --- 2.–5. Noise, ancilla prep, CNOT layers and readout ------------------------
-        let quiet = QUIET_GUARD && streams.all_quiet() && !self.frames.any_leaked();
-        if quiet {
-            // Exact by construction: see "Quiet rounds" in the module docs. The
-            // MLR flags stay clear.
-            self.measure_ideal_into(&mut flags.measurements);
+        let leak_free = EVENT_WALK && streams.leak.gap == NO_EVENT && !self.frames.any_leaked();
+        let events = if leak_free {
+            Some(self.walk_events(
+                &tables.schedule,
+                &mut streams,
+                &mut flags.measurements,
+                &mut flags.mlr_leak_flags,
+            ))
         } else {
             self.noisy_gates_and_readout(
+                &tables.schedule,
                 &mut streams,
                 &mut flags.measurements,
                 &mut flags.mlr_leak_flags,
             );
-        }
+            None
+        };
 
         // Detectors: XOR against the previous round's raw measurements.
         let measured = flags.measurements.as_bits().words();
@@ -256,14 +418,133 @@ impl Simulator {
 
         flags.data_leak_after.copy_from(self.frames.data_leaks());
         flags.ancilla_leak_after.copy_from(self.frames.ancilla_leaks());
-        quiet
+        events
     }
 
-    /// Steps 2–5 of a round that is not quiet: start-of-round data noise, ancilla
-    /// preparation, the CNOT layers and readout into the round's (clear)
-    /// measurements and MLR leak flags.
+    /// [`Simulator::measure_ideal`] into `out`, one flag per check, a word of
+    /// checks at a time (check ids are their positions in the check list).
+    pub(crate) fn measure_ideal_into(&self, out: &mut BitsMut<'_>) {
+        let (x, z) = (self.frames.data_x().words(), self.frames.data_z().words());
+        self.round_tables.schedule.read_parities(x, z, out);
+    }
+
+    /// Steps 2–5 of a leak-free round as an event walk over the `p` stream, and
+    /// over the false-flag stream at readout (see "Leak-free rounds" in the
+    /// module docs), into the round's (clear) measurements and MLR leak flags.
+    /// Returns the number of events applied.
+    fn walk_events(
+        &mut self,
+        schedule: &Schedule,
+        streams: &mut RoundStreams<'_>,
+        measurements: &mut BitsMut<'_>,
+        mlr_leak_flags: &mut BitsMut<'_>,
+    ) -> usize {
+        // The `p` stream's trials: data noise, preparation, CNOTs, readout.
+        let prep = schedule.num_data();
+        let gates = prep + schedule.checks.len();
+        let readout = gates + schedule.cnots.len();
+        let mut events = 0;
+        let mut at = streams.p.gap;
+
+        // --- 2. Data noise, then the noiseless parity of the frames it leaves ------------
+        while at < prep {
+            let q = at;
+            at = streams.p.next_event(at, &mut self.rng);
+            self.frames.apply_data_pauli(q, Pauli::random_error(&mut self.rng));
+            events += 1;
+        }
+        self.measure_ideal_into(measurements);
+
+        // --- 3. Preparation faults flip their check ------------------------------------
+        while at < gates {
+            measurements.toggle(at - prep);
+            at = streams.p.next_event(at, &mut self.rng);
+            events += 1;
+        }
+
+        // --- 4. CNOT faults --------------------------------------------------------------
+        while at < readout {
+            let k = at - gates;
+            at = streams.p.next_event(at, &mut self.rng);
+            let (pd, pa) = random_two_qubit_error(&mut self.rng);
+            self.cnot_fault(schedule, k, pd, pa, measurements);
+            events += 1;
+        }
+
+        // --- 5. Readout flips and false flags, check by check, `p` trial first ----------
+        let (mut flip, mut flag) = (at - readout, streams.false_flag.gap);
+        loop {
+            let c = flip.min(flag);
+            if c >= schedule.checks.len() {
+                return events;
+            }
+            if flip == c {
+                measurements.toggle(c);
+                flip = streams.p.next_event(c, &mut self.rng);
+                events += 1;
+            }
+            if flag == c {
+                mlr_leak_flags.set(c, true);
+                flag = streams.false_flag.next_event(c, &mut self.rng);
+                events += 1;
+            }
+        }
+    }
+
+    /// A fault of a leak-free round that hits CNOT `k` right after the gate: `pd`
+    /// on its data qubit and `pa` on its ancilla. Flips the measurements it
+    /// reaches and leaves its data part in the frames.
+    fn cnot_fault(
+        &mut self,
+        schedule: &Schedule,
+        k: usize,
+        pd: Pauli,
+        pa: Pauli,
+        measurements: &mut BitsMut<'_>,
+    ) {
+        let cnot = schedule.cnots[k];
+        self.data_fault(schedule, cnot, pd, measurements);
+        let row = &schedule.checks[cnot.check];
+        if flips(row.basis, pa) {
+            measurements.toggle(cnot.check);
+        }
+        // A Z check's ancilla Z kicks back onto each later control; an X
+        // check's ancilla X is copied onto each later target.
+        let (kicked, spread) = match row.basis {
+            CheckBasis::Z => (pa.has_z(), Pauli::Z),
+            CheckBasis::X => (pa.has_x(), Pauli::X),
+        };
+        if kicked {
+            for &later in &schedule.check_cnots[cnot.check_slot + 1..row.cnots_end] {
+                self.data_fault(schedule, schedule.cnots[later], spread, measurements);
+            }
+        }
+    }
+
+    /// `p` on `cnot`'s data qubit right after the gate: it stays in the frame
+    /// and flips the checks that see it at a later CNOT on that qubit.
+    fn data_fault(
+        &mut self,
+        schedule: &Schedule,
+        cnot: Cnot,
+        p: Pauli,
+        measurements: &mut BitsMut<'_>,
+    ) {
+        self.frames.apply_data_pauli(cnot.qubit, p);
+        for &later in &schedule.qubit_cnots[cnot.qubit_slot + 1..schedule.qubit_ends[cnot.qubit]] {
+            let c = schedule.cnots[later].check;
+            if flips(schedule.checks[c].basis, p) {
+                measurements.toggle(c);
+            }
+        }
+    }
+
+    /// Steps 2–5 of a round with a leaked qubit or a leak event: start-of-round
+    /// data noise, ancilla preparation, the schedule's CNOTs and readout into the
+    /// round's (clear) measurements and MLR leak flags.
     fn noisy_gates_and_readout(
         &mut self,
+        schedule: &Schedule,
         streams: &mut RoundStreams<'_>,
         measurements: &mut BitsMut<'_>,
         mlr_leak_flags: &mut BitsMut<'_>,
@@ -271,7 +552,7 @@ impl Simulator {
         let noise = self.noise_params();
 
         // --- 2. Start-of-round data noise ---------------------------------------------
-        for q in 0..self.code().num_data() {
+        for q in 0..schedule.num_data() {
             if streams.p.fires(&mut self.rng) {
                 let err = Pauli::random_error(&mut self.rng);
                 self.frames.apply_data_pauli(q, err);
@@ -285,32 +566,27 @@ impl Simulator {
         let mut ancilla = std::mem::take(&mut self.ancilla);
         ancilla.x.clear();
         ancilla.z.clear();
-        let checks = self.shared_checks();
-        for check in checks.iter() {
+        for (c, row) in schedule.checks.iter().enumerate() {
             if streams.p.fires(&mut self.rng) {
                 // A faulty reset flips the observable the check measures.
-                match check.basis {
-                    CheckBasis::Z => ancilla.apply(check.id, Pauli::X),
-                    CheckBasis::X => ancilla.apply(check.id, Pauli::Z),
+                match row.basis {
+                    CheckBasis::Z => ancilla.apply(c, Pauli::X),
+                    CheckBasis::X => ancilla.apply(c, Pauli::Z),
                 }
             }
             if streams.leak.fires(&mut self.rng) {
-                self.frames.set_ancilla_leaked(check.id, true);
+                self.frames.set_ancilla_leaked(c, true);
             }
         }
 
         // --- 4. CNOT layers -------------------------------------------------------------
-        for t in 0..self.cnot_layers() {
-            for check in checks.iter() {
-                if let Some(&q) = check.support.get(t) {
-                    self.apply_syndrome_cnot(check, q, &mut ancilla, streams);
-                }
-            }
+        for cnot in &schedule.cnots {
+            let basis = schedule.checks[cnot.check].basis;
+            self.apply_syndrome_cnot(basis, cnot.check, cnot.qubit, &mut ancilla, streams);
         }
 
         // --- 5. Readout ------------------------------------------------------------------
-        for check in checks.iter() {
-            let c = check.id;
+        for (c, row) in schedule.checks.iter().enumerate() {
             if self.frames.ancilla_leaked(c) {
                 // Leaked parity qubit: two-level readout yields a random bit.
                 measurements.set(c, self.rng.gen_bool(0.5));
@@ -319,7 +595,7 @@ impl Simulator {
                     mlr_leak_flags.set(c, !missed);
                 }
             } else {
-                let ideal = match check.basis {
+                let ideal = match row.basis {
                     CheckBasis::Z => ancilla.x.get(c),
                     CheckBasis::X => ancilla.z.get(c),
                 };
@@ -332,19 +608,20 @@ impl Simulator {
         self.ancilla = ancilla;
     }
 
-    /// One CNOT of the syndrome-extraction circuit between `check`'s ancilla and data
-    /// qubit `q`, including all noise channels. A gate with a leaked operand asks
-    /// no stream for its depolarizing or leakage trial.
+    /// One CNOT of the syndrome-extraction circuit between the ancilla of check `c`
+    /// (of `basis`) and data qubit `q`, including all noise channels. A gate with a
+    /// leaked operand asks no stream for its depolarizing or leakage trial.
     fn apply_syndrome_cnot(
         &mut self,
-        check: &Check,
+        basis: CheckBasis,
+        c: CheckId,
         q: DataQubitId,
         ancilla: &mut AncillaFrames,
         streams: &mut RoundStreams<'_>,
     ) {
         let noise = self.noise_params();
         let data_leaked = self.frames.data_leaked(q);
-        let anc_leaked = self.frames.ancilla_leaked(check.id);
+        let anc_leaked = self.frames.ancilla_leaked(c);
 
         if data_leaked || anc_leaked {
             // Malfunctioning gate (calibrated on IBM hardware, Section 2.3): the healthy
@@ -352,10 +629,10 @@ impl Simulator {
             // uniformly random Pauli, i.e. a 50% chance of a bit flip.
             if data_leaked && !anc_leaked {
                 if noise.mobility > 0.0 && self.rng.gen_bool(noise.mobility) {
-                    self.frames.set_ancilla_leaked(check.id, true);
+                    self.frames.set_ancilla_leaked(c, true);
                 } else {
                     let p = Pauli::random_uniform(&mut self.rng);
-                    ancilla.apply(check.id, p);
+                    ancilla.apply(c, p);
                 }
             } else if anc_leaked && !data_leaked {
                 if noise.mobility > 0.0 && self.rng.gen_bool(noise.mobility) {
@@ -370,23 +647,23 @@ impl Simulator {
         }
 
         // Ideal frame propagation.
-        match check.basis {
+        match basis {
             CheckBasis::Z => {
                 // CNOT with data as control, ancilla as target.
                 if self.frames.data_has_x(q) {
-                    ancilla.x.toggle(check.id);
+                    ancilla.x.toggle(c);
                 }
-                if ancilla.z.get(check.id) {
+                if ancilla.z.get(c) {
                     self.frames.apply_data_pauli(q, Pauli::Z);
                 }
             }
             CheckBasis::X => {
                 // CNOT with ancilla as control, data as target.
-                if ancilla.x.get(check.id) {
+                if ancilla.x.get(c) {
                     self.frames.apply_data_pauli(q, Pauli::X);
                 }
                 if self.frames.data_has_z(q) {
-                    ancilla.apply(check.id, Pauli::Z);
+                    ancilla.apply(c, Pauli::Z);
                 }
             }
         }
@@ -395,7 +672,7 @@ impl Simulator {
         if streams.p.fires(&mut self.rng) {
             let (pd, pa) = random_two_qubit_error(&mut self.rng);
             self.frames.apply_data_pauli(q, pd);
-            ancilla.apply(check.id, pa);
+            ancilla.apply(c, pa);
         }
 
         // Gate-induced leakage: the two-qubit gate may leak one of its operands.
@@ -403,7 +680,7 @@ impl Simulator {
             if self.rng.gen_bool(0.5) {
                 self.frames.set_data_leaked(q, true);
             } else {
-                self.frames.set_ancilla_leaked(check.id, true);
+                self.frames.set_ancilla_leaked(c, true);
             }
         }
     }
@@ -674,10 +951,11 @@ mod tests {
     }
 
     #[test]
-    fn quiet_rounds_match_the_full_gate_loop() {
+    fn event_rounds_match_the_full_gate_loop() {
         let codes = [
             Code::rotated_surface(3),
             Code::rotated_surface(5),
+            Code::rotated_surface(7),
             Code::color_666(3),
             Code::color_666(5),
             Code::hgp(2),
@@ -700,8 +978,22 @@ mod tests {
                 }
             }
         }
+        // Dense noise with frequent false flags, so a readout `p` event and a
+        // false flag land on one check and their draw order shows.
+        for lr in [0.0, 0.1] {
+            noises.push(
+                NoiseParams::builder()
+                    .physical_error_rate(0.1)
+                    .leakage_ratio(lr)
+                    .mlr_enabled(true)
+                    .mlr_false_flag(0.3)
+                    .build(),
+            );
+        }
         for code in &codes {
-            let (mut quiet_rounds, mut rounds) = (0, 0);
+            // Rounds of the event walk with no event and with some, and of the
+            // gate loop.
+            let (mut silent, mut eventful, mut looped) = (0, 0, 0);
             for (i, &noise) in noises.iter().enumerate() {
                 // One seeded leak per shot, so LRCs also land on leaked qubits.
                 let mut fast = Simulator::new(code, noise, 0);
@@ -713,21 +1005,103 @@ mod tests {
                 for round in 0..12 {
                     let request = random_request(fast.frames(), &mut requests);
                     let (data, ancilla) = (&request.data, &request.ancilla);
-                    let quiet = fast.execute_round::<true>(data, ancilla, &mut fast_run);
-                    let guarded =
+                    let events = fast.execute_round::<true>(data, ancilla, &mut fast_run);
+                    let walked =
                         reference.execute_round::<false>(data, ancilla, &mut reference_run);
                     let at = format!("{} {noise:?} round {round}", code.name());
-                    assert!(!guarded, "the reference compiles the quiet guard out");
+                    assert_eq!(walked, None, "the reference compiles the event walk out");
                     assert_eq!(fast_run.round(round), reference_run.round(round), "{at}");
                     assert_eq!(fast.frames(), reference.frames(), "{at}");
                     assert_eq!(fast.rng.get_word_pos(), reference.rng.get_word_pos(), "{at}");
                     assert_eq!(fast.checkpoint(), reference.checkpoint(), "{at}");
-                    quiet_rounds += usize::from(quiet);
-                    rounds += 1;
+                    match events {
+                        Some(0) => silent += 1,
+                        Some(_) => eventful += 1,
+                        None => looped += 1,
+                    }
                 }
             }
-            assert!(0 < quiet_rounds && quiet_rounds < rounds, "{}: {quiet_rounds}", code.name());
+            let counts =
+                format!("{}: {silent} silent, {eventful} eventful, {looped} looped", code.name());
+            assert!(silent > 0 && eventful > 0 && looped > 0, "{counts}");
         }
+    }
+
+    /// Every single Pauli fault right after every CNOT of a leak-free round: the
+    /// event walk's effect on the noiseless readout equals the production gate
+    /// loop run over the same schedule with that fault injected, on seeded
+    /// random start frames, in measurements and frames.
+    #[test]
+    fn single_cnot_faults_match_the_gate_loop() {
+        let codes = [
+            Code::rotated_surface(3),
+            Code::rotated_surface(5),
+            Code::rotated_surface(7),
+            Code::color_666(3),
+            Code::color_666(5),
+            Code::hgp(2),
+            Code::bpc(14),
+        ];
+        let faults: Vec<(Pauli, Pauli)> = Pauli::ALL
+            .into_iter()
+            .flat_map(|pd| Pauli::ALL.map(|pa| (pd, pa)))
+            .filter(|&fault| fault != (Pauli::I, Pauli::I))
+            .collect();
+        assert_eq!(faults.len(), 15);
+        let mut cases = 0;
+        for (seed, code) in codes.iter().enumerate() {
+            // Clean noise: the gate loop's streams never fire and draw nothing.
+            let mut walked = Simulator::new(code, clean_noise(), 0);
+            let mut looped = walked.clone();
+            let tables = Arc::clone(&walked.round_tables);
+            let schedule = &tables.schedule;
+            let mut frames = ChaCha8Rng::seed_from_u64(seed as u64);
+            let mut start = QubitFrames::new(code.num_data(), code.num_checks());
+            let mut walked_measurements = BitVec::new(code.num_checks());
+            let mut ancilla = AncillaFrames::new(code.num_checks());
+            for k in 0..schedule.cnots.len() {
+                start.clear();
+                for q in 0..code.num_data() {
+                    start.apply_data_pauli(q, Pauli::ALL[frames.gen_range(0..4)]);
+                }
+                for &(pd, pa) in &faults {
+                    walked.frames.clone_from(&start);
+                    let mut measurements = walked_measurements.as_bits_mut();
+                    walked.measure_ideal_into(&mut measurements);
+                    walked.cnot_fault(schedule, k, pd, pa, &mut measurements);
+
+                    looped.frames.clone_from(&start);
+                    let mut streams = RoundStreams::start(&tables, &mut looped.rng);
+                    ancilla.x.clear();
+                    ancilla.z.clear();
+                    for (j, cnot) in schedule.cnots.iter().enumerate() {
+                        let basis = schedule.checks[cnot.check].basis;
+                        looped.apply_syndrome_cnot(
+                            basis,
+                            cnot.check,
+                            cnot.qubit,
+                            &mut ancilla,
+                            &mut streams,
+                        );
+                        if j == k {
+                            looped.frames.apply_data_pauli(cnot.qubit, pd);
+                            ancilla.apply(cnot.check, pa);
+                        }
+                    }
+                    let looped_measurements: BitVec = (schedule.checks.iter().enumerate())
+                        .map(|(c, row)| match row.basis {
+                            CheckBasis::Z => ancilla.x.get(c),
+                            CheckBasis::X => ancilla.z.get(c),
+                        })
+                        .collect();
+                    let at = format!("{} CNOT {k} fault {pd}{pa}", code.name());
+                    assert_eq!(walked_measurements, looped_measurements, "{at}");
+                    assert_eq!(walked.frames, looped.frames, "{at}");
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 15_000, "{cases} cases");
     }
 
     /// Mean `u64` draws per round of a d=5, 30-round no-LRC shot at the default

@@ -5,9 +5,9 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qec_codes::{CheckBasis, CheckId, Code, DataQubitId};
+use qec_codes::{CheckId, Code, DataQubitId};
 
-use crate::bits::{BitVec, BitsMut};
+use crate::bits::BitVec;
 use crate::frame::QubitFrames;
 use crate::noise::NoiseParams;
 use crate::policy::{GroundTruth, LeakagePolicy, PolicyContext};
@@ -16,20 +16,20 @@ use crate::rounds::{AncillaFrames, RoundTables};
 
 /// Leakage-aware Pauli-frame simulator for one logical qubit of a CSS code.
 ///
-/// A `Simulator` owns the code, the noise model, the per-qubit frames/leak flags and a
-/// seeded RNG, so repeated runs with the same seed are bit-for-bit reproducible.
+/// A `Simulator` owns the noise model, the per-qubit frames/leak flags and a seeded
+/// RNG, so repeated runs with the same seed are bit-for-bit reproducible. It keeps
+/// no copy of the code: the round executor's schedule, built from the code once
+/// and shared by clones, is the circuit it runs.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    code: Code,
-    checks: std::sync::Arc<Vec<qec_codes::Check>>,
     noise: NoiseParams,
     pub(crate) frames: QubitFrames,
     pub(crate) rng: ChaCha8Rng,
     pub(crate) prev_measurements: BitVec,
     pub(crate) round_index: usize,
     cnot_layers: usize,
-    /// Survival tables of the round executor's gap streams (immutable, shared by
-    /// clones).
+    /// Survival tables of the round executor's gap streams and its schedule
+    /// (immutable, shared by clones).
     pub(crate) round_tables: Arc<RoundTables>,
     /// The round executor's within-round ancilla frames, kept between rounds
     /// only so a round allocates nothing.
@@ -38,7 +38,7 @@ pub struct Simulator {
 
 /// A snapshot of every piece of [`Simulator`] state that varies within a run:
 /// frames, RNG stream position, previous-round measurements and the round
-/// counter. The immutable run configuration (code, noise, round tables) is *not*
+/// counter. The immutable run configuration (noise, round tables) is *not*
 /// captured — a checkpoint may only be restored into the simulator family it
 /// was taken from.
 ///
@@ -68,8 +68,6 @@ impl Simulator {
     #[must_use]
     pub fn new(code: &Code, noise: NoiseParams, seed: u64) -> Self {
         Simulator {
-            code: code.clone(),
-            checks: std::sync::Arc::new(code.checks().to_vec()),
             noise,
             frames: QubitFrames::new(code.num_data(), code.num_checks()),
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -79,12 +77,6 @@ impl Simulator {
             round_tables: Arc::new(RoundTables::new(code, &noise)),
             ancilla: AncillaFrames::new(code.num_checks()),
         }
-    }
-
-    /// The code being simulated.
-    #[must_use]
-    pub fn code(&self) -> &Code {
-        &self.code
     }
 
     /// The noise model in force.
@@ -126,7 +118,7 @@ impl Simulator {
     /// Seeds `count` distinct random data qubits as leaked (leakage sampling).
     pub fn seed_random_data_leakage(&mut self, count: usize) {
         use rand::seq::SliceRandom;
-        let mut qubits: Vec<DataQubitId> = (0..self.code.num_data()).collect();
+        let mut qubits: Vec<DataQubitId> = (0..self.frames.num_data()).collect();
         qubits.shuffle(&mut self.rng);
         for &q in qubits.iter().take(count) {
             self.frames.set_data_leaked(q, true);
@@ -143,7 +135,7 @@ impl Simulator {
 
     /// Re-seeds the RNG and resets all per-run state, leaving the simulator
     /// bit-for-bit identical to a freshly constructed `Simulator::new(code, noise,
-    /// seed)` — but without re-deriving the code structures (check list, round tables),
+    /// seed)` — but without re-deriving the round tables and their schedule,
     /// which is what makes per-shot reuse in the batch engine allocation-light.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = ChaCha8Rng::seed_from_u64(seed);
@@ -189,7 +181,7 @@ impl Simulator {
     pub fn restore(&mut self, checkpoint: &SimulatorCheckpoint) {
         assert_eq!(
             (checkpoint.frames.num_data(), checkpoint.frames.num_ancilla()),
-            (self.code.num_data(), self.code.num_checks()),
+            (self.frames.num_data(), self.frames.num_ancilla()),
             "checkpoint must come from a simulator of the same code"
         );
         self.frames.clone_from(&checkpoint.frames);
@@ -225,7 +217,8 @@ impl Simulator {
         policy: &mut P,
         rounds: usize,
     ) -> RunRecord {
-        let run = RunRecord::with_capacity(self.code.num_data(), self.code.num_checks(), rounds);
+        let (data, checks) = (self.frames.num_data(), self.frames.num_ancilla());
+        let run = RunRecord::with_capacity(data, checks, rounds);
         self.resume_with_policy(policy, run, rounds)
     }
 
@@ -274,7 +267,7 @@ impl Simulator {
     /// noiseless measurements is recorded for the decoder.
     fn finalize_run(&mut self, mut run: RunRecord) -> RunRecord {
         use rand::Rng;
-        for q in 0..self.code.num_data() {
+        for q in 0..self.frames.num_data() {
             if self.frames.data_leaked(q) {
                 if self.rng.gen_bool(0.5) {
                     self.frames.apply_data_pauli(q, crate::pauli::Pauli::X);
@@ -295,33 +288,9 @@ impl Simulator {
     /// Noiseless measurement of every check against the current data frames.
     #[must_use]
     pub fn measure_ideal(&self) -> BitVec {
-        let mut measurements = BitVec::new(self.code.num_checks());
+        let mut measurements = BitVec::new(self.frames.num_ancilla());
         self.measure_ideal_into(&mut measurements.as_bits_mut());
         measurements
-    }
-
-    /// [`Simulator::measure_ideal`] into `out`, one flag per check, a word of
-    /// checks at a time (check ids are their positions in the check list).
-    pub(crate) fn measure_ideal_into(&self, out: &mut BitsMut<'_>) {
-        let (x, z) = (self.frames.data_x().words(), self.frames.data_z().words());
-        let parity = |frame: &[u64], support: &[DataQubitId]| {
-            support.iter().fold(0, |acc, &q| acc ^ frame[q / 64] >> (q % 64)) & 1
-        };
-        for (word, checks) in out.words_mut().iter_mut().zip(self.checks.chunks(64)) {
-            *word = checks.iter().enumerate().fold(0, |acc, (bit, check)| {
-                let frame = match check.basis {
-                    CheckBasis::Z => x,
-                    CheckBasis::X => z,
-                };
-                acc | parity(frame, &check.support) << bit
-            });
-        }
-    }
-
-    /// Cheaply cloneable handle to the code's checks, used by the round executor to
-    /// avoid borrowing `self` while mutating frames.
-    pub(crate) fn shared_checks(&self) -> std::sync::Arc<Vec<qec_codes::Check>> {
-        std::sync::Arc::clone(&self.checks)
     }
 
     pub(crate) fn noise_params(&self) -> NoiseParams {
@@ -333,6 +302,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::policy::NeverLrc;
+    use qec_codes::CheckBasis;
 
     #[test]
     fn same_seed_is_deterministic() {
