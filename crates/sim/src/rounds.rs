@@ -54,8 +54,8 @@
 //!   frame, and that kickback is the only way an ancilla fault reaches one.
 //!
 //! A round with no event is the walk's zero-event case: its noiseless readout. The
-//! check comes after the LRC gadgets, which draw from the RNG and can re-leak a
-//! qubit; `data_leak_before` is still taken before them. The gate loop stays the
+//! leak-free test comes after the LRC gadgets, which draw from the RNG and can
+//! re-leak a qubit; `data_leak_before` is still taken before them. The gate loop stays the
 //! one path for a round with a leaked qubit or a leak event.
 //!
 //! # Writing the round in place
@@ -1101,7 +1101,8 @@ mod tests {
                 }
             }
         }
-        assert!(cases > 15_000, "{cases} cases");
+        // 1,220 CNOTs over the seven codes, 15 faults each.
+        assert_eq!(cases, 18_300);
     }
 
     /// Mean `u64` draws per round of a d=5, 30-round no-LRC shot at the default
